@@ -35,7 +35,7 @@ def _run_sweep():
     workload = GeoMicroWorkload(
         groups=((0, 1), (2, 3)), num_sites=4, items_per_group=2, refill=4
     )
-    cluster = workload.build_concurrent(strategy="equal-split")
+    cluster = workload.build_homeostasis(strategy="equal-split")
     window = [(f"Buy0@s{s}", {"item": 0}) for s in (0, 1, 0, 1)]
     window += [(f"Buy1@s{s}", {"item": 0}) for s in (2, 3, 2, 3)]
     window_result = cluster.submit_window(window)

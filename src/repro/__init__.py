@@ -27,8 +27,8 @@ The package implements the paper's full pipeline from scratch:
 
 This module is the public facade: analysis entry points, the workload
 builders, and the :class:`ClusterSpec` / :func:`build_cluster` pair
-that constructs any protocol kernel (sequential, concurrent, async)
-from one declarative value.  Quickstart (see also
+that constructs the protocol kernel (in-process, or hosted on the
+asyncio runtime) from one declarative value.  Quickstart (see also
 ``examples/quickstart.py``)::
 
     from repro import MicroWorkload, build_cluster
@@ -45,7 +45,8 @@ from repro.lang.interp import evaluate
 from repro.lang.parser import parse_program, parse_transaction
 from repro.logic.linearize import linearize_for_treaty
 from repro.protocol.config import ClusterSpec, NegotiationSpec, build_cluster
-from repro.protocol.homeostasis import HomeostasisCluster, TreatyGenerator
+from repro.protocol.homeostasis import TreatyGenerator
+from repro.protocol.kernel import HomeostasisCluster
 from repro.protocol.messages import Outcome
 from repro.sim.experiments import run_contention, run_micro
 from repro.sim.runner import SimConfig, SimResult

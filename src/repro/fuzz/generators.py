@@ -180,7 +180,7 @@ def synthesize_source(family: FamilySpec) -> str:
 class FuzzWorkload(ReplicatedWorkloadBase):
     """A :class:`FuzzSpec` built into the standard workload spine.
 
-    The same ``build_homeostasis`` / ``build_concurrent`` path as the
+    The same ``build_homeostasis`` path as the
     hand-written workloads, so a fuzzed cluster is indistinguishable
     from a scenario cluster to the kernel.
     """

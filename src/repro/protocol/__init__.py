@@ -14,12 +14,16 @@
   symbolic tables (Section 5.1);
 - :mod:`repro.protocol.remote_writes` -- the Appendix B transform
   eliminating remote writes via per-site delta objects;
-- :mod:`repro.protocol.homeostasis` -- the coordinator implementing
-  the round lifecycle (treaty generation, normal execution,
-  participant-scoped cleanup);
-- :mod:`repro.protocol.concurrent` -- the concurrent cleanup runtime:
-  windows of interleaved submissions, racing violators resolved by a
-  real vote phase, and parallel negotiations over disjoint closures;
+- :mod:`repro.protocol.homeostasis` -- treaty generation (the first
+  phase of a round) plus the protocol's settings, result and error
+  types;
+- :mod:`repro.protocol.kernel` -- the one kernel,
+  :class:`HomeostasisCluster`: normal execution and the
+  participant-scoped cleanup phase, implemented once as a wave engine
+  (racing violators resolved by a real vote phase, parallel
+  negotiations over disjoint closures) behind two entry points,
+  ``submit`` (one transaction, a wave of one contender) and
+  ``submit_window`` (a window of interleaved submissions);
 - :mod:`repro.protocol.faults` -- deterministic fault injection for
   the transport: message drop/delay, site crash-stops at message
   indices, partitions over edge sets -- all surfacing as timeouts
@@ -53,14 +57,13 @@ from repro.protocol.site import SiteResult, SiteServer
 from repro.protocol.remote_writes import ReplicationSpec, transform_for_site
 from repro.protocol.homeostasis import (
     ClusterResult,
-    HomeostasisCluster,
     SyncRound,
     TreatyStrategy,
     Unavailable,
 )
-from repro.protocol.concurrent import (
-    ConcurrentCluster,
+from repro.protocol.kernel import (
     GroupOutcome,
+    HomeostasisCluster,
     WindowOutcome,
     WindowResult,
 )
@@ -69,7 +72,6 @@ from repro.protocol.baselines import LocalCluster, TwoPhaseCommitCluster
 __all__ = [
     "CleanupRun",
     "ClusterResult",
-    "ConcurrentCluster",
     "Decision",
     "FaultPlan",
     "GroupOutcome",

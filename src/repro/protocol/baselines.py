@@ -8,7 +8,7 @@
   propagates its write set to all replicas inside a two-phase commit
   (two message rounds per transaction).
 - **OPT** (the hand-crafted demarcation-protocol variant) is not a
-  separate class: it is :class:`~repro.protocol.homeostasis.
+  separate class: it is :class:`~repro.protocol.kernel.
   HomeostasisCluster` with the ``equal-split`` treaty strategy, which
   "splits and allocates the remaining stock level of each item
   equally among the replicas" at each synchronization point.

@@ -1,19 +1,17 @@
 """Cluster construction facade: :class:`ClusterSpec` + :func:`build_cluster`.
 
-The protocol kernels grew out of a 12-positional-argument constructor
-that no server can be configured through.  A :class:`ClusterSpec` is
-the declarative replacement: one frozen value naming the sites, the
-analysis products (symbolic tables, ground tables, object placement),
-and every protocol option -- reusable, inspectable, and independent
-of which kernel executes it.  :func:`build_cluster` turns a spec into
-a running cluster:
+A :class:`ClusterSpec` is the declarative description of a cluster:
+one frozen value naming the sites, the analysis products (symbolic
+tables, ground tables, object placement), and every protocol option
+-- reusable, inspectable, and independent of what hosts the kernel.
+:func:`build_cluster` turns a spec into a running cluster.  There is
+one kernel, :class:`~repro.protocol.kernel.HomeostasisCluster`, with
+two entry points (``submit`` for one transaction, ``submit_window``
+for a window of racing ones), and two ways to host it:
 
-- ``kernel="sequential"`` -- the one-transaction-at-a-time
-  :class:`~repro.protocol.homeostasis.HomeostasisCluster` (the
-  deterministic reference kernel and differential oracle);
-- ``kernel="concurrent"`` -- the windowed
-  :class:`~repro.protocol.concurrent.ConcurrentCluster` with a real
-  vote phase between racing violators;
+- ``kernel="sequential"`` and ``kernel="concurrent"`` are synonyms
+  for the in-process kernel (the deterministic reference and
+  differential oracle);
 - ``kernel="async"`` -- the wall-clock
   :class:`~repro.runtime.cluster.AsyncClusterHost`, where each site
   runs as an asyncio task and every inter-site message crosses an
@@ -33,10 +31,10 @@ from repro.analysis.symbolic import SymbolicTable
 from repro.lang.ast import Transaction
 from repro.protocol.homeostasis import (
     AdaptiveSettings,
-    HomeostasisCluster,
     OptimizerSettings,
     TreatyGenerator,
 )
+from repro.protocol.kernel import HomeostasisCluster
 from repro.protocol.messages import Outcome
 from repro.protocol.paxos_commit import NegotiationSpec
 from repro.protocol.transport import Transport
@@ -132,7 +130,7 @@ def build_cluster(
     here); the async kernel builds its own wall-clock transport and
     accepts fault/timeout knobs through ``kernel_options`` (see
     :class:`~repro.runtime.cluster.AsyncClusterHost`), which the
-    in-process kernels reject.
+    in-process kernel rejects.
     """
     if kernel == "sequential" or kernel == "concurrent":
         if kernel_options:
@@ -140,11 +138,7 @@ def build_cluster(
             raise TypeError(
                 f"kernel {kernel!r} takes no extra options (got {unknown})"
             )
-        if kernel == "sequential":
-            return HomeostasisCluster._from_spec(spec, transport=transport)
-        from repro.protocol.concurrent import ConcurrentCluster
-
-        return ConcurrentCluster._from_spec(spec, transport=transport)
+        return HomeostasisCluster(spec, transport=transport)
     if kernel == "async":
         # Imported lazily: the asyncio runtime is a consumer of the
         # protocol layer, not a dependency of it.

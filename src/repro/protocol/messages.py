@@ -64,7 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 class Outcome(enum.Enum):
     """Final status of one submitted transaction, shared by every
     result surface (:class:`~repro.protocol.homeostasis.ClusterResult`,
-    :class:`~repro.protocol.concurrent.WindowOutcome`, and the serve
+    :class:`~repro.protocol.kernel.WindowOutcome`, and the serve
     wire protocol), so callers stop fingerprinting exception types
     against ``failed`` flags.
 
@@ -200,10 +200,10 @@ class RebalanceRequest(Message):
     the participants of the affected factors to run a scoped
     synchronization + treaty regeneration round so the demand-weighted
     configuration can shift unused budget from cold sites to the hot
-    one.  ``objects`` names the clause objects that breached the
-    watermark (the seed of the participant closure).  No transaction
-    aborts and no cleanup re-run happens -- the round is sync +
-    install only.
+    one.  ``objects`` is the seed of the participant closure: the
+    clause objects that breached the watermark plus the origin's
+    accumulated dirty objects.  No transaction aborts and no cleanup
+    re-run happens -- the round is sync + install only.
     """
 
     objects: tuple[str, ...] = ()

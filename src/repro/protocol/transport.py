@@ -235,6 +235,61 @@ class Transport:
                 )
         return owner
 
+    def _attempt(self, msg: Message) -> tuple[float, str | None]:
+        """The pre-flight of one send attempt, shared by every fabric:
+        count it, refuse known crash-stops, and draw the fault plan.
+        Returns the attempt's injected delay and, when the link loses
+        the message *silently* (partition, drop, over-delay), the
+        reason -- returned rather than raised because how long the
+        sender takes to find out is the fabric's business.  Known
+        crash-stops raise at once: the sender (or its failure
+        detector) already knows, so no timer is paid."""
+        if msg.dst not in self.endpoints:
+            raise TransportError(f"no endpoint registered for site {msg.dst}")
+        self._events += 1
+        index = self._attempts
+        self._attempts += 1
+        if msg.src in self.down:
+            raise self._undeliverable(msg, "sender crash-stopped")
+        if msg.dst in self.down:
+            raise self._undeliverable(msg, "destination crash-stopped")
+        if self.faults is None:
+            return 0.0, None
+        if self.faults.severed(msg.edge, self._events):
+            return 0.0, "edge severed by partition"
+        if self.faults.drops(index):
+            return 0.0, "dropped by lossy link"
+        delay = self.faults.delay_of(index)
+        if delay >= self.faults.timeout_ms:
+            return delay, "delayed past the timeout"
+        return delay, None
+
+    def _record_delivered(self, msg: Message, delay: float) -> None:
+        self.trace.append(msg)
+        active = self._attribute(msg)
+        if active is not None:
+            active.messages.append(msg)
+            active.delay_ms += delay
+        self.total_delay_ms += delay
+
+    def _after_handling(self, msg: Message) -> None:
+        """The epilogue of a handled message: count it against the
+        destination and fire a plan-scheduled crash-stop.  The message
+        WAS delivered (it stays in the trace, its state changes and WAL
+        appends happened); what the crash loses is the *reply*, so the
+        sender still observes a timeout.  Not recorded in
+        ``undelivered`` -- that list is strictly for messages the
+        destination never saw."""
+        handled = self._handled.get(msg.dst, 0) + 1
+        self._handled[msg.dst] = handled
+        if self.faults is not None and self.faults.crashes_after_handling(
+            msg.dst, handled
+        ):
+            self.down.add(msg.dst)
+            raise UnreachableError(
+                msg.src, msg.dst, "destination crashed after handling"
+            )
+
     def send(self, msg: Message) -> Any:
         """Record the message and deliver it to the destination.
 
@@ -247,46 +302,12 @@ class Transport:
         message: its state changed and its WAL was written, but the
         reply is lost, so the sender still observes a timeout.
         """
-        endpoint = self.endpoints.get(msg.dst)
-        if endpoint is None:
-            raise TransportError(f"no endpoint registered for site {msg.dst}")
-        self._events += 1
-        index = self._attempts
-        self._attempts += 1
-        if msg.src in self.down:
-            raise self._undeliverable(msg, "sender crash-stopped")
-        if msg.dst in self.down:
-            raise self._undeliverable(msg, "destination crash-stopped")
-        delay = 0.0
-        if self.faults is not None:
-            if self.faults.severed(msg.edge, self._events):
-                raise self._undeliverable(msg, "edge severed by partition")
-            if self.faults.drops(index):
-                raise self._undeliverable(msg, "dropped by lossy link")
-            delay = self.faults.delay_of(index)
-            if delay >= self.faults.timeout_ms:
-                raise self._undeliverable(msg, "delayed past the timeout")
-        self.trace.append(msg)
-        active = self._attribute(msg)
-        if active is not None:
-            active.messages.append(msg)
-            active.delay_ms += delay
-        self.total_delay_ms += delay
-        reply = endpoint.handle(msg)
-        handled = self._handled.get(msg.dst, 0) + 1
-        self._handled[msg.dst] = handled
-        if self.faults is not None and self.faults.crashes_after_handling(
-            msg.dst, handled
-        ):
-            # The message WAS delivered (it stays in the trace, its
-            # state changes and WAL appends happened); what the crash
-            # loses is the *reply*, so the sender still observes a
-            # timeout.  Not recorded in ``undelivered`` -- that list is
-            # strictly for messages the destination never saw.
-            self.down.add(msg.dst)
-            raise UnreachableError(
-                msg.src, msg.dst, "destination crashed after handling"
-            )
+        delay, lost = self._attempt(msg)
+        if lost is not None:
+            raise self._undeliverable(msg, lost)
+        self._record_delivered(msg, delay)
+        reply = self.endpoints[msg.dst].handle(msg)
+        self._after_handling(msg)
         return reply
 
     # -- negotiation contexts ------------------------------------------------------

@@ -1,7 +1,8 @@
 """:class:`AsyncClusterHost`: the protocol kernel over real concurrency.
 
-The host assembles the asyncio runtime around an unmodified protocol
-kernel:
+The host assembles the asyncio runtime around the unmodified protocol
+kernel (:class:`~repro.protocol.kernel.HomeostasisCluster`, both entry
+points -- ``submit`` and ``submit_window``):
 
 - a dedicated **event-loop thread** runs every site's inbox task (one
   task per :class:`~repro.protocol.site.SiteServer`, single-writer
@@ -31,11 +32,11 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from repro.protocol.homeostasis import ClusterResult, HomeostasisCluster
+from repro.protocol.homeostasis import ClusterResult
+from repro.protocol.kernel import HomeostasisCluster, WindowResult
 from repro.runtime.transport import AsyncTransport
 
 if TYPE_CHECKING:
-    from repro.protocol.concurrent import WindowResult
     from repro.protocol.config import ClusterSpec
 
 
@@ -44,13 +45,8 @@ class AsyncClusterHost:
 
     Constructed through :func:`repro.protocol.config.build_cluster`
     with ``kernel="async"``; accepts the same :class:`ClusterSpec` as
-    the in-process kernels plus the wall-clock knobs below.  Use as a
+    the in-process kernel plus the wall-clock knobs below.  Use as a
     context manager (or call :meth:`close`) -- the host owns threads.
-
-    ``driver`` picks the kernel the driver thread runs:
-    ``"sequential"`` (default, one transaction at a time -- the
-    differential-oracle twin) or ``"concurrent"`` (windowed
-    submissions with a real vote phase, via :meth:`submit_window`).
     """
 
     def __init__(
@@ -58,7 +54,6 @@ class AsyncClusterHost:
         spec: "ClusterSpec",
         *,
         transport: AsyncTransport | None = None,
-        driver: str = "sequential",
         timeout_s: float = 5.0,
         delay_unit_s: float = 0.001,
         faults: Any = None,
@@ -84,21 +79,12 @@ class AsyncClusterHost:
             max_workers=1, thread_name_prefix="repro-kernel"
         )
         self._closed = False
-        kernel_cls: type[HomeostasisCluster]
-        if driver == "sequential":
-            kernel_cls = HomeostasisCluster
-        elif driver == "concurrent":
-            from repro.protocol.concurrent import ConcurrentCluster
-
-            kernel_cls = ConcurrentCluster
-        else:
-            raise ValueError(f"unknown driver {driver!r}")
         try:
             # Construction runs on the kernel thread too: with a
             # nondeterministic solver the initial install already
             # ships TreatyInstall frames through the loop.
             self.cluster: HomeostasisCluster = self._run(
-                lambda: kernel_cls._from_spec(spec, transport=transport)
+                HomeostasisCluster, spec, transport
             )
         except BaseException:
             self._teardown_threads()
@@ -144,15 +130,9 @@ class AsyncClusterHost:
         self,
         requests: Sequence[tuple[str, Mapping[str, int] | None]],
         timestamps: Sequence[int] | None = None,
-    ) -> "WindowResult":
-        """Windowed submission (``driver="concurrent"`` hosts only)."""
-        submit_window = getattr(self.cluster, "submit_window", None)
-        if submit_window is None:
-            raise TypeError(
-                "submit_window needs driver='concurrent' (this host runs "
-                "the sequential driver)"
-            )
-        return self._run(submit_window, requests, timestamps)
+    ) -> WindowResult:
+        """Run a window of interleaved transactions to completion."""
+        return self._run(self.cluster.submit_window, requests, timestamps)
 
     # -- protocol passthroughs -----------------------------------------------------
 

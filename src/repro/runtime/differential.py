@@ -4,7 +4,7 @@ The correctness argument for :class:`~repro.runtime.cluster.
 AsyncClusterHost` is behavioural, not structural: on a fault-free
 schedule the host serializes submissions through one driver thread, so
 it must be *observationally identical* to the in-process
-:class:`~repro.protocol.homeostasis.HomeostasisCluster` fed the same
+:class:`~repro.protocol.kernel.HomeostasisCluster` fed the same
 schedule -- same per-transaction outcomes and logs, same treaty
 installs (round numbers and clause sets per site), same final stores,
 same protocol counters.  Anything the wire codec mangles, any
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.protocol.config import ClusterSpec
-from repro.protocol.homeostasis import HomeostasisCluster
+from repro.protocol.kernel import HomeostasisCluster
 from repro.runtime.cluster import AsyncClusterHost
 
 #: One schedule entry: (transaction name, bound parameters).
@@ -75,7 +75,7 @@ def run_differential(
     plan, so ``timeout_s`` is never actually paid.
     """
     mismatches: list[str] = []
-    oracle = HomeostasisCluster._from_spec(spec_factory())
+    oracle = HomeostasisCluster(spec_factory())
     with AsyncClusterHost(spec_factory(), timeout_s=timeout_s) as host:
         for i, (tx_name, params) in enumerate(schedule):
             want = oracle.try_submit(tx_name, params)

@@ -164,28 +164,15 @@ class AsyncTransport(Transport):
         ``timeout_s`` before giving up, like any failure detector
         without an oracle.
         """
-        if msg.dst not in self.endpoints:
-            raise TransportError(f"no endpoint registered for site {msg.dst}")
-        assert self._loop is not None
-        self._events += 1
-        index = self._attempts
-        self._attempts += 1
-        # Known crash-stops refuse immediately: the sender (or its
-        # failure detector) already knows, so no timer is paid.
-        if msg.src in self.down:
-            raise self._undeliverable(msg, "sender crash-stopped")
-        if msg.dst in self.down:
-            raise self._undeliverable(msg, "destination crash-stopped")
-        delay = 0.0
-        if self.faults is not None:
-            if self.faults.severed(msg.edge, self._events):
-                return self._lose(msg, "edge severed by partition")
-            if self.faults.drops(index):
-                return self._lose(msg, "dropped by lossy link")
-            delay = self.faults.delay_of(index)
-            if delay >= self.faults.timeout_ms:
-                return self._lose(msg, "delayed past the timeout")
+        delay, lost = self._attempt(msg)
+        if lost is not None:
+            # Silent loss: the frame never reaches the destination,
+            # and the sender only learns by waiting out its timer --
+            # real seconds, the honesty this runtime exists for.
+            time.sleep(self.timeout_s)
+            raise self._undeliverable(msg, lost)
 
+        assert self._loop is not None  # an endpoint registered, so a loop is bound
         frame = encode_message(msg)
         reply_future: concurrent.futures.Future[bytes] = concurrent.futures.Future()
         queue = self._inboxes[msg.dst]
@@ -210,36 +197,12 @@ class AsyncTransport(Transport):
             self._record_delivered(msg, delay)
             raise
         self._record_delivered(msg, delay)
-        handled = self._handled.get(msg.dst, 0) + 1
-        self._handled[msg.dst] = handled
-        if self.faults is not None and self.faults.crashes_after_handling(
-            msg.dst, handled
-        ):
-            # Delivered and handled, but the destination halts before
-            # replying: the sender still observes a timeout (charged
-            # here without re-sleeping -- the reply future already
-            # resolved, so the timer semantics are the plan's).
-            self.down.add(msg.dst)
-            raise UnreachableError(
-                msg.src, msg.dst, "destination crashed after handling"
-            )
+        # A plan-scheduled crash here is charged without re-sleeping:
+        # the reply future already resolved, so the timer semantics
+        # are the plan's.
+        self._after_handling(msg)
         reply = decode_payload(wire_reply)
         return value_from_wire(reply["v"])
-
-    def _record_delivered(self, msg: Message, delay: float) -> None:
-        self.trace.append(msg)
-        active = self._attribute(msg)
-        if active is not None:
-            active.messages.append(msg)
-            active.delay_ms += delay
-        self.total_delay_ms += delay
-
-    def _lose(self, msg: Message, reason: str) -> None:
-        """Silent loss: the frame never reaches the destination, and
-        the sender only learns by waiting out its timer -- real
-        seconds, the honesty this runtime exists for."""
-        time.sleep(self.timeout_s)
-        raise self._undeliverable(msg, reason)
 
 
 async def _join_or_cancel(task: asyncio.Task[None]) -> None:

@@ -186,13 +186,13 @@ def run_contention(
     negotiation: NegotiationSpec | None = None,
     config_overrides: dict | None = None,
 ) -> SimResult:
-    """One racing-violator point under the concurrent runtime.
+    """One racing-violator point through the kernel's windowed entry.
 
     Submissions are batched into ``window_ms`` arrival windows and
-    handed to a :class:`~repro.protocol.concurrent.ConcurrentCluster`,
-    so several transactions can violate treaties in the same window:
-    the kernel's vote phase elects each conflict group's winner and
-    losers re-run after the new treaties install.  Contention is
+    handed to the kernel's ``submit_window``, so several transactions
+    can violate treaties in the same window: the kernel's vote phase
+    elects each conflict group's winner and losers re-run after the
+    new treaties install.  Contention is
     swept by shrinking ``num_items`` (hotter items -> more racing
     violators) or widening ``window_ms``.  With ``groups`` given the
     item space is geo-partitioned (Table 1 RTTs) and disjoint groups'
@@ -219,7 +219,7 @@ def run_contention(
             initial_qty="random",  # start at steady state
             init_seed=seed + 1,
         )
-        cluster = workload.build_concurrent(
+        cluster = workload.build_homeostasis(
             strategy=strategy, lookahead=lookahead, cost_factor=cost_factor,
             seed=seed, negotiation=negotiation,
         )
@@ -239,7 +239,7 @@ def run_contention(
             initial_qty="random",
             init_seed=seed + 1,
         )
-        cluster = workload.build_concurrent(
+        cluster = workload.build_homeostasis(
             strategy=strategy, lookahead=lookahead, cost_factor=cost_factor,
             seed=seed, negotiation=negotiation,
         )
@@ -671,19 +671,10 @@ def run_tpcc(
 
 def _fleet_cluster(workload, mode: str, lookahead: int, cost_factor: int,
                    seed: int, adaptive=None, negotiation=None,
-                   validate: bool = False, window_ms: float = 0.0):
-    """Kernel selection shared by the scenario-fleet runners.
-
-    ``window_ms > 0`` selects the concurrent cleanup runtime (batched
-    arrival windows, real vote phase) -- required for contested
-    negotiations, and therefore for any fairness measurement.
-    """
+                   validate: bool = False):
+    """Cluster selection shared by the scenario-fleet runners."""
     if mode in _STRATEGY_FOR_MODE:
-        build = (
-            workload.build_concurrent if window_ms > 0.0
-            else workload.build_homeostasis
-        )
-        return build(
+        return workload.build_homeostasis(
             strategy=_STRATEGY_FOR_MODE[mode],
             lookahead=lookahead,
             cost_factor=cost_factor,
@@ -731,11 +722,12 @@ def run_flashsale(
     - ``"static"`` -- the frozen equal split (every violation of the
       hot treaty pays a full negotiation).
 
-    ``window_ms > 0`` runs the concurrent kernel so violators race in
-    arrival windows, and ``negotiation`` attaches a Paxos Commit
-    arbitration policy -- the flash sale is the starvation regime the
-    credit ledger was built for, so ``SimResult.fairness`` is the
-    quantity of interest there.
+    ``window_ms > 0`` batches submissions so violators race in
+    arrival windows (required for contested negotiations, and
+    therefore for any fairness measurement), and ``negotiation``
+    attaches a Paxos Commit arbitration policy -- the flash sale is
+    the starvation regime the credit ledger was built for, so
+    ``SimResult.fairness`` is the quantity of interest there.
     """
     if mode not in _ADAPTIVE_MODES:
         raise ValueError(f"flash-sale experiment modes: adaptive/static, not {mode!r}")
@@ -751,11 +743,7 @@ def run_flashsale(
         peek_fraction=peek_fraction,
         init_seed=seed + 1,
     )
-    build = (
-        workload.build_concurrent if window_ms > 0.0
-        else workload.build_homeostasis
-    )
-    cluster = build(
+    cluster = workload.build_homeostasis(
         strategy=strategy,
         adaptive=adaptive,
         negotiation=negotiation,
@@ -861,7 +849,7 @@ def run_banking(
     )
     cluster = _fleet_cluster(
         workload, mode, lookahead, cost_factor, seed,
-        negotiation=negotiation, validate=validate, window_ms=window_ms,
+        negotiation=negotiation, validate=validate,
     )
 
     def request_fn(rng, replica: int) -> SimRequest:
@@ -969,7 +957,7 @@ def run_quota(
     )
     cluster = _fleet_cluster(
         workload, mode, lookahead, cost_factor, seed,
-        negotiation=negotiation, validate=validate, window_ms=window_ms,
+        negotiation=negotiation, validate=validate,
     )
 
     def request_fn(rng, replica: int) -> SimRequest:

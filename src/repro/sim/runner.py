@@ -27,14 +27,15 @@ time), matching the paper's harness.  Each transaction passes through
 Under homeostasis/OPT, non-violating transactions never wait for an
 in-flight negotiation (only the ~2% violating transactions pay the
 round trips -- the paper's own latency accounting, Section 6.1).  How
-*racing violators* queue depends on the kernel: with a windowed
-:class:`~repro.protocol.concurrent.ConcurrentCluster`
-(``window_ms > 0``), submissions are batched into arrival windows,
+*racing violators* queue depends on the driver: with
+``window_ms > 0``, submissions are batched into arrival windows for
+:meth:`~repro.protocol.kernel.HomeostasisCluster.submit_window`,
 the kernel's real vote phase elects each conflict group's winner, and
 losers' queueing (``wait_ms``) comes from the elections they actually
 lost -- negotiations over disjoint participant closures proceed in
-parallel.  Per-transaction kernels (no ``submit_window``) fall back
-to per-key negotiation gates that approximate the same serialization.
+parallel.  With ``window_ms == 0`` (and for stand-in kernels without
+``submit_window``) transactions go through ``submit`` one at a time,
+and per-key negotiation gates approximate the same serialization.
 
 **Faults**: ``SimConfig.fault_events`` schedules site crash-stops and
 recoveries on the simulated clock; the driver forwards them to the
@@ -646,13 +647,12 @@ def _run_protected(
     7.92 ms", Section 6.1), where only the ~2% violating transactions
     pay the two round trips.  Racing violators of one treaty
     serialize on a per-key negotiation gate -- an *approximation* of
-    the vote phase for kernels that only expose ``submit``; a
-    windowed :class:`~repro.protocol.concurrent.ConcurrentCluster`
-    replaces the gates with real lost-vote queueing (see
-    ``_simulate_windows``).  Treaties of unrelated objects
-    renegotiate independently and in parallel, which is what keeps
-    the protocol's aggregate throughput three orders of magnitude
-    above 2PC.
+    the vote phase for kernels that only expose ``submit`` (or runs
+    with ``window_ms == 0``); the windowed driver replaces the gates
+    with real lost-vote queueing (see ``_simulate_windows``).
+    Treaties of unrelated objects renegotiate independently and in
+    parallel, which is what keeps the protocol's aggregate throughput
+    three orders of magnitude above 2PC.
 
     Each negotiation is priced from the participant set the kernel
     reports for it: two barrier rounds at the slowest RTT among the

@@ -2,9 +2,9 @@
 
 The original five workloads each hand-roll the same builder spine:
 ``cluster_spec`` assembling a :class:`ClusterSpec` from the analysis
-products, ``build_homeostasis`` / ``build_concurrent`` instantiating a
-kernel from it, and the LOCAL / 2PC baseline constructors.  The
-scenario fleet (flash-sale, banking, quota) shares that spine through
+products, ``build_homeostasis`` instantiating the kernel from it, and
+the LOCAL / 2PC baseline constructors.  The scenario fleet
+(flash-sale, banking, quota) shares that spine through
 :class:`ReplicatedWorkloadBase` instead of triplicating it.
 
 The module also hosts the construction-time spec validators.  A
@@ -24,13 +24,9 @@ from typing import TYPE_CHECKING, Sequence
 from repro.analysis.symbolic import SymbolicTable, build_symbolic_table
 from repro.lang.ast import Transaction
 from repro.protocol.baselines import LocalCluster, TwoPhaseCommitCluster
-from repro.protocol.concurrent import ConcurrentCluster
 from repro.protocol.config import ClusterSpec, NegotiationSpec
-from repro.protocol.homeostasis import (
-    AdaptiveSettings,
-    HomeostasisCluster,
-    OptimizerSettings,
-)
+from repro.protocol.homeostasis import AdaptiveSettings, OptimizerSettings
+from repro.protocol.kernel import HomeostasisCluster
 from repro.treaty.optimize import SequenceWorkloadModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -164,7 +160,6 @@ class ReplicatedWorkloadBase:
         validate: bool = False,
         adaptive: AdaptiveSettings | None = None,
         negotiation: NegotiationSpec | None = None,
-        cluster_cls: type[HomeostasisCluster] = HomeostasisCluster,
     ) -> HomeostasisCluster:
         spec = self.cluster_spec(
             strategy=strategy,
@@ -175,12 +170,8 @@ class ReplicatedWorkloadBase:
             adaptive=adaptive,
             negotiation=negotiation,
         )
-        return cluster_cls._from_spec(spec)
+        return HomeostasisCluster(spec)
 
-    def build_concurrent(self, **kwargs) -> ConcurrentCluster:
-        """The same cluster under the concurrent cleanup runtime
-        (windowed submissions, real vote phase)."""
-        return self.build_homeostasis(cluster_cls=ConcurrentCluster, **kwargs)
 
     def baseline_transactions(self) -> dict[str, Transaction]:
         raise NotImplementedError

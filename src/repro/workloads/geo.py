@@ -30,13 +30,9 @@ from repro.analysis.ground import ground_instances
 from repro.analysis.symbolic import SymbolicTable, build_symbolic_table
 from repro.lang.ast import Transaction
 from repro.lang.parser import parse_transaction
-from repro.protocol.concurrent import ConcurrentCluster
 from repro.protocol.config import ClusterSpec, NegotiationSpec
-from repro.protocol.homeostasis import (
-    AdaptiveSettings,
-    HomeostasisCluster,
-    OptimizerSettings,
-)
+from repro.protocol.homeostasis import AdaptiveSettings, OptimizerSettings
+from repro.protocol.kernel import HomeostasisCluster
 from repro.protocol.remote_writes import (
     ReplicationSpec,
     initial_replicated_db,
@@ -217,7 +213,6 @@ class GeoMicroWorkload:
         validate: bool = False,
         adaptive: AdaptiveSettings | None = None,
         negotiation: NegotiationSpec | None = None,
-        cluster_cls: type[HomeostasisCluster] = HomeostasisCluster,
     ) -> HomeostasisCluster:
         spec = self.cluster_spec(
             strategy=strategy,
@@ -228,13 +223,8 @@ class GeoMicroWorkload:
             adaptive=adaptive,
             negotiation=negotiation,
         )
-        return cluster_cls._from_spec(spec)
+        return HomeostasisCluster(spec)
 
-    def build_concurrent(self, **kwargs) -> ConcurrentCluster:
-        """The same cluster under the concurrent cleanup runtime:
-        disjoint replication groups violate in the same window and
-        negotiate in parallel waves."""
-        return self.build_homeostasis(cluster_cls=ConcurrentCluster, **kwargs)
 
     # -- request generation ---------------------------------------------------
 

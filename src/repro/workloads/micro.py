@@ -29,13 +29,9 @@ from repro.analysis.symbolic import SymbolicTable, build_symbolic_table
 from repro.lang.ast import Transaction
 from repro.lang.parser import parse_transaction
 from repro.protocol.baselines import LocalCluster, TwoPhaseCommitCluster
-from repro.protocol.concurrent import ConcurrentCluster
 from repro.protocol.config import ClusterSpec, NegotiationSpec
-from repro.protocol.homeostasis import (
-    AdaptiveSettings,
-    HomeostasisCluster,
-    OptimizerSettings,
-)
+from repro.protocol.homeostasis import AdaptiveSettings, OptimizerSettings
+from repro.protocol.kernel import HomeostasisCluster
 from repro.protocol.remote_writes import (
     ReplicationSpec,
     initial_replicated_db,
@@ -281,7 +277,6 @@ class MicroWorkload:
         validate: bool = False,
         adaptive: AdaptiveSettings | None = None,
         negotiation: NegotiationSpec | None = None,
-        cluster_cls: type[HomeostasisCluster] = HomeostasisCluster,
     ) -> HomeostasisCluster:
         spec = self.cluster_spec(
             strategy=strategy,
@@ -292,12 +287,8 @@ class MicroWorkload:
             adaptive=adaptive,
             negotiation=negotiation,
         )
-        return cluster_cls._from_spec(spec)
+        return HomeostasisCluster(spec)
 
-    def build_concurrent(self, **kwargs) -> ConcurrentCluster:
-        """The same cluster under the concurrent cleanup runtime
-        (windowed submissions, real vote phase)."""
-        return self.build_homeostasis(cluster_cls=ConcurrentCluster, **kwargs)
 
     def _baseline_transactions(self) -> dict[str, Transaction]:
         family_name = "Buy" if self.items_per_txn == 1 else "MultiBuy"

@@ -45,11 +45,8 @@ from repro.lang.parser import parse_transaction
 from repro.logic.formula import BoolConst
 from repro.protocol.baselines import LocalCluster, TwoPhaseCommitCluster
 from repro.protocol.config import ClusterSpec
-from repro.protocol.homeostasis import (
-    AdaptiveSettings,
-    HomeostasisCluster,
-    OptimizerSettings,
-)
+from repro.protocol.homeostasis import AdaptiveSettings, OptimizerSettings
+from repro.protocol.kernel import HomeostasisCluster
 from repro.protocol.remote_writes import (
     ReplicationSpec,
     initial_replicated_db,
@@ -390,7 +387,7 @@ class TpccWorkload:
             validate=validate,
             adaptive=adaptive,
         )
-        return HomeostasisCluster._from_spec(spec)
+        return HomeostasisCluster(spec)
 
     def _untransformed_variants(self) -> dict[str, Transaction]:
         """Per-site original programs (for LOCAL / 2PC, which replicate

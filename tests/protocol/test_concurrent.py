@@ -30,7 +30,7 @@ def _race_window(num_per_site=3):
     refill=4 and equal-split treaties each site's budget for the item
     is ~1 decrement, and the window issues three from each site."""
     workload = MicroWorkload(num_items=2, refill=4, num_sites=2)
-    cluster = workload.build_concurrent(strategy="equal-split", validate=True)
+    cluster = workload.build_homeostasis(strategy="equal-split", validate=True)
     window = [
         (f"Buy@s{s}", {"item": 0})
         for _ in range(num_per_site)
@@ -117,7 +117,7 @@ class TestRacingViolators:
         """A later-arriving site-0 violator loses to an earlier site-1
         one when the caller supplies real arrival stamps."""
         workload = MicroWorkload(num_items=2, refill=4, num_sites=2)
-        cluster = workload.build_concurrent(strategy="equal-split")
+        cluster = workload.build_homeostasis(strategy="equal-split")
         window = [(f"Buy@s{s}", {"item": 0}) for _ in range(3) for s in (1, 0)]
         result = cluster.submit_window(window, timestamps=list(range(len(window))))
         group = result.waves[0][0]
@@ -144,7 +144,7 @@ class TestRacingViolators:
         """Many windows of random interleaved submissions: every
         window's logs match the serial replay in commit order."""
         workload = MicroWorkload(num_items=4, refill=8, num_sites=2)
-        cluster = workload.build_concurrent(strategy="equal-split", validate=True)
+        cluster = workload.build_homeostasis(strategy="equal-split", validate=True)
         rng = random.Random(13)
         state = dict(workload.initial_db)
         contested = 0
@@ -170,7 +170,7 @@ class TestRacingViolators:
     def test_single_submissions_still_work(self):
         """The inherited per-transaction path is unchanged."""
         workload = MicroWorkload(num_items=3, refill=6, num_sites=2)
-        cluster = workload.build_concurrent(strategy="equal-split", validate=True)
+        cluster = workload.build_homeostasis(strategy="equal-split", validate=True)
         rng = random.Random(3)
         for _ in range(80):
             req = workload.next_request(rng)
@@ -180,13 +180,13 @@ class TestRacingViolators:
 
     def test_unknown_transaction_rejected(self):
         workload = MicroWorkload(num_items=2, refill=4, num_sites=2)
-        cluster = workload.build_concurrent(strategy="equal-split")
+        cluster = workload.build_homeostasis(strategy="equal-split")
         with pytest.raises(ProtocolError):
             cluster.submit_window([("NoSuchTx", {})])
 
     def test_timestamps_must_match_requests(self):
         workload = MicroWorkload(num_items=2, refill=4, num_sites=2)
-        cluster = workload.build_concurrent(strategy="equal-split")
+        cluster = workload.build_homeostasis(strategy="equal-split")
         with pytest.raises(ProtocolError):
             cluster.submit_window([("Buy@s0", {"item": 0})], timestamps=[0, 1])
 
@@ -196,7 +196,7 @@ class TestParallelNegotiations:
         workload = GeoMicroWorkload(
             groups=((0, 1), (2, 3)), num_sites=4, items_per_group=2, refill=4
         )
-        cluster = workload.build_concurrent(strategy="equal-split", validate=True)
+        cluster = workload.build_homeostasis(strategy="equal-split", validate=True)
         window = [(f"Buy0@s{s}", {"item": 0}) for s in (0, 1, 0, 1)]
         window += [(f"Buy1@s{s}", {"item": 0}) for s in (2, 3, 2, 3)]
         return workload, cluster, window
@@ -236,7 +236,7 @@ class TestParallelNegotiations:
         workload = GeoMicroWorkload(
             groups=((0, 1), (2, 3)), num_sites=5, items_per_group=2, refill=4
         )
-        cluster = workload.build_concurrent(strategy="equal-split", validate=True)
+        cluster = workload.build_homeostasis(strategy="equal-split", validate=True)
         window = [(f"Buy0@s{s}", {"item": 0}) for s in (0, 1, 0, 1)]
         result = cluster.submit_window(window)
         assert result.contended

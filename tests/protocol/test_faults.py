@@ -21,7 +21,6 @@ import random
 
 import pytest
 
-from repro.protocol.concurrent import ConcurrentCluster
 from repro.protocol.faults import FaultPlan, Partition
 from repro.protocol.homeostasis import Unavailable
 from repro.protocol.messages import SyncBroadcast, Vote
@@ -128,7 +127,7 @@ class TestCrashStop:
         assert transport.is_down(1)
 
 
-def _micro_cluster(num_sites=3, validate=True, concurrent=False, **kwargs):
+def _micro_cluster(num_sites=3, validate=True, **kwargs):
     workload = MicroWorkload(
         num_items=18,
         refill=12,
@@ -136,8 +135,9 @@ def _micro_cluster(num_sites=3, validate=True, concurrent=False, **kwargs):
         initial_qty="refill",
         **kwargs,
     )
-    build = workload.build_concurrent if concurrent else workload.build_homeostasis
-    return workload, build(strategy="equal-split", validate=validate)
+    return workload, workload.build_homeostasis(
+        strategy="equal-split", validate=validate
+    )
 
 
 class TestClusterFaults:
@@ -357,8 +357,7 @@ class Test2PCBlocks:
 
 class TestConcurrentFaults:
     def test_window_degrades_per_group(self):
-        workload, cluster = _micro_cluster(concurrent=True, validate=False)
-        assert isinstance(cluster, ConcurrentCluster)
+        workload, cluster = _micro_cluster(validate=False)
         cluster.crash_site(2)
         # A window mixing all three origins: site-2 submissions fail
         # fast, the rest of the window executes.
@@ -376,7 +375,7 @@ class TestConcurrentFaults:
         assert all(not out.failed for out in by_site[0] + by_site[1])
 
     def test_violating_window_fails_only_groups_needing_the_crash(self):
-        workload, cluster = _micro_cluster(concurrent=True, validate=False)
+        workload, cluster = _micro_cluster(validate=False)
         rng = random.Random(5)
         # Exhaust budgets until windows start negotiating.
         for _ in range(40):

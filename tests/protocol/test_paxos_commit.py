@@ -41,7 +41,6 @@ from repro.workloads.micro import MicroWorkload
 def _negotiated_cluster(
     num_sites=3,
     validate=True,
-    concurrent=False,
     negotiation=None,
     num_items=18,
     refill=12,
@@ -52,8 +51,7 @@ def _negotiated_cluster(
         num_sites=num_sites,
         initial_qty="refill",
     )
-    build = workload.build_concurrent if concurrent else workload.build_homeostasis
-    cluster = build(
+    cluster = workload.build_homeostasis(
         strategy="equal-split",
         validate=validate,
         negotiation=negotiation or NegotiationSpec(),
@@ -383,8 +381,8 @@ class TestConcurrentWinnerCrash:
         """The concurrent kernel's version of the survivable window: a
         single-entry window whose winner crashes after the first
         Phase2b ack still commits through a survivor."""
-        _, cluster = _negotiated_cluster(validate=True, concurrent=True)
-        twin_workload, twin = _negotiated_cluster(validate=False, concurrent=True)
+        _, cluster = _negotiated_cluster(validate=True)
+        twin_workload, twin = _negotiated_cluster(validate=False)
         rng = random.Random(1)
         violating = None
         for _ in range(600):
@@ -424,7 +422,6 @@ class TestCreditNeutrality:
         winners."""
         clusters = {
             policy: _negotiated_cluster(
-                concurrent=True,
                 negotiation=NegotiationSpec(policy=policy),
             )[1]
             for policy in ("priority", "credit")
@@ -470,7 +467,6 @@ class TestWinnerCrashExperiment:
 class TestFairnessFacade:
     def test_fairness_stats_surface_contested_elections(self):
         workload, cluster = _negotiated_cluster(
-            concurrent=True,
             negotiation=NegotiationSpec(policy="credit"),
             num_items=6,
             refill=8,

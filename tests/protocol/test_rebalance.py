@@ -58,6 +58,25 @@ class TestWatermarkRefresh:
         # ...and no violation was involved.
         assert cluster.stats.negotiations == 0
 
+    def test_windowed_refresh_is_a_rebalance_round_too(self):
+        """The same refresh through ``submit_window`` opens its round
+        as kind ``rebalance`` -- it must not be counted with the
+        violation cleanups (``Transport.cleanup_rounds``)."""
+        _workload, cluster = _sequential_cluster(watermark=0.5)
+        for _ in range(60):
+            result = cluster.submit_window([("Buy@s0", {"item": 0})])
+            if result.outcomes[0].rebalances:
+                break
+        else:
+            raise AssertionError("no rebalance within 60 windows")
+        (group,) = result.waves[0]
+        assert group.rebalance and group.participants == (0, 1)
+        (trace,) = cluster.transport.negotiations
+        assert trace.index == group.negotiation_index
+        assert trace.kind == "rebalance"
+        assert cluster.stats.rebalances == 1 and cluster.stats.negotiations == 0
+        assert cluster.transport.cleanup_rounds() == []
+
     def test_rebalance_request_on_the_wire(self):
         cluster = _sequential_cluster(watermark=0.5)[1]
         _drain_until_rebalance(cluster)
@@ -97,7 +116,7 @@ class TestContendedRebalance:
         violators carry earlier arrival stamps, so the election goes
         to the cleanup and the refresh must concede."""
         workload = MicroWorkload(num_items=1, refill=8, num_sites=2)
-        cluster = workload.build_concurrent(
+        cluster = workload.build_homeostasis(
             strategy="demand",
             validate=True,
             adaptive=AdaptiveSettings(watermark=0.9, min_headroom=1),

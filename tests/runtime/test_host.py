@@ -58,7 +58,7 @@ class TestHost:
             assert state  # agreed-on global view exists
 
     def test_concurrent_driver_serves_windows(self):
-        with AsyncClusterHost(_spec(), driver="concurrent") as host:
+        with AsyncClusterHost(_spec()) as host:
             result = host.submit_window(
                 [("Buy@s0", {"item": 0}), ("Buy@s1", {"item": 1})]
             )
@@ -66,10 +66,10 @@ class TestHost:
                 o.status is Outcome.COMMITTED for o in result.outcomes
             )
 
-    def test_sequential_driver_rejects_windows(self):
-        with AsyncClusterHost(_spec()) as host:
-            with pytest.raises(TypeError, match="concurrent"):
-                host.submit_window([("Buy@s0", {"item": 0})])
+    def test_driver_option_is_rejected(self):
+        """There is one kernel, so nothing is left to select."""
+        with pytest.raises(TypeError, match="driver"):
+            AsyncClusterHost(_spec(), driver="concurrent")
 
     def test_rejects_wrong_transport_type(self):
         from repro.protocol.transport import Transport
