@@ -47,12 +47,22 @@ The partitioning runs at :meth:`SiteServer.install_treaty` time from
 the site's own catalog and treaty, so it is deterministic given the
 install -- which is what lets the WAL record it and recovery re-derive
 and cross-check it.
+
+Everything a classification reads from the treaty is a
+:class:`ClauseSummary` -- per array base, how many clause mentions push
+which way -- which is additive per clause.  An install therefore
+patches the installed summary with the clauses it added and removed
+and re-classifies only the paths writing a base those clauses mention
+(:func:`patch_path_checks`); :func:`build_path_checks` is the same
+classification from the empty summary, kept for WAL replay and as the
+validate-mode oracle.  Each path's :class:`WriteSummary` is taken once,
+when its stored procedure registers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, AbstractSet, Any, Iterable, Mapping, Sequence
 
 from repro.lang.ast import ArrayRef, Com, GroundRef, Write, ref_to_term, walk_commands
 from repro.logic.linear import (
@@ -76,16 +86,64 @@ def base_of_name(name: str) -> str:
     return parsed[0] if parsed else name
 
 
+def _base_of_var(var: object) -> str:
+    if isinstance(var, ObjT):
+        return base_of_name(var.name)
+    # parameterized template var; be conservative
+    return str(getattr(var, "base", var))
+
+
 def clause_bases(constraints: Iterable[LinearConstraint]) -> frozenset[str]:
     """Every array base mentioned by any clause of a treaty."""
-    bases: set[str] = set()
-    for con in constraints:
-        for var in con.variables():
-            if isinstance(var, ObjT):
-                bases.add(base_of_name(var.name))
-            else:  # parameterized template var; be conservative
-                bases.add(getattr(var, "base", str(var)))
-    return frozenset(bases)
+    return frozenset(
+        _base_of_var(var) for con in constraints for var in con.variables()
+    )
+
+
+@dataclass
+class ClauseSummary:
+    """What path classification reads from a clause set, additive per
+    clause so an install can patch it instead of recomputing it.
+
+    ``mentions`` maps an array base to three counts over the clauses'
+    variable occurrences: positive coefficients, negative
+    coefficients, and occurrences inside equality pins.  ``opaque``
+    counts occurrences of non-object (template) variables, about which
+    nothing can be concluded statically.
+    """
+
+    mentions: dict[str, list[int]] = field(default_factory=dict)
+    opaque: int = 0
+
+    @classmethod
+    def of(cls, constraints: Iterable[LinearConstraint]) -> "ClauseSummary":
+        summary = cls()
+        for con in constraints:
+            summary.add(con)
+        return summary
+
+    def copy(self) -> "ClauseSummary":
+        return ClauseSummary(
+            {base: list(counts) for base, counts in self.mentions.items()},
+            self.opaque,
+        )
+
+    def add(self, con: LinearConstraint, times: int = 1) -> None:
+        """Count one clause in (``times=-1`` takes it back out)."""
+        pinned = con.op != "<="
+        mentions = self.mentions
+        for var, coeff in con.expr.coeffs:
+            if not isinstance(var, ObjT):
+                self.opaque += times
+            base = _base_of_var(var)
+            counts = mentions.get(base)
+            if counts is None:
+                counts = mentions[base] = [0, 0, 0]
+            counts[0 if coeff > 0 else 1] += times
+            if pinned:
+                counts[2] += times
+            if counts == [0, 0, 0]:
+                del mentions[base]
 
 
 @dataclass(frozen=True)
@@ -200,20 +258,27 @@ def decode_path_check(tx_name: str, payload: Iterable[Any]) -> PathCheck:
 
 def classify_path(
     summary: WriteSummary,
-    constraints: tuple[LinearConstraint, ...],
+    constraints: Sequence[LinearConstraint],
     tx_name: str,
     row_index: int,
+    clauses: ClauseSummary | None = None,
 ) -> PathCheck:
-    """Select the cheapest sound check kind for one path's writes."""
-    treaty_bases = clause_bases(constraints)
+    """Select the cheapest sound check kind for one path's writes.
+
+    ``clauses`` is the summary of ``constraints`` when the caller
+    already holds it (an install classifies every path against one).
+    """
+    if clauses is None:
+        clauses = ClauseSummary.of(constraints)
     if summary.read_only:
         return PathCheck(tx_name, row_index, "free", (), "read-only")
-    if not (summary.bases & treaty_bases):
+    if clauses.mentions.keys().isdisjoint(summary.bases):
         return PathCheck(tx_name, row_index, "free", (), "untouched-invariants")
-    absorb = _monotone_safe(summary, constraints)
-    if absorb:
+    if _monotone_safe(summary, clauses):
         return PathCheck(tx_name, row_index, "free-absorb", (), "monotone-safe")
     if summary.ground is not None:
+        # Clause indices are positions in the installed list, so this
+        # is the one classification that reads the clauses themselves.
         indices = tuple(
             i
             for i, con in enumerate(constraints)
@@ -226,29 +291,24 @@ def classify_path(
     return PathCheck(tx_name, row_index, "full", (), "parameterized-writes")
 
 
-def _monotone_safe(
-    summary: WriteSummary, constraints: tuple[LinearConstraint, ...]
-) -> bool:
+def _monotone_safe(summary: WriteSummary, clauses: ClauseSummary) -> bool:
     """True when every write is a constant delta that cannot move any
     touching ``<=``-clause toward its bound, and no pin is touched."""
     by_base = summary.delta_by_base()
     if not by_base or set(by_base) != set(summary.bases):
         return False
-    for con in constraints:
-        touched = False
-        for var in con.variables():
-            if not isinstance(var, ObjT):
-                return False  # template var: cannot reason statically
-            base = base_of_name(var.name)
-            if base not in by_base:
-                continue
-            touched = True
-            coeff = con.coeff_for(var)
-            for delta in by_base[base]:
-                if coeff * delta > 0:
-                    return False
-        if touched and con.op != "<=":
+    if clauses.opaque:
+        return False  # template var: cannot reason statically
+    for base, deltas in by_base.items():
+        counts = clauses.mentions.get(base)
+        if counts is None:
+            continue
+        positive, negative, pinned = counts
+        if pinned:
             return False  # equality pin on a written base
+        for delta in deltas:
+            if (delta > 0 and positive) or (delta < 0 and negative):
+                return False
     return True
 
 
@@ -256,21 +316,48 @@ def build_path_checks(
     catalog: "StoredProcedureCatalog", treaty: "LocalTreaty | None"
 ) -> dict[str, tuple[PathCheck, ...]]:
     """Partition every registered stored procedure's paths against the
-    installed local treaty.
+    installed local treaty, from scratch.
 
     With no treaty installed every path is trivially free.
     """
-    constraints: tuple[LinearConstraint, ...] = (
-        treaty.constraints if treaty is not None else ()
+    constraints = treaty.constraints if treaty is not None else ()
+    return patch_path_checks(
+        catalog, constraints, ClauseSummary.of(constraints), {}, None
     )
+
+
+def patch_path_checks(
+    catalog: "StoredProcedureCatalog",
+    constraints: Sequence[LinearConstraint],
+    clauses: ClauseSummary,
+    installed: Mapping[str, tuple[PathCheck, ...]],
+    touched: AbstractSet[str] | None,
+) -> dict[str, tuple[PathCheck, ...]]:
+    """The path-check table for ``constraints`` (summarized by
+    ``clauses``), given the table ``installed`` before the clause set
+    changed on the array bases ``touched`` (``None``: assume every
+    base changed).
+
+    A path keeps its installed check unless it writes a touched base
+    -- nothing else a classification reads moved -- or holds a
+    ``partition`` check, whose clause indices are positional.
+    """
     out: dict[str, tuple[PathCheck, ...]] = {}
     for tx_name, procedures in catalog.procedures.items():
+        kept = installed.get(tx_name, ())
         checks: list[PathCheck] = []
-        for proc in procedures:
-            summary = summarize_writes(proc.row.residual)
-            checks.append(
-                classify_path(summary, constraints, tx_name, proc.row_index)
-            )
+        for position, proc in enumerate(procedures):
+            check = kept[position] if position < len(kept) else None
+            if (
+                check is None
+                or touched is None
+                or check.kind == "partition"
+                or not touched.isdisjoint(proc.writes.bases)
+            ):
+                check = classify_path(
+                    proc.writes, constraints, tx_name, proc.row_index, clauses
+                )
+            checks.append(check)
         out[tx_name] = tuple(checks)
     return out
 

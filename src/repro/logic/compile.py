@@ -36,7 +36,12 @@ recurring guards and the value-keyed treaty pieces the incremental
 generator reuses across rounds compile once while cached (the memo
 tables are bounded and cleared wholesale when they outgrow
 ``_CACHE_LIMIT``, so long-lived processes never accumulate dead code
-objects).
+objects).  Escrow lowering is not memoized: consecutive treaties
+almost never repeat as a whole (under 7 % of installs on every
+benchmark workload), so a site instead carries each installed clause's
+:class:`ClauseRows` to the next install and only the program's index
+structures are re-derived -- and those only when the clause *shapes*
+changed (:func:`assemble_escrow`).
 """
 
 from __future__ import annotations
@@ -125,26 +130,68 @@ PIN_DRAIN = 1 << 60
 
 
 @dataclass(frozen=True, eq=False)
+class ClauseRows:
+    """One clause's share of an escrow program: the counter rows it
+    lowers to and the objects a violated row is attributed to.
+
+    A ``<=`` clause is its own (budget) row; an equality pin ``e = b``
+    becomes the opposing pair ``e <= b`` and ``-e <= -b``; a
+    coefficient-less clause (trivially true, or the canonical-false
+    normal form) mentions no object, so neither check path can ever
+    attribute a violation to it and it lowers to no row at all.
+    """
+
+    rows: tuple[LinearConstraint, ...]
+    #: per row: its ``(object name, coefficient)`` pairs
+    terms: tuple[tuple[tuple[str, int], ...], ...]
+    names: tuple[str, ...]
+    #: rows lend headroom to the window budget (``<=`` clauses only)
+    budget: bool
+
+
+def lower_clause(con: LinearConstraint) -> ClauseRows | None:
+    """Lower one clause, or ``None`` if it is escrow-ineligible (not a
+    ``<=``-bound or equality pin, or over non-object variables)."""
+    if con.op not in ("<=", "="):
+        return None
+    terms: list[tuple[str, int]] = []
+    for var, coeff in con.expr.coeffs:
+        if not isinstance(var, ObjT):
+            return None
+        terms.append((var.name, coeff))
+    names = tuple(name for name, _coeff in terms)
+    if not terms:
+        return ClauseRows((), (), (), False)
+    if con.op == "<=":
+        return ClauseRows((con,), (tuple(terms),), names, True)
+    return ClauseRows(
+        (
+            LinearConstraint(con.expr, "<=", con.bound),
+            LinearConstraint(con.expr.scaled(-1), "<=", -con.bound),
+        ),
+        (tuple(terms), tuple((name, -coeff) for name, coeff in terms)),
+        names,
+        False,
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class EscrowProgram:
     """Static shape of an escrow-eligible clause set.
 
-    One program per distinct constraint tuple (memoized like the
-    compiled closures); the mutable counter state lives in
-    :class:`repro.treaty.escrow.EscrowAccount`, so many accounts (one
-    per install) can share one lowering.
+    The mutable counter state lives in
+    :class:`repro.treaty.escrow.EscrowAccount`; a program is immutable
+    and consecutive programs of one site share their index structures
+    whenever only bounds moved (:func:`assemble_escrow`).
 
     Each source clause lowers to one or two counter **rows**, every
-    row a ``<=``-bound: a ``<=`` clause is its own row, and an
-    equality pin ``e = b`` becomes the opposing pair ``e <= b`` and
-    ``-e <= -b`` (both have zero slack exactly when the pin holds, so
-    a row going negative is precisely the pin breaking in that
-    direction).  Pin rows are excluded from the window budget -- they
-    have no headroom to lend -- and pinned objects carry a
-    :data:`PIN_DRAIN` worst-case coefficient so any write that moves
-    one lands on the exact path.
+    row a ``<=``-bound (see :class:`ClauseRows`).  Pin rows are
+    excluded from the window budget -- they have no headroom to lend
+    -- and pinned objects carry a :data:`PIN_DRAIN` worst-case
+    coefficient so any write that moves one lands on the exact path.
     """
 
-    #: the source clauses, in treaty order (the memo key)
+    #: the source clauses, in treaty order
     constraints: tuple[LinearConstraint, ...]
     #: counter rows, every one a normalized ``<=``-constraint
     rows: tuple[LinearConstraint, ...]
@@ -159,6 +206,8 @@ class EscrowProgram:
     #: row indices participating in the window budget (rows lowered
     #: from ``<=`` clauses; pin rows never lend headroom)
     budget_rows: tuple[int, ...]
+    #: row indices lowered from equality pins
+    pin_rows: tuple[int, ...]
     #: object name -> ((row index, coefficient), ...) for every row
     #: mentioning it
     touching: Mapping[str, tuple[tuple[int, int], ...]]
@@ -167,17 +216,6 @@ class EscrowProgram:
     #: headroom from any single budget row (the window guard's worst
     #: case); :data:`PIN_DRAIN` for pinned objects
     max_coeff: Mapping[str, int]
-
-
-_escrow_cache: dict[tuple[LinearConstraint, ...], "EscrowProgram | None"] = {}
-_escrow_counts = {"hits": 0, "misses": 0, "ineligible": 0}
-_ESCROW_MISSING = object()
-
-
-def escrow_counts() -> dict[str, int]:
-    """Escrow lowering-cache statistics (observability for the
-    nightly figure sweeps and the benchmark harness)."""
-    return {"programs": len(_escrow_cache), **_escrow_counts}
 
 
 def lower_to_escrow(
@@ -193,74 +231,93 @@ def lower_to_escrow(
     counter that a commit's deltas update incrementally -- exactly the
     numeric-invariant class that admits escrow-style local
     enforcement.  An equality pin lowers to an opposing pair of
-    zero-slack rows (see :class:`EscrowProgram`).  Any clause over
+    zero-slack rows (see :class:`ClauseRows`).  Any clause over
     non-object variables sends the whole treaty to the compiled slow
     path.
+
+    This is the from-scratch lowering (WAL replay, the validate-mode
+    oracle, tests); an install reuses the installed clauses' rows and
+    calls :func:`assemble_escrow` itself.
     """
     cons = tuple(constraints)
-    cached = _escrow_cache.get(cons, _ESCROW_MISSING)
-    if cached is not _ESCROW_MISSING:
-        _escrow_counts["hits"] += 1
-        return cached  # type: ignore[return-value]
-    _escrow_counts["misses"] += 1
-    program = _lower_escrow(cons)
-    if program is None:
-        _escrow_counts["ineligible"] += 1
-    return _remember(_escrow_cache, cons, program)
+    lowered: list[ClauseRows] = []
+    for con in cons:
+        clause = lower_clause(con)
+        if clause is None:
+            return None
+        lowered.append(clause)
+    return assemble_escrow(cons, lowered)
 
 
-def _lower_escrow(cons: tuple[LinearConstraint, ...]) -> EscrowProgram | None:
+def _same_shape(program: EscrowProgram, cons: tuple[LinearConstraint, ...]) -> bool:
+    """Whether ``cons`` differs from the program's clauses in bounds
+    only (same coefficient vectors and operators, position by
+    position), so every row index means what it meant."""
+    old = program.constraints
+    if len(old) != len(cons):
+        return False
+    for a, b in zip(old, cons):
+        if a is not b and (
+            a.op != b.op
+            or (a.expr.coeffs is not b.expr.coeffs and a.expr.coeffs != b.expr.coeffs)
+        ):
+            return False
+    return True
+
+
+def assemble_escrow(
+    cons: tuple[LinearConstraint, ...],
+    lowered: Sequence[ClauseRows],
+    previous: EscrowProgram | None = None,
+) -> EscrowProgram:
+    """Concatenate per-clause rows (``lowered[i]`` is
+    ``lower_clause(cons[i])``) into a program.
+
+    The index structures -- which rows an object touches, which rows
+    are budget rows, worst-case coefficients -- depend on the clauses'
+    coefficient vectors and operators only, so when ``previous`` (the
+    site's installed program) has the same shape they are shared with
+    it and only the rows and bounds are new.
+    """
+    rows = tuple(row for clause in lowered for row in clause.rows)
+    bounds = tuple(row.bound for row in rows)
+    if previous is not None and _same_shape(previous, cons):
+        return EscrowProgram(
+            constraints=cons,
+            rows=rows,
+            row_source=previous.row_source,
+            bounds=bounds,
+            clause_objects=previous.clause_objects,
+            budget_rows=previous.budget_rows,
+            pin_rows=previous.pin_rows,
+            touching=previous.touching,
+            max_coeff=previous.max_coeff,
+        )
     touching: dict[str, list[tuple[int, int]]] = {}
     max_coeff: dict[str, int] = {}
-    rows: list[LinearConstraint] = []
     row_source: list[int] = []
-    bounds: list[int] = []
     clause_objects: list[tuple[str, ...]] = []
     budget_rows: list[int] = []
-
-    def add_row(src: int, row: LinearConstraint, names: tuple[str, ...]) -> int:
-        idx = len(rows)
-        rows.append(row)
-        row_source.append(src)
-        bounds.append(row.bound)
-        clause_objects.append(names)
-        for var, coeff in row.expr.coeffs:
-            touching.setdefault(var.name, []).append((idx, coeff))
-        return idx
-
-    for src, con in enumerate(cons):
-        if con.op not in ("<=", "="):
-            return None
-        names: list[str] = []
-        for var, _coeff in con.expr.coeffs:
-            if not isinstance(var, ObjT):
-                return None
-            names.append(var.name)
-        if not con.expr.coeffs:
-            # Coefficient-less clauses (trivially true, or the
-            # canonical-false normal form) mention no object, so
-            # neither check path can ever attribute a violation to
-            # them -- they lower to no row at all.
-            continue
-        objs = tuple(names)
-        if con.op == "<=":
-            budget_rows.append(add_row(src, con, objs))
-            for var, coeff in con.expr.coeffs:
-                magnitude = coeff if coeff >= 0 else -coeff
-                if magnitude > max_coeff.get(var.name, 0):
-                    max_coeff[var.name] = magnitude
-        else:
-            add_row(src, LinearConstraint(con.expr, "<=", con.bound), objs)
-            add_row(src, LinearConstraint(con.expr.scaled(-1), "<=", -con.bound), objs)
-            for name in objs:
-                max_coeff[name] = PIN_DRAIN
+    pin_rows: list[int] = []
+    for src, clause in enumerate(lowered):
+        for terms in clause.terms:
+            idx = len(row_source)
+            row_source.append(src)
+            clause_objects.append(clause.names)
+            (budget_rows if clause.budget else pin_rows).append(idx)
+            for name, coeff in terms:
+                touching.setdefault(name, []).append((idx, coeff))
+                magnitude = abs(coeff) if clause.budget else PIN_DRAIN
+                if magnitude > max_coeff.get(name, 0):
+                    max_coeff[name] = magnitude
     return EscrowProgram(
         constraints=cons,
-        rows=tuple(rows),
+        rows=rows,
         row_source=tuple(row_source),
-        bounds=tuple(bounds),
+        bounds=bounds,
         clause_objects=tuple(clause_objects),
         budget_rows=tuple(budget_rows),
+        pin_rows=tuple(pin_rows),
         touching={name: tuple(pairs) for name, pairs in touching.items()},
         max_coeff=max_coeff,
     )

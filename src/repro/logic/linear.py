@@ -53,7 +53,10 @@ class LinearExpr:
     @staticmethod
     def make(coeffs: Mapping[Hashable, int], const: int = 0) -> "LinearExpr":
         items = tuple(
-            sorted(((v, c) for v, c in coeffs.items() if c != 0), key=lambda kv: repr(kv[0]))
+            sorted(
+                ((v, c) for v, c in coeffs.items() if c != 0),
+                key=lambda kv: repr(kv[0]),
+            )
         )
         return LinearExpr(items, const)
 
@@ -134,6 +137,15 @@ class LinearConstraint:
     op: str
     bound: int
 
+    def __hash__(self) -> int:
+        # Clauses key the per-install dicts (headroom grants, WAL
+        # encoding, compiled checks), and hashing one walks its whole
+        # coefficient vector: remember the result.
+        cached: int | None = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash((self.expr, self.op, self.bound))
+        return cached
+
     @staticmethod
     def make(expr: LinearExpr, op: str, bound: int) -> "LinearConstraint":
         # Fold the expression's constant into the bound.
@@ -199,7 +211,9 @@ class LinearConstraint:
     def negated(self) -> "LinearConstraint":
         """Return the negation (only defined for ``<=``)."""
         if self.op != "<=":
-            raise LinearizationError("cannot negate a linear equality into one constraint")
+            raise LinearizationError(
+                "cannot negate a linear equality into one constraint"
+            )
         # not(e <= b)  <=>  e >= b + 1  <=>  -e <= -(b + 1)
         return LinearConstraint.make(self.expr.scaled(-1), "<=", -(self.bound + 1))
 

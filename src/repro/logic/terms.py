@@ -20,6 +20,7 @@ linear lowering in :mod:`repro.logic.linear` performs normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Mapping
 
 
@@ -32,11 +33,17 @@ def ground_name(base: str, indices: tuple[int, ...]) -> str:
     return f"{base}[{','.join(str(i) for i in indices)}]"
 
 
+@lru_cache(maxsize=1 << 16)
 def parse_ground_name(name: str) -> tuple[str, tuple[int, ...]] | None:
     """Invert :func:`ground_name`; return None for plain scalar names.
 
     Needed by the write-aliasing analysis: a ground object ``a[3]``
     may alias the parameterized reference ``a[@p]`` when ``p = 3``.
+
+    Memoized: a database has finitely many object names and every
+    treaty round asks about the same ones (placement, clause bases),
+    so each distinct name is split once (bounded; names and results
+    are immutable).
     """
     if not name.endswith("]"):
         return None

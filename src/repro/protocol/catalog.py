@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+from repro.analysis.pathsplit import WriteSummary, summarize_writes
 from repro.analysis.symbolic import Row, SymbolicTable
 from repro.lang.ast import Com, Transaction
 from repro.lang.interp import ExecContext, execute
@@ -35,17 +36,22 @@ class StoredProcedure:
     The row guard is compiled to a closure at construction time, so
     per-transaction dispatch never walks the guard AST (guards are
     evaluated once per registered row on *every* submission -- they
-    are as hot as the treaty check itself).
+    are as hot as the treaty check itself).  The path's static write
+    summary is taken at the same moment: every treaty install
+    classifies the path against it (:mod:`repro.analysis.pathsplit`),
+    and the residual never changes after registration.
     """
 
     tx_name: str
     row_index: int
     row: Row
     guard_check: FormulaCheck | None = None
+    writes: WriteSummary = field(init=False)
 
     def __post_init__(self) -> None:
         if self.guard_check is None:
             object.__setattr__(self, "guard_check", compile_formula(self.row.guard))
+        object.__setattr__(self, "writes", summarize_writes(self.row.residual))
 
     def run(self, ctx: ExecContext) -> None:
         """Execute the partially evaluated transaction's effects."""

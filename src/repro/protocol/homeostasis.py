@@ -27,14 +27,17 @@ function of factor-local state, so regeneration would reproduce it;
 for the stochastic optimizer the cached configuration remains one of
 the valid optima).  This is an engineering optimization -- validity
 (H1/H2) is untouched -- that turns per-round cost from O(database)
-into O(touched factors).
+into O(touched factors), assembly included: the recomputed pieces are
+handed to a :class:`~repro.treaty.assembly.TreatyAssembly`, which
+re-derives only the clauses they contribute to (docs/ARCHITECTURE.md,
+"What a round costs").
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.analysis.residual import residual_reads
 from repro.analysis.symbolic import SymbolicTable
@@ -44,6 +47,7 @@ from repro.logic.linearize import LinearizedTreaty, linearize_for_treaty
 from repro.logic.terms import ObjT
 from repro.protocol.messages import MessageStats, Outcome
 from repro.protocol.transport import Transport
+from repro.treaty.assembly import ContradictoryPins, TreatyAssembly, TreatyPiece
 from repro.treaty.config import (
     Configuration,
     default_configuration,
@@ -61,6 +65,20 @@ from repro.treaty.templates import TreatyTemplates, build_templates
 
 #: Recognized treaty strategies.
 TreatyStrategy = str  # 'default' | 'equal-split' | 'optimized' | 'demand'
+
+#: bound on the generator's value-keyed piece memo.  Every miss adds a
+#: piece (about 3 KB, some thirty container objects), so an unbounded
+#: memo makes a round's cost follow the process's age: the collector's
+#: full passes walk it, 20 ms at start-up and 100 ms five seconds of
+#: negotiating later.  Where a piece is a pure function of those values
+#: -- every strategy but the sampling optimizer, whose memo also pins
+#: *which* optimum a value combination got -- the oldest piece is
+#: dropped for each new one past this many (recomputing reproduces it,
+#: and the pieces in force live in the assembly, not here).  The hits
+#: are recent: a dirty object that left the instance's values alone, a
+#: refill back to the last level -- 4-9 % of lookups on the e2e
+#: workloads with 64 pieces kept, 0-3 % more with all of them.
+_MEMO_LIMIT = 1024
 
 
 class ProtocolError(Exception):
@@ -199,16 +217,6 @@ class OptimizerSettings:
 
 
 @dataclass
-class _InstanceTreaty:
-    """Cached per-ground-instance treaty piece."""
-
-    constraints: list[LinearConstraint]
-    #: per constraint: site -> configuration value
-    per_clause_config: list[dict[int, int]]
-    pinned: set
-
-
-@dataclass
 class TreatyGenerator:
     """Builds (incrementally) a fresh treaty table from a synchronized
     database.
@@ -238,14 +246,16 @@ class TreatyGenerator:
     #: cumulative count of instance recomputations (observability)
     instances_recomputed: int = 0
 
-    _cache: dict[int, _InstanceTreaty] = field(default_factory=dict)
+    #: the merged treaty, holding every instance's current piece
+    _assembly: TreatyAssembly = field(init=False)
     _instance_objects: list[set[str]] | None = None
     #: value-keyed memo: an instance piece is a function of the values
     #: of the objects it depends on, and stock levels recur across
     #: refill cycles, so pieces are reused across rounds.  (For the
     #: stochastic optimizer this reuses one valid optimum instead of
-    #: re-sampling; H1/H2 validity is a per-piece property.)
-    _memo: dict[tuple[int, tuple[int, ...]], _InstanceTreaty] = field(
+    #: re-sampling; H1/H2 validity is a per-piece property.)  Bounded
+    #: by ``_MEMO_LIMIT`` for the deterministic strategies.
+    _memo: dict[tuple[int, tuple[int, ...]], TreatyPiece] = field(
         default_factory=dict
     )
     _instance_keys: list[tuple[str, ...]] | None = None
@@ -253,6 +263,9 @@ class TreatyGenerator:
     _sampled_runs: list[list[dict[str, int]]] | None = None
     #: lazy reverse index: object name -> instances depending on it
     _object_to_instances: dict[str, list[int]] | None = None
+
+    def __post_init__(self) -> None:
+        self._assembly = TreatyAssembly(self.locate, self.sites, self.strategy)
 
     # -- instance/object indexing -------------------------------------------------
 
@@ -330,7 +343,7 @@ class TreatyGenerator:
         idx: int,
         getobj: Callable[[str], int],
         db_snapshot: Mapping[str, int],
-    ) -> _InstanceTreaty:
+    ) -> TreatyPiece:
         self.instances_recomputed += 1
         table, home = self.ground_tables[idx]
         row = table.lookup(getobj)
@@ -362,8 +375,11 @@ class TreatyGenerator:
             {site: config.values[clause.config_var(site)] for site in clause.sites}
             for clause in templates.clauses
         ]
-        return _InstanceTreaty(
-            constraints=constraints, per_clause_config=per_clause, pinned=pinned
+        return TreatyPiece(
+            constraints=constraints,
+            per_clause_config=per_clause,
+            site_exprs=[clause.site_exprs for clause in templates.clauses],
+            pinned=pinned,
         )
 
     def _configure(
@@ -421,62 +437,41 @@ class TreatyGenerator:
                 tuple(sorted(self._objects_of_instance(i)))
                 for i in range(len(self.ground_tables))
             ]
-        for idx in range(len(self.ground_tables)):
-            if (
-                dirty is not None
-                and idx in self._cache
-                and not (self._objects_of_instance(idx) & dirty)
-            ):
-                continue
+        pieces = self._assembly.pieces
+        if dirty is None or len(pieces) < len(self.ground_tables):
+            stale: Iterable[int] = range(len(self.ground_tables))
+        else:
+            stale = sorted(self.instances_touching(dirty))
+        changed: dict[int, TreatyPiece] = {}
+        for idx in stale:
             if self.strategy == "demand":
                 # The demand-weighted configuration is a function of
                 # the *estimator*, not just the instance's object
                 # values, so value-keyed memoization would resurrect
                 # splits computed under stale demand (exactly what a
                 # rebalance exists to replace).  Dirty instances
-                # recompute unconditionally; clean ones still reuse
-                # their cached piece via the check above.
-                self._cache[idx] = self._compute_instance(idx, getobj, db_snapshot)
+                # recompute unconditionally; clean ones still keep
+                # their piece.
+                changed[idx] = self._compute_instance(idx, getobj, db_snapshot)
                 continue
             memo_key = (idx, tuple(getobj(n) for n in self._instance_keys[idx]))
             piece = self._memo.get(memo_key)
             if piece is None:
                 piece = self._compute_instance(idx, getobj, db_snapshot)
+                if len(self._memo) >= _MEMO_LIMIT and self.strategy != "optimized":
+                    del self._memo[next(iter(self._memo))]
                 self._memo[memo_key] = piece
-            self._cache[idx] = piece
+            changed[idx] = piece
+        try:
+            return self._assembly.update(changed, round_number)
+        except ContradictoryPins as exc:
+            raise ProtocolError(str(exc)) from exc
 
-        # keyed by coefficient vector + op: keep the tightest bound.
-        chosen: dict[tuple, tuple[LinearConstraint, dict[int, int]]] = {}
-        order: list[tuple] = []
-        pinned: set = set()
-        for idx in range(len(self.ground_tables)):
-            piece = self._cache[idx]
-            pinned |= piece.pinned
-            for con, cfg in zip(piece.constraints, piece.per_clause_config):
-                key = (con.expr.coeffs, con.op)
-                incumbent = chosen.get(key)
-                if incumbent is None:
-                    chosen[key] = (con, cfg)
-                    order.append(key)
-                    continue
-                held, _ = incumbent
-                if con.op == "=" and held.bound != con.bound:
-                    raise ProtocolError(
-                        f"contradictory equality clauses: {held.pretty()} "
-                        f"vs {con.pretty()}"
-                    )
-                if con.op == "<=" and con.bound < held.bound:
-                    chosen[key] = (con, cfg)
-
-        constraints = [chosen[key][0] for key in order]
-        config_rows = [chosen[key][1] for key in order]
-        lin_all = LinearizedTreaty(constraints=constraints, pinned=pinned)
-        templates = build_templates(lin_all, self.locate, self.sites)
-        config = Configuration(strategy=self.strategy)
-        for clause, cfg in zip(templates.clauses, config_rows):
-            for site in clause.sites:
-                config.values[clause.config_var(site)] = cfg[site]
-        return TreatyTable.assemble(lin_all, templates, config, round_number=round_number)
+    def assert_matches_scratch(self, table: TreatyTable) -> None:
+        """The validate-mode oracle of the incremental assembly: the
+        table :meth:`generate` just returned must equal what its pieces
+        assemble to with nothing carried over."""
+        self._assembly.assert_matches_scratch(table)
 
 
 @dataclass

@@ -464,6 +464,7 @@ class HomeostasisCluster:
             # direct install or shipped).
             table.record_paths(sid, self.sites[sid].path_checks)
         if self.validate:
+            self.generator.assert_matches_scratch(table)
             # The global treaty is never weakened: every install --
             # violation cleanup, forced sync, or adaptive rebalance --
             # must produce locals that still imply the global treaty

@@ -81,6 +81,12 @@ class ReplicationSpec:
 
     bases: dict[str, tuple[int, ...]] = field(default_factory=dict)
     home: dict[str, int] = field(default_factory=dict)
+    #: object name -> placed site (None: not placed by this spec), so
+    #: each distinct name is resolved once; valid because ``bases`` and
+    #: ``home`` are fixed once the workload is built
+    _placed: dict[str, int | None] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def sites_for(self, base: str) -> tuple[int, ...] | None:
         return self.bases.get(base)
@@ -94,6 +100,13 @@ class ReplicationSpec:
 
     def locate(self, name: str, fallback: int = 0) -> int:
         """Placement for both bases and deltas."""
+        try:
+            site = self._placed[name]
+        except KeyError:
+            site = self._placed[name] = self._place(name)
+        return fallback if site is None else site
+
+    def _place(self, name: str) -> int | None:
         base = self.base_of(name)
         if "__d" in base:
             origin, _sep, site = base.rpartition("__d")
@@ -101,7 +114,7 @@ class ReplicationSpec:
                 return int(site)
         if base in self.bases:
             return self.home.get(base, self.bases[base][0])
-        return fallback
+        return None
 
 
 def _delta_ref(ref: ObjRef, site: int) -> ObjRef:

@@ -30,6 +30,15 @@ the full check and asserts agreement -- goes through the
 compiled-closure check
 (:meth:`~repro.treaty.table.LocalTreaty.violations_after_writes`).
 
+An install is a **clause delta**: the site diffs the incoming local
+treaty against the installed one (by clause identity -- consecutive
+treaties share every clause the negotiation did not touch) and patches
+the path-check summary, the escrow rows and the static tier for the
+added and removed clauses only; a first install is the delta from the
+empty treaty.  ``validate_escrow`` re-derives all of it from scratch
+after every install and raises :class:`InstallDivergence` on any
+difference.
+
 Treaty installs are **durable**: every install (and every rebalance
 request this site acknowledges) is appended to the site's
 :class:`~repro.storage.wal.TreatyWAL` *before* it is applied or
@@ -42,13 +51,25 @@ invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
 
 from repro.analysis.classify import PathCheckDivergence
-from repro.analysis.pathsplit import PathCheck, build_path_checks
+from repro.analysis.pathsplit import (
+    ClauseSummary,
+    PathCheck,
+    build_path_checks,
+    clause_bases,
+    patch_path_checks,
+)
 from repro.lang.interp import ExecContext, execute
-from repro.logic.compile import lower_to_escrow
+from repro.logic.compile import (
+    ClauseRows,
+    EscrowProgram,
+    assemble_escrow,
+    lower_clause,
+    lower_to_escrow,
+)
 from repro.logic.linear import LinearConstraint
 from repro.protocol.catalog import StoredProcedureCatalog
 from repro.protocol.messages import (
@@ -72,7 +93,7 @@ from repro.storage.wal import (
     encode_local_treaty,
 )
 from repro.treaty.escrow import EscrowAccount, EscrowDivergence
-from repro.treaty.table import LocalTreaty
+from repro.treaty.table import InstallDivergence, LocalTreaty
 
 #: static-tier check kinds -> their counter names in ``check_stats``
 _KIND_COUNTER = {
@@ -101,6 +122,22 @@ def clause_slack(con: LinearConstraint, getobj: Callable[[str], int]) -> int:
     for var, coeff in con.expr.coeffs:
         value += coeff * getobj(var.name)
     return con.bound - value
+
+
+@dataclass
+class _Installed:
+    """What the next install's delta is taken against."""
+
+    treaty: LocalTreaty
+    #: per clause, its escrow lowering (None: escrow-ineligible)
+    rows: list[ClauseRows | None]
+    summary: ClauseSummary
+
+
+def _program_fields(program: EscrowProgram | None) -> tuple | None:
+    if program is None:
+        return None
+    return tuple(getattr(program, f.name) for f in fields(program))
 
 
 @dataclass
@@ -174,6 +211,9 @@ class SiteServer:
     paxos_accepted: dict[int, tuple[int, tuple[tuple[int, bool], ...]]] = field(
         default_factory=dict
     )
+    #: the delta baseline (volatile, like everything it describes);
+    #: trusted only while ``treaty`` is still the installed object
+    _installed: _Installed | None = field(default=None, repr=False)
 
     def install_treaty(
         self, treaty: LocalTreaty, round_number: int = -1, log: bool = True
@@ -184,7 +224,15 @@ class SiteServer:
         The headroom snapshot is what makes the low-watermark check a
         *relative* trigger: "this clause has burned through 1 - w of
         the budget the last negotiation granted", independent of the
-        clause's absolute scale.
+        clause's absolute scale.  It is read from the store for every
+        clause, carried over or not: commits since the last install
+        consumed slack without changing the clause.
+
+        Everything else is derived for the clauses this install adds
+        or removes relative to the installed treaty: the path-check
+        summary is patched and only paths writing a base those clauses
+        mention are re-classified; carried clauses keep their escrow
+        rows.
 
         The install is **logged to the WAL before it is applied** (and
         therefore before any transport-level acknowledgement returns to
@@ -193,17 +241,43 @@ class SiteServer:
         replay path only -- reinstalling a recovered treaty must not
         re-append it.
         """
+        base, position = self._delta_baseline()
+        installed = base.treaty.constraints
         peek = self.engine.peek
-        headroom = {
-            con: clause_slack(con, peek)
-            for con in treaty.constraints
-            if con.op == "<="
-        }
-        # The static tier: partition every registered procedure's
-        # execution paths against the new clauses.  Deterministic given
-        # (catalog, treaty), so the WAL record doubles as a recovery
-        # cross-check.
-        paths = build_path_checks(self.catalog, treaty)
+        rows: list[ClauseRows | None] = []
+        added: list[LinearConstraint] = []
+        headroom: dict[LinearConstraint, int] = {}
+        counters: list[int] = []
+        for con in treaty.constraints:
+            at = position.pop(id(con), None)
+            if at is None:
+                added.append(con)
+                lowered = lower_clause(con)
+            else:
+                lowered = base.rows[at]
+            rows.append(lowered)
+            slack = clause_slack(con, peek)
+            if con.op == "<=":
+                headroom[con] = slack
+            if lowered is not None and lowered.rows:
+                # a pin's opposing pair: zero slack both ways while it holds
+                counters.extend((slack,) if lowered.budget else (slack, -slack))
+        removed = [installed[at] for at in position.values()]
+        summary = base.summary.copy()
+        for con in removed:
+            summary.add(con, -1)
+        for con in added:
+            summary.add(con)
+        # The static tier.  Deterministic given (catalog, treaty), so
+        # the WAL record doubles as a recovery cross-check.
+        touched = (
+            clause_bases(added + removed)
+            if installed and not (summary.opaque or base.summary.opaque)
+            else None
+        )
+        paths = patch_path_checks(
+            self.catalog, treaty.constraints, summary, self.path_checks, touched
+        )
         if log:
             record = {"kind": "treaty_install", "round": round_number}
             record.update(encode_local_treaty(treaty, headroom, paths))
@@ -212,7 +286,70 @@ class SiteServer:
         self.install_headroom = headroom
         self.treaty_round = round_number
         self.path_checks = paths
-        self._rebuild_escrow(headroom)
+        self._installed = _Installed(treaty, rows, summary)
+        program = None
+        if None not in rows:
+            program = assemble_escrow(
+                tuple(treaty.constraints),
+                rows,
+                self.escrow.program if self.escrow is not None else None,
+            )
+        self._open_escrow(program, counters)
+        if self.validate_escrow:
+            self._assert_install_matches_scratch()
+
+    def _delta_baseline(self) -> tuple[_Installed, dict[int, int]]:
+        """What this install is a delta against, with each installed
+        clause object's position (the install pops the ones it keeps).
+
+        With nothing installed -- or a baseline this site cannot vouch
+        for: the treaty was swapped behind its back, or lists one
+        clause object twice, which an identity diff cannot tell apart
+        -- that is the empty treaty."""
+        base = self._installed
+        if base is not None and base.treaty is self.local_treaty:
+            installed = base.treaty.constraints
+            position = {id(con): at for at, con in enumerate(installed)}
+            if len(position) == len(installed):
+                return base, position
+        return _Installed(LocalTreaty(site=self.site_id), [], ClauseSummary()), {}
+
+    def _assert_install_matches_scratch(self) -> None:
+        """The validate-mode oracle of the delta install: everything
+        the install derived must equal its from-scratch derivation from
+        (catalog, treaty, store)."""
+        treaty, peek = self.local_treaty, self.engine.peek
+        assert treaty is not None and self._installed is not None
+        program = lower_to_escrow(tuple(treaty.constraints))
+        live = self.escrow.program if self.escrow is not None else None
+        checks = {
+            "path checks": (self.path_checks, build_path_checks(self.catalog, treaty)),
+            "clause summary": (
+                self._installed.summary,
+                ClauseSummary.of(treaty.constraints),
+            ),
+            "install headroom": (
+                self.install_headroom,
+                {
+                    con: clause_slack(con, peek)
+                    for con in treaty.constraints
+                    if con.op == "<="
+                },
+            ),
+            "escrow program": (_program_fields(live), _program_fields(program)),
+            "escrow counters": (
+                self.escrow.headroom if self.escrow is not None else None,
+                [clause_slack(row, peek) for row in program.rows]
+                if program is not None
+                else None,
+            ),
+        }
+        for what, (have, expect) in checks.items():
+            if have != expect:
+                raise InstallDivergence(
+                    f"site {self.site_id}, round {self.treaty_round}: delta-"
+                    f"installed {what} differ from scratch: {have} vs {expect}"
+                )
 
     def replay_wal(self) -> int:
         """Restart path: restore the treaty state from the durable log.
@@ -226,6 +363,9 @@ class SiteServer:
         """
         self._replay_paxos_state()
         record = self.wal.last_treaty_install()
+        # Replay derives everything from scratch; the next live install
+        # is then the delta from the empty treaty.
+        self._installed = None
         if record is None:
             self.local_treaty = None
             self.install_headroom = {}
@@ -259,7 +399,15 @@ class SiteServer:
         # account from the WAL record and then resynchronizes it
         # against the store, leaving counters identical to a freshly
         # lowered treaty on the recovered state.
-        self._rebuild_escrow(headroom)
+        program = lower_to_escrow(tuple(treaty.constraints))
+        peek = self.engine.peek
+        self._open_escrow(
+            program,
+            [
+                headroom[row] if row in headroom else clause_slack(row, peek)
+                for row in (program.rows if program is not None else ())
+            ],
+        )
         if self.escrow is not None:
             self.escrow.resync(self.engine.peek, self.engine.epoch)
         return self.treaty_round
@@ -333,35 +481,22 @@ class SiteServer:
 
     # -- escrow fast-path plumbing -------------------------------------------------
 
-    def _rebuild_escrow(self, headroom: Mapping[LinearConstraint, int]) -> None:
-        """Lower the installed treaty to a fresh escrow account (or
-        fall back to the compiled path when ineligible).
+    def _open_escrow(self, program: EscrowProgram | None, counters: list[int]) -> None:
+        """Open a fresh escrow account on the installed treaty's
+        program (``None``: ineligible, fall back to the compiled path).
 
-        A ``<=``-clause row starts at the install-time grant (the same
+        ``counters`` holds one starting value per program row: a
+        ``<=``-clause row starts at the install-time grant (the same
         snapshot the adaptive watermark keeps); rows with no grant --
         an equality pin's opposing pair -- take their slack straight
         from the synchronized store.
         """
         self._fold_escrow_stats()
-        program = (
-            lower_to_escrow(tuple(self.local_treaty.constraints))
-            if self.local_treaty is not None
-            else None
-        )
         if program is None:
             self.escrow = None
-            if self.local_treaty is not None:
-                self.escrow_ineligible_installs += 1
+            self.escrow_ineligible_installs += 1
             return
-        peek = self.engine.peek
-        self.escrow = EscrowAccount(
-            program,
-            [
-                headroom[row] if row in headroom else clause_slack(row, peek)
-                for row in program.rows
-            ],
-            epoch=self.engine.epoch,
-        )
+        self.escrow = EscrowAccount(program, counters, epoch=self.engine.epoch)
         self.escrow_installs += 1
 
     def drop_escrow(self) -> None:

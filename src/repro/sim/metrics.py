@@ -9,11 +9,11 @@ from typing import Sequence
 
 def check_path_stats() -> dict[str, dict[str, int]]:
     """Process-wide commit-check observability: compiled-closure memo
-    sizes and escrow lowering-cache hit/miss counters, in one place for
-    the nightly figure sweeps and the benchmark harness."""
-    from repro.logic.compile import compiled_counts, escrow_counts
+    sizes, in one place for the nightly figure sweeps and the
+    benchmark harness."""
+    from repro.logic.compile import compiled_counts
 
-    return {"compiled": compiled_counts(), "escrow": escrow_counts()}
+    return {"compiled": compiled_counts()}
 
 
 def percentile(values: Sequence[float], pct: float) -> float:

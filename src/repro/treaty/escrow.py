@@ -143,9 +143,7 @@ class EscrowAccount:
         p_get = pending.get
         t_get = touching.get
         h_get = headroom.__getitem__
-        pin_idx = tuple(
-            i for i in range(len(program.rows)) if i not in set(budget_idx)
-        )
+        pin_idx = program.pin_rows
         # With any pin row installed the budget must sit below
         # PIN_DRAIN, else a huge (or unbounded, for a pin-only treaty)
         # budget would fast-admit pin-breaking deltas.

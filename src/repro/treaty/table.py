@@ -10,7 +10,7 @@ replaces it at each round boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import AbstractSet, Callable, Mapping
 
 from repro.logic.compile import ClauseCheck, compile_clause, compile_clauses
 from repro.logic.linear import LinearConstraint
@@ -18,6 +18,14 @@ from repro.logic.linearize import LinearizedTreaty
 from repro.logic.terms import ObjT
 from repro.treaty.config import Configuration, local_treaties
 from repro.treaty.templates import TreatyTemplates
+
+
+class InstallDivergence(AssertionError):
+    """A delta-maintained treaty install (a site's patched check state,
+    or the incrementally assembled treaty table) differs from the
+    from-scratch derivation of the same state -- a bug in the delta
+    bookkeeping, surfaced loudly by validate mode instead of silently
+    enforcing the wrong clauses."""
 
 
 @dataclass
@@ -149,9 +157,10 @@ class TreatyTable:
     configuration: Configuration
     locals: dict[int, LocalTreaty] = field(default_factory=dict)
     round_number: int = 0
-    #: lazy per-site factor index: object name -> sites whose local
-    #: treaty enforces a clause mentioning it
-    _factor_sites: dict[str, set[int]] | None = None
+    #: per-site factor index: object name -> sites whose local treaty
+    #: enforces a clause mentioning it (handed over by the incremental
+    #: assembly, else built on first use)
+    _factor_sites: Mapping[str, AbstractSet[int]] | None = None
     #: per-site compiled whole-treaty checks (the ``check_local`` fast
     #: path); invalidated by :meth:`install_local`
     _compiled_checks: dict[int, ClauseCheck] = field(default_factory=dict)
@@ -233,15 +242,19 @@ class TreatyTable:
         these sites in its participant set.
         """
         if self._factor_sites is None:
-            index: dict[str, set[int]] = {}
-            for site, local in self.locals.items():
-                for name in local.objects():
-                    index.setdefault(name, set()).add(site)
-            self._factor_sites = index
+            self._factor_sites = self.factor_index()
         out: set[int] = set()
         for name in names:
-            out |= self._factor_sites.get(name, set())
+            out.update(self._factor_sites.get(name, ()))
         return out
+
+    def factor_index(self) -> dict[str, set[int]]:
+        """The factor index, derived from the local treaties."""
+        index: dict[str, set[int]] = {}
+        for site, local in self.locals.items():
+            for name in local.objects():
+                index.setdefault(name, set()).add(site)
+        return index
 
     def check_local(self, site: int, getobj: Callable[[str], int]) -> bool:
         """The per-commit check a stored procedure performs.

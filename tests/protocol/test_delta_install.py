@@ -1,0 +1,214 @@
+"""Delta rounds against a from-scratch reference, round for round.
+
+A negotiation carries a *clause delta* through generation, assembly and
+install (docs/ARCHITECTURE.md, "What a round costs").  The reference
+here is what an install did before installs were deltas -- every value
+derived from (catalog, treaty, store) with the from-scratch functions --
+and every install of every round, at every site, must leave exactly
+that behind: the bytes of its ``treaty_install`` WAL record, the
+install-time headroom, the path partition, the escrow program, its
+counters and the window budget.  The treaty table each round assembles
+incrementally is held to whole-treaty assembly the same way.
+
+Validate mode is off: the delta path must be right on its own, not
+because the oracle ran beside it.
+"""
+
+import json
+import random
+from dataclasses import fields
+
+import pytest
+
+from repro.analysis.pathsplit import build_path_checks
+from repro.analysis.symbolic import build_symbolic_table
+from repro.lang.parser import parse_transaction
+from repro.logic.compile import lower_to_escrow
+from repro.logic.linear import LinearConstraint, LinearExpr
+from repro.logic.terms import ObjT, ParamT
+from repro.protocol.site import SiteServer, clause_slack
+from repro.storage.wal import decode_local_treaty, encode_local_treaty
+from repro.treaty.escrow import EscrowAccount
+from repro.treaty.table import LocalTreaty
+from repro.workloads.flashsale import FlashSaleWorkload
+from repro.workloads.geo import GeoMicroWorkload
+from repro.workloads.micro import MicroWorkload
+from repro.workloads.tpcc import TpccWorkload
+
+WORKLOADS = {
+    "micro": lambda: MicroWorkload(
+        num_items=6, refill=9, num_sites=3, audit_fraction=0.2
+    ),
+    "geo": lambda: GeoMicroWorkload(
+        groups=((0, 1), (2, 3)), num_sites=4, items_per_group=3, refill=10
+    ),
+    "flash-sale": lambda: FlashSaleWorkload(
+        num_skus=4, hot_stock=25, cold_stock=12, peek_fraction=0.1
+    ),
+    "tpcc": lambda: TpccWorkload(
+        num_warehouses=1,
+        num_districts=1,
+        items_per_district=4,
+        num_customers=3,
+        num_sites=2,
+        hotness=30,
+        initial_stock=12,
+    ),
+}
+
+
+def _program_fields(program):
+    return {f.name: getattr(program, f.name) for f in fields(program)}
+
+
+def _assert_install_is_the_reference(server, wal_line, round_number):
+    """What installing ``server.local_treaty`` from scratch on the
+    server's current store leaves behind."""
+    treaty, peek = server.local_treaty, server.engine.peek
+    headroom = {
+        con: clause_slack(con, peek) for con in treaty.constraints if con.op == "<="
+    }
+    paths = build_path_checks(server.catalog, treaty)
+    record = {"kind": "treaty_install", "round": round_number}
+    record.update(encode_local_treaty(treaty, headroom, paths))
+    line = json.dumps(record, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    assert wal_line == line
+    assert server.install_headroom == headroom
+    assert server.path_checks == paths
+    program = lower_to_escrow(tuple(treaty.constraints))
+    assert (server.escrow is None) == (program is None)
+    if program is None:
+        return
+    counters = [
+        headroom[row] if row in headroom else clause_slack(row, peek)
+        for row in program.rows
+    ]
+    reference = EscrowAccount(program, counters)
+    assert _program_fields(server.escrow.program) == _program_fields(program)
+    assert server.escrow.headroom_map() == reference.headroom_map()
+    assert (
+        server.escrow.window_state()["budget"] == reference.window_state()["budget"]
+    )
+
+
+@pytest.fixture
+def installs(monkeypatch):
+    """Hold every install, as it happens, to the reference."""
+    install = SiteServer.install_treaty
+    seen = []
+
+    def checked(self, treaty, round_number=-1, log=True):
+        size = self.wal.size_bytes()
+        install(self, treaty, round_number, log)
+        _assert_install_is_the_reference(
+            self, bytes(self.wal._buf[size:]), round_number
+        )
+        seen.append(self.site_id)
+
+    monkeypatch.setattr(SiteServer, "install_treaty", checked)
+    return seen
+
+
+@pytest.mark.parametrize("strategy", ["default", "equal-split", "demand", "optimized"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_round_matches_the_from_scratch_reference(name, strategy, installs):
+    workload = WORKLOADS[name]()
+    cluster = workload.build_homeostasis(strategy=strategy, validate=False)
+    bootstrap = len(installs)
+    assert bootstrap == len(cluster.site_ids)
+    cluster.generator.assert_matches_scratch(cluster.treaty_table)
+    rng = random.Random(5)
+    rounds = cluster.stats.rounds
+    for _ in range(150):
+        req = workload.next_request(rng)
+        cluster.submit(req.tx_name, req.params)
+        if cluster.stats.rounds != rounds:
+            rounds = cluster.stats.rounds
+            cluster.generator.assert_matches_scratch(cluster.treaty_table)
+    # Not vacuous: rounds past the bootstrap ran, as deltas.
+    assert len(installs) > bootstrap + 4
+
+
+def test_untouched_objects_are_shared_between_consecutive_tables():
+    """A scoped negotiation hands non-participants the very
+    ``LocalTreaty`` they hold, and participants keep every clause the
+    round did not re-derive."""
+    workload = WORKLOADS["geo"]()
+    cluster = workload.build_homeostasis(strategy="equal-split")
+    rng = random.Random(3)
+    shared_locals = kept_clauses = 0
+    for _ in range(200):
+        before = cluster.treaty_table
+        req = workload.next_request(rng)
+        result = cluster.submit(req.tx_name, req.params)
+        after = cluster.treaty_table
+        if after is before:
+            continue
+        for sid in cluster.site_ids:
+            old, new = before.local_for(sid), after.local_for(sid)
+            if sid not in result.participants:
+                assert new is old
+                shared_locals += 1
+            else:
+                held = {id(con) for con in old.constraints}
+                kept_clauses += sum(id(con) in held for con in new.constraints)
+    assert shared_locals > 0 and kept_clauses > 0
+
+
+# -- one site, arbitrary reinstalls ----------------------------------------------
+
+SOURCES = (
+    "transaction Drain() { v := read(x); write(x = v - 1) }",
+    "transaction Probe() { v := read(x); print(v) }",
+    "transaction Tap() { v := read(qty(0)); write(qty(0) = v - 1) }",
+    "transaction BuyP(i) { v := read(qty(@i)); write(qty(@i) = v - 1) }",
+    "transaction Fill(i) { v := read(cap(@i)); write(cap(@i) = v + 2) }",
+)
+
+
+def _clause(rng):
+    objects = ["x", "y", "qty[0]", "qty[1]", "qty[2]", "cap[0]"]
+    names = rng.sample(objects, rng.choice((1, 1, 2)))
+    coeffs = {ObjT(name): rng.choice((-2, -1, 1, 3)) for name in names}
+    if rng.random() < 0.1:
+        coeffs = {ParamT("p"): 1}  # escrow-ineligible, opaque to the classifier
+    op = "=" if rng.random() < 0.15 else "<="
+    return LinearConstraint.make(LinearExpr.make(coeffs), op, rng.randrange(-3, 9))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_arbitrary_reinstalls_pass_the_install_oracle(seed):
+    """Any sequence of local treaties -- clauses kept, dropped, added,
+    reordered, listed twice, re-decoded into fresh objects, the same
+    treaty object again -- installs to what a from-scratch install
+    derives (``validate_escrow`` raises ``InstallDivergence`` if not)."""
+    rng = random.Random(seed)
+    server = SiteServer(site_id=0, locate=lambda name: 0, validate_escrow=True)
+    for source in SOURCES:
+        server.catalog.register(build_symbolic_table(parse_transaction(source)))
+    clauses = [_clause(rng) for _ in range(4)]
+    for round_number in range(80):
+        move = rng.random()
+        if move < 0.35:
+            clauses = clauses + [_clause(rng)]
+        elif move < 0.55 and clauses:
+            clauses = [c for c in clauses if c is not rng.choice(clauses)]
+        elif move < 0.65:
+            clauses = rng.sample(clauses, len(clauses))
+        elif move < 0.75 and clauses:
+            clauses = clauses + [rng.choice(clauses)]
+        # the WAL codec (rightly) only carries clauses over ground objects
+        ground = all(isinstance(v, ObjT) for c in clauses for v in c.variables())
+        if 0.75 <= move < 0.85 and ground:
+            record = encode_local_treaty(LocalTreaty(site=0, constraints=clauses))
+            clauses = decode_local_treaty(record)[0].constraints
+        treaty = LocalTreaty(site=0, constraints=list(clauses))
+        server.engine.poke("x", rng.randrange(0, 6))
+        server.engine.poke("qty[1]", rng.randrange(0, 6))
+        server.install_treaty(treaty, round_number)
+        if rng.random() < 0.2:
+            server.install_treaty(treaty, round_number)  # same object again
+        if rng.random() < 0.1 and ground:
+            server.replay_wal()
+    kinds = {check.kind for checks in server.path_checks.values() for check in checks}
+    assert kinds  # classified every round; the oracle compared each one

@@ -18,7 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic.compile import PIN_DRAIN, escrow_counts, lower_to_escrow
+from repro.logic.compile import (
+    PIN_DRAIN,
+    assemble_escrow,
+    lower_clause,
+    lower_to_escrow,
+)
 from repro.logic.linear import LinearConstraint, LinearExpr
 from repro.logic.terms import ObjT, ParamT
 from repro.protocol.site import clause_slack
@@ -81,14 +86,33 @@ class TestLowering:
         assert len(program.rows) == 1
         assert program.row_source == (1,)
 
-    def test_lowering_is_memoized(self):
-        cons = (con({"x": 1, "z": 3}, "<=", 11),)
-        first = lower_to_escrow(cons)
-        before = escrow_counts()
-        assert lower_to_escrow(tuple(cons)) is first
-        after = escrow_counts()
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
+    def test_rebounded_clauses_share_the_index_structures(self):
+        """Consecutive installs mostly move bounds: the program built
+        on top of the installed one reuses its index structures and
+        equals a from-scratch lowering; a changed coefficient vector
+        or operator rebuilds them."""
+        old = (con({"x": 1, "z": 3}, "<=", 11), con({"y": 1}, "=", 4))
+        installed = lower_to_escrow(old)
+        new = (con({"x": 1, "z": 3}, "<=", 9), old[1])
+        patched = assemble_escrow(new, [lower_clause(c) for c in new], installed)
+        assert patched.touching is installed.touching
+        assert patched.max_coeff is installed.max_coeff
+        scratch = lower_to_escrow(new)
+        for name in (
+            "constraints", "rows", "row_source", "bounds", "clause_objects",
+            "budget_rows", "pin_rows", "touching", "max_coeff",
+        ):
+            assert getattr(patched, name) == getattr(scratch, name), name
+        for reshaped in (
+            (con({"x": 1, "z": 2}, "<=", 9), old[1]),
+            (new[0], con({"y": 1}, "<=", 4)),
+            new[:1],
+        ):
+            rebuilt = assemble_escrow(
+                reshaped, [lower_clause(c) for c in reshaped], installed
+            )
+            assert rebuilt.touching is not installed.touching
+            assert rebuilt.touching == lower_to_escrow(reshaped).touching
 
 
 class TestAccount:

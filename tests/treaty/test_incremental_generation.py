@@ -102,3 +102,29 @@ class TestValueMemo:
         no_memo_bound = 2 * (rounds - 1) + 4
         assert gen.instances_recomputed < no_memo_bound
         assert gen.instances_recomputed < 4 * rounds / 2
+
+    def test_bounded_memo_changes_no_treaty(self, monkeypatch):
+        """A full memo drops its oldest piece for each new one
+        (deterministic strategies only: recomputing reproduces the
+        piece), so a cluster with a tiny bound installs exactly the
+        treaties an unbounded one does."""
+        from repro.protocol import homeostasis
+
+        def run(limit):
+            monkeypatch.setattr(homeostasis, "_MEMO_LIMIT", limit)
+            workload = MicroWorkload(num_items=4, refill=7, num_sites=2)
+            cluster = workload.build_homeostasis(strategy="equal-split")
+            rng = random.Random(1)
+            seen = []
+            for _ in range(300):
+                req = workload.next_request(rng)
+                seen.append(cluster.submit(req.tx_name, req.params).log)
+                assert len(cluster.generator._memo) <= limit
+            locals_ = {
+                sid: [c.pretty() for c in server.local_treaty.constraints]
+                for sid, server in cluster.sites.items()
+            }
+            return seen, locals_, cluster.stats.rounds
+
+        bounded, unbounded = run(8), run(1 << 30)
+        assert bounded == unbounded and bounded[2] > 20
