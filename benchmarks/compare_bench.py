@@ -54,8 +54,7 @@ Gates (per scenario):
 - the TPC-C ``checks_per_commit`` (mean treaty clauses in scope per
   commit, recorded in the adaptive_skew scenario's gate block) must
   not rise above the baseline: a path-sensitivity regression that
-  sends partitioned checks back to whole-treaty evaluation should
-  fail loudly;
+  sends ``free`` paths back to the ``full`` check should fail loudly;
 - scenarios carrying a ``flashsale_gate`` block must show the
   deterministic sell-out audit clean: the hot SKU ends exactly at
   zero after 3x demand -- sold out, never oversold; the scenario's
@@ -125,8 +124,9 @@ ESCROW_ELIGIBILITY_SCENARIOS = ("micro", "adaptive_skew")
 CLASSIFIER_FREE_SCENARIOS = ("micro",)
 
 #: adaptive_gate workloads whose per-commit clauses-in-scope count is
-#: gated against the baseline (TPC-C is where path-sensitive partition
-#: checks shrink the scope; micro's two-path Buy has nothing to shrink)
+#: gated against the baseline (TPC-C is where ``free`` paths -- Payment,
+#: one Delivery path -- shrink the scope; micro's two-path Buy has
+#: nothing to shrink)
 CHECKS_PER_COMMIT_WORKLOADS = ("tpcc",)
 
 #: scenarios whose *record-level* checks_per_commit is gated against
@@ -232,8 +232,8 @@ def checks_per_commit_failures(
         if cur_cpc > base_cpc:
             failures.append(
                 f"{name}/{workload}: checks per commit rose {base_cpc:.2f} -> "
-                f"{cur_cpc:.2f} (partitioned checks widening back to the "
-                f"whole treaty)"
+                f"{cur_cpc:.2f} (free paths widening back to the full "
+                f"check)"
             )
     return failures
 

@@ -47,12 +47,13 @@ Schema (``schema_version`` 3)::
         "settled_commits": int,   # judged on exact counters
         "settlements": int, "violations": int, "resyncs": int
       },
-      # static-tier (coordination-freedom classifier + path-sensitive
-      # partition) counters, deterministic under the fixed seed
+      # static-tier (coordination-freedom classifier: one counter per
+      # check kind, free + full == checked) counters, deterministic
+      # under the fixed seed
       "free_ratio": float,        # check bypasses / treaty executions
       "checks_per_commit": float, # mean treaty clauses in scope
       "classifier": {
-        "free": int, "absorbed": int, "partition": int, "full": int,
+        "free": int, "full": int,
         "checked": int, "clauses_in_scope": int,
         "free_ratio": float, "checks_per_commit": float
       },

@@ -9,7 +9,7 @@
 - :mod:`repro.analysis.slices` -- local-remote partitions, LR-slices
   and observational equivalence (Definitions 3.2-3.7).
 - :mod:`repro.analysis.pathsplit` -- per-path write summaries and
-  treaty-check partitioning (the dispatch-time static tier).
+  treaty-check selection (the dispatch-time static tier).
 - :mod:`repro.analysis.classify` -- the coordination-freedom
   classifier: FREE / PATH_SENSITIVE / TREATY / SYNC verdicts with
   machine-checkable witnesses.

@@ -1,15 +1,13 @@
-"""Per-path write summaries and treaty-check partitioning.
+"""Per-path write summaries and the static treaty-check tier.
 
 The symbolic executor (:mod:`repro.analysis.symbolic`) already splits a
 stored procedure into mutually exclusive ``Row(guard, residual)``
 execution paths, and the catalog dispatches exactly one row per
-invocation.  This module exploits that split at *treaty-check* time:
-instead of treating every commit as potentially touching every clause
-of the site's local treaty, it statically summarizes each path's write
-set and partitions the installed clause list into the cheapest sound
-check for that path.
+invocation.  This module exploits that split at *treaty-check* time: it
+statically summarizes each path's write set and answers one question
+per path -- does it write an array base some installed clause mentions?
 
-Four check kinds, from cheapest to most general:
+Two check kinds:
 
 ``free``
     The path's written array bases are disjoint from every base any
@@ -22,37 +20,25 @@ Four check kinds, from cheapest to most general:
     0``, so the escrow account would not have staged their deltas
     either.
 
-``free-absorb``
-    Every write has the constant-delta form ``x = read(x) + c`` and,
-    for every ``<=``-clause touching a written base, ``coeff * c <=
-    0`` (the write moves the clause *away* from its bound), with no
-    equality pin touching any written base.  Monotone-safe: the commit
-    cannot introduce a violation, so the judgment is skipped.  In
-    escrow mode the deltas still flow through the account (the
-    counters track slack incrementally) but the verdict is known
-    statically.
-
-``partition``
-    The path's write set is fully ground (statically known object
-    names).  The clauses touching those names are precompiled into a
-    single conjunction subset check -- the static analogue of the
-    per-object clause index ``violations_after_writes`` consults
-    dynamically, minus the per-commit index walk.
-
 ``full``
-    Parameterized writes touching treaty bases: fall back to the
-    dynamic per-object check (or the escrow account).
+    The path writes a base some clause mentions: the commit runs the
+    dynamic check (the escrow account, or the per-object clause index
+    of ``violations_after_writes``), which already narrows itself to
+    the clauses indexed under the objects actually written.
 
-The partitioning runs at :meth:`SiteServer.install_treaty` time from
+There is no finer kind on purpose: a tier has to fire on a served
+workload to exist (docs/AUDIT.md keeps the table).
+
+The classification runs at :meth:`SiteServer.install_treaty` time from
 the site's own catalog and treaty, so it is deterministic given the
 install -- which is what lets the WAL record it and recovery re-derive
 and cross-check it.
 
 Everything a classification reads from the treaty is a
-:class:`ClauseSummary` -- per array base, how many clause mentions push
-which way -- which is additive per clause.  An install therefore
-patches the installed summary with the clauses it added and removed
-and re-classifies only the paths writing a base those clauses mention
+:class:`ClauseSummary` -- per array base, how many clause variables
+name it -- which is additive per clause.  An install therefore patches
+the installed summary with the clauses it added and removed and
+re-classifies only the paths writing a base those clauses mention
 (:func:`patch_path_checks`); :func:`build_path_checks` is the same
 classification from the empty summary, kept for WAL replay and as the
 validate-mode oracle.  Each path's :class:`WriteSummary` is taken once,
@@ -62,7 +48,7 @@ when its stored procedure registers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, AbstractSet, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Any, Iterable, Mapping
 
 from repro.lang.ast import ArrayRef, Com, GroundRef, Write, ref_to_term, walk_commands
 from repro.logic.linear import (
@@ -77,7 +63,12 @@ if TYPE_CHECKING:
     from repro.treaty.table import LocalTreaty
 
 #: check kinds, cheapest first (order is meaningful for reporting)
-CHECK_KINDS = ("free", "free-absorb", "partition", "full")
+CHECK_KINDS = ("free", "full")
+
+#: the one reason a path is ``full``: it writes a base some clause
+#: mentions.  The token is what install records in every site's WAL
+#: already carry, and those bytes are a cross-commit oracle.
+_FULL_REASON = "parameterized-writes"
 
 
 def base_of_name(name: str) -> str:
@@ -105,15 +96,11 @@ class ClauseSummary:
     """What path classification reads from a clause set, additive per
     clause so an install can patch it instead of recomputing it.
 
-    ``mentions`` maps an array base to three counts over the clauses'
-    variable occurrences: positive coefficients, negative
-    coefficients, and occurrences inside equality pins.  ``opaque``
-    counts occurrences of non-object (template) variables, about which
-    nothing can be concluded statically.
+    ``mentions`` maps an array base to the number of clause variable
+    occurrences naming it; a base no clause mentions has no entry.
     """
 
-    mentions: dict[str, list[int]] = field(default_factory=dict)
-    opaque: int = 0
+    mentions: dict[str, int] = field(default_factory=dict)
 
     @classmethod
     def of(cls, constraints: Iterable[LinearConstraint]) -> "ClauseSummary":
@@ -123,26 +110,17 @@ class ClauseSummary:
         return summary
 
     def copy(self) -> "ClauseSummary":
-        return ClauseSummary(
-            {base: list(counts) for base, counts in self.mentions.items()},
-            self.opaque,
-        )
+        return ClauseSummary(dict(self.mentions))
 
     def add(self, con: LinearConstraint, times: int = 1) -> None:
         """Count one clause in (``times=-1`` takes it back out)."""
-        pinned = con.op != "<="
         mentions = self.mentions
-        for var, coeff in con.expr.coeffs:
-            if not isinstance(var, ObjT):
-                self.opaque += times
+        for var, _coeff in con.expr.coeffs:
             base = _base_of_var(var)
-            counts = mentions.get(base)
-            if counts is None:
-                counts = mentions[base] = [0, 0, 0]
-            counts[0 if coeff > 0 else 1] += times
-            if pinned:
-                counts[2] += times
-            if counts == [0, 0, 0]:
+            count = mentions.get(base, 0) + times
+            if count:
+                mentions[base] = count
+            else:
                 del mentions[base]
 
 
@@ -150,15 +128,14 @@ class ClauseSummary:
 class WriteSummary:
     """Static summary of one execution path's write set.
 
-    ``bases`` is always exact (every write's array base).  ``ground``
-    is the full set of written object names when *every* write target
-    is ground, else ``None``.  ``const_deltas`` maps each written
-    reference (pretty-printed term) to its constant delta when every
-    write has the form ``x = read(x) + c``, else ``None``.
+    ``bases`` is always exact (every write's array base).
+    ``const_deltas`` maps each written reference (pretty-printed term)
+    to its constant delta when every write has the form ``x = read(x)
+    + c``, else ``None`` -- what the classifier's ``SYNC`` verdict
+    reads.
     """
 
     bases: frozenset[str]
-    ground: frozenset[str] | None
     const_deltas: tuple[tuple[str, int], ...] | None
 
     @property
@@ -178,38 +155,27 @@ class WriteSummary:
 def summarize_writes(residual: Com) -> WriteSummary:
     """Summarize the writes of one straight-line residual."""
     bases: set[str] = set()
-    ground: set[str] | None = set()
     deltas: list[tuple[str, int]] | None = []
     for node in walk_commands(residual):
         if not isinstance(node, Write):
             continue
         ref = node.ref
-        target = ref_to_term(ref)
         if isinstance(ref, GroundRef):
             bases.add(base_of_name(ref.name))
         else:
             assert isinstance(ref, ArrayRef)
             bases.add(ref.base)
-        if isinstance(target, ObjT):
-            if ground is not None:
-                ground.add(target.name)
-        else:
-            ground = None  # parameterized target: names unknown statically
         if deltas is not None:
+            target = ref_to_term(ref)
             delta = _const_delta(target, node)
             if delta is None:
                 deltas = None
             else:
-                deltas.append((_ref_key(target), delta))
+                deltas.append((target.pretty(), delta))
     return WriteSummary(
         bases=frozenset(bases),
-        ground=frozenset(ground) if ground is not None else None,
         const_deltas=tuple(deltas) if deltas is not None else None,
     )
-
-
-def _ref_key(target: Term) -> str:
-    return target.pretty()
 
 
 def _const_delta(target: Term, write: Write) -> int | None:
@@ -233,114 +199,70 @@ class PathCheck:
     tx_name: str
     row_index: int
     kind: str  # one of CHECK_KINDS
-    clause_indices: tuple[int, ...]  # into the treaty's constraint list
     reason: str
 
     @property
     def bypasses_check(self) -> bool:
-        return self.kind in ("free", "free-absorb")
+        return self.kind == "free"
 
     def encode(self) -> list[object]:
-        """Compact JSON-ready form (for the treaty WAL record)."""
-        return [self.row_index, self.kind, list(self.clause_indices), self.reason]
+        """Compact JSON-ready form (for the treaty WAL record).  The
+        third slot is reserved and written empty: the record layout is
+        fixed, because every site's WAL bytes are a cross-commit
+        oracle."""
+        return [self.row_index, self.kind, [], self.reason]
 
 
 def decode_path_check(tx_name: str, payload: Iterable[Any]) -> PathCheck:
-    row_index, kind, indices, reason = payload
+    row_index, kind, _indices, reason = payload
     return PathCheck(
         tx_name=tx_name,
         row_index=int(row_index),
         kind=str(kind),
-        clause_indices=tuple(int(i) for i in indices),
         reason=str(reason),
     )
 
 
 def classify_path(
-    summary: WriteSummary,
-    constraints: Sequence[LinearConstraint],
+    writes: WriteSummary,
+    treaty_bases: AbstractSet[str],
     tx_name: str,
     row_index: int,
-    clauses: ClauseSummary | None = None,
 ) -> PathCheck:
-    """Select the cheapest sound check kind for one path's writes.
-
-    ``clauses`` is the summary of ``constraints`` when the caller
-    already holds it (an install classifies every path against one).
-    """
-    if clauses is None:
-        clauses = ClauseSummary.of(constraints)
-    if summary.read_only:
-        return PathCheck(tx_name, row_index, "free", (), "read-only")
-    if clauses.mentions.keys().isdisjoint(summary.bases):
-        return PathCheck(tx_name, row_index, "free", (), "untouched-invariants")
-    if _monotone_safe(summary, clauses):
-        return PathCheck(tx_name, row_index, "free-absorb", (), "monotone-safe")
-    if summary.ground is not None:
-        # Clause indices are positions in the installed list, so this
-        # is the one classification that reads the clauses themselves.
-        indices = tuple(
-            i
-            for i, con in enumerate(constraints)
-            if any(
-                isinstance(var, ObjT) and var.name in summary.ground
-                for var in con.variables()
-            )
-        )
-        return PathCheck(tx_name, row_index, "partition", indices, "ground-writes")
-    return PathCheck(tx_name, row_index, "full", (), "parameterized-writes")
-
-
-def _monotone_safe(summary: WriteSummary, clauses: ClauseSummary) -> bool:
-    """True when every write is a constant delta that cannot move any
-    touching ``<=``-clause toward its bound, and no pin is touched."""
-    by_base = summary.delta_by_base()
-    if not by_base or set(by_base) != set(summary.bases):
-        return False
-    if clauses.opaque:
-        return False  # template var: cannot reason statically
-    for base, deltas in by_base.items():
-        counts = clauses.mentions.get(base)
-        if counts is None:
-            continue
-        positive, negative, pinned = counts
-        if pinned:
-            return False  # equality pin on a written base
-        for delta in deltas:
-            if (delta > 0 and positive) or (delta < 0 and negative):
-                return False
-    return True
+    """The check kind for one path's writes: ``free`` unless it writes
+    one of ``treaty_bases``, the array bases some clause mentions."""
+    if writes.read_only:
+        return PathCheck(tx_name, row_index, "free", "read-only")
+    if treaty_bases.isdisjoint(writes.bases):
+        return PathCheck(tx_name, row_index, "free", "untouched-invariants")
+    return PathCheck(tx_name, row_index, "full", _FULL_REASON)
 
 
 def build_path_checks(
     catalog: "StoredProcedureCatalog", treaty: "LocalTreaty | None"
 ) -> dict[str, tuple[PathCheck, ...]]:
-    """Partition every registered stored procedure's paths against the
+    """Classify every registered stored procedure's paths against the
     installed local treaty, from scratch.
 
     With no treaty installed every path is trivially free.
     """
     constraints = treaty.constraints if treaty is not None else ()
-    return patch_path_checks(
-        catalog, constraints, ClauseSummary.of(constraints), {}, None
-    )
+    return patch_path_checks(catalog, ClauseSummary.of(constraints), {}, None)
 
 
 def patch_path_checks(
     catalog: "StoredProcedureCatalog",
-    constraints: Sequence[LinearConstraint],
     clauses: ClauseSummary,
     installed: Mapping[str, tuple[PathCheck, ...]],
     touched: AbstractSet[str] | None,
 ) -> dict[str, tuple[PathCheck, ...]]:
-    """The path-check table for ``constraints`` (summarized by
-    ``clauses``), given the table ``installed`` before the clause set
+    """The path-check table for the clause set summarized by
+    ``clauses``, given the table ``installed`` before the clause set
     changed on the array bases ``touched`` (``None``: assume every
     base changed).
 
     A path keeps its installed check unless it writes a touched base
-    -- nothing else a classification reads moved -- or holds a
-    ``partition`` check, whose clause indices are positional.
+    -- nothing else a classification reads moved.
     """
     out: dict[str, tuple[PathCheck, ...]] = {}
     for tx_name, procedures in catalog.procedures.items():
@@ -351,11 +273,10 @@ def patch_path_checks(
             if (
                 check is None
                 or touched is None
-                or check.kind == "partition"
                 or not touched.isdisjoint(proc.writes.bases)
             ):
                 check = classify_path(
-                    proc.writes, constraints, tx_name, proc.row_index, clauses
+                    proc.writes, clauses.mentions.keys(), tx_name, proc.row_index
                 )
             checks.append(check)
         out[tx_name] = tuple(checks)

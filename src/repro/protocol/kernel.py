@@ -458,11 +458,6 @@ class HomeostasisCluster:
                         treaty=treaty,
                     )
                 )
-        for sid in sorted(participants):
-            # Observability mirror of each participant's static-tier
-            # partition (built inside install_treaty either way --
-            # direct install or shipped).
-            table.record_paths(sid, self.sites[sid].path_checks)
         if self.validate:
             self.generator.assert_matches_scratch(table)
             # The global treaty is never weakened: every install --
@@ -1352,15 +1347,14 @@ class HomeostasisCluster:
             )
 
     def precompile_checks(self) -> int:
-        """Warm every compiled hot-path check; returns closures warmed.
+        """Warm every site's compiled treaty check and per-object
+        clause index; returns the number of sites warmed.
 
         Guards compile at catalog registration and treaty checks
         compile lazily on first use; the simulator calls this up front
         so no measured transaction pays the one-time lowering cost.
         """
         warmed = 0
-        if self.treaty_table is not None:
-            warmed += self.treaty_table.precompile()
         for server in self.sites.values():
             if server.local_treaty is not None:
                 server.local_treaty.compiled_check()
@@ -1401,10 +1395,10 @@ class HomeostasisCluster:
         """Cluster-wide static-tier (path-check) statistics.
 
         ``free_ratio`` is the fraction of treaty-bearing executions
-        that bypassed the check entirely (``free`` + monotone-safe
-        ``absorbed`` paths); ``checks_per_commit`` is the mean number
-        of treaty clauses left in scope per execution -- the quantity
-        path-sensitivity shrinks and the benchmark gates.  Both are
+        that bypassed the check entirely (``free`` paths);
+        ``checks_per_commit`` is the mean number of treaty clauses left
+        in scope per execution -- the whole treaty for a ``full`` check,
+        none for a ``free`` one -- which the benchmark gates.  Both are
         deterministic under a fixed seed.
         """
         totals: dict[str, int] = {}
@@ -1412,10 +1406,11 @@ class HomeostasisCluster:
             for key, value in server.check_stats.items():
                 totals[key] = totals.get(key, 0) + value
         checked = totals.get("checked", 0)
-        bypassed = totals.get("free", 0) + totals.get("absorbed", 0)
         return {
             **totals,
-            "free_ratio": round(bypassed / checked, 5) if checked else 0.0,
+            "free_ratio": (
+                round(totals.get("free", 0) / checked, 5) if checked else 0.0
+            ),
             "checks_per_commit": (
                 round(totals.get("clauses_in_scope", 0) / checked, 5)
                 if checked

@@ -13,22 +13,20 @@ the stored procedure whose guard matches, run it inside a storage
 transaction, check the local treaty before commit, and either commit
 (returning the log) or abort and report the treaty violation.
 
-The treaty check itself is tiered.  A **static tier** runs first: at
-install time the site partitions every stored procedure's execution
+The treaty check has three arms.  A **static tier** runs first: at
+install time the site classifies every stored procedure's execution
 paths against the new treaty (:mod:`repro.analysis.pathsplit`), so a
-commit on a path whose writes provably cannot move any clause
-(``free`` / ``free-absorb``) skips the check -- and the write-delta
-computation -- outright, and a path with a statically known ground
-write set (``partition``) checks one precompiled clause subset.
-Everything else lands on the dynamic tiers: treaties whose clauses
-are all linear ``<=``-bounds are lowered at install time into
-**escrow headroom counters** (:mod:`repro.treaty.escrow`): the commit
-check becomes counter subtractions driven by the undo journal's write
-deltas, with batched window settlement.  The rest -- and every commit
-in ``validate_escrow`` mode, which runs the bypassed tiers next to
-the full check and asserts agreement -- goes through the
-compiled-closure check
-(:meth:`~repro.treaty.table.LocalTreaty.violations_after_writes`).
+commit on a path that writes no array base any clause mentions
+(``free``) skips the check -- and the write-delta computation --
+outright.  Every other path is ``full`` and lands on one of the two
+dynamic arms: treaties whose clauses are all linear ``<=``-bounds are
+lowered at install time into **escrow headroom counters**
+(:mod:`repro.treaty.escrow`): the commit check becomes counter
+subtractions driven by the undo journal's write deltas, with batched
+window settlement.  The rest goes through the compiled-closure check
+(:meth:`~repro.treaty.table.LocalTreaty.violations_after_writes`),
+which ``validate_escrow`` mode also runs beside each of the other two
+arms as their oracle, raising on any disagreement.
 
 An install is a **clause delta**: the site diffs the incoming local
 treaty against the installed one (by clause identity -- consecutive
@@ -56,6 +54,7 @@ from typing import Callable, Mapping
 
 from repro.analysis.classify import PathCheckDivergence
 from repro.analysis.pathsplit import (
+    CHECK_KINDS,
     ClauseSummary,
     PathCheck,
     build_path_checks,
@@ -95,24 +94,8 @@ from repro.storage.wal import (
 from repro.treaty.escrow import EscrowAccount, EscrowDivergence
 from repro.treaty.table import InstallDivergence, LocalTreaty
 
-#: static-tier check kinds -> their counter names in ``check_stats``
-_KIND_COUNTER = {
-    "free": "free",
-    "free-absorb": "absorbed",
-    "partition": "partition",
-    "full": "full",
-}
-
-
 def _fresh_check_stats() -> dict[str, int]:
-    return {
-        "free": 0,
-        "absorbed": 0,
-        "partition": 0,
-        "full": 0,
-        "checked": 0,
-        "clauses_in_scope": 0,
-    }
+    return dict.fromkeys((*CHECK_KINDS, "checked", "clauses_in_scope"), 0)
 
 
 def clause_slack(con: LinearConstraint, getobj: Callable[[str], int]) -> int:
@@ -194,8 +177,9 @@ class SiteServer:
     #: to the compiled path (the eligibility ratio the benchmark gates)
     escrow_installs: int = 0
     escrow_ineligible_installs: int = 0
-    #: per-(tx, path) treaty-check partition of the installed treaty
-    #: (the static tier; rebuilt on every install, cleared on crash)
+    #: per-(tx, path) check kind under the installed treaty, in row
+    #: order (the static tier; patched on every install, cleared on
+    #: crash)
     path_checks: dict[str, tuple[PathCheck, ...]] = field(default_factory=dict)
     #: static-tier accounting: which check kind each treaty-bearing
     #: execution landed on, plus the number of treaty clauses left in
@@ -270,14 +254,8 @@ class SiteServer:
             summary.add(con)
         # The static tier.  Deterministic given (catalog, treaty), so
         # the WAL record doubles as a recovery cross-check.
-        touched = (
-            clause_bases(added + removed)
-            if installed and not (summary.opaque or base.summary.opaque)
-            else None
-        )
-        paths = patch_path_checks(
-            self.catalog, treaty.constraints, summary, self.path_checks, touched
-        )
+        touched = clause_bases(added + removed) if installed else None
+        paths = patch_path_checks(self.catalog, summary, self.path_checks, touched)
         if log:
             record = {"kind": "treaty_install", "round": round_number}
             record.update(encode_local_treaty(treaty, headroom, paths))
@@ -375,8 +353,8 @@ class SiteServer:
             return -1
         treaty, headroom = decode_local_treaty(record)
         self.local_treaty = treaty
-        # The path partition is re-derived, not restored: it is a pure
-        # function of (catalog, treaty), and re-deriving keeps it
+        # The path checks are re-derived, not restored: they are a pure
+        # function of (catalog, treaty), and re-deriving keeps them
         # consistent with the code actually running after a restart.
         # Validate mode cross-checks the re-derivation against what was
         # recorded at install time.
@@ -385,7 +363,7 @@ class SiteServer:
             recorded = decode_recorded_paths(record)
             if recorded is not None and recorded != self.path_checks:
                 raise PathCheckDivergence(
-                    f"site {self.site_id}: replayed path partition does not "
+                    f"site {self.site_id}: replayed path checks do not "
                     "match the install-time record"
                 )
         # The recorded snapshot, not a recomputation: slack already
@@ -540,15 +518,14 @@ class SiteServer:
             self._assert_writes_local(txn.written, tx_name)
             if self.local_treaty is not None:
                 treaty = self.local_treaty
-                check = self._path_check(tx_name, proc.row_index)
-                kind = check.kind if check is not None else "full"
+                # One check per row, in row order; a procedure registered
+                # after the install has none yet and takes the full check.
+                checks = self.path_checks.get(tx_name)
+                kind = checks[proc.row_index].kind if checks is not None else "full"
                 stats = self.check_stats
                 stats["checked"] += 1
-                stats[_KIND_COUNTER[kind]] += 1
-                if kind == "partition":
-                    assert check is not None
-                    stats["clauses_in_scope"] += len(check.clause_indices)
-                elif kind == "full":
+                stats[kind] += 1
+                if kind == "full":
                     stats["clauses_in_scope"] += len(treaty.constraints)
                 escrow = self.escrow
                 if kind == "free":
@@ -601,14 +578,6 @@ class SiteServer:
                         if viol_idx is not None
                         else frozenset()
                     )
-                    if kind == "free-absorb" and viol_idx is not None:
-                        # Monotone-safe deltas cannot consume slack;
-                        # the account must have absorbed them.
-                        raise PathCheckDivergence(
-                            f"site {self.site_id}, {tx_name} path "
-                            f"{proc.row_index}: monotone-safe path "
-                            f"rejected by escrow ({sorted(violated)})"
-                        )
                     if self.validate_escrow:
                         oracle = treaty.violations_after_writes(
                             getobj, txn.written
@@ -618,40 +587,6 @@ class SiteServer:
                                 f"site {self.site_id}, {tx_name}: escrow says "
                                 f"{sorted(violated)}, compiled oracle says "
                                 f"{sorted(oracle)} (deltas {deltas})"
-                            )
-                elif kind == "free-absorb":
-                    # Compiled mode: the verdict is static (every
-                    # write moves its clauses away from their bounds),
-                    # so the judgment is skipped outright.
-                    violated = frozenset()
-                    if self.validate_escrow:
-                        oracle = treaty.violations_after_writes(
-                            getobj, txn.written
-                        )
-                        if oracle:
-                            raise PathCheckDivergence(
-                                f"site {self.site_id}, {tx_name} path "
-                                f"{proc.row_index}: monotone-safe bypass "
-                                f"but full check violates {sorted(oracle)}"
-                            )
-                elif kind == "partition":
-                    assert check is not None
-                    subset_ok = treaty.subset_check(check.clause_indices)(getobj)
-                    violated = (
-                        frozenset()
-                        if subset_ok
-                        else treaty.violations_after_writes(getobj, txn.written)
-                    )
-                    if self.validate_escrow:
-                        oracle = treaty.violations_after_writes(
-                            getobj, txn.written
-                        )
-                        if subset_ok != (not oracle):
-                            raise PathCheckDivergence(
-                                f"site {self.site_id}, {tx_name} path "
-                                f"{proc.row_index}: subset check says "
-                                f"{'ok' if subset_ok else 'violated'}, full "
-                                f"check says {sorted(oracle)}"
                             )
                 else:
                     violated = treaty.violations_after_writes(
@@ -681,18 +616,6 @@ class SiteServer:
             if txn.active:
                 txn.abort()
             raise
-
-    def _path_check(self, tx_name: str, row_index: int | None) -> PathCheck | None:
-        """The installed static-tier check for one dispatched path
-        (None when the procedure was registered after the install --
-        the caller falls back to the full dynamic check)."""
-        checks = self.path_checks.get(tx_name)
-        if checks is None or row_index is None:
-            return None
-        for check in checks:
-            if check.row_index == row_index:
-                return check
-        return None
 
     def _assert_writes_local(self, written: set[str], tx_name: str) -> None:
         foreign = sorted(name for name in written if not self.owns(name))

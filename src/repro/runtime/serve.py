@@ -20,8 +20,12 @@ request ``t``   fields                                   response ``t``
                                                          and exits
 ==============  =======================================  ==============================
 
-Malformed frames get an ``{"t": "error"}`` reply and the connection
-is closed (a framing error leaves no boundary to resynchronize on).
+Malformed frames and requests (an unknown ``t``, a ``params`` value
+that is not an integer) get an ``{"t": "error"}`` reply and the
+connection is closed (a framing error leaves no boundary to
+resynchronize on).  So does a request the kernel fails on: the
+traceback is logged, that one connection ends, the listener and every
+other connection keep serving.
 Each connection is one asyncio task; submissions from concurrent
 clients interleave at the kernel driver, which serializes them --
 clients contend for the protocol, not for locks.
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import logging
 import sys
 from typing import Any
 
@@ -49,6 +54,24 @@ from repro.runtime.codec import (
 
 #: Workload names ``--workload`` accepts.
 WORKLOADS = ("micro", "geo", "tpcc")
+
+log = logging.getLogger(__name__)
+
+
+def _int_params(params: Any) -> dict[str, int]:
+    """A submit request's ``params``, checked: transactions take
+    integers, and what arrives here is whatever a client sent."""
+    if params is None:
+        return {}
+    if not isinstance(params, dict):
+        raise CodecError("submit 'params' must be an object")
+    for key, value in params.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise CodecError(
+                f"submit param {key!r} must be an integer, got "
+                f"{type(value).__name__}"
+            )
+    return params
 
 
 def _build_host(
@@ -102,28 +125,29 @@ class _Server:
         self.connections += 1
         try:
             while not self.shutdown.is_set():
+                request: dict[str, Any] = {}
                 try:
                     frame = await read_frame(reader)
-                except CodecError as exc:
-                    writer.write(
-                        encode_payload({"t": "error", "reason": str(exc)})
-                    )
-                    await writer.drain()
-                    break
-                if frame is None:  # client hung up cleanly
-                    break
-                try:
+                    if frame is None:  # client hung up cleanly
+                        break
                     request = decode_payload(frame)
-                    reply = await self.dispatch(request)
+                    try:
+                        reply = await self.dispatch(request)
+                    except CodecError:
+                        raise
+                    except Exception as exc:
+                        # The kernel's failure, not the client's: keep
+                        # the listener up, tell this client, move on.
+                        log.exception("request %r failed", request)
+                        reply = {
+                            "t": "error",
+                            "reason": f"internal error: {type(exc).__name__}",
+                        }
                 except CodecError as exc:
-                    writer.write(
-                        encode_payload({"t": "error", "reason": str(exc)})
-                    )
-                    await writer.drain()
-                    break
+                    reply = {"t": "error", "reason": str(exc)}
                 writer.write(encode_payload(reply))
                 await writer.drain()
-                if reply.get("t") == "ok" and request.get("t") == "shutdown":
+                if reply["t"] == "error" or request.get("t") == "shutdown":
                     break
         finally:
             writer.close()
@@ -143,12 +167,10 @@ class _Server:
             return await self.host.run_on_kernel(self.snapshot_stats)
         if kind == "submit":
             tx_name = request.get("tx")
-            params = request.get("params") or {}
-            if not isinstance(tx_name, str) or not isinstance(params, dict):
-                raise CodecError("submit needs 'tx' (str) and 'params' (object)")
-            return await self.host.run_on_kernel(
-                self.run_submit, tx_name, {str(k): int(v) for k, v in params.items()}
-            )
+            if not isinstance(tx_name, str):
+                raise CodecError("submit needs 'tx' (str)")
+            params = _int_params(request.get("params"))
+            return await self.host.run_on_kernel(self.run_submit, tx_name, params)
         raise CodecError(f"unknown request type {kind!r}")
 
     # -- kernel-thread bodies (run via run_on_kernel) ------------------------------

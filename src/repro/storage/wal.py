@@ -182,12 +182,10 @@ def encode_local_treaty(
     is derivable from the data, so the recovered counters equal a
     freshly lowered treaty's).
 
-    ``paths`` is the optional per-path check partition built at
-    install time (``tx name -> PathCheck tuples``): recovery re-derives
-    the partition from the replayed treaty and the catalog, and
-    validate mode cross-checks the re-derivation against this record
-    -- the clause indices are positional into ``clauses``, which is
-    why the partition travels with the treaty rather than separately.
+    ``paths`` is the optional per-path check table built at install
+    time (``tx name -> PathCheck tuples``): recovery re-derives the
+    table from the replayed treaty and the catalog, and validate mode
+    cross-checks the re-derivation against this record.
     """
     headroom = headroom or {}
     clauses = []
@@ -232,7 +230,7 @@ def decode_local_treaty(record: dict):
 
 
 def decode_recorded_paths(record: dict):
-    """The path-check partition recorded with a treaty install, or
+    """The path-check table recorded with a treaty install, or
     ``None`` for records written before the path dimension existed
     (the codec stays readable across that upgrade)."""
     payload = record.get("paths")

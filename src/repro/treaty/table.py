@@ -44,7 +44,6 @@ class LocalTreaty:
     _by_object: dict[str, list[tuple[LinearConstraint, ClauseCheck]]] | None = None
     _compiled: ClauseCheck | None = None
     _clause_checks_cache: list[tuple[LinearConstraint, ClauseCheck]] | None = None
-    _subset_checks: dict[tuple[int, ...], ClauseCheck] | None = None
 
     def compiled_check(self) -> ClauseCheck:
         """The whole-treaty check as one compiled closure (the
@@ -112,24 +111,6 @@ class LocalTreaty:
                         violated.add(var.name)
         return violated
 
-    def subset_check(self, indices: tuple[int, ...]) -> ClauseCheck:
-        """Compiled conjunction of the clauses at the given indices.
-
-        The path-sensitive tier precomputes, per stored-procedure
-        execution path, which clause indices the path's statically
-        known write set can touch; the per-commit check for such a
-        path is this one closure call instead of the per-object index
-        walk.  Compiled once per (treaty, index tuple) -- the
-        underlying :func:`compile_clauses` memoizes by constraint
-        tuple, so identical subsets across reinstalls share code."""
-        if self._subset_checks is None:
-            self._subset_checks = {}
-        check = self._subset_checks.get(indices)
-        if check is None:
-            check = compile_clauses(tuple(self.constraints[i] for i in indices))
-            self._subset_checks[indices] = check
-        return check
-
     def violated_clauses(self, getobj: Callable[[str], int]) -> list[LinearConstraint]:
         return [
             con for con, check in self._clause_checks() if not check(getobj)
@@ -161,15 +142,6 @@ class TreatyTable:
     #: enforces a clause mentioning it (handed over by the incremental
     #: assembly, else built on first use)
     _factor_sites: Mapping[str, AbstractSet[int]] | None = None
-    #: per-site compiled whole-treaty checks (the ``check_local`` fast
-    #: path); invalidated by :meth:`install_local`
-    _compiled_checks: dict[int, ClauseCheck] = field(default_factory=dict)
-    #: per-site path-check kinds, recorded at install time for
-    #: observability: site -> tx name -> one check kind per execution
-    #: path (row index order).  The authoritative partition lives on
-    #: each :class:`SiteServer`; this mirror is what ``pretty`` and the
-    #: classification tooling read without reaching into servers.
-    path_kinds: dict[int, dict[str, tuple[str, ...]]] = field(default_factory=dict)
 
     @classmethod
     def assemble(
@@ -197,42 +169,6 @@ class TreatyTable:
     def local_for(self, site: int) -> LocalTreaty:
         return self.locals[site]
 
-    def install_local(self, site: int, treaty: LocalTreaty) -> None:
-        """Replace one site's local treaty.
-
-        Drops the site's compiled check and the per-site factor index
-        so both are rebuilt from the new clauses on next use (the
-        compiled-check cache must never outlive the treaty it was
-        lowered from).
-        """
-        self.locals[site] = treaty
-        self._compiled_checks.pop(site, None)
-        self._factor_sites = None
-        self.path_kinds.pop(site, None)
-
-    def record_paths(self, site: int, paths) -> None:
-        """Mirror one site's installed path-check table (kinds only)."""
-        self.path_kinds[site] = {
-            tx: tuple(check.kind for check in checks)
-            for tx, checks in sorted(paths.items())
-        }
-
-    def precompile(self) -> int:
-        """Eagerly compile every site's check; returns the number of
-        sites warmed.  Normally compilation is lazy (first check after
-        an install); the simulator warms the cache up front so no
-        transaction pays the one-time lowering cost mid-run."""
-        for site in self.locals:
-            self._compiled_check(site)
-        return len(self.locals)
-
-    def _compiled_check(self, site: int) -> ClauseCheck:
-        check = self._compiled_checks.get(site)
-        if check is None:
-            check = self.locals[site].compiled_check()
-            self._compiled_checks[site] = check
-        return check
-
     def sites_for_objects(self, names) -> set[int]:
         """Sites whose installed local treaty has a clause over any of
         the given objects (the per-site factor index).
@@ -255,14 +191,6 @@ class TreatyTable:
             for name in local.objects():
                 index.setdefault(name, set()).add(site)
         return index
-
-    def check_local(self, site: int, getobj: Callable[[str], int]) -> bool:
-        """The per-commit check a stored procedure performs.
-
-        One compiled-closure call: the site's entire local treaty is
-        lowered to a single code object (cached per site, invalidated
-        on :meth:`install_local`)."""
-        return self._compiled_check(site)(getobj)
 
     def global_holds(self, getobj: Callable[[str], int]) -> bool:
         """Direct check of the global treaty (needs a global view;

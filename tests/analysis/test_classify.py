@@ -63,13 +63,12 @@ class TestClassifyRow:
         check_witness(path, DRAIN, constraints)
 
     def test_monotone_safe_is_free_absorb(self):
+        # (Named for the kind such a path once got.)  A delta moving
+        # away from its bound still writes a treaty base: TREATY.
         constraints = (_le({"x": 1}, 10),)
         path, check = classify_row(DRAIN, constraints, "D", 0)
-        assert path.verdict == "FREE"
-        assert path.reason == "monotone-safe"
-        assert check.kind == "free-absorb"
-        witness = path.witness_dict()
-        assert witness["touching"] == [(0, "x", 1, -1)]
+        assert path.verdict == "TREATY"
+        assert check.kind == "full"
         check_witness(path, DRAIN, constraints)
 
     def test_constant_write_into_pin_is_sync(self):
@@ -78,8 +77,8 @@ class TestClassifyRow:
         assert path.verdict == "SYNC"
         assert path.reason == "breaks-pin"
         assert path.witness_dict()["pins"] == [(0, "x", 1)]
-        # The runtime check still partitions; SYNC is the *verdict*.
-        assert check.kind == "partition"
+        # The runtime check is the full one; SYNC is the *verdict*.
+        assert check.kind == "full"
         check_witness(path, BUMP, constraints)
 
     def test_parameterized_writes_are_treaty(self):
@@ -90,11 +89,12 @@ class TestClassifyRow:
         check_witness(path, PARAM, constraints)
 
     def test_partitioned_treaty_witness(self):
+        # A ground write into one of two clauses' bases.
         constraints = (_le({"x": -1}, -1), _le({"y": 1}, 5))
         path, check = classify_row(DRAIN, constraints, "D", 0)
         assert path.verdict == "TREATY"
-        assert check.kind == "partition"
-        assert path.witness_dict()["clause_indices"] == [0]
+        assert check.kind == "full"
+        assert path.witness_dict() == {"write_bases": ["x"]}
         check_witness(path, DRAIN, constraints)
 
     def test_verdict_vocabulary(self):
@@ -160,23 +160,6 @@ class TestWitnessTampering:
         with pytest.raises(ClassificationError):
             check_witness(forged, DRAIN, constraints)
 
-    def test_monotone_witness_checks_clause_direction(self):
-        constraints = (_le({"x": 1}, 10),)
-        path, _ = classify_row(DRAIN, constraints, "D", 0)
-        # Claim the delta moved toward the bound: must be rejected.
-        forged = dataclasses.replace(
-            path,
-            witness=(("deltas", [("x", -1)]), ("touching", [(0, "x", 1, 1)])),
-        )
-        with pytest.raises(ClassificationError):
-            check_witness(forged, DRAIN, constraints)
-
-    def test_monotone_witness_rejects_pin_clause(self):
-        constraints = (_pin("x", 5),)
-        path, _ = classify_row(DRAIN, (_le({"x": 1}, 10),), "D", 0)
-        with pytest.raises(ClassificationError):
-            check_witness(path, DRAIN, constraints)
-
     def test_sync_witness_needs_pins(self):
         constraints = (_pin("x", 5),)
         path, _ = classify_row(BUMP, constraints, "B", 0)
@@ -197,12 +180,6 @@ class TestWitnessTampering:
         forged = dataclasses.replace(path, witness=(("pins", [(1, "z", 1)]),))
         with pytest.raises(ClassificationError):
             check_witness(forged, BUMP, constraints)
-
-    def test_partition_witness_needs_ground_writes(self):
-        constraints = (_le({"qty[0]": -1}, -1),)
-        path, _ = classify_row(DRAIN, (_le({"x": -1}, -1),), "D", 0)
-        with pytest.raises(ClassificationError):
-            check_witness(path, PARAM, constraints)
 
     def test_unknown_verdict_rejected(self):
         constraints = (_le({"x": 1}, 10),)

@@ -1,9 +1,15 @@
-"""Tests for per-path write summaries and treaty-check partitioning."""
+"""Tests for per-path write summaries and the static check tier.
+
+Several cases keep the name they had when the tier had two finer kinds
+(``free-absorb``, ``partition``): the input is what the name describes,
+the assertion is what such a path gets today -- the ``full`` check.
+"""
 
 import pytest
 
 from repro.analysis.pathsplit import (
     CHECK_KINDS,
+    PathCheck,
     base_of_name,
     build_path_checks,
     classify_path,
@@ -16,7 +22,7 @@ from repro.analysis.pathsplit import (
 from repro.analysis.symbolic import build_symbolic_table
 from repro.lang.parser import parse_transaction
 from repro.logic.linear import LinearConstraint, LinearExpr
-from repro.logic.terms import ObjT
+from repro.logic.terms import ObjT, parse_ground_name
 from repro.protocol.catalog import StoredProcedureCatalog
 from repro.treaty.table import LocalTreaty
 
@@ -80,35 +86,31 @@ class TestSummarizeWrites:
         summary = _only_summary(READ_ONLY_SRC)
         assert summary.read_only
         assert summary.bases == frozenset()
-        assert summary.ground == frozenset()
         assert summary.const_deltas == ()
 
     def test_scalar_const_delta(self):
         summary = _only_summary(DRAIN_SRC)
         assert summary.bases == frozenset({"x"})
-        assert summary.ground == frozenset({"x"})
         assert summary.const_deltas == (("x", -1),)
         assert summary.delta_by_base() == {"x": [-1]}
 
     def test_non_constant_delta(self):
         summary = _only_summary(DOUBLE_SRC)
         assert summary.bases == frozenset({"x"})
-        assert summary.ground == frozenset({"x"})
         assert summary.const_deltas is None
         assert summary.delta_by_base() == {}
 
     def test_parameterized_target_is_not_ground(self):
         summary = _only_summary(PARAM_SRC)
         assert summary.bases == frozenset({"qty"})
-        assert summary.ground is None
+        ((target, delta),) = summary.const_deltas
+        assert parse_ground_name(target) is None and delta == -1
 
     def test_ground_array_cell(self):
         summary = _only_summary(GROUND_CELL_SRC)
         assert summary.bases == frozenset({"qty"})
-        assert summary.ground is not None
-        (name,) = summary.ground
-        assert base_of_name(name) == "qty"
-        assert summary.const_deltas == ((name, -1),)
+        ((name, delta),) = summary.const_deltas
+        assert parse_ground_name(name) == ("qty", (0,)) and delta == -1
 
 
 class TestClausebases:
@@ -117,71 +119,68 @@ class TestClausebases:
         assert clause_bases(cons) == frozenset({"x", "qty"})
 
 
+def _classify(summary, constraints, tx_name):
+    return classify_path(summary, clause_bases(constraints), tx_name, 0)
+
+
 class TestClassifyPath:
     def test_read_only_is_free(self):
         summary = _only_summary(READ_ONLY_SRC)
-        check = classify_path(summary, (_le({"x": 1}, 10),), "Probe", 0)
+        check = _classify(summary, (_le({"x": 1}, 10),), "Probe")
         assert check.kind == "free"
         assert check.reason == "read-only"
         assert check.bypasses_check
-        assert check.clause_indices == ()
 
     def test_disjoint_bases_are_free(self):
         summary = _only_summary(DRAIN_SRC)
-        check = classify_path(summary, (_le({"y": 1}, 10),), "Drain", 0)
+        check = _classify(summary, (_le({"y": 1}, 10),), "Drain")
         assert check.kind == "free"
         assert check.reason == "untouched-invariants"
         assert check.bypasses_check
 
     def test_monotone_safe_delta_absorbs(self):
-        # x <= 10 with delta -1: the write moves away from the bound.
+        # x <= 10 with delta -1: the write moves away from the bound,
+        # but it writes a treaty base, so it is checked like any other.
         summary = _only_summary(DRAIN_SRC)
-        check = classify_path(summary, (_le({"x": 1}, 10),), "Drain", 0)
-        assert check.kind == "free-absorb"
-        assert check.reason == "monotone-safe"
-        assert check.bypasses_check
+        check = _classify(summary, (_le({"x": 1}, 10),), "Drain")
+        assert check.kind == "full"
+        assert not check.bypasses_check
 
     def test_unsafe_delta_partitions(self):
-        # x >= 1 normalizes to -x <= -1: delta -1 moves toward the bound,
-        # so the ground write set compiles to a clause-index subset.
+        # x >= 1 normalizes to -x <= -1: delta -1 moves toward the bound.
         constraints = (_le({"x": -1}, -1), _le({"y": 1}, 5))
         summary = _only_summary(DRAIN_SRC)
-        check = classify_path(summary, constraints, "Drain", 0)
-        assert check.kind == "partition"
-        assert check.clause_indices == (0,)
+        check = _classify(summary, constraints, "Drain")
+        assert check.kind == "full"
         assert not check.bypasses_check
 
     def test_partition_selects_every_touching_clause(self):
+        # A non-constant delta on a ground scalar two clauses mention.
         constraints = (
             _le({"x": -1}, -1),
             _le({"y": 1}, 5),
             _le({"x": 1, "y": 1}, 20),
         )
         summary = _only_summary(DOUBLE_SRC)
-        check = classify_path(summary, constraints, "Double", 0)
-        assert check.kind == "partition"
-        assert check.clause_indices == (0, 2)
+        assert _classify(summary, constraints, "Double").kind == "full"
 
     def test_pin_on_written_base_blocks_absorb(self):
         summary = _only_summary(DRAIN_SRC)
-        check = classify_path(summary, (_pin("x", 5),), "Drain", 0)
-        assert check.kind == "partition"
-        assert check.clause_indices == (0,)
+        assert _classify(summary, (_pin("x", 5),), "Drain").kind == "full"
 
     def test_parameterized_writes_fall_back_to_full(self):
         summary = _only_summary(PARAM_SRC)
         constraints = (_le({"qty[0]": -1}, -1),)
-        check = classify_path(summary, constraints, "BuyP", 0)
+        check = _classify(summary, constraints, "BuyP")
         assert check.kind == "full"
         assert check.reason == "parameterized-writes"
 
     def test_ground_cell_partitions_against_cell_clauses(self):
+        # The base decides, not the cell: qty[9]'s clause is enough.
         summary = _only_summary(GROUND_CELL_SRC)
-        (name,) = summary.ground
-        constraints = (_le({name: -1}, -1), _le({"qty[9]": -1}, -1))
-        check = classify_path(summary, constraints, "Tap", 0)
-        assert check.kind == "partition"
-        assert check.clause_indices == (0,)
+        check = _classify(summary, (_le({"qty[9]": -1}, -1),), "Tap")
+        assert check.kind == "full"
+        assert _classify(summary, (_le({"x": -1}, -1),), "Tap").kind == "free"
 
 
 class TestBuildAndCodec:
@@ -201,7 +200,7 @@ class TestBuildAndCodec:
         treaty = LocalTreaty(site=0, constraints=[_le({"x": -1}, -1)])
         paths = build_path_checks(self._catalog(), treaty)
         (drain,) = paths["Drain"]
-        assert drain.kind == "partition"
+        assert drain.kind == "full"
         (probe,) = paths["Probe"]
         assert probe.kind == "free"
 
@@ -212,11 +211,11 @@ class TestBuildAndCodec:
         assert decode_path_checks(payload) == paths
 
     def test_decode_single_check(self):
-        check = decode_path_check("T", [2, "partition", [0, 3], "ground-writes"])
-        assert check.tx_name == "T"
-        assert check.row_index == 2
-        assert check.kind == "partition"
-        assert check.clause_indices == (0, 3)
+        # The third slot is reserved (always written empty, ignored on
+        # read): the WAL record layout is fixed.
+        check = decode_path_check("T", [2, "full", [0, 3], "parameterized-writes"])
+        assert check == PathCheck("T", 2, "full", "parameterized-writes")
+        assert check.encode() == [2, "full", [], "parameterized-writes"]
 
     def test_kind_vocabulary_is_closed(self):
         treaty = LocalTreaty(site=0, constraints=[_le({"x": -1}, -1)])
@@ -240,7 +239,7 @@ class TestBranchedProcedure:
         kinds = {check.row_index: check.kind for check in checks}
         # The increment path moves x toward its bound; the print path
         # writes nothing at all.
-        assert sorted(kinds.values()) == ["free", "partition"]
+        assert sorted(kinds.values()) == ["free", "full"]
 
 
 @pytest.mark.parametrize(

@@ -168,38 +168,31 @@ def le_clause(name: str, bound: int) -> LinearConstraint:
 
 
 class TestCacheInvalidation:
-    def make_table(self) -> TreatyTable:
+    def make_table(self, name: str = "x", bound: int = 5) -> TreatyTable:
         return TreatyTable(
             global_treaty=None,
             templates=None,
             configuration=None,
-            locals={0: LocalTreaty(site=0, constraints=[le_clause("x", 5)])},
+            locals={0: LocalTreaty(site=0, constraints=[le_clause(name, bound)])},
         )
 
-    def test_check_local_recompiled_after_replace(self):
-        table = self.make_table()
-        getobj = {"x": 3}.__getitem__
-        assert table.check_local(0, getobj) is True
-        cached = table._compiled_checks[0]
-        table.install_local(0, LocalTreaty(site=0, constraints=[le_clause("x", 2)]))
-        assert 0 not in table._compiled_checks
-        # The tighter replacement treaty governs the next check.
-        assert table.check_local(0, getobj) is False
-        assert table._compiled_checks[0] is not cached
-
     def test_factor_index_rebuilt_after_replace(self):
+        # A round replaces the table; nothing edits a local inside one.
         table = self.make_table()
         assert table.sites_for_objects(["x"]) == {0}
         assert table.sites_for_objects(["y"]) == set()
-        table.install_local(0, LocalTreaty(site=0, constraints=[le_clause("y", 9)]))
-        assert table.sites_for_objects(["x"]) == set()
-        assert table.sites_for_objects(["y"]) == {0}
+        replaced = self.make_table("y", 9)
+        assert replaced.sites_for_objects(["x"]) == set()
+        assert replaced.sites_for_objects(["y"]) == {0}
 
     def test_precompile_warms_every_site(self):
-        table = self.make_table()
-        table.locals[1] = LocalTreaty(site=1, constraints=[le_clause("y", 1)])
-        assert table.precompile() == 2
-        assert set(table._compiled_checks) == {0, 1}
+        from repro.workloads.micro import MicroWorkload
+
+        cluster = MicroWorkload(num_items=2, refill=5).build_homeostasis()
+        treaties = [server.local_treaty for server in cluster.sites.values()]
+        assert all(t._compiled is None and t._by_object is None for t in treaties)
+        assert cluster.precompile_checks() == len(treaties) == 2
+        assert not any(t._compiled is None or t._by_object is None for t in treaties)
 
     def test_local_treaty_compiled_check_is_cached(self):
         treaty = LocalTreaty(site=0, constraints=[le_clause("x", 5)])

@@ -1,12 +1,16 @@
 """Runtime tests for the path-sensitive treaty-check tier.
 
-Covers the per-site check-kind counters, the partitioned subset check
-against the full oracle, the WAL round-trip of the path table, the
-cluster-level classifier statistics, and -- as the property-level
-safety net -- a Hypothesis differential oracle: random micro runs in
-validate mode, where every bypassed or partitioned check is executed
+Covers the per-site check-kind counters, the full check on a
+ground-write catalog against the oracle, the WAL round-trip of the path
+table, the cluster-level classifier statistics, and -- as the
+property-level safety net -- a Hypothesis differential oracle: random
+micro runs in validate mode, where every bypassed check is executed
 next to the full treaty check and any disagreement raises
 :class:`PathCheckDivergence`.
+
+Some cases keep the name they had when the tier had two finer kinds
+(``free-absorb``, ``partition``); they feed the same input and assert
+what such a path gets today, the ``full`` check.
 """
 
 import random
@@ -86,20 +90,20 @@ class TestCheckStatsCounters:
         server.engine.poke("x", 3)
         assert server.execute("Drain").committed
         stats = server.check_stats
-        assert stats["absorbed"] == 1
-        assert stats["clauses_in_scope"] == 0
+        assert stats["full"] == 1
+        assert stats["clauses_in_scope"] == 1
 
     def test_partition_counts_clauses_in_scope(self):
-        # x >= 1 plus an unrelated clause: the drain path's subset
-        # check covers exactly one of the two installed clauses.
+        # x >= 1 plus an unrelated clause: the scope reported is the
+        # installed treaty (the dynamic check narrows it per object).
         server = _server(
             DRAIN_SRC, constraints=[_le({"x": -1}, -1), _le({"y": 1}, 10)]
         )
         server.engine.poke("x", 5)
         assert server.execute("Drain").committed
         stats = server.check_stats
-        assert stats["partition"] == 1
-        assert stats["clauses_in_scope"] == 1
+        assert stats["full"] == 1
+        assert stats["clauses_in_scope"] == 2
 
     def test_full_counts_whole_treaty(self):
         server = _server(
@@ -123,16 +127,13 @@ class TestCheckStatsCounters:
             server.execute("Probe")
         stats = server.check_stats
         assert stats["checked"] == 8
-        assert (
-            stats["free"] + stats["absorbed"] + stats["partition"] + stats["full"]
-            == stats["checked"]
-        )
+        assert stats["free"] == stats["full"] == 4
 
 
 class TestPartitionAgainstOracle:
     def _compiled_server(self, constraints):
         """A server forced onto the compiled (non-escrow) check path,
-        so the partitioned subset check itself is what runs."""
+        so the closure arm of the full check is what runs."""
         server = _server(DRAIN_SRC, constraints=constraints)
         server.escrow = None
         return server
@@ -147,21 +148,24 @@ class TestPartitionAgainstOracle:
         assert result.violated_objects == frozenset({"x"})
 
     def test_partition_agrees_with_full_check_in_validate_mode(self):
-        # validate_escrow is on: any subset/full disagreement would
-        # raise PathCheckDivergence out of execute().
-        server = self._compiled_server([_le({"x": -1}, -1), _le({"y": 1}, 5)])
+        # validate_escrow is on and the escrow arm runs: any
+        # disagreement with the compiled oracle raises out of execute().
+        server = _server(DRAIN_SRC, constraints=[_le({"x": -1}, -1), _le({"y": 1}, 5)])
+        assert server.escrow is not None
         server.engine.poke("x", 6)
-        for _ in range(6):
-            server.execute("Drain")
-        assert server.check_stats["partition"] == 6
+        verdicts = [server.execute("Drain").committed for _ in range(6)]
+        assert verdicts == [True] * 5 + [False]
+        assert server.check_stats["full"] == 6
 
     def test_unrelated_clause_violation_is_not_blamed(self):
-        # The subset check must not charge the drain path for the
-        # y-clause; with y already past its bound before the commit,
-        # H2 is broken for y, but the drain's own subset still holds.
-        server = _server(DRAIN_SRC, constraints=[_le({"x": -1}, -1)])
+        # The check must not charge the drain path for the y-clause:
+        # with y already past its bound before the commit, H2 is broken
+        # for y, but every clause over what the drain wrote still holds.
+        server = self._compiled_server([_le({"x": -1}, -1), _le({"y": 1}, 5)])
         server.engine.poke("x", 4)
-        assert server.execute("Drain").committed
+        server.engine.poke("y", 9)
+        result = server.execute("Drain")
+        assert result.committed and not result.violated_objects
 
 
 class TestWalPathRecords:
@@ -218,10 +222,7 @@ class TestClusterClassifier:
         _, cluster = self._run(audit_fraction=0.5)
         stats = cluster.classifier_stats()
         assert stats["checked"] > 0
-        assert (
-            stats["free"] + stats["absorbed"] + stats["partition"] + stats["full"]
-            == stats["checked"]
-        )
+        assert stats["free"] + stats["full"] == stats["checked"]
         assert 0.0 < stats["free_ratio"] <= 1.0
         assert stats["checks_per_commit"] >= 0.0
 
@@ -231,10 +232,10 @@ class TestClusterClassifier:
 
 
 class TestDifferentialOracle:
-    """Random micro runs in validate mode: every FREE bypass,
-    monotone-safe skip and partitioned subset check is executed next
-    to the full treaty check inside ``SiteServer.execute`` and any
-    disagreement raises ``PathCheckDivergence``.  The property also
+    """Random micro runs in validate mode: every FREE bypass is
+    executed next to the full treaty check inside
+    ``SiteServer.execute`` and any disagreement raises
+    ``PathCheckDivergence``.  The property also
     pins validate mode as observationally silent: the final database
     matches a plain (non-validating) run of the same request stream.
     """

@@ -82,6 +82,38 @@ class TestServe:
             with pytest.raises(ServeError):
                 client.request({"t": "bogus-kind"})
 
+    @pytest.mark.parametrize(
+        "params, complaint",
+        [
+            ({"item": "x"}, "'item' must be an integer, got str"),
+            ({"item": {"nested": 1}}, "'item' must be an integer, got dict"),
+            ({"item": None}, "'item' must be an integer, got NoneType"),
+            ({"item": True}, "'item' must be an integer, got bool"),
+        ],
+    )
+    def test_non_integer_param_is_refused_by_name(self, server, params, complaint):
+        host, port = server
+        with ServeClient(host, port) as client:
+            with pytest.raises(ServeError, match=complaint):
+                client.request({"t": "submit", "tx": "Buy@s0", "params": params})
+        # Only that connection ended; the next one is served.
+        with ServeClient(host, port) as client:
+            assert client.submit("Buy@s0", {"item": 1})["status"] == "committed"
+
+    def test_kernel_exception_is_one_error_frame(self, server):
+        # Well-typed but missing the parameter the transaction reads:
+        # the failure is the kernel's (a KeyError inside execute).
+        host, port = server
+        with ServeClient(host, port) as client:
+            with pytest.raises(ServeError, match="internal error: KeyError"):
+                client.submit("Buy@s0", {})
+            # One error frame, then the server closed this connection.
+            with pytest.raises((ServeError, OSError)):
+                client.ping()
+        with ServeClient(host, port) as client:
+            assert client.ping()
+            assert client.submit("Buy@s0", {"item": 2})["status"] == "committed"
+
     def test_concurrent_connections(self, server):
         host, port = server
         statuses, errors = [], []

@@ -8,8 +8,7 @@ SYNC) and the per-path check kinds the path-sensitive tier selects at
 dispatch time.  The table is *generated from the live classifier* over
 deterministically built clusters, so it doubles as a regression
 surface: a change that silently downgrades Payment from FREE to
-TREATY, or widens a partitioned Delivery check back to the whole
-treaty, shows up as a diff here before it shows up as a benchmark
+TREATY shows up as a diff here before it shows up as a benchmark
 regression.
 
 Usage::
@@ -43,18 +42,16 @@ proves about each bundled workload's stored procedures, per site,
 under the treaties the deterministic seed installs.  Verdicts:
 
 - **FREE** -- every path bypasses the treaty check entirely (machine-
-  checked witness: the path's writes cannot move any treaty clause,
-  or only move them away from their bounds).
+  checked witness: the path writes no array base any treaty clause
+  mentions).
 - **PATH_SENSITIVE** -- some paths are FREE, the rest need a check;
   the dispatch-time path split prices each path separately.
-- **TREATY** -- every path needs a treaty check (possibly a
-  partitioned one touching only the clauses its writes can move).
+- **TREATY** -- every path needs the treaty check.
 - **SYNC** -- some path provably breaks a pinned value every time it
   runs; no treaty can license it locally.
 
 `paths` lists the per-path check kind the path-sensitive tier selects
-(`free` / `free-absorb` / `partition:k` over k clauses / `full`), in
-symbolic-table row order.
+(`free` / `full`), in symbolic-table row order.
 """
 
 
@@ -82,12 +79,6 @@ WORKLOADS = {
 }
 
 
-def _path_label(check) -> str:
-    if check.kind == "partition":
-        return f"partition:{len(check.clause_indices)}"
-    return check.kind
-
-
 def render() -> str:
     sections = [HEADER]
     for title, build in WORKLOADS.items():
@@ -104,7 +95,7 @@ def render() -> str:
             for tx_name in sorted(verdicts):
                 classification = verdicts[tx_name]
                 checks = server.path_checks.get(tx_name, ())
-                paths = ", ".join(_path_label(c) for c in checks) or "-"
+                paths = ", ".join(c.kind for c in checks) or "-"
                 sections.append(
                     f"| s{sid} | `{tx_name}` | "
                     f"{classification.verdict} | {paths} |"
