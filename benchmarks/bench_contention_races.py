@@ -7,7 +7,7 @@ resolves the races: contenders exchange Vote/VoteReply messages, one
 wins per conflict group, losers re-run after the winner's treaty
 installs -- so the lost-vote queueing (``wait_ms``) and the aborted
 attempt counts come from actual elections, not from the per-key
-negotiation gates the per-transaction driver approximates with.
+negotiation gate that queues racing violators when ``window_ms == 0``.
 
 The second table shows the geo-partitioned deployment: replication
 groups (0,1) and (2,3) violate in the same windows, their conflict

@@ -548,7 +548,7 @@ SCENARIOS = {
 
 
 def run_scenario(name: str, check_microbench: dict | None = None) -> dict:
-    """Run one scenario end to end and return its schema-1 record.
+    """Run one scenario end to end and return its schema-3 record.
 
     The treaty-check microbenchmark is scenario-independent; callers
     running several scenarios should measure it once and pass it in

@@ -15,7 +15,7 @@ The package implements the paper's full pipeline from scratch:
 - :mod:`repro.treaty` -- treaty templates, Theorem 4.3 / equal-split
   / Algorithm 1 configurations, treaty tables;
 - :mod:`repro.storage` -- the per-site transactional engine (strict
-  2PL, undo log, relational veneer; the paper used MySQL);
+  2PL, undo log; the paper used MySQL);
 - :mod:`repro.protocol` -- the homeostasis protocol kernel, the
   Appendix B remote-write transform, and the LOCAL / 2PC baselines;
 - :mod:`repro.runtime` -- the asyncio runtime: sites as tasks,

@@ -110,9 +110,6 @@ class NegotiationSpec:
     #: acceptor-set size (2F+1; co-located on the first ``acceptors``
     #: participant sites, clamped to the participant count)
     acceptors: int = 3
-    #: the decision driver's patience per acceptor exchange, priced by
-    #: the simulator as part of the quorum round
-    quorum_timeout_ms: float = 1_000.0
     #: credit accrued per lost election under ``policy="credit"``
     credit_unit: int = 1
     #: accrual ceiling -- the budget that bounds how far a streak of
@@ -129,8 +126,6 @@ class NegotiationSpec:
             raise ValueError(
                 f"acceptors must be odd and positive (2F+1), got {self.acceptors}"
             )
-        if self.quorum_timeout_ms <= 0:
-            raise ValueError("quorum_timeout_ms must be positive")
         if self.credit_unit < 1:
             raise ValueError("credit_unit must be at least 1")
         if self.credit_cap < self.credit_unit:

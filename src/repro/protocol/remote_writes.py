@@ -76,7 +76,8 @@ class ReplicationSpec:
     ``bases`` maps a scalar object name or an array base to the tuple
     of sites holding write deltas.  ``home`` places the base copy
     (it never changes after initialization, since every write goes to
-    a delta).
+    a delta); a ``home`` entry for a base that is *not* replicated
+    places that plain local array (TPC-C's per-site order counters).
     """
 
     bases: dict[str, tuple[int, ...]] = field(default_factory=dict)
@@ -114,7 +115,7 @@ class ReplicationSpec:
                 return int(site)
         if base in self.bases:
             return self.home.get(base, self.bases[base][0])
-        return None
+        return self.home.get(base)
 
 
 def _delta_ref(ref: ObjRef, site: int) -> ObjRef:

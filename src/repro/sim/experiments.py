@@ -1,7 +1,11 @@
 """Prepackaged experiment runners used by the benchmark suite.
 
-Each function builds the workload, the kernel cluster for the chosen
-mode, and runs the simulator, returning a :class:`SimResult`.
+Every public ``run_*`` function is "construct the workload, name the
+network, delegate": :func:`_run` holds the one mode -> cluster switch,
+the one :class:`SimConfig` literal and the one :func:`simulate` call,
+and every workload's ``next_request`` already returns what the
+simulator reads, so no experiment carries its own adapter.  Each
+returns a :class:`SimResult`.
 
 Scale note (documented in EXPERIMENTS.md): the paper's runs use
 10,000 items / 100,000 stock rows and 300-500 s measurement windows
@@ -16,14 +20,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from typing import Iterable
 
 from repro.protocol.homeostasis import AdaptiveSettings
+from repro.protocol.kernel import HomeostasisCluster
 from repro.protocol.paxos_commit import NegotiationSpec
 from repro.sim.metrics import SimResult
-from repro.treaty.optimize import demand_split
 from repro.sim.network import rtt_matrix_for
-from repro.sim.runner import FaultEvent, SimConfig, SimRequest, simulate
+from repro.sim.runner import FaultEvent, SimConfig, simulate
+from repro.treaty.optimize import demand_split
 from repro.workloads.banking import BankingWorkload
+from repro.workloads.common import ReplicatedWorkloadBase
 from repro.workloads.flashsale import FlashSaleWorkload
 from repro.workloads.geo import GeoMicroWorkload
 from repro.workloads.micro import MicroWorkload
@@ -42,23 +49,131 @@ def solver_time_model(lookahead: int, cost_factor: int = 3) -> float:
     return 2.0 + 0.5 * lookahead * max(cost_factor, 1) / 3.0
 
 
-_STRATEGY_FOR_MODE = {"homeo": "optimized", "opt": "equal-split"}
+#: experiment mode -> (simulator mode, treaty strategy, watermark
+#: refresh on?).  A ``None`` strategy is a baseline cluster.  The last
+#: two are the adaptive-reallocation experiments' pair: the
+#: demand-weighted strategy plus the proactive refresh, against the
+#: equal-split (demarcation OPT) allocation frozen between violations.
+_MODES = {
+    "homeo": ("homeo", "optimized", False),
+    "opt": ("opt", "equal-split", False),
+    "2pc": ("2pc", None, False),
+    "local": ("local", None, False),
+    "adaptive": ("homeo", "demand", True),
+    "static": ("opt", "equal-split", False),
+}
+_EXECUTION_MODES = ("homeo", "opt", "2pc", "local")
+_PROTOCOL_MODES = ("homeo", "opt")
+_ALLOCATION_MODES = ("adaptive", "static")
 
 
-def build_micro_cluster(workload: MicroWorkload, mode: str, lookahead: int,
-                        cost_factor: int, seed: int):
-    if mode in _STRATEGY_FOR_MODE:
-        return workload.build_homeostasis(
-            strategy=_STRATEGY_FOR_MODE[mode],
+def _run(
+    experiment: str,
+    modes: tuple[str, ...],
+    mode: str,
+    workload: ReplicatedWorkloadBase,
+    network: dict,
+    clients_per_replica: int | tuple[int, ...],
+    max_txns: int,
+    seed: int,
+    config_overrides: dict | None,
+    *,
+    strategy: str | None = None,
+    lookahead: int = 20,
+    cost_factor: int = 3,
+    watermark: float | None = None,
+    negotiation: NegotiationSpec | None = None,
+    validate: bool = False,
+    **timing,
+) -> SimResult:
+    """Build ``workload``'s cluster for ``mode`` and simulate it.
+
+    ``modes`` are the modes ``experiment`` supports; ``strategy``
+    overrides a protocol mode's treaty strategy; ``network`` and
+    ``timing`` are :class:`SimConfig` fields (RTTs and cores; window,
+    duration, faults).  Solver time is charged exactly when the
+    strategy runs the solver -- ``optimized``; equal-split and the
+    demand configuration are closed-form.
+    """
+    if mode not in modes:
+        raise ValueError(f"{experiment} modes: {'/'.join(modes)}, not {mode!r}")
+    sim_mode, default_strategy, refresh = _MODES[mode]
+    if default_strategy is None:
+        strategy = None
+        cluster = workload.build_2pc() if sim_mode == "2pc" else workload.build_local()
+    else:
+        strategy = strategy or default_strategy
+        cluster = workload.build_homeostasis(
+            strategy=strategy,
             lookahead=lookahead,
             cost_factor=cost_factor,
             seed=seed,
+            validate=validate,
+            adaptive=AdaptiveSettings(watermark=watermark) if refresh else None,
+            negotiation=negotiation,
         )
-    if mode == "2pc":
-        return workload.build_2pc()
-    if mode == "local":
-        return workload.build_local()
-    raise ValueError(f"unknown mode {mode!r}")
+    solver_ms = (
+        solver_time_model(lookahead, cost_factor) if strategy == "optimized" else 0.0
+    )
+    config = SimConfig(
+        mode=sim_mode,
+        num_replicas=len(workload.sites),
+        clients_per_replica=clients_per_replica,
+        solver_ms=solver_ms,
+        max_txns=max_txns,
+        seed=seed,
+        **network,
+        **timing,
+    )
+    if config_overrides:
+        config = replace(config, **config_overrides)
+    return simulate(
+        config, cluster, lambda rng, replica: workload.next_request(rng, site=replica)
+    )
+
+
+def _steady_micro(
+    num_items: int, refill: int, num_replicas: int, seed: int, **kw
+) -> MicroWorkload:
+    """The microbenchmark with stock drawn at random, so measurements
+    start at steady state."""
+    return MicroWorkload(
+        num_items=num_items,
+        refill=refill,
+        num_sites=num_replicas,
+        initial_qty="random",
+        init_seed=seed + 1,
+        **kw,
+    )
+
+
+def _micro_or_tpcc(
+    experiment: str,
+    workload: str,
+    num_items: int,
+    refill: int,
+    num_replicas: int,
+    seed: int,
+    **tpcc,
+) -> tuple[ReplicatedWorkloadBase, dict]:
+    """(workload, network) of the two-workload experiments: the Section
+    6.1 microbenchmark on a uniform 100 ms network, or the Section 6.2
+    TPC-C subset on Table 1 RTTs with c3.4xlarge cores."""
+    if workload == "micro":
+        return _steady_micro(num_items, refill, num_replicas, seed), {"rtt_ms": 100.0}
+    if workload == "tpcc":
+        return (
+            TpccWorkload(
+                num_warehouses=2,
+                num_districts=2,
+                items_per_district=num_items,
+                num_sites=num_replicas,
+                hotness=10,
+                **tpcc,
+            ),
+            {"rtt_matrix": rtt_matrix_for(num_replicas), "cores_per_replica": 16},
+        )
+    raise ValueError(f"{experiment} workloads: micro/tpcc, not {workload!r}")
 
 
 def run_micro(
@@ -82,34 +197,27 @@ def run_micro(
     traffic class the coordination-freedom classifier proves FREE, so
     it pays no treaty-check service component.
     """
-    workload = MicroWorkload(
-        num_items=num_items,
-        refill=refill,
-        num_sites=num_replicas,
+    workload = _steady_micro(
+        num_items,
+        refill,
+        num_replicas,
+        seed,
         items_per_txn=items_per_txn,
-        initial_qty="random",  # start at steady state
-        init_seed=seed + 1,
         audit_fraction=audit_fraction,
     )
-    cluster = build_micro_cluster(workload, mode, lookahead, cost_factor, seed)
-
-    def request_fn(rng, replica: int) -> SimRequest:
-        req = workload.next_request(rng, site=replica)
-        family = req.tx_name.rsplit("@s", 1)[0]
-        return SimRequest(req.tx_name, req.params, req.items, family=family)
-
-    config = SimConfig(
-        mode=mode,
-        num_replicas=num_replicas,
-        clients_per_replica=clients_per_replica,
-        rtt_ms=rtt_ms,
-        solver_ms=solver_time_model(lookahead, cost_factor) if mode == "homeo" else 0.0,
-        max_txns=max_txns,
-        seed=seed,
+    return _run(
+        "micro",
+        _EXECUTION_MODES,
+        mode,
+        workload,
+        {"rtt_ms": rtt_ms},
+        clients_per_replica,
+        max_txns,
+        seed,
+        config_overrides,
+        lookahead=lookahead,
+        cost_factor=cost_factor,
     )
-    if config_overrides:
-        config = replace(config, **config_overrides)
-    return simulate(config, cluster, request_fn)
 
 
 def run_geo(
@@ -132,8 +240,6 @@ def run_geo(
     one from the slowest RTT edge *inside the violating group* -- the
     scenario the flat ``2 * max_rtt`` model could not express.
     """
-    if mode not in _STRATEGY_FOR_MODE:
-        raise ValueError(f"geo benchmark supports homeo/opt, not {mode!r}")
     workload = GeoMicroWorkload(
         groups=groups,
         num_sites=num_replicas,
@@ -142,31 +248,19 @@ def run_geo(
         initial_qty="random",  # start at steady state
         init_seed=seed + 1,
     )
-    cluster = workload.build_homeostasis(
-        strategy=_STRATEGY_FOR_MODE[mode],
+    return _run(
+        "geo",
+        _PROTOCOL_MODES,
+        mode,
+        workload,
+        {"rtt_matrix": rtt_matrix_for(num_replicas)},
+        clients_per_replica,
+        max_txns,
+        seed,
+        config_overrides,
         lookahead=lookahead,
         cost_factor=cost_factor,
-        seed=seed,
     )
-
-    def request_fn(rng, replica: int) -> SimRequest:
-        req = workload.next_request(rng, site=replica)
-        return SimRequest(
-            req.tx_name, req.params, req.items, family=f"Buy{req.group}"
-        )
-
-    config = SimConfig(
-        mode=mode,
-        num_replicas=num_replicas,
-        clients_per_replica=clients_per_replica,
-        rtt_matrix=rtt_matrix_for(num_replicas),
-        solver_ms=solver_time_model(lookahead, cost_factor) if mode == "homeo" else 0.0,
-        max_txns=max_txns,
-        seed=seed,
-    )
-    if config_overrides:
-        config = replace(config, **config_overrides)
-    return simulate(config, cluster, request_fn)
 
 
 def run_contention(
@@ -207,9 +301,7 @@ def run_contention(
     scoped round trip) and ``policy="credit"`` turns on the budgeted
     priority credit; ``SimResult.fairness`` then reports the ledger.
     """
-    if mode not in _STRATEGY_FOR_MODE:
-        raise ValueError(f"contention experiment supports homeo/opt, not {mode!r}")
-    strategy = _STRATEGY_FOR_MODE[mode]
+    workload: ReplicatedWorkloadBase
     if groups is not None:
         workload = GeoMicroWorkload(
             groups=groups,
@@ -219,55 +311,31 @@ def run_contention(
             initial_qty="random",  # start at steady state
             init_seed=seed + 1,
         )
-        cluster = workload.build_homeostasis(
-            strategy=strategy, lookahead=lookahead, cost_factor=cost_factor,
-            seed=seed, negotiation=negotiation,
-        )
-        network = {"rtt_matrix": rtt_matrix_for(num_replicas)}
-
-        def request_fn(rng, replica: int) -> SimRequest:
-            req = workload.next_request(rng, site=replica)
-            return SimRequest(
-                req.tx_name, req.params, req.items, family=f"Buy{req.group}"
-            )
-
+        network: dict = {"rtt_matrix": rtt_matrix_for(num_replicas)}
     else:
-        workload = MicroWorkload(
-            num_items=num_items,
-            refill=refill,
-            num_sites=num_replicas,
-            initial_qty="random",
-            init_seed=seed + 1,
-        )
-        cluster = workload.build_homeostasis(
-            strategy=strategy, lookahead=lookahead, cost_factor=cost_factor,
-            seed=seed, negotiation=negotiation,
-        )
+        workload = _steady_micro(num_items, refill, num_replicas, seed)
         network = {"rtt_ms": rtt_ms}
-
-        def request_fn(rng, replica: int) -> SimRequest:
-            req = workload.next_request(rng, site=replica)
-            return SimRequest(req.tx_name, req.params, req.items, family="Buy")
-
     clients: int | tuple[int, ...] = clients_per_replica
     if skew > 0.0:
         clients = skewed_client_counts(
             clients_per_replica * num_replicas,
             zipf_weights(num_replicas, skew),
         )
-    config = SimConfig(
-        mode=mode,
-        num_replicas=num_replicas,
-        clients_per_replica=clients,
+    return _run(
+        "contention",
+        _PROTOCOL_MODES,
+        mode,
+        workload,
+        network,
+        clients,
+        max_txns,
+        seed,
+        config_overrides,
+        lookahead=lookahead,
+        cost_factor=cost_factor,
+        negotiation=negotiation,
         window_ms=window_ms,
-        solver_ms=solver_time_model(lookahead, cost_factor) if mode == "homeo" else 0.0,
-        max_txns=max_txns,
-        seed=seed,
-        **network,
     )
-    if config_overrides:
-        config = replace(config, **config_overrides)
-    return simulate(config, cluster, request_fn)
 
 
 def zipf_weights(n: int, skew: float) -> list[float]:
@@ -294,13 +362,6 @@ def skewed_client_counts(
     if total_clients < n:
         raise ValueError(f"need at least {n} clients for {n} replicas")
     return tuple(1 + s for s in demand_split(total_clients - n, weights, 0))
-
-
-#: adaptive-experiment kernel modes -> (treaty strategy, refresh on?)
-_ADAPTIVE_MODES = {
-    "adaptive": ("demand", True),
-    "static": ("equal-split", False),
-}
 
 
 def run_adaptive_skew(
@@ -339,69 +400,32 @@ def run_adaptive_skew(
     ``SimResult.rebalances`` for the adaptive mode's refresh rounds,
     reported separately so the win cannot come from relabelling).
     """
-    if mode not in _ADAPTIVE_MODES:
-        raise ValueError(f"adaptive skew experiment modes: adaptive/static, not {mode!r}")
-    strategy, refresh = _ADAPTIVE_MODES[mode]
-    adaptive = AdaptiveSettings(watermark=watermark) if refresh else None
-    clients = skewed_client_counts(total_clients, zipf_weights(num_replicas, skew))
-
-    if workload == "micro":
-        micro = MicroWorkload(
-            num_items=num_items,
-            refill=refill,
-            num_sites=num_replicas,
-            initial_qty="random",  # start at steady state
-            init_seed=seed + 1,
-        )
-        cluster = micro.build_homeostasis(
-            strategy=strategy, adaptive=adaptive, validate=validate, seed=seed
-        )
-
-        def request_fn(rng, replica: int) -> SimRequest:
-            req = micro.next_request(rng, site=replica)
-            return SimRequest(req.tx_name, req.params, req.items, family="Buy")
-
-        network = {"rtt_ms": 100.0, "cores_per_replica": 32}
-    elif workload == "tpcc":
-        tpcc = TpccWorkload(
-            num_warehouses=2,
-            num_districts=2,
-            items_per_district=num_items,
-            num_sites=num_replicas,
-            hotness=10,
-            # Scarce stock makes allocation the binding constraint:
-            # with the TPC-C default of 100 the per-site splits are so
-            # generous that even a frozen equal split never violates
-            # at this scale, and there is nothing to reallocate.
-            initial_stock=initial_stock,
-        )
-        cluster = tpcc.build_homeostasis(
-            strategy=strategy, adaptive=adaptive, validate=validate, seed=seed
-        )
-
-        def request_fn(rng, replica: int) -> SimRequest:
-            req = tpcc.next_request(rng, site=replica)
-            return SimRequest(req.tx_name, req.params, req.hot_key, family=req.family)
-
-        network = {
-            "rtt_matrix": rtt_matrix_for(num_replicas),
-            "cores_per_replica": 16,
-        }
-    else:
-        raise ValueError(f"adaptive skew experiment workloads: micro/tpcc, not {workload!r}")
-
-    config = SimConfig(
-        mode="homeo" if mode == "adaptive" else "opt",
-        num_replicas=num_replicas,
-        clients_per_replica=clients,
-        solver_ms=0.0,
-        max_txns=max_txns,
-        seed=seed,
-        **network,
+    # Scarce TPC-C stock makes allocation the binding constraint: with
+    # the default of 100 the per-site splits are so generous that even
+    # a frozen equal split never violates at this scale, and there is
+    # nothing to reallocate.
+    built, network = _micro_or_tpcc(
+        "adaptive skew",
+        workload,
+        num_items,
+        refill,
+        num_replicas,
+        seed,
+        initial_stock=initial_stock,
     )
-    if config_overrides:
-        config = replace(config, **config_overrides)
-    return simulate(config, cluster, request_fn)
+    return _run(
+        "adaptive skew",
+        _ALLOCATION_MODES,
+        mode,
+        built,
+        network,
+        skewed_client_counts(total_clients, zipf_weights(num_replicas, skew)),
+        max_txns,
+        seed,
+        config_overrides,
+        watermark=watermark,
+        validate=validate,
+    )
 
 
 def run_faults(
@@ -455,71 +479,24 @@ def run_faults(
         fault_events.append(
             FaultEvent(at_ms=start + outage_ms, action="recover", site=crash_site)
         )
-    fault_events = tuple(fault_events)
-    if workload == "micro":
-        micro = MicroWorkload(
-            num_items=num_items,
-            refill=refill,
-            num_sites=num_replicas,
-            initial_qty="random",  # start at steady state
-            init_seed=seed + 1,
-        )
-        if mode == "homeo":
-            cluster = micro.build_homeostasis(
-                strategy="equal-split", validate=validate, seed=seed
-            )
-        elif mode == "2pc":
-            cluster = micro.build_2pc()
-        else:
-            raise ValueError(f"fault experiment modes: homeo/2pc, not {mode!r}")
-
-        def request_fn(rng, replica: int) -> SimRequest:
-            req = micro.next_request(rng, site=replica)
-            return SimRequest(req.tx_name, req.params, req.items, family="Buy")
-
-        network = {"rtt_ms": 100.0}
-    elif workload == "tpcc":
-        tpcc = TpccWorkload(
-            num_warehouses=2,
-            num_districts=2,
-            items_per_district=num_items,
-            num_sites=num_replicas,
-            hotness=10,
-        )
-        if mode == "homeo":
-            cluster = tpcc.build_homeostasis(
-                strategy="equal-split", validate=validate, seed=seed
-            )
-        elif mode == "2pc":
-            cluster = tpcc.build_2pc()
-        else:
-            raise ValueError(f"fault experiment modes: homeo/2pc, not {mode!r}")
-
-        def request_fn(rng, replica: int) -> SimRequest:
-            req = tpcc.next_request(rng, site=replica)
-            return SimRequest(req.tx_name, req.params, req.hot_key, family=req.family)
-
-        network = {
-            "rtt_matrix": rtt_matrix_for(num_replicas),
-            "cores_per_replica": 16,
-        }
-    else:
-        raise ValueError(f"fault experiment workloads: micro/tpcc, not {workload!r}")
-
-    config = SimConfig(
-        mode="homeo" if mode == "homeo" else "2pc",
-        num_replicas=num_replicas,
-        clients_per_replica=clients_per_replica,
-        solver_ms=0.0,
-        duration_ms=duration_ms,
-        max_txns=max_txns,
-        fault_events=fault_events,
-        seed=seed,
-        **network,
+    built, network = _micro_or_tpcc(
+        "fault", workload, num_items, refill, num_replicas, seed
     )
-    if config_overrides:
-        config = replace(config, **config_overrides)
-    return simulate(config, cluster, request_fn)
+    return _run(
+        "fault",
+        ("homeo", "2pc"),
+        mode,
+        built,
+        network,
+        clients_per_replica,
+        max_txns,
+        seed,
+        config_overrides,
+        strategy="equal-split",
+        validate=validate,
+        duration_ms=duration_ms,
+        fault_events=tuple(fault_events),
+    )
 
 
 def run_winner_crash(
@@ -605,22 +582,6 @@ def run_winner_crash(
     return survivor_done
 
 
-def build_tpcc_cluster(workload: TpccWorkload, mode: str, lookahead: int,
-                       cost_factor: int, seed: int):
-    if mode in _STRATEGY_FOR_MODE:
-        return workload.build_homeostasis(
-            strategy=_STRATEGY_FOR_MODE[mode],
-            lookahead=lookahead,
-            cost_factor=cost_factor,
-            seed=seed,
-        )
-    if mode == "2pc":
-        return workload.build_2pc()
-    if mode == "local":
-        return workload.build_local()
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def run_tpcc(
     mode: str,
     hotness: int = 10,
@@ -645,49 +606,23 @@ def run_tpcc(
         hotness=hotness,
         mix=mix,
     )
-    cluster = build_tpcc_cluster(workload, mode, lookahead, cost_factor, seed)
-
-    def request_fn(rng, replica: int) -> SimRequest:
-        req = workload.next_request(rng, site=replica)
-        return SimRequest(req.tx_name, req.params, req.hot_key, family=req.family)
-
-    config = SimConfig(
-        mode=mode,
-        num_replicas=num_replicas,
-        clients_per_replica=clients_per_replica,
-        rtt_matrix=rtt_matrix_for(num_replicas),
-        cores_per_replica=16,  # c3.4xlarge
-        solver_ms=solver_time_model(lookahead, cost_factor) if mode == "homeo" else 0.0,
-        max_txns=max_txns,
-        seed=seed,
+    return _run(
+        "tpcc",
+        _EXECUTION_MODES,
+        mode,
+        workload,
+        # c3.4xlarge cores
+        {"rtt_matrix": rtt_matrix_for(num_replicas), "cores_per_replica": 16},
+        clients_per_replica,
+        max_txns,
+        seed,
+        config_overrides,
+        lookahead=lookahead,
+        cost_factor=cost_factor,
     )
-    if config_overrides:
-        config = replace(config, **config_overrides)
-    return simulate(config, cluster, request_fn)
 
 
 # -- scenario fleet ----------------------------------------------------------
-
-
-def _fleet_cluster(workload, mode: str, lookahead: int, cost_factor: int,
-                   seed: int, adaptive=None, negotiation=None,
-                   validate: bool = False):
-    """Cluster selection shared by the scenario-fleet runners."""
-    if mode in _STRATEGY_FOR_MODE:
-        return workload.build_homeostasis(
-            strategy=_STRATEGY_FOR_MODE[mode],
-            lookahead=lookahead,
-            cost_factor=cost_factor,
-            seed=seed,
-            adaptive=adaptive,
-            negotiation=negotiation,
-            validate=validate,
-        )
-    if mode == "2pc":
-        return workload.build_2pc()
-    if mode == "local":
-        return workload.build_local()
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def run_flashsale(
@@ -729,10 +664,6 @@ def run_flashsale(
     the starvation regime the credit ledger was built for, so
     ``SimResult.fairness`` is the quantity of interest there.
     """
-    if mode not in _ADAPTIVE_MODES:
-        raise ValueError(f"flash-sale experiment modes: adaptive/static, not {mode!r}")
-    strategy, refresh = _ADAPTIVE_MODES[mode]
-    adaptive = AdaptiveSettings(watermark=watermark) if refresh else None
     workload = FlashSaleWorkload(
         num_skus=num_skus,
         hot_stock=hot_stock,
@@ -743,31 +674,32 @@ def run_flashsale(
         peek_fraction=peek_fraction,
         init_seed=seed + 1,
     )
-    cluster = workload.build_homeostasis(
-        strategy=strategy,
-        adaptive=adaptive,
+    return _run(
+        "flash-sale",
+        _ALLOCATION_MODES,
+        mode,
+        workload,
+        {"rtt_ms": rtt_ms},
+        clients_per_replica,
+        max_txns,
+        seed,
+        config_overrides,
+        watermark=watermark,
         negotiation=negotiation,
         validate=validate,
-        seed=seed,
-    )
-
-    def request_fn(rng, replica: int) -> SimRequest:
-        req = workload.next_request(rng, site=replica)
-        return SimRequest(req.tx_name, req.params, req.items, family=req.family)
-
-    config = SimConfig(
-        mode="homeo" if mode == "adaptive" else "opt",
-        num_replicas=num_replicas,
-        clients_per_replica=clients_per_replica,
-        rtt_ms=rtt_ms,
         window_ms=window_ms,
-        solver_ms=0.0,
-        max_txns=max_txns,
-        seed=seed,
     )
-    if config_overrides:
-        config = replace(config, **config_overrides)
-    return simulate(config, cluster, request_fn)
+
+
+def _audit(
+    workload: ReplicatedWorkloadBase, stream: Iterable[tuple[str, dict[str, int]]]
+) -> HomeostasisCluster:
+    """Drive a validate-mode cluster (H1/H2 oracles on every install)
+    through ``stream`` and return it for the audit of its final state."""
+    cluster = workload.build_homeostasis(strategy="equal-split", validate=True)
+    for tx_name, params in stream:
+        cluster.submit(tx_name, params)
+    return cluster
 
 
 def run_flashsale_sellout(
@@ -796,10 +728,10 @@ def run_flashsale_sellout(
         restock_fraction=0.0,
         init_seed=seed + 1,
     )
-    cluster = workload.build_homeostasis(strategy="equal-split", validate=True)
-    for i in range(3 * hot_stock):
-        site = i % num_sites
-        cluster.submit(f"Checkout@s{site}", {"item": 0})
+    cluster = _audit(
+        workload,
+        ((f"Checkout@s{i % num_sites}", {"item": 0}) for i in range(3 * hot_stock)),
+    )
     levels = workload.stock_levels(cluster.global_state())
     return {
         "hot_stock": hot_stock,
@@ -847,30 +779,22 @@ def run_banking(
         hot_fraction=hot_fraction,
         init_seed=seed + 1,
     )
-    cluster = _fleet_cluster(
-        workload, mode, lookahead, cost_factor, seed,
-        negotiation=negotiation, validate=validate,
-    )
-
-    def request_fn(rng, replica: int) -> SimRequest:
-        req = workload.next_request(rng, site=replica)
-        return SimRequest(
-            req.tx_name, req.params, req.accounts, family=req.family
-        )
-
-    config = SimConfig(
-        mode=mode,
-        num_replicas=num_replicas,
-        clients_per_replica=clients_per_replica,
-        rtt_ms=rtt_ms,
+    return _run(
+        "banking",
+        _EXECUTION_MODES,
+        mode,
+        workload,
+        {"rtt_ms": rtt_ms},
+        clients_per_replica,
+        max_txns,
+        seed,
+        config_overrides,
+        lookahead=lookahead,
+        cost_factor=cost_factor,
+        negotiation=negotiation,
+        validate=validate,
         window_ms=window_ms,
-        solver_ms=solver_time_model(lookahead, cost_factor) if mode == "homeo" else 0.0,
-        max_txns=max_txns,
-        seed=seed,
     )
-    if config_overrides:
-        config = replace(config, **config_overrides)
-    return simulate(config, cluster, request_fn)
 
 
 def run_banking_conservation(
@@ -898,15 +822,11 @@ def run_banking_conservation(
         audit_fraction=0.05,
         init_seed=seed + 1,
     )
-    cluster = workload.build_homeostasis(strategy="equal-split", validate=True)
     rng = random.Random(seed)
-    deposited = 0
-    for _ in range(requests):
-        req = workload.next_request(rng)
-        cluster.submit(req.tx_name, req.params)
-        if req.family == "Deposit":
-            deposited += req.params["amount"]
+    stream = [workload.next_request(rng) for _ in range(requests)]
+    cluster = _audit(workload, ((r.tx_name, r.params) for r in stream))
     state = cluster.global_state()
+    deposited = sum(r.params["amount"] for r in stream if r.family == "Deposit")
     problems = workload.conservation_violations(state, deposited)
     balances = workload.balances(state)
     return {
@@ -955,30 +875,22 @@ def run_quota(
         hot_fraction=hot_fraction,
         init_seed=seed + 1,
     )
-    cluster = _fleet_cluster(
-        workload, mode, lookahead, cost_factor, seed,
-        negotiation=negotiation, validate=validate,
-    )
-
-    def request_fn(rng, replica: int) -> SimRequest:
-        req = workload.next_request(rng, site=replica)
-        return SimRequest(
-            req.tx_name, req.params, (req.tenant,), family=req.family
-        )
-
-    config = SimConfig(
-        mode=mode,
-        num_replicas=num_replicas,
-        clients_per_replica=clients_per_replica,
-        rtt_ms=rtt_ms,
+    return _run(
+        "quota",
+        _EXECUTION_MODES,
+        mode,
+        workload,
+        {"rtt_ms": rtt_ms},
+        clients_per_replica,
+        max_txns,
+        seed,
+        config_overrides,
+        lookahead=lookahead,
+        cost_factor=cost_factor,
+        negotiation=negotiation,
+        validate=validate,
         window_ms=window_ms,
-        solver_ms=solver_time_model(lookahead, cost_factor) if mode == "homeo" else 0.0,
-        max_txns=max_txns,
-        seed=seed,
     )
-    if config_overrides:
-        config = replace(config, **config_overrides)
-    return simulate(config, cluster, request_fn)
 
 
 def run_quota_saturation(
@@ -1006,13 +918,12 @@ def run_quota_saturation(
         hot_fraction=0.9,
         init_seed=seed + 1,
     )
-    cluster = workload.build_homeostasis(strategy="equal-split", validate=True)
     rng = random.Random(seed)
-    for _ in range(requests):
-        req = workload.next_request(rng)
-        cluster.submit(req.tx_name, req.params)
-    levels = workload.usage_levels(cluster.global_state())
-    overruns = workload.overruns(cluster.global_state())
+    stream = (workload.next_request(rng) for _ in range(requests))
+    cluster = _audit(workload, ((r.tx_name, r.params) for r in stream))
+    state = cluster.global_state()
+    levels = workload.usage_levels(state)
+    overruns = workload.overruns(state)
     return {
         "tenants": num_tenants,
         "limit": limit,

@@ -63,9 +63,6 @@ class TxnRecord:
     #: sites the negotiation involved (empty for local commits or
     #: kernels that do not report participant-scoped rounds)
     participants: tuple[int, ...] = ()
-    #: concurrent wave the won negotiation ran in (-1 outside the
-    #: windowed runtime or for transactions that never won one)
-    wave: int = -1
 
     @property
     def latency_ms(self) -> float:

@@ -18,7 +18,7 @@ time), matching the paper's harness.  Each transaction passes through
    them: a violation costs two round trips over the *participant set
    of the negotiation* (state sync + rerun/treaty install; Section
    5.1) plus the solver-time model.  The participant set comes from
-   the kernel's transport trace (``ClusterResult.participants``), and
+   the kernel's transport trace (``GroupOutcome.participants``), and
    each round is priced at the slowest RTT edge actually used -- a
    violation between two nearby sites never pays the cluster
    diameter.  Kernels that do not report participants fall back to
@@ -26,16 +26,37 @@ time), matching the paper's harness.  Each transaction passes through
 
 Under homeostasis/OPT, non-violating transactions never wait for an
 in-flight negotiation (only the ~2% violating transactions pay the
-round trips -- the paper's own latency accounting, Section 6.1).  How
-*racing violators* queue depends on the driver: with
-``window_ms > 0``, submissions are batched into arrival windows for
-:meth:`~repro.protocol.kernel.HomeostasisCluster.submit_window`,
-the kernel's real vote phase elects each conflict group's winner, and
-losers' queueing (``wait_ms``) comes from the elections they actually
-lost -- negotiations over disjoint participant closures proceed in
-parallel.  With ``window_ms == 0`` (and for stand-in kernels without
-``submit_window``) transactions go through ``submit`` one at a time,
-and per-key negotiation gates approximate the same serialization.
+round trips -- the paper's own latency accounting, Section 6.1).
+
+**One driver.**  :func:`simulate` is the only loop over the client
+heap.  Under ``homeo`` / ``opt`` it collects the submissions arriving
+within ``window_ms`` of each other and hands them to
+:meth:`~repro.protocol.kernel.HomeostasisCluster.submit_window`: the
+kernel's real vote phase elects each conflict group's winner, losers'
+queueing (``wait_ms``) comes from the elections they actually lost,
+and negotiations over disjoint participant closures proceed in
+parallel.  A ``window_ms == 0`` run is windows of exactly one entry --
+one pop, the same RNG draw order, the trivial election -- and racing
+violators there queue on **the per-key negotiation gate**: a round
+starts no earlier than the end of the last round won by a transaction
+sharing one of its lock keys (the arrival window is what serializes
+racing violators when ``window_ms > 0``, so the gate is keyed on
+``window_ms == 0``; non-violators never consult it).  The 2PC and
+LOCAL baselines decide per transaction (:func:`_run_2pc`,
+:func:`_run_local`) from the same loop.
+
+Three rules the two former drivers (``submit`` + gates,
+``submit_window`` + elections) disagreed on, now stated once:
+
+1. the gate above -- kept, as a rule of the one driver;
+2. a won *refresh* is charged ``comm + solver`` like a cleanup round
+   (it regenerates treaties too); every adaptive experiment runs a
+   closed-form strategy with ``solver_ms = 0``;
+3. a round is priced from the participant closure it opened with
+   (``GroupOutcome.participants``) -- the barrier rounds went out over
+   those edges even if Paxos survivor completion finished the round
+   without a crashed member; ``TxnRecord.participants`` reports the
+   survivors.
 
 **Faults**: ``SimConfig.fault_events`` schedules site crash-stops and
 recoveries on the simulated clock; the driver forwards them to the
@@ -97,9 +118,31 @@ class FaultEvent:
 
 
 class SubmitTarget(Protocol):
-    """The kernel interface the simulator drives."""
+    """The kernel interface the simulator drives: the baselines
+    through ``submit``, the protocol kernels (``homeo`` / ``opt``)
+    through ``submit_window``."""
 
     def submit(self, tx_name: str, params: dict[str, int]): ...
+
+
+#: Cost constants of the pricing model, float milliseconds.  Nothing
+#: sets them per run; they are the block a calibration against the
+#: measured kernel replaces with fitted values.
+#:
+#: Mean of the exponential *execution* service time (parse, locks,
+#: undo journal, store writes); the commit-time treaty check is priced
+#: separately, by check mechanism.
+LOCAL_SERVICE_MS = 1.5
+#: Per-commit treaty-check cost through the compiled closure (kernels
+#: that report no mechanism -- 2PC, stubs -- price at this too, which
+#: keeps their mean service at the pre-decomposition 2.0 ms).
+CHECK_COST_MS = 0.5
+#: Per-commit check cost with the escrow headroom counters engaged
+#: (the measured microbenchmark ratio, ~15x, on the compiled cost).
+ESCROW_CHECK_COST_MS = 0.03
+#: Records starting before this are excluded from the derived metrics
+#: (10% of the run when a count-bounded run ends sooner).
+WARMUP_MS = 2_000.0
 
 
 @dataclass
@@ -115,31 +158,17 @@ class SimConfig:
     rtt_ms: float = 100.0
     rtt_matrix: list[list[float]] | None = None
     cores_per_replica: int = 32
-    #: mean of the exponential *execution* service time (parse, locks,
-    #: undo journal, store writes) -- the commit-time treaty check is
-    #: priced separately below, by check mechanism
-    local_service_ms: float = 1.5
-    #: per-commit treaty-check cost when the kernel checks through the
-    #: compiled closure (the pre-escrow model's 2.0 ms mean service
-    #: was this plus ``local_service_ms``; kernels that do not report
-    #: a mechanism -- 2PC, stubs -- price at this too)
-    check_cost_ms: float = 0.5
-    #: per-commit check cost when the kernel reports the escrow
-    #: headroom counters engaged (the measured microbenchmark ratio,
-    #: ~15x, applied to the modeled compiled cost)
-    escrow_check_cost_ms: float = 0.03
     #: per-negotiation solver time (0 for OPT; grows with lookahead L)
     solver_ms: float = 0.0
     lock_timeout_ms: float = 1000.0
     max_retries: int = 5
     duration_ms: float = 60_000.0
-    warmup_ms: float = 2_000.0
     max_txns: int = 20_000
     seed: int = 0
-    #: arrival-window width for the concurrent runtime: submissions
+    #: arrival-window width under ``homeo`` / ``opt``: submissions
     #: arriving within one window race through the kernel's real vote
-    #: phase (requires a cluster with ``submit_window``; 0 keeps the
-    #: per-transaction path)
+    #: phase (0: every window holds exactly one submission, and racing
+    #: violators queue on the per-key negotiation gate instead)
     window_ms: float = 0.0
     #: scheduled site crashes/recoveries (see :class:`FaultEvent`);
     #: requires a kernel exposing ``crash_site`` / ``recover_site``
@@ -208,31 +237,6 @@ class _FaultSchedule:
                 raise ValueError(f"unknown fault action {event.action!r}")
 
 
-def _collect_escrow(result: SimResult, cluster) -> None:
-    """Fold the kernel's run-level escrow fast-path counters into the
-    result (kernels without the counter path -- local, 2PC -- report
-    nothing and the field stays empty)."""
-    stats = getattr(cluster, "escrow_stats", None)
-    if stats is not None:
-        result.escrow = stats()
-
-
-def _collect_classifier(result: SimResult, cluster) -> None:
-    """Fold the kernel's static-tier (path-check) counters into the
-    result (kernels without the classifier report nothing)."""
-    stats = getattr(cluster, "classifier_stats", None)
-    if stats is not None:
-        result.classifier = stats()
-
-
-def _collect_fairness(result: SimResult, cluster) -> None:
-    """Fold the kernel's arbitration-fairness counters into the result
-    (kernels without the credit ledger report nothing)."""
-    stats = getattr(cluster, "fairness_stats", None)
-    if stats is not None:
-        result.fairness = stats()
-
-
 def _quorum_round_ms(matrix: list[list[float]], cluster, participants) -> float:
     """Extra per-negotiation cost of the Paxos Commit decision round.
 
@@ -267,8 +271,7 @@ def _check_cost_ms(config: SimConfig, cluster) -> float:
 
     The local baseline enforces no treaty, so it pays nothing; kernels
     that do not report a mechanism (2PC, test stubs) price at the
-    compiled-closure cost, which keeps their total mean service equal
-    to the pre-decomposition 2.0 ms model.  The constant is added to
+    compiled-closure cost.  The constant is added to
     every service draw *after* the exponential sample, so it consumes
     no RNG draws -- the request sequence, and therefore the sync
     ratio, are unchanged by which mechanism is engaged.
@@ -277,8 +280,20 @@ def _check_cost_ms(config: SimConfig, cluster) -> float:
         return 0.0
     mechanism = getattr(cluster, "check_mechanism", None)
     if mechanism is not None and mechanism() == "escrow":
-        return config.escrow_check_cost_ms
-    return config.check_cost_ms
+        return ESCROW_CHECK_COST_MS
+    return CHECK_COST_MS
+
+
+@dataclass
+class _Entry:
+    """One client turn popped off the heap: who, when, what, and the
+    service time drawn for its first execution attempt."""
+
+    ready: float
+    client: int
+    replica: int
+    request: SimRequest
+    service: float
 
 
 def simulate(
@@ -287,11 +302,13 @@ def simulate(
     request_fn: Callable[[random.Random, int], SimRequest],
 ) -> SimResult:
     """Run one closed-loop simulation to ``max_txns`` or ``duration_ms``."""
+    if config.mode not in ("homeo", "opt", "2pc", "local"):
+        raise ValueError(f"unknown mode {config.mode!r}")
+    protected = config.mode in ("homeo", "opt")
     rng = random.Random(config.seed)
     matrix = config.matrix()
     # Warm the kernel's compiled treaty/guard checks before the first
-    # arrival (covers both the per-transaction and the windowed
-    # concurrent kernels): every in-run check is one closure call.
+    # arrival: every in-run check is one closure call.
     warm = getattr(cluster, "precompile_checks", None)
     if warm is not None:
         warm()
@@ -302,11 +319,12 @@ def simulate(
     check_ms = _check_cost_ms(config, cluster)
     free_txns = _free_transactions(cluster)
 
-    result = SimResult(
-        mode=config.mode,
-        measured_from_ms=config.warmup_ms,
-        num_replicas=config.num_replicas,
-    )
+    def draw_service(request: SimRequest) -> float:
+        return rng.expovariate(1.0 / LOCAL_SERVICE_MS) + (
+            0.0 if request.tx_name in free_txns else check_ms
+        )
+
+    result = SimResult(mode=config.mode, num_replicas=config.num_replicas)
 
     # Client heap: (ready_time, client_id, replica).
     clients: list[tuple[float, int, int]] = []
@@ -324,276 +342,86 @@ def simulate(
     ]
     for pool in cores:
         heapq.heapify(pool)
-    #: per (replica, key) lock-free time under homeo/opt/local;
-    #: per key (cluster-wide) under 2PC.
+    #: per (replica, key) lock-free time under homeo/opt/local, plus
+    #: the ("neg", key) negotiation gates; per key (cluster-wide)
+    #: under 2PC.
     lock_free: dict[tuple, float] = {}
     now = 0.0
     faults = _FaultSchedule(config.fault_events, cluster, matrix, sync_cost_ms)
 
-    if (
-        config.mode in ("homeo", "opt")
-        and config.window_ms > 0.0
-        and hasattr(cluster, "submit_window")
-    ):
-        return _simulate_windows(
-            config, cluster, request_fn, rng, matrix, sync_cost_ms,
-            result, clients, cores, lock_free, faults,
-        )
-
     while clients and result.committed < config.max_txns:
-        ready, client, replica = heapq.heappop(clients)
-        # Re-check the horizon *after* the pop: the popped client may
-        # be scheduled past the end of the run, and no record may
-        # start past ``duration_ms``.
-        if ready >= config.duration_ms:
-            break
-        now = ready
-        faults.apply_due(now, result)
-        request = request_fn(rng, replica)
-        service = rng.expovariate(1.0 / config.local_service_ms) + (
-            0.0 if request.tx_name in free_txns else check_ms
-        )
-
-        if config.mode in ("homeo", "opt"):
-            end, record = _run_protected(
-                config, cluster, request, replica, ready, service,
-                cores, lock_free, sync_cost_ms, matrix,
-            )
-        elif config.mode == "2pc":
-            end, record = _run_2pc(
-                config, cluster, request, replica, ready, service,
-                cores, lock_free, sync_cost_ms, rng,
-            )
-        elif config.mode == "local":
-            end, record = _run_local(
-                config, cluster, request, replica, ready, service, cores, lock_free
-            )
-        else:
-            raise ValueError(f"unknown mode {config.mode!r}")
-
-        result.records.append(record)
-        if record.kind != "failed":
-            result.committed += 1
-            if record.kind == "sync":
-                result.negotiations += 1
-        else:
-            result.failed += 1
-            if record.timed_out:
-                result.timeouts += 1
-        result.rebalances += record.rebalances
-        result.aborted_attempts += record.retries
-        heapq.heappush(clients, (end, client, replica))
-
-    result.measured_to_ms = now
-    # Transaction-count-bounded runs can finish before the nominal
-    # warmup window; keep the warmup at 10% of the run in that case.
-    result.measured_from_ms = min(config.warmup_ms, 0.1 * now)
-    _collect_escrow(result, cluster)
-    _collect_classifier(result, cluster)
-    _collect_fairness(result, cluster)
-    return result
-
-
-@dataclass
-class _WindowEntry:
-    """One windowed submission's local-phase timing."""
-
-    ready: float
-    client: int
-    replica: int
-    request: SimRequest
-    service: float
-    start_exec: float
-    local_end: float
-
-
-def _simulate_windows(
-    config: SimConfig,
-    cluster,
-    request_fn: Callable[[random.Random, int], SimRequest],
-    rng: random.Random,
-    matrix: list[list[float]],
-    sync_cost_ms: float,
-    result: SimResult,
-    clients: list[tuple[float, int, int]],
-    cores: list[list[float]],
-    lock_free: dict[tuple, float],
-    faults: _FaultSchedule,
-) -> SimResult:
-    """Drive a concurrent kernel with real interleaving.
-
-    Submissions arriving within ``window_ms`` of each other form one
-    window handed to ``cluster.submit_window``: several can violate
-    treaties in the same window, the kernel's vote phase elects each
-    conflict group's winner, and the timing model follows the
-    *kernel's* resolution instead of per-key gates --
-
-    - a group's election starts once its slowest contender discovers
-      its violation (max of local finish times) and costs one vote
-      round trip among the contender origins;
-    - the winner then pays the two scoped barrier rounds plus solver
-      time, priced per edge from its participant set;
-    - each loser re-runs after the winning negotiation installs new
-      treaties: its ``wait_ms`` is the election it actually lost, not
-      a synthetic gate;
-    - groups in the same wave have disjoint participant closures and
-      do *not* serialize: each starts from its own contenders' finish
-      times, never from another group's negotiation end.
-    """
-    solver = config.solver_ms if config.mode == "homeo" else 0.0
-    check_ms = _check_cost_ms(config, cluster)
-    free_txns = _free_transactions(cluster)
-    now = 0.0
-    while clients and result.committed < config.max_txns:
-        if clients[0][0] >= config.duration_ms:
+        # No record may start past ``duration_ms``.
+        opens = clients[0][0]
+        if opens >= config.duration_ms:
             break
         # Faults resolve at window boundaries: a crash lands between
         # windows, never inside one (within-window granularity would
         # need per-message timing the arrival-window model abstracts
         # away).
-        faults.apply_due(clients[0][0], result)
-        window_close = clients[0][0] + config.window_ms
-        remaining = config.max_txns - result.committed
-
-        entries: list[_WindowEntry] = []
-        while (
+        faults.apply_due(opens, result)
+        # The baselines decide per transaction, so only the protocol
+        # kernels ever see more than one entry; with ``window_ms == 0``
+        # nothing else is ready before the window closes either.
+        closes = opens + (config.window_ms if protected else 0.0)
+        room = config.max_txns - result.committed
+        entries: list[_Entry] = []
+        while not entries or (
             clients
-            and clients[0][0] < window_close
+            and clients[0][0] < closes
             and clients[0][0] < config.duration_ms
-            and len(entries) < remaining
+            and len(entries) < room
         ):
             ready, client, replica = heapq.heappop(clients)
             now = ready
             request = request_fn(rng, replica)
-            service = rng.expovariate(1.0 / config.local_service_ms) + (
-                0.0 if request.tx_name in free_txns else check_ms
-            )
-            keys = [(replica, k) for k in request.lock_keys]
-            start_exec, local_end = _local_attempt(
-                cores, lock_free, replica, ready, service, keys
-            )
             entries.append(
-                _WindowEntry(ready, client, replica, request, service,
-                             start_exec, local_end)
+                _Entry(ready, client, replica, request, draw_service(request))
             )
 
-        quantum = config.clock_quantum_ms
-        window = cluster.submit_window(
-            [(e.request.tx_name, e.request.params) for e in entries],
-            timestamps=[
-                round((e.ready // quantum) * quantum * 1000.0)
-                if quantum > 0.0
-                else round(e.ready * 1000.0)
+        if protected:
+            records = _run_window(
+                config,
+                cluster,
+                entries,
+                cores,
+                lock_free,
+                sync_cost_ms,
+                matrix,
+                draw_service,
+            )
+        elif config.mode == "2pc":
+            records = [
+                _run_2pc(config, cluster, e, cores, lock_free, sync_cost_ms)
                 for e in entries
-            ],
-        )
+            ]
+        else:
+            records = [_run_local(cluster, e, cores, lock_free) for e in entries]
 
-        finish = [e.local_end for e in entries]
-        wait = [e.start_exec - e.ready for e in entries]
-        local = [e.service for e in entries]
-        comm = [0.0] * len(entries)
-        vote = [0.0] * len(entries)
-        solver_of = [0.0] * len(entries)
-        reb_count = [0] * len(entries)
-        reb_ms = [0.0] * len(entries)
-        for wave_groups in window.waves:
-            for grp in wave_groups:
-                # The election starts once every contender has locally
-                # discovered its violation (or, for a proactive
-                # refresh, committed past the watermark)...
-                t0 = max(finish[m] for m in grp.members)
-                vote_ms = (
-                    participants_rtt(matrix, grp.contender_sites)
-                    if len(grp.contender_sites) > 1
-                    else 0.0
-                )
-                comm_ms = negotiation_cost_ms(
-                    matrix, grp.participants, fallback_ms=sync_cost_ms
-                )
-                if not grp.rebalance:
-                    # Paxos Commit decision round (Phase2a/Phase2b over
-                    # the acceptor set); 0 for legacy clusters.
-                    comm_ms += _quorum_round_ms(matrix, cluster, grp.participants)
-                neg_end = t0 + vote_ms + comm_ms + solver
-                w = grp.winner
-                wait[w] += t0 - finish[w]
-                if grp.rebalance:
-                    # A won refresh: same barrier rounds, no abort and
-                    # no re-run; charged to the triggering commit.
-                    vote[w] += vote_ms
-                    reb_count[w] += 1
-                    reb_ms[w] += comm_ms + solver
-                else:
-                    vote[w], comm[w], solver_of[w] = vote_ms, comm_ms, solver
-                finish[w] = neg_end
-                # ...and each loser re-runs once the winner's treaty
-                # installs: queueing from the election it really lost.
-                # The re-run occupies a core (its CPU must be visible
-                # to the saturation model) but does not publish into
-                # ``lock_free`` -- those horizons describe arrival-time
-                # queueing, and publishing negotiation-scale times
-                # into them would make *non-violating* transactions of
-                # later windows inherit waits they never pay (the
-                # per-transaction path's non-violators never consult
-                # negotiation gates either).
-                for li in grp.losers:
-                    entry = entries[li]
-                    rerun_service = rng.expovariate(
-                        1.0 / config.local_service_ms
-                    ) + (
-                        0.0
-                        if entry.request.tx_name in free_txns
-                        else check_ms
-                    )
-                    rerun_at = _acquire_core(cores, entry.replica, neg_end)
-                    rerun_end = rerun_at + rerun_service
-                    _release_core(cores, entry.replica, rerun_end)
-                    wait[li] += rerun_at - finish[li]
-                    local[li] += rerun_service
-                    finish[li] = rerun_end
-
-        for i, (entry, outcome) in enumerate(zip(entries, window.outcomes)):
-            if outcome.failed:
-                # Origin down, or the conflict group's scope contained
-                # a crashed site: the client pays the discovery timeout
-                # and retries after recovery.
-                end = finish[i] + config.sync_timeout_ms
-                result.records.append(
-                    TxnRecord(
-                        start_ms=entry.ready, end_ms=end, kind="failed",
-                        replica=entry.replica, family=entry.request.family,
-                        wait_ms=wait[i] + config.sync_timeout_ms,
-                        local_ms=local[i], retries=outcome.lost_votes,
-                        timed_out=True,
-                    )
-                )
-                result.failed += 1
-                result.timeouts += 1
-                heapq.heappush(clients, (end, entry.client, entry.replica))
-                continue
-            kind = "sync" if outcome.synced else "local"
-            record = TxnRecord(
-                start_ms=entry.ready, end_ms=finish[i], kind=kind,
-                replica=entry.replica, family=entry.request.family,
-                wait_ms=wait[i], local_ms=local[i], comm_ms=comm[i],
-                solver_ms=solver_of[i], vote_ms=vote[i],
-                rebalances=reb_count[i], rebalance_ms=reb_ms[i],
-                retries=outcome.lost_votes,
-                participants=outcome.participants, wave=outcome.wave,
-            )
+        for entry, record in zip(entries, records):
             result.records.append(record)
-            result.committed += 1
-            if kind == "sync":
-                result.negotiations += 1
-            result.rebalances += reb_count[i]
-            result.aborted_attempts += outcome.lost_votes
-            heapq.heappush(clients, (finish[i], entry.client, entry.replica))
+            if record.kind != "failed":
+                result.committed += 1
+                if record.kind == "sync":
+                    result.negotiations += 1
+            else:
+                result.failed += 1
+                if record.timed_out:
+                    result.timeouts += 1
+            result.rebalances += record.rebalances
+            result.aborted_attempts += record.retries
+            heapq.heappush(clients, (record.end_ms, entry.client, entry.replica))
 
     result.measured_to_ms = now
-    result.measured_from_ms = min(config.warmup_ms, 0.1 * now)
-    _collect_escrow(result, cluster)
-    _collect_classifier(result, cluster)
-    _collect_fairness(result, cluster)
+    # Transaction-count-bounded runs can finish before the nominal
+    # warmup window; keep the warmup at 10% of the run in that case.
+    result.measured_from_ms = min(WARMUP_MS, 0.1 * now)
+    # Run-level counters of the kernels that keep them (escrow fast
+    # path, static tier, arbitration fairness); the baselines report
+    # nothing and the fields stay empty.
+    for name in ("escrow", "classifier", "fairness"):
+        stats = getattr(cluster, f"{name}_stats", None)
+        if stats is not None:
+            setattr(result, name, stats())
     return result
 
 
@@ -607,143 +435,185 @@ def _release_core(cores: list[list[float]], replica: int, at: float) -> None:
 
 
 def _local_attempt(
-    cores: list[list[float]],
-    lock_free: dict[tuple, float],
-    replica: int,
-    at: float,
-    service: float,
-    keys: list[tuple],
+    cores: list[list[float]], lock_free: dict[tuple, float], entry: _Entry
 ) -> tuple[float, float]:
     """One disconnected execution attempt: take a core, queue behind
     the per-(replica, key) locks, run, release.  Returns (start, end)."""
-    start_exec = _acquire_core(cores, replica, at)
+    replica = entry.replica
+    keys = [(replica, k) for k in entry.request.lock_keys]
+    start_exec = _acquire_core(cores, replica, entry.ready)
     for key in keys:
         start_exec = max(start_exec, lock_free.get(key, 0.0))
-    end = start_exec + service
+    end = start_exec + entry.service
     _release_core(cores, replica, end)
     for key in keys:
         lock_free[key] = end
     return start_exec, end
 
 
-def _run_protected(
+def _run_window(
     config: SimConfig,
-    cluster: SubmitTarget,
-    request: SimRequest,
-    replica: int,
-    ready: float,
-    service: float,
+    cluster,
+    entries: list[_Entry],
     cores: list[list[float]],
     lock_free: dict[tuple, float],
     sync_cost_ms: float,
     matrix: list[list[float]],
-) -> tuple[float, TxnRecord]:
-    """Homeostasis / OPT, per-transaction kernels: local execution,
-    negotiation on violation.
+    draw_service: Callable[[SimRequest], float],
+) -> list[TxnRecord]:
+    """Homeostasis / OPT: one arrival window through the real kernel.
 
-    Timing model: non-violating transactions never wait for an
-    in-flight negotiation -- this matches the measured behaviour and
-    the paper's own latency accounting ("4*0.98 + 200*0.02 =
-    7.92 ms", Section 6.1), where only the ~2% violating transactions
-    pay the two round trips.  Racing violators of one treaty
-    serialize on a per-key negotiation gate -- an *approximation* of
-    the vote phase for kernels that only expose ``submit`` (or runs
-    with ``window_ms == 0``); the windowed driver replaces the gates
-    with real lost-vote queueing (see ``_simulate_windows``).
-    Treaties of unrelated objects renegotiate independently and in
-    parallel, which is what keeps the protocol's aggregate throughput
-    three orders of magnitude above 2PC.
+    Every entry executes disconnected at its origin; the window then
+    goes to ``cluster.submit_window`` -- several entries can violate
+    treaties in the same window, the kernel's vote phase elects each
+    conflict group's winner -- and the timing model follows the
+    *kernel's* resolution:
 
-    Each negotiation is priced from the participant set the kernel
-    reports for it: two barrier rounds at the slowest RTT among the
-    sites actually involved (per-edge latency pricing).
+    - non-violating transactions never wait for an in-flight
+      negotiation ("4*0.98 + 200*0.02 = 7.92 ms", Section 6.1: only
+      the ~2% violating transactions pay the two round trips);
+    - a group's election starts once its slowest contender discovers
+      its violation (max of local finish times) and costs one vote
+      round trip among the contender origins;
+    - the winner then pays the two scoped barrier rounds plus solver
+      time, priced per edge from its participant set, which is what
+      keeps treaties of unrelated objects renegotiating independently
+      and in parallel;
+    - each loser re-runs after the winning negotiation installs new
+      treaties: its ``wait_ms`` is the election it actually lost;
+    - groups in the same wave have disjoint participant closures and
+      do *not* serialize: each starts from its own contenders' finish
+      times, never from another group's negotiation end;
+    - with ``window_ms == 0`` (windows of one, trivial elections) a
+      round additionally queues behind the per-key negotiation gates
+      of its winner's lock keys, and moves them to its own end.
     """
-    keys = [(replica, k) for k in request.lock_keys]
-    start_exec, local_end = _local_attempt(
-        cores, lock_free, replica, ready, service, keys
-    )
-
-    try:
-        outcome = cluster.submit(request.tx_name, request.params)
-    except Unavailable:
-        # A site this transaction needs is unreachable (its origin
-        # crashed, or its violation's closure touches a crashed site).
-        # The client pays the discovery timeout and re-enters the
-        # closed loop; everyone else's transactions are untouched --
-        # the availability contrast with 2PC, where this branch fires
-        # for *every* submission during an outage.
-        end = local_end + config.sync_timeout_ms
-        record = TxnRecord(
-            start_ms=ready, end_ms=end, kind="failed", replica=replica,
-            family=request.family,
-            wait_ms=(start_exec - ready) + config.sync_timeout_ms,
-            local_ms=service, timed_out=True,
-        )
-        return end, record
-    if not outcome.synced:
-        rebalanced = tuple(getattr(outcome, "rebalanced", ()) or ())
-        if not rebalanced:
-            record = TxnRecord(
-                start_ms=ready, end_ms=local_end, kind="local", replica=replica,
-                family=request.family,
-                wait_ms=start_exec - ready, local_ms=service,
-            )
-            return local_end, record
-        # The commit breached the adaptive low-watermark and triggered
-        # a proactive refresh: two scoped barrier rounds priced from
-        # the refresh's participant edges, charged to the triggering
-        # transaction and serialized behind the same per-key
-        # negotiation gates a cleanup round would use.
-        comm = negotiation_cost_ms(matrix, rebalanced, fallback_ms=sync_cost_ms)
-        refresh_start = local_end
-        for k in request.lock_keys:
-            refresh_start = max(refresh_start, lock_free.get(("neg", k), 0.0))
-        end = refresh_start + comm
-        for k in request.lock_keys:
-            lock_free[("neg", k)] = end
-        record = TxnRecord(
-            start_ms=ready, end_ms=end, kind="local", replica=replica,
-            family=request.family,
-            wait_ms=(start_exec - ready) + (refresh_start - local_end),
-            local_ms=service,
-            rebalances=1, rebalance_ms=comm,
-        )
-        return end, record
-
     solver = config.solver_ms if config.mode == "homeo" else 0.0
-    participants = tuple(getattr(outcome, "participants", ()) or ())
-    comm = negotiation_cost_ms(
-        matrix, participants, fallback_ms=sync_cost_ms
-    ) + _quorum_round_ms(matrix, cluster, participants)
-    negotiation_start = local_end
-    for k in request.lock_keys:
-        negotiation_start = max(negotiation_start, lock_free.get(("neg", k), 0.0))
-    end = negotiation_start + comm + solver
-    for k in request.lock_keys:
-        lock_free[("neg", k)] = end
-    record = TxnRecord(
-        start_ms=ready, end_ms=end, kind="sync", replica=replica,
-        family=request.family,
-        wait_ms=(start_exec - ready) + (negotiation_start - local_end),
-        local_ms=service,
-        comm_ms=comm, solver_ms=solver,
-        participants=participants,
+    gated = config.window_ms == 0.0
+    n = len(entries)
+    wait = [0.0] * n
+    finish = [0.0] * n
+    for i, e in enumerate(entries):
+        start_exec, finish[i] = _local_attempt(cores, lock_free, e)
+        wait[i] = start_exec - e.ready
+
+    quantum = config.clock_quantum_ms
+    window = cluster.submit_window(
+        [(e.request.tx_name, e.request.params) for e in entries],
+        timestamps=[
+            round((e.ready // quantum) * quantum * 1000.0)
+            if quantum > 0.0
+            else round(e.ready * 1000.0)
+            for e in entries
+        ],
     )
-    return end, record
+
+    local = [e.service for e in entries]
+    comm = [0.0] * n
+    vote = [0.0] * n
+    solver_of = [0.0] * n
+    reb_count = [0] * n
+    reb_ms = [0.0] * n
+    for wave_groups in window.waves:
+        for grp in wave_groups:
+            w = grp.winner
+            # The election starts once every contender has locally
+            # discovered its violation (or, for a proactive refresh,
+            # committed past the watermark)...
+            t0 = max(finish[m] for m in grp.members)
+            # ...and, in a window of one, once the last round won on
+            # one of its lock keys is over (the negotiation gate).
+            gates = (
+                [("neg", k) for k in entries[w].request.lock_keys] if gated else []
+            )
+            for gate in gates:
+                t0 = max(t0, lock_free.get(gate, 0.0))
+            vote_ms = (
+                participants_rtt(matrix, grp.contender_sites)
+                if len(grp.contender_sites) > 1
+                else 0.0
+            )
+            comm_ms = negotiation_cost_ms(
+                matrix, grp.participants, fallback_ms=sync_cost_ms
+            )
+            if not grp.rebalance:
+                # Paxos Commit decision round (Phase2a/Phase2b over
+                # the acceptor set); 0 for legacy clusters.
+                comm_ms += _quorum_round_ms(matrix, cluster, grp.participants)
+            neg_end = t0 + vote_ms + comm_ms + solver
+            for gate in gates:
+                lock_free[gate] = neg_end
+            wait[w] += t0 - finish[w]
+            if grp.rebalance:
+                # A won refresh: same barrier rounds, no abort and
+                # no re-run; charged to the triggering commit.
+                vote[w] += vote_ms
+                reb_count[w] += 1
+                reb_ms[w] += comm_ms + solver
+            else:
+                vote[w], comm[w], solver_of[w] = vote_ms, comm_ms, solver
+            finish[w] = neg_end
+            # ...and each loser re-runs once the winner's treaty
+            # installs: queueing from the election it really lost.
+            # The re-run occupies a core (its CPU must be visible
+            # to the saturation model) but does not publish into
+            # ``lock_free`` -- those horizons describe arrival-time
+            # queueing, and publishing negotiation-scale times
+            # into them would make *non-violating* transactions of
+            # later windows inherit waits they never pay.
+            for li in grp.losers:
+                entry = entries[li]
+                rerun_service = draw_service(entry.request)
+                rerun_at = _acquire_core(cores, entry.replica, neg_end)
+                rerun_end = rerun_at + rerun_service
+                _release_core(cores, entry.replica, rerun_end)
+                wait[li] += rerun_at - finish[li]
+                local[li] += rerun_service
+                finish[li] = rerun_end
+
+    records: list[TxnRecord] = []
+    for i, (entry, outcome) in enumerate(zip(entries, window.outcomes)):
+        if outcome.failed:
+            # Origin down, or the conflict group's scope contained a
+            # crashed site.  The client pays the discovery timeout and
+            # retries after recovery; everyone else's transactions are
+            # untouched -- the availability contrast with 2PC, where
+            # *every* submission fails during an outage.
+            records.append(
+                TxnRecord(
+                    start_ms=entry.ready,
+                    end_ms=finish[i] + config.sync_timeout_ms,
+                    kind="failed", replica=entry.replica,
+                    family=entry.request.family,
+                    wait_ms=wait[i] + config.sync_timeout_ms,
+                    local_ms=local[i], retries=outcome.lost_votes,
+                    timed_out=True,
+                )
+            )
+            continue
+        records.append(
+            TxnRecord(
+                start_ms=entry.ready, end_ms=finish[i],
+                kind="sync" if outcome.synced else "local",
+                replica=entry.replica, family=entry.request.family,
+                wait_ms=wait[i], local_ms=local[i], comm_ms=comm[i],
+                solver_ms=solver_of[i], vote_ms=vote[i],
+                rebalances=reb_count[i], rebalance_ms=reb_ms[i],
+                retries=outcome.lost_votes,
+                participants=outcome.participants,
+            )
+        )
+    return records
 
 
 def _run_2pc(
     config: SimConfig,
     cluster: SubmitTarget,
-    request: SimRequest,
-    replica: int,
-    ready: float,
-    service: float,
+    entry: _Entry,
     cores: list[list[float]],
     lock_free: dict[tuple, float],
     sync_cost_ms: float,
-    rng: random.Random,
-) -> tuple[float, TxnRecord]:
+) -> TxnRecord:
     """2PC: cluster-wide item locks held across execution and both
     commit rounds (the paper's model: the per-key hold is
     ``service + 2 RTT``).
@@ -759,6 +629,8 @@ def _run_2pc(
     waiter -- which overstated CPU pressure exactly where Figures
     16-18 measure the client-count saturation knee.)
     """
+    request, replica = entry.request, entry.replica
+    ready, service = entry.ready, entry.service
     attempt_start = ready
     retries = 0
     while True:
@@ -775,11 +647,10 @@ def _run_2pc(
             abort_at = start_exec + config.lock_timeout_ms
             retries += 1
             if retries > config.max_retries:
-                record = TxnRecord(
+                return TxnRecord(
                     start_ms=ready, end_ms=abort_at, kind="failed",
                     replica=replica, family=request.family, retries=retries,
                 )
-                return abort_at, record
             attempt_start = abort_at
             continue
         # Execution sits inside the critical section, as in the seed:
@@ -795,44 +666,35 @@ def _run_2pc(
             fail_end = lock_at + service + config.sync_timeout_ms
             for key in request.lock_keys:
                 lock_free[("2pc", key)] = fail_end
-            record = TxnRecord(
+            return TxnRecord(
                 start_ms=ready, end_ms=fail_end, kind="failed",
                 replica=replica, family=request.family,
                 wait_ms=(lock_at - ready) + config.sync_timeout_ms,
                 local_ms=service, retries=retries, timed_out=True,
             )
-            return fail_end, record
         for key in request.lock_keys:
             lock_free[("2pc", key)] = commit_end
-        record = TxnRecord(
+        return TxnRecord(
             start_ms=ready, end_ms=commit_end, kind="2pc", replica=replica,
             family=request.family,
             wait_ms=(lock_at - ready), local_ms=service,
             comm_ms=sync_cost_ms,
             retries=retries,
         )
-        return commit_end, record
 
 
 def _run_local(
-    config: SimConfig,
     cluster: SubmitTarget,
-    request: SimRequest,
-    replica: int,
-    ready: float,
-    service: float,
+    entry: _Entry,
     cores: list[list[float]],
     lock_free: dict[tuple, float],
-) -> tuple[float, TxnRecord]:
+) -> TxnRecord:
     """LOCAL: uncoordinated execution at the origin replica."""
-    keys = [(replica, k) for k in request.lock_keys]
-    start_exec, end = _local_attempt(
-        cores, lock_free, replica, ready, service, keys
-    )
+    request = entry.request
+    start_exec, end = _local_attempt(cores, lock_free, entry)
     cluster.submit(request.tx_name, request.params)
-    record = TxnRecord(
-        start_ms=ready, end_ms=end, kind="local", replica=replica,
+    return TxnRecord(
+        start_ms=entry.ready, end_ms=end, kind="local", replica=entry.replica,
         family=request.family,
-        wait_ms=start_exec - ready, local_ms=service,
+        wait_ms=start_exec - entry.ready, local_ms=entry.service,
     )
-    return end, record

@@ -17,10 +17,7 @@ This package provides that substrate:
   what produces the latency tails in Figures 19/21);
 - :mod:`repro.storage.wal` -- per-transaction undo journal;
 - :mod:`repro.storage.engine` -- the transactional engine gluing the
-  three together;
-- :mod:`repro.storage.table` -- a relational veneer (schemas, integer
-  primary keys, scans) encoding rows as ``column[pk]`` objects, the
-  same encoding the L++ analysis uses for arrays.
+  three together.
 """
 
 from repro.storage.kvstore import KVStore
@@ -33,7 +30,6 @@ from repro.storage.locks import (
 )
 from repro.storage.wal import UndoLog
 from repro.storage.engine import LocalEngine, StorageTxn, TxnAborted
-from repro.storage.table import Schema, Table
 
 __all__ = [
     "DeadlockError",
@@ -42,9 +38,7 @@ __all__ = [
     "LockManager",
     "LockMode",
     "LockTimeoutError",
-    "Schema",
     "StorageTxn",
-    "Table",
     "TxnAborted",
     "UndoLog",
     "WouldBlock",

@@ -29,9 +29,10 @@ implicit:
   small independent treaties stressing the treaty table and the
   compiled-check cache.
 
-All three share the builder spine in
-:mod:`repro.workloads.common`, whose :class:`WorkloadSpecError`
-is raised by every workload constructor on a misconfigured spec.
+The micro, geo, TPC-C and fleet workloads share one builder spine
+and one request shape, both in :mod:`repro.workloads.common`, whose
+:class:`WorkloadSpecError` is raised by every workload constructor on
+a misconfigured spec.
 """
 
 from repro.workloads.banking import BankingWorkload

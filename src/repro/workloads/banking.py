@@ -46,6 +46,7 @@ from repro.protocol.remote_writes import (
 from repro.treaty.optimize import SequenceWorkloadModel
 from repro.workloads.common import (
     ReplicatedWorkloadBase,
+    WorkloadRequest,
     WorkloadSpecError,
     require_fraction,
     require_positive,
@@ -79,17 +80,6 @@ transaction Audit(acct) {
   print(b)
 }
 """
-
-
-@dataclass
-class BankingRequest:
-    """One client request, as the simulator sees it."""
-
-    tx_name: str
-    family: str  # 'Transfer' | 'Deposit' | 'Audit'
-    params: dict[str, int]
-    site: int
-    accounts: tuple[int, ...]
 
 
 @dataclass
@@ -217,7 +207,7 @@ class BankingWorkload(ReplicatedWorkloadBase):
 
     def next_request(
         self, rng: random.Random, site: int | None = None
-    ) -> BankingRequest:
+    ) -> WorkloadRequest:
         if site is None:
             weights = [self.site_weights[s] for s in self.sites]
             site = rng.choices(self.sites, weights=weights, k=1)[0]
@@ -225,7 +215,7 @@ class BankingWorkload(ReplicatedWorkloadBase):
         if draw < self.deposit_fraction:
             acct = rng.randrange(self.num_accounts)
             amount = rng.choice(AMOUNTS)
-            return BankingRequest(
+            return WorkloadRequest(
                 f"Deposit@s{site}",
                 "Deposit",
                 {"acct": acct, "amount": amount},
@@ -234,12 +224,12 @@ class BankingWorkload(ReplicatedWorkloadBase):
             )
         if draw < self.deposit_fraction + self.audit_fraction:
             acct = rng.randrange(self.num_accounts)
-            return BankingRequest(
+            return WorkloadRequest(
                 f"Audit@s{site}", "Audit", {"acct": acct}, site, (acct,)
             )
         src, dst = self._sample_pair(rng)
         amount = rng.choice(AMOUNTS)
-        return BankingRequest(
+        return WorkloadRequest(
             f"Transfer@s{site}",
             "Transfer",
             {"src": src, "dst": dst, "amount": amount},

@@ -1,11 +1,15 @@
-"""Shared machinery for the scenario-fleet workloads.
+"""Shared machinery of the replicated workloads.
 
-The original five workloads each hand-roll the same builder spine:
-``cluster_spec`` assembling a :class:`ClusterSpec` from the analysis
-products, ``build_homeostasis`` instantiating the kernel from it, and
-the LOCAL / 2PC baseline constructors.  The scenario fleet
-(flash-sale, banking, quota) shares that spine through
-:class:`ReplicatedWorkloadBase` instead of triplicating it.
+Every workload the simulator drives (micro, geo, TPC-C, flash-sale,
+banking, quota) shares one builder spine,
+:class:`ReplicatedWorkloadBase`: ``cluster_spec`` assembling a
+:class:`ClusterSpec` from the analysis products, ``build_homeostasis``
+instantiating the kernel from it, and the LOCAL / 2PC baseline
+constructors -- each defined here and nowhere else.  Their
+``next_request`` methods all return the one :class:`WorkloadRequest`
+shape, which is also what the simulator reads (``tx_name``,
+``params``, ``lock_keys``, ``family``), so an experiment needs no
+per-workload adapter.
 
 The module also hosts the construction-time spec validators.  A
 misconfigured workload used to fail deep inside the kernel -- a zero
@@ -19,6 +23,7 @@ field name in the message, so bad configs die at the constructor.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.analysis.symbolic import SymbolicTable, build_symbolic_table
@@ -70,8 +75,22 @@ def require_nonempty(name: str, value: Sequence) -> None:
         raise WorkloadSpecError(f"{name} must be non-empty")
 
 
+@dataclass
+class WorkloadRequest:
+    """One client request, as the kernel and the simulator see it."""
+
+    tx_name: str
+    #: latency-reporting class (``SimResult.latency_stats(family)``)
+    family: str
+    params: dict[str, int]
+    site: int
+    #: objects relevant for contention modelling: same-key requests
+    #: serialize on the simulator's item locks
+    lock_keys: tuple
+
+
 class ReplicatedWorkloadBase:
-    """Builder spine shared by the scenario-fleet workloads.
+    """Builder spine shared by every replicated workload.
 
     Subclasses populate (normally in ``__post_init__``):
 
@@ -80,14 +99,14 @@ class ReplicatedWorkloadBase:
     - ``variants`` -- transformed per-site transactions by name;
     - ``tx_home`` -- transaction name -> origin site;
     - ``initial_db`` -- replicated initial store (deltas included);
-    - ``initial_values`` -- the un-replicated logical values (for the
-      LOCAL / 2PC baselines, which replicate full state);
+    - ``initial_values`` -- the un-replicated logical values;
     - ``default_strategy`` -- the treaty strategy builders default to;
 
     and implement :meth:`ground_tables` plus :meth:`workload_model`
-    (only needed for ``strategy="optimized"``) and
-    :meth:`baseline_transactions` (untransformed variants for the
-    baselines).
+    (only needed for ``strategy="optimized"``) and the two baseline
+    hooks: :meth:`baseline_transactions` (untransformed variants) and,
+    when ``initial_values`` is not the whole un-replicated store,
+    :meth:`baseline_db`.
     """
 
     sites: tuple[int, ...]
@@ -172,14 +191,18 @@ class ReplicatedWorkloadBase:
         )
         return HomeostasisCluster(spec)
 
+    # -- baselines (LOCAL / 2PC replicate full state, no deltas) -------------
 
     def baseline_transactions(self) -> dict[str, Transaction]:
         raise NotImplementedError
 
+    def baseline_db(self) -> dict[str, int]:
+        return dict(self.initial_values)
+
     def build_local(self) -> LocalCluster:
         return LocalCluster(
             site_ids=self.sites,
-            initial_db=dict(self.initial_values),
+            initial_db=self.baseline_db(),
             transactions=self.baseline_transactions(),
             tx_home=self.tx_home,
         )
@@ -187,7 +210,7 @@ class ReplicatedWorkloadBase:
     def build_2pc(self) -> TwoPhaseCommitCluster:
         return TwoPhaseCommitCluster(
             site_ids=self.sites,
-            initial_db=dict(self.initial_values),
+            initial_db=self.baseline_db(),
             transactions=self.baseline_transactions(),
             tx_home=self.tx_home,
         )

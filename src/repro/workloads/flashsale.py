@@ -45,6 +45,7 @@ from repro.protocol.remote_writes import (
 from repro.treaty.optimize import SequenceWorkloadModel
 from repro.workloads.common import (
     ReplicatedWorkloadBase,
+    WorkloadRequest,
     WorkloadSpecError,
     require_fraction,
     require_positive,
@@ -75,17 +76,6 @@ transaction Peek(item) {
   print(s)
 }
 """
-
-
-@dataclass
-class FlashSaleRequest:
-    """One client request, as the simulator sees it."""
-
-    tx_name: str
-    family: str  # 'Checkout' | 'Restock' | 'Peek'
-    params: dict[str, int]
-    site: int
-    items: tuple[int, ...]
 
 
 @dataclass
@@ -204,7 +194,7 @@ class FlashSaleWorkload(ReplicatedWorkloadBase):
 
     def next_request(
         self, rng: random.Random, site: int | None = None
-    ) -> FlashSaleRequest:
+    ) -> WorkloadRequest:
         if site is None:
             weights = [self.site_weights[s] for s in self.sites]
             site = rng.choices(self.sites, weights=weights, k=1)[0]
@@ -212,7 +202,7 @@ class FlashSaleWorkload(ReplicatedWorkloadBase):
         if draw < self.restock_fraction:
             item = self._sample_sku(rng)
             amount = rng.choice(RESTOCK_AMOUNTS)
-            return FlashSaleRequest(
+            return WorkloadRequest(
                 f"Restock@s{site}",
                 "Restock",
                 {"item": item, "amount": amount},
@@ -221,11 +211,11 @@ class FlashSaleWorkload(ReplicatedWorkloadBase):
             )
         if draw < self.restock_fraction + self.peek_fraction:
             item = self._sample_sku(rng)
-            return FlashSaleRequest(
+            return WorkloadRequest(
                 f"Peek@s{site}", "Peek", {"item": item}, site, (item,)
             )
         item = self._sample_sku(rng)
-        return FlashSaleRequest(
+        return WorkloadRequest(
             f"Checkout@s{site}", "Checkout", {"item": item}, site, (item,)
         )
 

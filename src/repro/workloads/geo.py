@@ -30,9 +30,6 @@ from repro.analysis.ground import ground_instances
 from repro.analysis.symbolic import SymbolicTable, build_symbolic_table
 from repro.lang.ast import Transaction
 from repro.lang.parser import parse_transaction
-from repro.protocol.config import ClusterSpec, NegotiationSpec
-from repro.protocol.homeostasis import AdaptiveSettings, OptimizerSettings
-from repro.protocol.kernel import HomeostasisCluster
 from repro.protocol.remote_writes import (
     ReplicationSpec,
     initial_replicated_db,
@@ -40,6 +37,8 @@ from repro.protocol.remote_writes import (
 )
 from repro.treaty.optimize import SequenceWorkloadModel
 from repro.workloads.common import (
+    ReplicatedWorkloadBase,
+    WorkloadRequest,
     WorkloadSpecError,
     require_nonempty,
     require_positive,
@@ -57,19 +56,9 @@ def group_buy_source(gid: int, base: str, refill: int) -> str:
 
 
 @dataclass
-class GeoRequest:
-    """One client request, as the simulator sees it."""
-
-    tx_name: str
-    params: dict[str, int]
-    site: int
-    items: tuple[str, ...]
-    group: int
-
-
-@dataclass
-class GeoMicroWorkload:
-    """Builder for the replication-group microbenchmark."""
+class GeoMicroWorkload(ReplicatedWorkloadBase):
+    """Builder for the replication-group microbenchmark (no LOCAL /
+    2PC baselines: the experiment compares treaty strategies)."""
 
     groups: tuple[tuple[int, ...], ...] = ((0, 1), (2, 3))
     num_sites: int | None = None
@@ -143,12 +132,6 @@ class GeoMicroWorkload:
 
     # -- analysis products ----------------------------------------------------
 
-    def locate(self, name: str) -> int:
-        return self.spec.locate(name, fallback=0)
-
-    def runtime_tables(self) -> list[SymbolicTable]:
-        return [build_symbolic_table(tx) for tx in self.variants.values()]
-
     def ground_tables(self) -> list[tuple[SymbolicTable, int]]:
         domains = {"item": list(range(self.items_per_group))}
         out: list[tuple[SymbolicTable, int]] = []
@@ -169,67 +152,12 @@ class GeoMicroWorkload:
             param_sampler=sample_params,
         )
 
-    def cluster_spec(
-        self,
-        strategy: str = "equal-split",
-        lookahead: int = 20,
-        cost_factor: int = 3,
-        seed: int = 0,
-        validate: bool = False,
-        adaptive: AdaptiveSettings | None = None,
-        negotiation: NegotiationSpec | None = None,
-    ) -> ClusterSpec:
-        """The workload as a :class:`ClusterSpec` (feed
-        :func:`~repro.protocol.config.build_cluster` with any kernel)."""
-        optimizer = None
-        if strategy == "optimized":
-            optimizer = OptimizerSettings(
-                model=self.workload_model(),
-                lookahead=lookahead,
-                cost_factor=cost_factor,
-                rng=random.Random(seed),
-            )
-        return ClusterSpec(
-            sites=self.sites,
-            locate=self.locate,
-            initial_db=self.initial_db,
-            tables=tuple(self.runtime_tables()),
-            tx_home=self.tx_home,
-            ground_tables=tuple(self.ground_tables()),
-            families=dict(self.variants),
-            strategy=strategy,
-            optimizer=optimizer,
-            adaptive=adaptive,
-            negotiation=negotiation,
-            validate=validate,
-        )
-
-    def build_homeostasis(
-        self,
-        strategy: str = "equal-split",
-        lookahead: int = 20,
-        cost_factor: int = 3,
-        seed: int = 0,
-        validate: bool = False,
-        adaptive: AdaptiveSettings | None = None,
-        negotiation: NegotiationSpec | None = None,
-    ) -> HomeostasisCluster:
-        spec = self.cluster_spec(
-            strategy=strategy,
-            lookahead=lookahead,
-            cost_factor=cost_factor,
-            seed=seed,
-            validate=validate,
-            adaptive=adaptive,
-            negotiation=negotiation,
-        )
-        return HomeostasisCluster(spec)
-
-
     # -- request generation ---------------------------------------------------
 
-    def next_request(self, rng: random.Random, site: int | None = None) -> GeoRequest:
-        """Draw one request.
+    def next_request(
+        self, rng: random.Random, site: int | None = None
+    ) -> WorkloadRequest:
+        """Draw one request (its ``family`` names the group: ``Buy<gid>``).
 
         A site that belongs to replication groups buys from one of its
         own groups; an idle site (in the deployment but in no group)
@@ -247,14 +175,10 @@ class GeoMicroWorkload:
             members = self.groups[gid]
             origin = members[site % len(members)]
         item = rng.randrange(self.items_per_group)
-        return GeoRequest(
+        return WorkloadRequest(
             tx_name=f"Buy{gid}@s{origin}",
+            family=f"Buy{gid}",
             params={"item": item},
             site=origin,
-            items=(f"{self.bases[gid]}[{item}]",),
-            group=gid,
+            lock_keys=(f"{self.bases[gid]}[{item}]",),
         )
-
-    def reference_transaction(self, name: str) -> Transaction:
-        """The transformed transaction for serial-equivalence checks."""
-        return self.variants[name]

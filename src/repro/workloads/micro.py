@@ -28,10 +28,6 @@ from repro.analysis.ground import ground_instances
 from repro.analysis.symbolic import SymbolicTable, build_symbolic_table
 from repro.lang.ast import Transaction
 from repro.lang.parser import parse_transaction
-from repro.protocol.baselines import LocalCluster, TwoPhaseCommitCluster
-from repro.protocol.config import ClusterSpec, NegotiationSpec
-from repro.protocol.homeostasis import AdaptiveSettings, OptimizerSettings
-from repro.protocol.kernel import HomeostasisCluster
 from repro.protocol.remote_writes import (
     ReplicationSpec,
     initial_replicated_db,
@@ -39,6 +35,8 @@ from repro.protocol.remote_writes import (
 )
 from repro.treaty.optimize import SequenceWorkloadModel
 from repro.workloads.common import (
+    ReplicatedWorkloadBase,
+    WorkloadRequest,
     WorkloadSpecError,
     require_fraction,
     require_positive,
@@ -85,18 +83,10 @@ def multibuy_source(refill: int, m: int) -> str:
 
 
 @dataclass
-class MicroRequest:
-    """One client request, as the simulator sees it."""
-
-    tx_name: str
-    params: dict[str, int]
-    site: int
-    items: tuple[int, ...]
-
-
-@dataclass
-class MicroWorkload:
+class MicroWorkload(ReplicatedWorkloadBase):
     """Builder for the microbenchmark across execution modes."""
+
+    default_strategy = "optimized"
 
     num_items: int = 100
     refill: int = 100
@@ -169,12 +159,6 @@ class MicroWorkload:
 
     # -- analysis products ----------------------------------------------------
 
-    def locate(self, name: str) -> int:
-        return self.spec.locate(name, fallback=0)
-
-    def runtime_tables(self) -> list[SymbolicTable]:
-        return [build_symbolic_table(tx) for tx in self.variants.values()]
-
     def ground_tables(self) -> list[tuple[SymbolicTable, int]]:
         """Per-instance symbolic tables with home sites, for treaty
         generation.
@@ -233,104 +217,31 @@ class MicroWorkload:
             mix[name] = weight
         return SequenceWorkloadModel(mix=mix, param_sampler=sample_params)
 
-    def cluster_spec(
-        self,
-        strategy: str = "optimized",
-        lookahead: int = 20,
-        cost_factor: int = 3,
-        seed: int = 0,
-        validate: bool = False,
-        adaptive: AdaptiveSettings | None = None,
-        negotiation: NegotiationSpec | None = None,
-    ) -> ClusterSpec:
-        """The workload as a :class:`ClusterSpec` (feed
-        :func:`~repro.protocol.config.build_cluster` with any kernel)."""
-        optimizer = None
-        if strategy == "optimized":
-            optimizer = OptimizerSettings(
-                model=self.workload_model(),
-                lookahead=lookahead,
-                cost_factor=cost_factor,
-                rng=random.Random(seed),
-            )
-        return ClusterSpec(
-            sites=self.sites,
-            locate=self.locate,
-            initial_db=self.initial_db,
-            tables=tuple(self.runtime_tables()),
-            tx_home=self.tx_home,
-            ground_tables=tuple(self.ground_tables()),
-            families=dict(self.variants),
-            strategy=strategy,
-            optimizer=optimizer,
-            adaptive=adaptive,
-            negotiation=negotiation,
-            validate=validate,
-        )
-
-    def build_homeostasis(
-        self,
-        strategy: str = "optimized",
-        lookahead: int = 20,
-        cost_factor: int = 3,
-        seed: int = 0,
-        validate: bool = False,
-        adaptive: AdaptiveSettings | None = None,
-        negotiation: NegotiationSpec | None = None,
-    ) -> HomeostasisCluster:
-        spec = self.cluster_spec(
-            strategy=strategy,
-            lookahead=lookahead,
-            cost_factor=cost_factor,
-            seed=seed,
-            validate=validate,
-            adaptive=adaptive,
-            negotiation=negotiation,
-        )
-        return HomeostasisCluster(spec)
-
-
-    def _baseline_transactions(self) -> dict[str, Transaction]:
+    def baseline_transactions(self) -> dict[str, Transaction]:
         family_name = "Buy" if self.items_per_txn == 1 else "MultiBuy"
         out = {f"{family_name}@s{s}": self.family for s in self.sites}
         if self.audit_family is not None:
             out.update({f"Audit@s{s}": self.audit_family for s in self.sites})
         return out
 
-    def build_local(self) -> LocalCluster:
-        return LocalCluster(
-            site_ids=self.sites,
-            initial_db=dict(self.initial_values),
-            transactions=self._baseline_transactions(),
-            tx_home=self.tx_home,
-        )
-
-    def build_2pc(self) -> TwoPhaseCommitCluster:
-        return TwoPhaseCommitCluster(
-            site_ids=self.sites,
-            initial_db=dict(self.initial_values),
-            transactions=self._baseline_transactions(),
-            tx_home=self.tx_home,
-        )
-
     # -- request generation -----------------------------------------------------------
 
-    def next_request(self, rng: random.Random, site: int | None = None) -> MicroRequest:
+    def next_request(
+        self, rng: random.Random, site: int | None = None
+    ) -> WorkloadRequest:
         if site is None:
             weights = [self.site_weights[s] for s in self.sites]
             site = rng.choices(self.sites, weights=weights, k=1)[0]
         if self.audit_family is not None and rng.random() < self.audit_fraction:
             item = rng.randrange(self.num_items)
-            return MicroRequest(f"Audit@s{site}", {"item": item}, site, (item,))
+            return WorkloadRequest(
+                f"Audit@s{site}", "Audit", {"item": item}, site, (item,)
+            )
         if self.items_per_txn == 1:
             item = rng.randrange(self.num_items)
-            name = f"Buy@s{site}"
-            return MicroRequest(name, {"item": item}, site, (item,))
+            return WorkloadRequest(
+                f"Buy@s{site}", "Buy", {"item": item}, site, (item,)
+            )
         items = tuple(rng.sample(range(self.num_items), self.items_per_txn))
-        name = f"MultiBuy@s{site}"
         params = {f"item{k}": it for k, it in enumerate(items)}
-        return MicroRequest(name, params, site, items)
-
-    def reference_transaction(self, name: str) -> Transaction:
-        """The transformed transaction for serial-equivalence checks."""
-        return self.variants[name]
+        return WorkloadRequest(f"MultiBuy@s{site}", "MultiBuy", params, site, items)

@@ -43,6 +43,7 @@ from repro.protocol.remote_writes import (
 from repro.treaty.optimize import SequenceWorkloadModel
 from repro.workloads.common import (
     ReplicatedWorkloadBase,
+    WorkloadRequest,
     WorkloadSpecError,
     require_fraction,
     require_positive,
@@ -66,17 +67,6 @@ transaction Usage(tenant) {
   print(u)
 }
 """
-
-
-@dataclass
-class QuotaRequest:
-    """One client request, as the simulator sees it."""
-
-    tx_name: str
-    family: str  # 'Hit' | 'Usage'
-    params: dict[str, int]
-    site: int
-    tenant: int
 
 
 @dataclass
@@ -177,17 +167,17 @@ class QuotaWorkload(ReplicatedWorkloadBase):
 
     def next_request(
         self, rng: random.Random, site: int | None = None
-    ) -> QuotaRequest:
+    ) -> WorkloadRequest:
         if site is None:
             weights = [self.site_weights[s] for s in self.sites]
             site = rng.choices(self.sites, weights=weights, k=1)[0]
         tenant = self._sample_tenant(rng)
         if rng.random() < self.usage_fraction:
-            return QuotaRequest(
-                f"Usage@s{site}", "Usage", {"tenant": tenant}, site, tenant
+            return WorkloadRequest(
+                f"Usage@s{site}", "Usage", {"tenant": tenant}, site, (tenant,)
             )
-        return QuotaRequest(
-            f"Hit@s{site}", "Hit", {"tenant": tenant}, site, tenant
+        return WorkloadRequest(
+            f"Hit@s{site}", "Hit", {"tenant": tenant}, site, (tenant,)
         )
 
     # -- baselines -----------------------------------------------------------

@@ -43,10 +43,6 @@ from repro.analysis.symbolic import SymbolicTable, build_symbolic_table
 from repro.lang.ast import Transaction
 from repro.lang.parser import parse_transaction
 from repro.logic.formula import BoolConst
-from repro.protocol.baselines import LocalCluster, TwoPhaseCommitCluster
-from repro.protocol.config import ClusterSpec
-from repro.protocol.homeostasis import AdaptiveSettings, OptimizerSettings
-from repro.protocol.kernel import HomeostasisCluster
 from repro.protocol.remote_writes import (
     ReplicationSpec,
     initial_replicated_db,
@@ -54,6 +50,8 @@ from repro.protocol.remote_writes import (
 )
 from repro.treaty.optimize import SequenceWorkloadModel
 from repro.workloads.common import (
+    ReplicatedWorkloadBase,
+    WorkloadRequest,
     WorkloadSpecError,
     require_positive,
     require_sites,
@@ -99,19 +97,7 @@ transaction Delivery(w, d) {
 
 
 @dataclass
-class TpccRequest:
-    """One client request as the simulator sees it."""
-
-    tx_name: str
-    family: str  # 'NewOrder' | 'Payment' | 'Delivery'
-    params: dict[str, int]
-    site: int
-    #: objects relevant for contention modelling (warehouse, item)
-    hot_key: tuple[int, ...]
-
-
-@dataclass
-class TpccWorkload:
+class TpccWorkload(ReplicatedWorkloadBase):
     """Builder for the TPC-C subset across execution modes.
 
     ``hotness`` is H from Section 6.2: the percentage of New Order
@@ -119,6 +105,8 @@ class TpccWorkload:
     transaction mix defaults to 45/45/10 (New Order / Payment /
     Delivery); the distributed-deployment experiments use 49/49/2.
     """
+
+    default_strategy = "optimized"
 
     num_warehouses: int = 2
     num_districts: int = 2
@@ -162,46 +150,28 @@ class TpccWorkload:
             "unfulfilled": self.sites,
             "delivered": self.sites,
         }
-        self.spec = ReplicationSpec(
-            bases=dict(replicated), home={b: 0 for b in replicated}
-        )
+        # Per-site order counters are unreplicated and live at their site.
+        home = {b: 0 for b in replicated}
+        home.update({f"next_oid_s{s}": s for s in self.sites})
+        self.spec = ReplicationSpec(bases=dict(replicated), home=home)
 
-        # Families: NewOrder is site-specific *before* the transform
-        # because of the per-site order-id counter.
-        self.families: dict[str, Transaction] = {}
+        # NewOrder is site-specific *before* the transform because of
+        # the per-site order-id counter.
         self.variants: dict[str, Transaction] = {}
         self.tx_home: dict[str, int] = {}
-        payment = parse_transaction(PAYMENT_SRC)
-        delivery = parse_transaction(DELIVERY_SRC)
-        self.families["Payment"] = payment
-        self.families["Delivery"] = delivery
-        for site in self.sites:
-            per_site_src = NEW_ORDER_SRC.replace("NEXT_OID", f"next_oid_s{site}")
-            new_order = parse_transaction(per_site_src)
-            for family_name, tx in (
-                ("NewOrder", new_order),
-                ("Payment", payment),
-                ("Delivery", delivery),
-            ):
-                variant = transform_for_site(tx, site, self.spec, rename=False)
-                name = f"{family_name}@s{site}"
-                self.variants[name] = Transaction(
-                    name, variant.params, variant.body, variant.assume_distinct
-                )
-                self.tx_home[name] = site
-        self.families["NewOrder"] = parse_transaction(
-            NEW_ORDER_SRC.replace("NEXT_OID", "next_oid_s0")
-        )
+        for name, tx in self.baseline_transactions().items():
+            site = int(name.rsplit("@s", 1)[1])
+            variant = transform_for_site(tx, site, self.spec, rename=False)
+            self.variants[name] = Transaction(
+                name, variant.params, variant.body, variant.assume_distinct
+            )
+            self.tx_home[name] = site
 
         self.initial_values = self._initial_values()
         self.initial_db = initial_replicated_db(
             self.initial_values, self.spec, self.sites
         )
-        # Per-site order counters are plain local objects.
-        for site in self.sites:
-            for w in range(self.num_warehouses):
-                for d in range(self.num_districts):
-                    self.initial_db[f"next_oid_s{site}[{w},{d}]"] = 1
+        self.initial_db.update(self._order_counters())
 
     def _initial_values(self) -> dict[str, int]:
         values: dict[str, int] = {}
@@ -217,16 +187,16 @@ class TpccWorkload:
             values[f"customer_balance[{c}]"] = 0
         return values
 
+    def _order_counters(self) -> dict[str, int]:
+        """The per-site order-id counters: plain local objects."""
+        return {
+            f"next_oid_s{site}[{w},{d}]": 1
+            for site in self.sites
+            for w in range(self.num_warehouses)
+            for d in range(self.num_districts)
+        }
+
     # -- analysis products --------------------------------------------------------
-
-    def locate(self, name: str) -> int:
-        base = name.split("[", 1)[0]
-        if base.startswith("next_oid_s"):
-            return int(base[len("next_oid_s") :])
-        return self.spec.locate(name, fallback=0)
-
-    def runtime_tables(self) -> list[SymbolicTable]:
-        return [build_symbolic_table(tx) for tx in self.variants.values()]
 
     def _treaty_relevant(self, table: SymbolicTable, home: int) -> bool:
         """Skip families that can never constrain a treaty: a single
@@ -315,83 +285,35 @@ class TpccWorkload:
             }
         return {"w": w, "d": d}
 
-    def next_request(self, rng: random.Random, site: int | None = None) -> TpccRequest:
+    def next_request(
+        self, rng: random.Random, site: int | None = None
+    ) -> WorkloadRequest:
         if site is None:
             site = rng.randrange(self.num_sites)
         family = rng.choices(
             ("NewOrder", "Payment", "Delivery"), weights=self.mix, k=1
         )[0]
         params = self._sample_params(rng, family)
+        # Contention is modelled on (warehouse, item) for New Order and
+        # on the district queue for Delivery; Payment takes no item lock.
         hot_key: tuple[int, ...] = ()
         if family == "NewOrder":
             hot_key = (params["w"], params["item"])
         elif family == "Delivery":
             hot_key = (params["w"], -1 - params["d"])
-        return TpccRequest(
+        return WorkloadRequest(
             tx_name=f"{family}@s{site}",
             family=family,
             params=params,
             site=site,
-            hot_key=hot_key,
+            lock_keys=hot_key,
         )
 
-    # -- cluster builders -----------------------------------------------------------------
+    # -- baselines ---------------------------------------------------------------
 
-    def cluster_spec(
-        self,
-        strategy: str = "optimized",
-        lookahead: int = 20,
-        cost_factor: int = 3,
-        seed: int = 0,
-        validate: bool = False,
-        adaptive: AdaptiveSettings | None = None,
-    ) -> ClusterSpec:
-        """The workload as a :class:`ClusterSpec` (feed
-        :func:`~repro.protocol.config.build_cluster` with any kernel)."""
-        optimizer = None
-        if strategy == "optimized":
-            optimizer = OptimizerSettings(
-                model=self.workload_model(),
-                lookahead=lookahead,
-                cost_factor=cost_factor,
-                rng=random.Random(seed),
-            )
-        return ClusterSpec(
-            sites=self.sites,
-            locate=self.locate,
-            initial_db=self.initial_db,
-            tables=tuple(self.runtime_tables()),
-            tx_home=self.tx_home,
-            ground_tables=tuple(self.ground_tables()),
-            families=dict(self.variants),
-            strategy=strategy,
-            optimizer=optimizer,
-            adaptive=adaptive,
-            validate=validate,
-        )
-
-    def build_homeostasis(
-        self,
-        strategy: str = "optimized",
-        lookahead: int = 20,
-        cost_factor: int = 3,
-        seed: int = 0,
-        validate: bool = False,
-        adaptive: AdaptiveSettings | None = None,
-    ) -> HomeostasisCluster:
-        spec = self.cluster_spec(
-            strategy=strategy,
-            lookahead=lookahead,
-            cost_factor=cost_factor,
-            seed=seed,
-            validate=validate,
-            adaptive=adaptive,
-        )
-        return HomeostasisCluster(spec)
-
-    def _untransformed_variants(self) -> dict[str, Transaction]:
-        """Per-site original programs (for LOCAL / 2PC, which replicate
-        full state and need no delta objects)."""
+    def baseline_transactions(self) -> dict[str, Transaction]:
+        """Per-site original programs (LOCAL / 2PC replicate full state
+        and need no delta objects)."""
         out: dict[str, Transaction] = {}
         payment = parse_transaction(PAYMENT_SRC)
         delivery = parse_transaction(DELIVERY_SRC)
@@ -407,29 +329,5 @@ class TpccWorkload:
                 out[f"{family_name}@s{site}"] = tx
         return out
 
-    def _plain_initial_db(self) -> dict[str, int]:
-        db = dict(self.initial_values)
-        for site in self.sites:
-            for w in range(self.num_warehouses):
-                for d in range(self.num_districts):
-                    db[f"next_oid_s{site}[{w},{d}]"] = 1
-        return db
-
-    def build_local(self) -> LocalCluster:
-        return LocalCluster(
-            site_ids=self.sites,
-            initial_db=self._plain_initial_db(),
-            transactions=self._untransformed_variants(),
-            tx_home=self.tx_home,
-        )
-
-    def build_2pc(self) -> TwoPhaseCommitCluster:
-        return TwoPhaseCommitCluster(
-            site_ids=self.sites,
-            initial_db=self._plain_initial_db(),
-            transactions=self._untransformed_variants(),
-            tx_home=self.tx_home,
-        )
-
-    def reference_transaction(self, name: str) -> Transaction:
-        return self.variants[name]
+    def baseline_db(self) -> dict[str, int]:
+        return {**self.initial_values, **self._order_counters()}

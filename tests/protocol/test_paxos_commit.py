@@ -92,7 +92,6 @@ class TestNegotiationSpec:
             {"policy": "roulette"},
             {"acceptors": 4},  # even: not 2F+1
             {"acceptors": -3},  # odd but not positive
-            {"quorum_timeout_ms": 0.0},
             {"credit_unit": 0},
             {"credit_unit": 3, "credit_cap": 2},
         ],

@@ -118,7 +118,7 @@ def _drive_until_sync(cluster, workload, rng, group=None, limit=4000):
     a specific replication group); returns the ClusterResult."""
     for _ in range(limit):
         req = workload.next_request(rng)
-        if group is not None and req.group != group:
+        if group is not None and req.family != f"Buy{group}":
             continue
         out = cluster.submit(req.tx_name, req.params)
         if out.synced:
@@ -270,7 +270,7 @@ class TestEdgePricing:
 
         def request_fn(rng, replica):
             req = workload.next_request(rng, site=replica)
-            return SimRequest(req.tx_name, req.params, req.items, family="Buy")
+            return SimRequest(req.tx_name, req.params, req.lock_keys, family="Buy")
 
         config = SimConfig(
             mode="homeo",

@@ -1,7 +1,5 @@
 """Tests for the discrete-event runner's timing model."""
 
-import random
-
 import pytest
 
 from repro.sim.experiments import (
@@ -13,8 +11,9 @@ from repro.sim.experiments import (
     solver_time_model,
     zipf_weights,
 )
+from repro.protocol.kernel import GroupOutcome, WindowOutcome, WindowResult
 from repro.sim.network import rtt_matrix_for
-from repro.sim.runner import SimConfig, SimRequest, _run_2pc, simulate
+from repro.sim.runner import SimConfig, SimRequest, _Entry, _run_2pc, simulate
 
 
 class _StubCluster:
@@ -23,7 +22,8 @@ class _StubCluster:
     ``participants`` (when given) is reported on every synced outcome,
     mimicking a kernel with participant-scoped negotiation; without it
     the outcome carries no participant info and the simulator must
-    fall back to cluster-wide pricing.
+    fall back to cluster-wide pricing.  ``submit`` serves the 2PC /
+    LOCAL baselines, ``submit_window`` the protocol modes.
     """
 
     def __init__(self, sync_every=0, participants=None):
@@ -43,6 +43,29 @@ class _StubCluster:
         if self.participants is not None:
             out.participants = self.participants if synced else ()
         return out
+
+    def submit_window(self, requests, timestamps=None):
+        """The ``submit`` decision per entry; every synced entry is
+        its own unopposed conflict group."""
+        outcomes, groups = [], []
+        for i, (tx_name, params) in enumerate(requests):
+            out = self.submit(tx_name, params)
+            participants = tuple(getattr(out, "participants", ()))
+            outcomes.append(
+                WindowOutcome(
+                    index=i, tx_name=tx_name, synced=out.synced,
+                    participants=participants,
+                )
+            )
+            if out.synced:
+                groups.append(
+                    GroupOutcome(
+                        wave=0, winner=i, losers=(), contender_sites=(),
+                        participants=participants, scope=participants,
+                        negotiation_index=-1,
+                    )
+                )
+        return WindowResult(outcomes=outcomes, waves=[groups])
 
 
 def _request_fn(rng, replica):
@@ -144,11 +167,9 @@ class Test2pcCoreAccounting:
         cores = [[0.0]]
         lock_free = {("2pc", "k"): lock_horizon}
         request = SimRequest("T", {}, ("k",), family="T")
-        end, record = _run_2pc(
-            config, _StubCluster(), request, 0, 0.0, 5.0,
-            cores, lock_free, 200.0, random.Random(0),
-        )
-        return end, record, cores
+        entry = _Entry(ready=0.0, client=0, replica=0, request=request, service=5.0)
+        record = _run_2pc(config, _StubCluster(), entry, cores, lock_free, 200.0)
+        return record.end_ms, record, cores
 
     def test_committing_and_aborting_waiters_occupy_cores_identically(self):
         # Same dispatch, same service; one waiter gets the lock after
@@ -234,21 +255,79 @@ class TestWindowedDriver:
             elif r.participants == (2, 3):
                 assert r.comm_ms == pytest.approx(2 * matrix[2][3])
 
-    def test_window_ms_without_submit_window_falls_back(self):
-        """A per-transaction kernel ignores window_ms and keeps the
-        legacy per-key-gate path."""
-        config = _config("homeo", window_ms=5.0)
-        res = simulate(config, _StubCluster(sync_every=10), _request_fn)
-        assert res.committed == 800
-        assert res.negotiations > 0
-
     def test_window_zero_keeps_legacy_path_for_concurrent_kernels(self):
+        """``window_ms == 0`` is windows of one: every election is the
+        trivial one (no vote round, no lost votes), and racing
+        violators queue on the per-key negotiation gate instead -- some
+        round waits out another round of its item, a wait no core or
+        item-lock queue (millisecond scale) could produce."""
         res = run_contention(
             "homeo", num_items=8, refill=20, max_txns=400, seed=3,
             config_overrides={"window_ms": 0.0},
         )
         assert res.committed == 400
-        assert all(r.vote_ms == 0.0 for r in res.records)
+        assert all(r.vote_ms == 0.0 and r.retries == 0 for r in res.records)
+        synced = [r for r in res.records if r.kind == "sync"]
+        assert any(r.wait_ms >= 100.0 for r in synced)
+        windowed = run_contention(
+            "homeo", num_items=8, refill=20, max_txns=400, seed=3
+        )
+        assert any(r.retries for r in windowed.records)
+
+
+class _RefreshStub(_StubCluster):
+    """Every would-be violation is a won proactive refresh instead."""
+
+    def submit_window(self, requests, timestamps=None):
+        window = super().submit_window(requests, timestamps)
+        for grp in window.waves[0]:
+            grp.rebalance = True
+            out = window.outcomes[grp.winner]
+            out.synced, out.rebalances = False, 1
+        return window
+
+
+class _SurvivorStub(_StubCluster):
+    """Site 3 dies after the barrier rounds: survivors finish the round."""
+
+    def submit_window(self, requests, timestamps=None):
+        window = super().submit_window(requests, timestamps)
+        for grp in window.waves[0]:
+            window.outcomes[grp.winner].participants = (0, 1)
+        return window
+
+
+class TestOneDriverRules:
+    """The two pricing rules the former ``submit`` and ``submit_window``
+    drivers disagreed on (``sim/runner.py`` module docstring); the
+    third, the negotiation gate, is pinned by
+    ``test_window_zero_keeps_legacy_path_for_concurrent_kernels``."""
+
+    def test_won_refresh_is_charged_comm_plus_solver(self):
+        config = _config("homeo", solver_ms=30.0)
+        res = simulate(config, _RefreshStub(sync_every=10), _request_fn)
+        refreshed = [r for r in res.records if r.rebalances]
+        assert refreshed and res.negotiations == 0
+        assert res.rebalances == len(refreshed)
+        for r in refreshed:
+            assert r.kind == "local"
+            assert r.rebalance_ms == pytest.approx(200.0 + 30.0)
+            assert r.comm_ms == 0.0 and r.solver_ms == 0.0
+            assert r.latency_ms >= 230.0
+
+    def test_round_is_priced_from_the_closure_it_opened_with(self):
+        config = SimConfig(
+            mode="homeo", num_replicas=5, clients_per_replica=2,
+            rtt_matrix=rtt_matrix_for(5), max_txns=400, seed=3,
+        )
+        stub = _SurvivorStub(sync_every=10, participants=(0, 1, 3))
+        res = simulate(config, stub, _request_fn)
+        synced = [r for r in res.records if r.kind == "sync"]
+        assert synced
+        for r in synced:
+            # 2 x the UE<->SG edge the dead site was on, not 2 x 64.
+            assert r.comm_ms == pytest.approx(2 * 243.0)
+            assert r.participants == (0, 1)
 
 
 class TestPerEdgePricing:

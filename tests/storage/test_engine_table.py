@@ -1,4 +1,4 @@
-"""Tests for the transactional engine and the relational veneer."""
+"""Tests for the transactional engine."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.storage.engine import LocalEngine, TxnAborted
 from repro.storage.kvstore import KVStore
-from repro.storage.table import Schema, Table, TableError
 
 
 class TestEngine:
@@ -95,80 +94,3 @@ class TestEngine:
             else:
                 txn.abort()
         assert engine.store == KVStore.from_mapping(expected)
-
-
-class TestTable:
-    def _schema(self):
-        return Schema(
-            name="stock", key_columns=("w", "i"), value_columns=("qty", "ytd")
-        )
-
-    def test_insert_get(self):
-        store = KVStore()
-        table = Table.over_store(self._schema(), store)
-        table.insert((1, 2), {"qty": 50, "ytd": 0})
-        assert table.get((1, 2), "qty") == 50
-        assert table.exists((1, 2))
-        assert store.get("stock_qty[1,2]") == 50  # L++ naming scheme
-
-    def test_duplicate_insert_rejected(self):
-        table = Table.over_store(self._schema(), KVStore())
-        table.insert((1, 2), {"qty": 1, "ytd": 0})
-        with pytest.raises(TableError):
-            table.insert((1, 2), {"qty": 9, "ytd": 0})
-
-    def test_missing_column_on_insert(self):
-        table = Table.over_store(self._schema(), KVStore())
-        with pytest.raises(TableError):
-            table.insert((0, 0), {"qty": 1})
-
-    def test_update_and_read_row(self):
-        table = Table.over_store(self._schema(), KVStore())
-        table.insert((0, 1), {"qty": 5, "ytd": 2})
-        table.update((0, 1), "qty", 4)
-        assert table.read_row((0, 1)) == {"qty": 4, "ytd": 2}
-
-    def test_delete_frees_slot(self):
-        table = Table.over_store(self._schema(), KVStore())
-        table.insert((0, 0), {"qty": 5, "ytd": 0})
-        table.delete((0, 0))
-        assert not table.exists((0, 0))
-        table.insert((0, 0), {"qty": 7, "ytd": 0})  # slot reusable
-        assert table.get((0, 0), "qty") == 7
-
-    def test_missing_row_operations(self):
-        table = Table.over_store(self._schema(), KVStore())
-        with pytest.raises(TableError):
-            table.get((9, 9), "qty")
-        with pytest.raises(TableError):
-            table.update((9, 9), "qty", 0)
-        with pytest.raises(TableError):
-            table.delete((9, 9))
-
-    def test_wrong_key_arity(self):
-        table = Table.over_store(self._schema(), KVStore())
-        with pytest.raises(TableError):
-            table.insert((1,), {"qty": 1, "ytd": 0})
-
-    def test_unknown_column(self):
-        table = Table.over_store(self._schema(), KVStore())
-        table.insert((0, 0), {"qty": 1, "ytd": 0})
-        with pytest.raises(TableError):
-            table.get((0, 0), "price")
-
-    def test_scan_yields_existing_rows(self):
-        table = Table.over_store(self._schema(), KVStore())
-        table.insert((0, 0), {"qty": 1, "ytd": 0})
-        table.insert((0, 2), {"qty": 3, "ytd": 0})
-        rows = dict(table.scan(iter([(0, k) for k in range(4)])))
-        assert set(rows) == {(0, 0), (0, 2)}
-
-    def test_table_through_transaction(self):
-        """Tables compose with the engine: reads lock, aborts undo."""
-        engine = LocalEngine()
-        txn = engine.begin()
-        table = Table(self._schema(), getobj=txn.read, setobj=txn.write)
-        table.insert((5, 5), {"qty": 10, "ytd": 0})
-        txn.abort()
-        direct = Table.over_store(self._schema(), engine.store)
-        assert not direct.exists((5, 5))

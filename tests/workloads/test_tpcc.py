@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.lang.interp import evaluate
+from repro.protocol.paxos_commit import NegotiationSpec
 from repro.workloads.tpcc import TpccWorkload
 
 
@@ -118,6 +119,47 @@ class TestProtocolBehaviour:
         final = cluster.global_state()
         for key in set(state) | set(final):
             assert state.get(key, 0) == final.get(key, 0), key
+
+    def test_paxos_commit_and_credit_arbitration(self, small_workload):
+        """The shared builder spine gives TPC-C the ``negotiation``
+        knob its hand-rolled ``cluster_spec`` lacked: windows race
+        under credit arbitration, every cleanup decision goes through
+        the acceptor quorum, and each window stays serializable in its
+        commit order (validate mode on throughout)."""
+        spec = small_workload.cluster_spec(
+            strategy="equal-split", negotiation=NegotiationSpec(policy="credit")
+        )
+        assert spec.negotiation.policy == "credit"
+        cluster = small_workload.build_homeostasis(
+            strategy="equal-split",
+            validate=True,
+            negotiation=NegotiationSpec(policy="credit"),
+        )
+        rng = random.Random(6)
+        state = dict(small_workload.initial_db)
+        for _ in range(6):
+            window = [
+                small_workload.next_request(rng, site=k % 2) for k in range(8)
+            ]
+            result = cluster.submit_window(
+                [(req.tx_name, req.params) for req in window]
+            )
+            assert sorted(result.commit_order) == list(range(len(window)))
+            for idx in result.commit_order:
+                req = window[idx]
+                out = evaluate(
+                    small_workload.reference_transaction(req.tx_name),
+                    state,
+                    params=req.params,
+                )
+                state = out.db
+                assert out.log == result.outcomes[idx].log
+        final = cluster.global_state()
+        for key in set(state) | set(final):
+            assert state.get(key, 0) == final.get(key, 0), key
+        stats = cluster.transport.message_stats()
+        assert cluster.stats.negotiations > 0
+        assert stats.phase2a_messages > 0 and stats.phase2b_messages > 0
 
     def test_hotness_increases_sync_ratio(self):
         """Figure 29's shape at kernel level: more hot-item orders,
