@@ -18,21 +18,6 @@ from typing import Iterable, Sequence
 MICRO_TXNS = 2_500
 MICRO_ITEMS = 150
 TPCC_TXNS = 1_500
-GEO_TXNS = 2_000
-
-
-def message_summary(cluster) -> list[tuple[str, int]]:
-    """Rows of the cluster's trace-derived message accounting."""
-    stats = cluster.stats.messages
-    return [
-        ("sync broadcasts", stats.sync_broadcasts),
-        ("votes", stats.vote_messages),
-        ("cleanup runs", stats.cleanup_messages),
-        ("treaty installs", stats.treaty_updates),
-        ("2pc prepares", stats.prepare_messages),
-        ("2pc decisions", stats.decision_messages),
-        ("total", stats.total()),
-    ]
 
 
 def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -17,31 +17,21 @@ drop is coordination avoided, not relabelled.
 """
 
 from _common import print_table
+from scenarios import ADAPTIVE_POINTS, adaptive_block, assert_gates
 
 from repro.sim.experiments import run_adaptive_skew
 
 SKEW_SWEEP = (0.0, 1.0, 2.0)
 
-TPCC_POINT = dict(
-    workload="tpcc",
-    skew=2.0,
-    max_txns=1_000,
-    num_items=30,
-    initial_stock=35,
-    seed=0,
-    # The same point the harness gates in CI: long enough past the
-    # estimator's learning phase that the honest-total comparison
-    # (sync + rebalance) is meaningful.
-    config_overrides={"duration_ms": 30_000.0},
-)
+#: the gated micro point at a smaller run size, swept over the skew
+MICRO_POINT = {**ADAPTIVE_POINTS["micro"], "max_txns": 1_200}
+TPCC_POINT = ADAPTIVE_POINTS["tpcc"]
 
 
 def _run_sweep():
     micro = {
         skew: {
-            mode: run_adaptive_skew(
-                mode, skew=skew, workload="micro", max_txns=1_200, seed=0
-            )
+            mode: run_adaptive_skew(mode, **{**MICRO_POINT, "skew": skew})
             for mode in ("static", "adaptive")
         }
         for skew in SKEW_SWEEP
@@ -92,12 +82,18 @@ def test_adaptive_skew(benchmark):
     # adaptive sync ratio is strictly below static's, and remains below
     # even counting every proactive refresh as a full negotiation.
     high = micro[SKEW_SWEEP[-1]]
-    assert high["adaptive"].sync_ratio < high["static"].sync_ratio
+    assert_gates(
+        "adaptive_skew",
+        "adaptive_gate.micro",
+        adaptive_block(high["adaptive"], high["static"]),
+    )
+    assert_gates(
+        "adaptive_skew", "adaptive_gate.tpcc", adaptive_block(t_adaptive, t_static)
+    )
     assert (
         high["adaptive"].sync_ratio + high["adaptive"].rebalance_ratio
         < high["static"].sync_ratio
     )
-    assert t_adaptive.sync_ratio < t_static.sync_ratio
     assert (
         t_adaptive.sync_ratio + t_adaptive.rebalance_ratio
         < t_static.sync_ratio

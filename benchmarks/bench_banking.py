@@ -11,25 +11,17 @@ cluster where every transfer crossed site-local knowledge.
 """
 
 from _common import print_table
+from scenarios import BANKING_POINT, assert_gates, conservation_audit
 
-from repro.sim.experiments import run_banking, run_banking_conservation
+from repro.sim.experiments import run_banking
 
-POINT = dict(
-    num_accounts=8,
-    initial_balance=30,
-    deposit_fraction=0.1,
-    audit_fraction=0.05,
-    max_txns=1_000,
-    seed=0,
-)
+#: the gated point at a smaller run size, under both modes
+POINT = {**BANKING_POINT, "max_txns": 1_000}
 
 
 def _run():
     runs = {mode: run_banking(mode, **POINT) for mode in ("homeo", "2pc")}
-    conservation = run_banking_conservation(
-        num_sites=3, num_accounts=6, requests=600, seed=0
-    )
-    return runs, conservation
+    return runs, conservation_audit()
 
 
 def test_banking(benchmark):
@@ -64,6 +56,4 @@ def test_banking(benchmark):
         f"{twopc.total_throughput():.1f}"
     )
     # The invariant: money in == money out, nobody overdrawn.
-    assert conservation["money_conserved"], conservation
-    assert conservation["final_total"] == conservation["expected_total"]
-    assert conservation["min_balance"] >= 0
+    assert_gates("banking", "banking_gate", conservation)

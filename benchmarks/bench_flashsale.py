@@ -12,32 +12,25 @@ treaty splits moved.
 """
 
 from _common import print_table
+from scenarios import FLASHSALE_POINT, assert_gates, sellout_audit
 
-from repro.sim.experiments import run_flashsale, run_flashsale_sellout
+from repro.sim.experiments import run_flashsale
 
 HOT_SWEEP = (0.5, 0.7, 0.9)
 
-POINT = dict(
-    num_skus=8,
-    hot_stock=150,
-    cold_stock=60,
-    restock_fraction=0.05,
-    peek_fraction=0.1,
-    max_txns=1_200,
-    seed=0,
-)
+#: the gated point at a smaller run size, swept up to its hot fraction
+POINT = {**FLASHSALE_POINT, "max_txns": 1_200}
 
 
 def _run_sweep():
     sweep = {
         hot: {
-            mode: run_flashsale(mode, hot_fraction=hot, **POINT)
+            mode: run_flashsale(mode, **{**POINT, "hot_fraction": hot})
             for mode in ("static", "adaptive")
         }
         for hot in HOT_SWEEP
     }
-    sellout = run_flashsale_sellout(num_sites=2, hot_stock=60, seed=0)
-    return sweep, sellout
+    return sweep, sellout_audit()
 
 
 def test_flashsale(benchmark):
@@ -84,5 +77,4 @@ def test_flashsale(benchmark):
     ), "adaptive did not beat static at the hot point"
     # The boundary property, independent of allocation: sold out,
     # never oversold.
-    assert sellout["sold_out"] and sellout["oversold_units"] == 0
-    assert sellout["min_stock"] >= 0
+    assert_gates("flashsale", "flashsale_gate", sellout)

@@ -15,7 +15,8 @@ so the negotiation tail of the cheap groups collapses by ~6x and the
 mean violating latency drops well below the flat-model bound.
 """
 
-from _common import GEO_TXNS, once, print_table
+from _common import once, print_table
+from scenarios import GEO_POINT
 
 from repro.sim.experiments import run_geo
 from repro.sim.network import max_rtt, participants_rtt, rtt_matrix_for
@@ -24,8 +25,10 @@ GROUPS = ((0, 1), (2, 3), (0, 4))
 
 
 def _run():
+    # The gated point (these groups and five replicas are run_geo's
+    # defaults) at a longer run.
     return run_geo(
-        "homeo", groups=GROUPS, num_replicas=5, max_txns=GEO_TXNS, seed=0
+        "homeo", groups=GROUPS, num_replicas=5, **{**GEO_POINT, "max_txns": 2_000}
     )
 
 

@@ -11,28 +11,22 @@ reaches its limit and never passes it.
 """
 
 from _common import print_table
+from scenarios import QUOTA_POINT, assert_gates, saturation_audit
 
-from repro.sim.experiments import run_quota, run_quota_saturation
+from repro.sim.experiments import run_quota
 
 TENANT_SWEEP = (30, 80, 150)
 
-POINT = dict(
-    limit=12,
-    usage_fraction=0.05,
-    max_txns=1_200,
-    seed=0,
-)
+#: the gated point at a smaller run size, swept up to its tenant count
+POINT = {**QUOTA_POINT, "max_txns": 1_200}
 
 
 def _run_sweep():
     sweep = {
-        tenants: run_quota("homeo", num_tenants=tenants, **POINT)
+        tenants: run_quota("homeo", **{**POINT, "num_tenants": tenants})
         for tenants in TENANT_SWEEP
     }
-    saturation = run_quota_saturation(
-        num_sites=2, num_tenants=30, limit=8, requests=600, seed=0
-    )
-    return sweep, saturation
+    return sweep, saturation_audit()
 
 
 def test_quota(benchmark):
@@ -68,6 +62,4 @@ def test_quota(benchmark):
             for t in TENANT_SWEEP]
     assert cpcs == sorted(cpcs), f"checks/commit not monotone: {cpcs}"
     # The ceiling, exactly: saturated but never overrun.
-    assert saturation["within_limits"], saturation
-    assert saturation["max_used"] == saturation["limit"]
-    assert saturation["min_used"] >= 0
+    assert_gates("quota", "quota_gate", saturation)

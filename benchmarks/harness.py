@@ -1,149 +1,13 @@
-"""Machine-readable benchmark harness: scenarios -> ``BENCH_*.json``.
+"""Run the scenario table: scenarios -> ``BENCH_*.json``.
 
 Every performance claim this repo makes should leave a durable,
-diffable record.  This harness runs a fixed set of end-to-end
-scenarios (each one a prepackaged experiment from
-``repro.sim.experiments``), measures
-
-- **wall time** of the whole scenario (host-dependent, informational),
-- **simulated transaction throughput** and **sync ratio** (fully
-  deterministic under the fixed seed, so they diff exactly across
-  machines),
-- latency percentiles of the simulated run, and
-- a **treaty-check microbenchmark**: the same installed local treaty
-  checked through the interpreted reference
-  (:func:`repro.logic.compile.interpret_clauses`, the seed's per-call
-  AST walk), through the compiled closure fast path
-  (:func:`repro.logic.compile.compile_clauses`), and through the
-  escrow headroom counters
-  (:class:`repro.treaty.escrow.EscrowAccount`), reported as checks/s
-  and speedups,
-
-and writes one ``BENCH_<scenario>.json`` per scenario with the stable
-schema below.  ``compare_bench.py`` diffs a run against the committed
-baselines and fails on regressions; CI runs both on every push.
-
-Schema (``schema_version`` 3)::
-
-    {
-      "schema_version": 3,
-      "scenario": str,            # harness scenario name
-      "mode": str,                # kernel mode the scenario ran
-      "txns": int,                # committed transactions
-      "negotiations": int,
-      "rebalances": int,          # proactive adaptive refreshes
-      "wall_time_s": float,       # host-dependent, not gated
-      "throughput_txn_per_s": float,   # simulated clock, deterministic
-      "sync_ratio": float,             # deterministic
-      "p50_ms": float, "p99_ms": float,  # deterministic
-      # run-level escrow fast-path counters from the kernel
-      # (deterministic under the fixed seed)
-      "escrow_eligible_ratio": float,  # eligible installs / installs
-      "escrow": {
-        "installs": int, "eligible_installs": int,
-        "eligible_ratio": float,
-        "sites_with_treaty": int, "sites_on_escrow": int,
-        "fast_commits": int,      # admitted by the window guard alone
-        "settled_commits": int,   # judged on exact counters
-        "settlements": int, "violations": int, "resyncs": int
-      },
-      # static-tier (coordination-freedom classifier: one counter per
-      # check kind, free + full == checked) counters, deterministic
-      # under the fixed seed
-      "free_ratio": float,        # check bypasses / treaty executions
-      "checks_per_commit": float, # mean treaty clauses in scope
-      "classifier": {
-        "free": int, "full": int,
-        "checked": int, "clauses_in_scope": int,
-        "free_ratio": float, "checks_per_commit": float
-      },
-      "check_microbench": {
-        "clauses": int,
-        "iterations": int,
-        "interpreted_checks_per_s": float,
-        "compiled_checks_per_s": float,
-        "speedup": float,         # compiled / interpreted
-        "escrow_checks_per_s": float,    # counter commits / s
-        "escrow_speedup": float,  # escrow / compiled
-        "escrow_window": {        # batching behaviour during the bench
-          "window": int, "rows": int, "fast_commits": int,
-          "settled_commits": int, "settlements": int
-        }
-      },
-      # adaptive_skew only: the adaptive-beats-static comparison at
-      # the high-skew point, gated by compare_bench.py
-      "adaptive_gate": {
-        "skew": float,
-        "<workload>": {
-          "adaptive_sync_ratio": float,   # deterministic
-          "static_sync_ratio": float,     # deterministic
-          "adaptive_rebalance_ratio": float,
-          "adaptive_rebalances": int,
-          "free_ratio": float,            # static-tier bypasses
-          "checks_per_commit": float      # TPC-C row gates this
-        }
-      },
-      # faults only: the availability-under-crash comparison, gated by
-      # compare_bench.py (homeo must keep committing on the surviving
-      # sites during the outage window while 2PC blocks)
-      "fault_gate": {
-        "crash_at_ms": float, "outage_ms": float,
-        "homeo_availability": float,          # whole run, deterministic
-        "homeo_outage_availability": float,   # outage window only
-        "twopc_availability": float,
-        "twopc_outage_availability": float,
-        "homeo_recoveries": int,              # WAL replay + rejoin rounds
-        "homeo_timeouts": int,                # unavailability failures
-        # the Paxos Commit winner-crash scenario (the negotiation
-        # origin crash-stops mid-quorum; a survivor must finish the
-        # round from the acceptors' WAL state) -- every flag gated
-        "winner_crash": {
-          "committed": bool, "origin_down_at_completion": bool,
-          "origin_excluded": bool, "survivors": int,
-          "complete_messages": int,
-          "phase2a_messages": int, "phase2b_messages": int,
-          "recovered_clean": bool, "post_recovery_committed": bool
-        }
-      },
-      # contention_races only: the arbitration-fairness comparison in
-      # the tie-dominated regime (coarse clocks, Zipf-skewed load),
-      # gated by compare_bench.py: the credit policy must bound the
-      # worst losing streak that pure site-id tie-breaking lets grow
-      "fairness_gate": {
-        "skew": float, "clock_quantum_ms": float,
-        "<policy>": {                          # "priority" and "credit"
-          "elections": int,                    # contested elections
-          "max_consecutive_losses": int,       # worst site streak
-          "worst_site_p99_wait": float,        # elections-waited p99
-          "per_site_max_losses": {str: int}
-        }
-      },
-      # flashsale only: the deterministic sell-out audit (3x the hot
-      # stock in checkouts must end exactly at zero), gated by
-      # compare_bench.py; the scenario also carries an adaptive_gate
-      # block with a "flashsale" workload row
-      "flashsale_gate": {
-        "hot_stock": int, "hot_remaining": int, "sold_out": bool,
-        "oversold_units": int, "min_stock": int, "sync_ratio": float
-      },
-      # banking only: the deterministic money-conservation audit,
-      # gated by compare_bench.py (conserved total, no negative
-      # balance on final state)
-      "banking_gate": {
-        "accounts": int, "requests": int, "deposited": int,
-        "expected_total": int, "final_total": int, "min_balance": int,
-        "money_conserved": bool, "conservation_problems": [str],
-        "sync_ratio": float
-      },
-      # quota only: the deterministic saturation audit (a hammered
-      # tenant must reach its limit and never pass it), gated by
-      # compare_bench.py
-      "quota_gate": {
-        "tenants": int, "limit": int, "requests": int,
-        "max_used": int, "min_used": int, "overrun_violations": int,
-        "within_limits": bool, "sync_ratio": float
-      }
-    }
+diffable record.  This runs the scenarios of ``scenarios.py`` (each a
+prepackaged experiment from ``repro.sim.experiments``, plus ``check``,
+the host-time treaty-check microbenchmark) and writes one
+``BENCH_<scenario>.json`` per scenario; ``compare_bench.py`` holds a
+run to the committed baselines and CI runs both on every push.  What
+a record holds is what ``scenarios.sim_record`` and the scenario's
+block builders put there.
 
 Run it::
 
@@ -156,437 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
-import time
 from pathlib import Path
 
-if __package__ in (None, ""):  # script mode: make src/ importable
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.logic.compile import (  # noqa: E402
-    compile_clauses,
-    interpret_clauses,
-    lower_to_escrow,
-)
-from repro.protocol.paxos_commit import NegotiationSpec  # noqa: E402
-from repro.sim.experiments import (  # noqa: E402
-    run_adaptive_skew,
-    run_banking,
-    run_banking_conservation,
-    run_contention,
-    run_faults,
-    run_flashsale,
-    run_flashsale_sellout,
-    run_geo,
-    run_micro,
-    run_quota,
-    run_quota_saturation,
-    run_winner_crash,
-)
-from repro.treaty.escrow import EscrowAccount  # noqa: E402
-from repro.workloads.micro import MicroWorkload  # noqa: E402
-
-SCHEMA_VERSION = 3
-
-#: iterations of the treaty-check microbenchmark (per implementation)
-CHECK_ITERATIONS = 20_000
-
-
-def _check_microbench(iterations: int = CHECK_ITERATIONS) -> dict:
-    """Compiled-vs-interpreted throughput of one real local treaty.
-
-    The treaty comes from an actual protocol cluster (50 items at the
-    checked site), and both implementations read object values through
-    the same snapshot lookup, so the measured difference is purely the
-    check mechanism: one compiled closure call versus an AST walk per
-    clause.
-
-    The escrow leg times :meth:`EscrowAccount.commit` on the same
-    treaty's lowered program, fed alternating +1/-1 single-object
-    deltas (refill first, so nothing ever violates) against synthetic
-    healthy headroom -- honest because commit cost is independent of
-    the slack values except through settlement frequency, which the
-    recorded ``escrow_window`` stats make auditable.
-    """
-    workload = MicroWorkload(
-        num_items=50, refill=100, num_sites=2, initial_qty="random", init_seed=1
-    )
-    cluster = workload.build_homeostasis(
-        strategy="equal-split", lookahead=20, cost_factor=3, seed=0
-    )
-    site = cluster.sites[0]
-    constraints = site.local_treaty.constraints
-    getobj = site.engine.store.snapshot().__getitem__
-    compiled = compile_clauses(constraints)
-    if compiled(getobj) != interpret_clauses(constraints, getobj):
-        raise AssertionError("compiled and interpreted checks disagree")
-
-    def best_rate(check) -> float:
-        # Best of three timed repeats: transient host noise only ever
-        # slows a repeat down, so the max rate is the stablest estimate.
-        best = 0.0
-        for _ in range(3):
-            t0 = time.perf_counter()
-            for _ in range(iterations):
-                check()
-            best = max(best, iterations / (time.perf_counter() - t0))
-        return best
-
-    interpreted_rate = best_rate(lambda: interpret_clauses(constraints, getobj))
-    compiled_rate = best_rate(lambda: compiled(getobj))
-
-    program = lower_to_escrow(tuple(constraints))
-    if program is None:
-        raise AssertionError("microbench treaty must be escrow-eligible")
-    account = EscrowAccount(program, [1000] * len(program.rows))
-    commit = account.commit
-    obj = program.rows[0].expr.coeffs[0][0].name
-    up, down = {obj: 1}, {obj: -1}
-    if commit(up) is not None or commit(down) is not None:
-        raise AssertionError("escrow microbench deltas must never violate")
-    escrow_rate = 0.0
-    for _ in range(3):
-        t0 = time.perf_counter()
-        for _ in range(0, iterations, 2):
-            commit(up)
-            commit(down)
-        escrow_rate = max(escrow_rate, iterations / (time.perf_counter() - t0))
-    window = account.stats()
-    return {
-        "clauses": len(constraints),
-        "iterations": iterations,
-        "interpreted_checks_per_s": round(interpreted_rate, 1),
-        "compiled_checks_per_s": round(compiled_rate, 1),
-        "speedup": round(compiled_rate / interpreted_rate, 3),
-        "escrow_checks_per_s": round(escrow_rate, 1),
-        "escrow_speedup": round(escrow_rate / compiled_rate, 3),
-        "escrow_window": {
-            "window": account.window,
-            "rows": len(program.rows),
-            "fast_commits": window["fast_commits"],
-            "settled_commits": window["settled_commits"],
-            "settlements": window["settlements"],
-        },
-    }
-
-
-def _scenario_micro():
-    # A quarter of the mix is read-only Audit probes: the traffic
-    # class the coordination-freedom classifier proves FREE, so the
-    # scenario exercises (and its baseline gates) the static tier.
-    return run_micro(
-        "homeo", num_items=150, max_txns=2_000, seed=0, audit_fraction=0.25
-    )
-
-
-def _scenario_geo_pricing():
-    return run_geo("homeo", max_txns=1_500, seed=0)
-
-
-#: the skew of the fairness comparison (matches the adaptive point)
-FAIRNESS_SKEW = 2.0
-
-#: the tie-dominated arbitration point: Zipf(2.0)-skewed clients over
-#: four replicas, hot items, and an arbitration clock so coarse that
-#: every within-window race carries equal vote timestamps -- elections
-#: are decided purely by the tie-break chain (credit, then site id),
-#: the regime where the policies separate
-_FAIRNESS_POINT = dict(
-    num_replicas=4,
-    clients_per_replica=8,
-    num_items=12,
-    skew=FAIRNESS_SKEW,
-    max_txns=1_200,
-    seed=0,
-    config_overrides={"clock_quantum_ms": 1e6},
-)
-
-
-def _scenario_contention_races():
-    """Racing violators under the concurrent runtime, plus fairness.
-
-    The scenario's headline metrics are the legacy uniform-load run
-    (unchanged semantics); the ``fairness_gate`` extras run the
-    tie-dominated skew point under both arbitration policies and
-    record each one's credit-ledger summary, which ``compare_bench.py``
-    enforces: the budgeted credit policy must bound the worst losing
-    streak that pure site-id tie-breaking lets grow.
-    """
-    headline = run_contention(
-        "homeo", num_items=20, window_ms=10.0, max_txns=800, seed=0
-    )
-    gate: dict = {
-        "skew": FAIRNESS_SKEW,
-        "clock_quantum_ms": _FAIRNESS_POINT["config_overrides"]["clock_quantum_ms"],
-    }
-    for policy in ("priority", "credit"):
-        result = run_contention(
-            "homeo",
-            negotiation=NegotiationSpec(policy=policy),
-            **_FAIRNESS_POINT,
-        )
-        fairness = result.fairness
-        per_site = fairness["per_site"]
-        gate[policy] = {
-            "elections": fairness["elections"],
-            "max_consecutive_losses": fairness["max_consecutive_losses"],
-            "worst_site_p99_wait": max(
-                (d["wait_p99"] for d in per_site.values()), default=0.0
-            ),
-            "per_site_max_losses": {
-                str(site): d["max_consecutive_losses"]
-                for site, d in sorted(per_site.items())
-            },
-        }
-    return headline, {"fairness_gate": gate}
-
-
-#: the high-skew point of the adaptive-reallocation experiment
-ADAPTIVE_SKEW = 2.0
-
-#: per-workload knobs of the adaptive_skew scenario (deterministic)
-_ADAPTIVE_POINTS = {
-    "micro": dict(workload="micro", skew=ADAPTIVE_SKEW, max_txns=2_000, seed=0),
-    "tpcc": dict(
-        workload="tpcc",
-        skew=ADAPTIVE_SKEW,
-        max_txns=1_000,
-        num_items=30,
-        initial_stock=35,
-        seed=0,
-        config_overrides={"duration_ms": 30_000.0},
-    ),
-}
-
-
-def _scenario_adaptive_skew():
-    """Adaptive vs static treaty allocation at the high-skew point.
-
-    The scenario's headline metrics (throughput / sync ratio / p99)
-    are the *adaptive micro* run; the extras record the
-    adaptive-beats-static comparison on both workloads, which
-    ``compare_bench.py`` enforces as its own gate.  Rebalance ratios
-    are recorded alongside so the win is auditable as real
-    coordination avoided, not violations relabelled as refreshes.
-    """
-    gate: dict = {"skew": ADAPTIVE_SKEW}
-    main_result = None
-    for workload, point in _ADAPTIVE_POINTS.items():
-        adaptive = run_adaptive_skew("adaptive", **point)
-        static = run_adaptive_skew("static", **point)
-        gate[workload] = {
-            "adaptive_sync_ratio": round(adaptive.sync_ratio, 5),
-            "static_sync_ratio": round(static.sync_ratio, 5),
-            "adaptive_rebalance_ratio": round(adaptive.rebalance_ratio, 5),
-            "adaptive_rebalances": adaptive.rebalances,
-            # static-tier yield on this workload (the TPC-C row backs
-            # the compare_bench checks-per-commit gate)
-            "free_ratio": adaptive.classifier.get("free_ratio", 0.0),
-            "checks_per_commit": adaptive.classifier.get(
-                "checks_per_commit", 0.0
-            ),
-        }
-        if workload == "micro":
-            main_result = adaptive
-    return main_result, {"adaptive_gate": gate}
-
-
-#: the fault scenario's deterministic crash schedule (site 1 is down
-#: for half of the 1.5s..4.5s window of a 6s run)
-_FAULT_POINT = dict(
-    crash_site=1,
-    crash_at_ms=1_500.0,
-    outage_ms=3_000.0,
-    duration_ms=6_000.0,
-    clients_per_replica=4,
-    num_items=120,
-    seed=0,
-)
-
-
-def _scenario_faults():
-    """Availability under a site crash: homeo vs 2PC, one outage.
-
-    The scenario's headline metrics are the *homeostasis* run (with
-    validate mode on, so every install asserts H1/H2 and the recovery
-    asserts the WAL-replayed treaty is identical to the cluster's);
-    the ``fault_gate`` extras record both modes' availability over the
-    whole run and over the outage window specifically, which
-    ``compare_bench.py`` enforces: homeostasis must keep committing on
-    the surviving sites while 2PC blocks.
-    """
-    homeo = run_faults("homeo", validate=True, **_FAULT_POINT)
-    twopc = run_faults("2pc", **_FAULT_POINT)
-    window = (
-        _FAULT_POINT["crash_at_ms"],
-        _FAULT_POINT["crash_at_ms"] + _FAULT_POINT["outage_ms"],
-    )
-    gate = {
-        "crash_at_ms": _FAULT_POINT["crash_at_ms"],
-        "outage_ms": _FAULT_POINT["outage_ms"],
-        "homeo_availability": round(homeo.availability, 5),
-        "homeo_outage_availability": round(homeo.availability_between(*window), 5),
-        "twopc_availability": round(twopc.availability, 5),
-        "twopc_outage_availability": round(twopc.availability_between(*window), 5),
-        "homeo_recoveries": homeo.recoveries,
-        "homeo_timeouts": homeo.timeouts,
-        # The non-blocking negotiation scenario: the origin of a
-        # violating round crash-stops after the first Phase2b ack and
-        # a survivor completes the round from the acceptors' WAL
-        # state (validate-mode oracles on throughout).
-        "winner_crash": run_winner_crash(seed=0),
-    }
-    return homeo, {"fault_gate": gate}
-
-
-#: the flash-sale stress point: 90% of checkouts on one SKU, treaty
-#: headroom collapsing toward zero -- the regime adaptive rebalancing
-#: was built for (deterministic under the fixed seed)
-_FLASHSALE_POINT = dict(
-    num_skus=8,
-    hot_stock=150,
-    cold_stock=60,
-    hot_fraction=0.9,
-    restock_fraction=0.05,
-    peek_fraction=0.1,
-    max_txns=2_500,
-    seed=0,
-)
-
-
-def _scenario_flashsale():
-    """One hot SKU under adaptive vs static treaty allocation.
-
-    The scenario's headline metrics are the *adaptive* run; the
-    ``adaptive_gate`` extras record the adaptive-beats-static
-    comparison (the same gate shape the adaptive_skew scenario uses,
-    enforced by the same compare_bench check), and the
-    ``flashsale_gate`` extras record the deterministic sell-out audit:
-    driving 3x the hot stock in checkouts must end exactly at zero --
-    sold out, never oversold -- whatever the treaty splits did.
-    """
-    adaptive = run_flashsale("adaptive", **_FLASHSALE_POINT)
-    static = run_flashsale("static", **_FLASHSALE_POINT)
-    gate = {
-        "hot_fraction": _FLASHSALE_POINT["hot_fraction"],
-        "flashsale": {
-            "adaptive_sync_ratio": round(adaptive.sync_ratio, 5),
-            "static_sync_ratio": round(static.sync_ratio, 5),
-            "adaptive_rebalance_ratio": round(adaptive.rebalance_ratio, 5),
-            "adaptive_rebalances": adaptive.rebalances,
-            "free_ratio": adaptive.classifier.get("free_ratio", 0.0),
-            "checks_per_commit": adaptive.classifier.get(
-                "checks_per_commit", 0.0
-            ),
-        },
-    }
-    sellout = run_flashsale_sellout(num_sites=2, hot_stock=60, seed=0)
-    return adaptive, {"adaptive_gate": gate, "flashsale_gate": sellout}
-
-
-def _scenario_banking():
-    """Cross-site transfers under non-negative-balance treaties.
-
-    Headline metrics are the homeostasis run; the ``banking_gate``
-    extras record the deterministic conservation audit on a separate
-    3-site cluster: money in equals money out (transfers conserve,
-    deposits add exactly what they deposited) and no account ever
-    ends negative -- the treaty invariant, checked on final state.
-    """
-    homeo = run_banking(
-        "homeo",
-        num_accounts=8,
-        initial_balance=30,
-        deposit_fraction=0.1,
-        audit_fraction=0.05,
-        max_txns=2_000,
-        seed=0,
-    )
-    conservation = run_banking_conservation(
-        num_sites=3, num_accounts=6, requests=600, seed=0
-    )
-    return homeo, {"banking_gate": conservation}
-
-
-def _scenario_quota():
-    """A multi-tenant rate limiter: 150 independent small treaties.
-
-    Headline metrics are the homeostasis run (its
-    ``checks_per_commit`` is gated baseline-relative by
-    compare_bench: this scenario is where a treaty-table or
-    compiled-check-cache regression shows up as clause-scope bloat);
-    the ``quota_gate`` extras record the deterministic saturation
-    audit: hammering 90% of traffic onto one tenant must drive it
-    exactly to its limit -- never past it.
-    """
-    homeo = run_quota(
-        "homeo",
-        num_tenants=150,
-        limit=12,
-        usage_fraction=0.05,
-        max_txns=2_500,
-        seed=0,
-    )
-    saturation = run_quota_saturation(
-        num_sites=2, num_tenants=30, limit=8, requests=600, seed=0
-    )
-    return homeo, {"quota_gate": saturation}
-
-
-#: scenario name -> zero-argument runner returning a SimResult (or a
-#: (SimResult, extras) pair whose extras merge into the JSON record)
-SCENARIOS = {
-    "micro": _scenario_micro,
-    "geo_pricing": _scenario_geo_pricing,
-    "contention_races": _scenario_contention_races,
-    "adaptive_skew": _scenario_adaptive_skew,
-    "faults": _scenario_faults,
-    "flashsale": _scenario_flashsale,
-    "banking": _scenario_banking,
-    "quota": _scenario_quota,
-}
-
-
-def run_scenario(name: str, check_microbench: dict | None = None) -> dict:
-    """Run one scenario end to end and return its schema-3 record.
-
-    The treaty-check microbenchmark is scenario-independent; callers
-    running several scenarios should measure it once and pass it in
-    (``main`` does) rather than re-timing 120k checks per scenario.
-    """
-    runner = SCENARIOS[name]
-    t0 = time.perf_counter()
-    result = runner()
-    wall = time.perf_counter() - t0
-    extras: dict = {}
-    if isinstance(result, tuple):
-        result, extras = result
-    stats = result.latency_stats()
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "scenario": name,
-        "mode": result.mode,
-        "txns": result.committed,
-        "negotiations": result.negotiations,
-        "rebalances": result.rebalances,
-        "wall_time_s": round(wall, 3),
-        "throughput_txn_per_s": round(result.total_throughput(), 3),
-        "sync_ratio": round(result.sync_ratio, 5),
-        "p50_ms": round(stats.p50, 3),
-        "p99_ms": round(stats.p99, 3),
-        "escrow": dict(result.escrow),
-        "escrow_eligible_ratio": result.escrow.get("eligible_ratio", 0.0),
-        "classifier": dict(result.classifier),
-        "free_ratio": result.classifier.get("free_ratio", 0.0),
-        "checks_per_commit": result.classifier.get("checks_per_commit", 0.0),
-        "check_microbench": check_microbench or _check_microbench(),
-    }
-    record.update(extras)
-    return record
-
-
-def bench_path(out_dir: Path, scenario: str) -> Path:
-    return out_dir / f"BENCH_{scenario}.json"
+from scenarios import SCENARIOS, bench_path, run_scenario
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -604,23 +40,18 @@ def main(argv: list[str] | None = None) -> int:
         help="directory for BENCH_<scenario>.json files (default: bench-results)",
     )
     args = parser.parse_args(argv)
-    names = args.scenario or sorted(SCENARIOS)
     args.out.mkdir(parents=True, exist_ok=True)
-    micro = _check_microbench()
 
-    for name in names:
-        record = run_scenario(name, check_microbench=micro)
+    for name in args.scenario or sorted(SCENARIOS):
+        record = run_scenario(name)
         path = bench_path(args.out, name)
         path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        mb = record["check_microbench"]
+        # The headline: the record's gated top-level fields.
+        gated = [row.field for row in SCENARIOS[name].gates.get("", ())]
         print(
-            f"{name}: {record['txns']} txns, "
-            f"{record['throughput_txn_per_s']:.1f} txn/s (sim), "
-            f"sync ratio {record['sync_ratio']:.4f}, "
-            f"wall {record['wall_time_s']:.2f}s, "
-            f"check speedup {mb['speedup']:.2f}x, "
-            f"escrow {mb['escrow_speedup']:.2f}x/"
-            f"{record['escrow_eligible_ratio']:.2f} -> {path}"
+            f"{name}: "
+            + ", ".join(f"{field} {record[field]}" for field in gated)
+            + f" (wall {record['wall_time_s']:.2f}s) -> {path}"
         )
     return 0
 

@@ -351,8 +351,11 @@ class TreatyGenerator:
         constraints = list(lin.constraints)
         pinned = set(lin.pinned)
         # Appendix C.3: pin objects remote-read by the matched residual.
+        # Sorted: the pins' order reaches the WAL bytes and the treaty
+        # fingerprint, which must not follow the set's string hashing
+        # (key=str because a parameterized read is a tuple).
         pinned_names: set[str] = set()
-        for read in residual_reads(row.residual):
+        for read in sorted(residual_reads(row.residual), key=str):
             if not isinstance(read, str):
                 raise ProtocolError(
                     f"ground instance {table.transaction.name} has "

@@ -1129,10 +1129,8 @@ class HomeostasisCluster:
                     )
             for rnd in alive:
                 winner = rnd.group[0]
-                # Hooks (e.g. delta rebasing) only rewrite bases/deltas
-                # of objects whose deltas were already dirty, and those
-                # factors are recomputed anyway, so dirty | written (|
-                # the refresh's seed) covers everything.
+                # dirty | written (| the refresh's seed) covers
+                # everything the round changed.
                 self._install_new_treaty(
                     dirty=rnd.dirty
                     | rnd.written

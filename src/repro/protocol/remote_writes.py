@@ -266,74 +266,3 @@ def initial_replicated_db(
             else:
                 out[delta_base(name, site)] = 0
     return out
-
-
-def rebase_deltas_hook(spec: ReplicationSpec):
-    """Post-sync hook folding deltas into bases and zeroing them.
-
-    "In practice, we might initialize the dx objects to 0 and reset
-    them to 0 at the end of each protocol round" (Appendix B).  Every
-    participant applies the same deterministic fold on identical
-    synced state, so no extra communication is needed.
-
-    Under participant-scoped synchronization the fold is confined to
-    the round: only deltas that were part of the broadcast update set
-    (``cluster.last_sync.updates``) and whose owner *and* base home
-    participated are folded, and the owners record the rewrites as
-    dirty so a later round re-broadcasts them to sites that sat this
-    one out.
-    """
-
-    def hook(cluster) -> None:
-        all_sites = set(cluster.site_ids)
-        sync = getattr(cluster, "last_sync", None)
-        scoped = sync is not None and set(sync.participants) != all_sites
-        participants = set(sync.participants) if scoped else all_sites
-        ref = cluster.sites[min(participants)]
-        candidates = (
-            list(sync.updates) if scoped else list(ref.engine.store.support())
-        )
-        folds: dict[str, int] = {}
-        zeroes: list[tuple[str, int]] = []
-        for name in candidates:
-            parsed = parse_ground_name(name)
-            base = parsed[0] if parsed else name
-            if "__d" not in base:
-                continue
-            origin_base, _sep, site_txt = base.rpartition("__d")
-            if origin_base not in spec.bases or not site_txt.isdigit():
-                continue
-            owner = int(site_txt)
-            if parsed is not None:
-                from repro.logic.terms import ground_name
-
-                origin_name = ground_name(origin_base, parsed[1])
-            else:
-                origin_name = origin_base
-            if scoped and (
-                owner not in participants
-                or cluster.locate(origin_name) not in participants
-            ):
-                # Folding would rewrite state behind a non-participant
-                # owner's back; leave the delta standing for a later
-                # round that includes it.
-                continue
-            folds[origin_name] = folds.get(origin_name, 0) + ref.engine.peek(name)
-            zeroes.append((name, owner))
-        for sid in sorted(participants):
-            server = cluster.sites[sid]
-            for origin_name, total in folds.items():
-                if total == 0:
-                    continue
-                value = server.engine.peek(origin_name) + total
-                if scoped and cluster.locate(origin_name) == sid:
-                    server.engine.poke_dirty(origin_name, value)
-                else:
-                    server.engine.poke(origin_name, value)
-            for name, owner in zeroes:
-                if scoped and owner == sid and server.engine.peek(name) != 0:
-                    server.engine.poke_dirty(name, 0)
-                else:
-                    server.engine.poke(name, 0)
-
-    return hook

@@ -7,15 +7,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 
-def check_path_stats() -> dict[str, dict[str, int]]:
-    """Process-wide commit-check observability: compiled-closure memo
-    sizes, in one place for the nightly figure sweeps and the
-    benchmark harness."""
-    from repro.logic.compile import compiled_counts
-
-    return {"compiled": compiled_counts()}
-
-
 def percentile(values: Sequence[float], pct: float) -> float:
     """Linear-interpolation percentile (pct in [0, 100])."""
     if not values:
@@ -185,12 +176,6 @@ class SimResult:
         if total == 0:
             return 1.0
         return self.committed / total
-
-    @property
-    def abort_ratio(self) -> float:
-        """Complement of :attr:`availability` (failed submissions per
-        completed submission)."""
-        return 1.0 - self.availability
 
     def availability_between(self, t0_ms: float, t1_ms: float) -> float:
         """Availability restricted to submissions *starting* inside

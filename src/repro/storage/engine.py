@@ -88,7 +88,7 @@ class LocalEngine:
     #: per-object committed-write counters since the last checkpoint
     dirty_counts: dict[str, int] = field(default_factory=dict)
     #: bumped by every write that bypasses the transactional commit
-    #: path (``poke``/``poke_dirty``, cleanup transactions): consumers
+    #: path (``poke``, cleanup transactions): consumers
     #: holding incremental views of the store -- the escrow headroom
     #: counters -- compare against it and resynchronize when it moves
     epoch: int = 0
@@ -106,18 +106,6 @@ class LocalEngine:
 
     def poke(self, name: str, value: int) -> None:
         self.store.put(name, value)
-        self.epoch += 1
-
-    def poke_dirty(self, name: str, value: int) -> None:
-        """Non-transactional write that still marks the object dirty.
-
-        Used by post-sync hooks (e.g. delta rebasing) at the object's
-        *owner*: under participant-scoped synchronization the rewrite
-        must be re-broadcast to sites that sat this round out, so it
-        has to survive in the dirty set past the round's checkpoint.
-        """
-        self.store.put(name, value)
-        self.dirty_counts[name] = self.dirty_counts.get(name, 0) + 1
         self.epoch += 1
 
     def dirty_objects(self) -> set[str]:

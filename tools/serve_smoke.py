@@ -8,6 +8,10 @@ request.  It asserts:
 
 - every submitted transaction commits (fault-free loopback run on a
   contended stock workload);
+- they complete at or above a wall-clock floor ~10x below healthy
+  local readings: a broken runtime does not get 10% slower, it
+  collapses (a sender sleeping out its timeout per send, a serialized
+  connection handler), and that is what the floor catches;
 - the run negotiated -- sync ratio strictly inside ``(0, 0.9)`` and
   real inter-site frames on the async transport (a schedule that
   never violates treaties would smoke-test the wrong code path);
@@ -25,6 +29,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -35,6 +40,7 @@ from repro.runtime.client import ServeClient  # noqa: E402
 CONNECTIONS = 4
 TXNS_TOTAL = 200
 SYNC_RATIO_MAX = 0.9
+THROUGHPUT_FLOOR_TXN_PER_S = 50.0
 ITEMS, REFILL = 12, 9  # scarce stock: violations within a short run
 
 
@@ -83,10 +89,12 @@ def main() -> int:
     threads = [
         threading.Thread(target=worker, args=(n,)) for n in range(CONNECTIONS)
     ]
+    t0 = time.perf_counter()
     for t in threads:
         t.start()
     for t in threads:
         t.join()
+    throughput = TXNS_TOTAL / (time.perf_counter() - t0)
 
     failures: list[str] = []
     if errors:
@@ -114,6 +122,12 @@ def main() -> int:
             f"only {committed}/{TXNS_TOTAL} transactions committed "
             f"({len(statuses)} completed)"
         )
+    if throughput < THROUGHPUT_FLOOR_TXN_PER_S:
+        failures.append(
+            f"{throughput:.1f} txn/s wall-clock, below the "
+            f"{THROUGHPUT_FLOOR_TXN_PER_S:.0f} txn/s floor (the runtime "
+            f"collapsed, not wobbled)"
+        )
     sync_ratio = stats.get("sync_ratio", -1.0)
     if not 0.0 < sync_ratio < SYNC_RATIO_MAX:
         failures.append(
@@ -135,7 +149,8 @@ def main() -> int:
         return 1
     print(
         f"serve smoke ok: {committed}/{TXNS_TOTAL} committed over "
-        f"{CONNECTIONS} connections, {stats['negotiations']} negotiations "
+        f"{CONNECTIONS} connections at {throughput:.0f} txn/s, "
+        f"{stats['negotiations']} negotiations "
         f"(sync ratio {sync_ratio:.4f}), {frames} wire frames, "
         f"clean shutdown (exit 0)"
     )
