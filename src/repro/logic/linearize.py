@@ -16,7 +16,7 @@ never incorrect execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 from repro.logic.formula import BoolConst, Cmp, Formula, conjuncts
@@ -38,10 +38,33 @@ class LinearizedTreaty:
     values were frozen because they appeared in non-linearizable
     subformulas (these yield equality constraints already included in
     ``constraints``).
+
+    Only the pins read the database: every other constraint, and which
+    objects get pinned, is a function of the formula alone.
+    ``preconditions`` and ``pins`` record that split, so the outcome
+    can be :meth:`rebound` to another database the same formula
+    matches without linearizing again.
     """
 
     constraints: list[LinearConstraint]
     pinned: set[ObjT] = field(default_factory=set)
+    #: what must be true on ``D`` for this to be its treaty: the formula
+    #: and every subformula replaced by its truth value
+    preconditions: list[Formula] = field(default_factory=list)
+    #: the equalities ``x = D(x)``: position in ``constraints``, and ``x``
+    pins: list[tuple[int, ObjT]] = field(default_factory=list)
+
+    def rebound(self, getobj: Callable[[str], int]) -> "LinearizedTreaty":
+        """This outcome on another database: the preconditions checked
+        again, every pin re-read, each constraint at its position."""
+        for formula in self.preconditions:
+            _require_holds(formula, getobj)
+        if not self.pins:
+            return self
+        constraints = list(self.constraints)
+        for at, obj in self.pins:
+            constraints[at] = pin_constraint(obj, getobj)
+        return replace(self, constraints=constraints)
 
     def holds_on(self, getobj: Callable[[str], int]) -> bool:
         for con in self.constraints:
@@ -82,16 +105,25 @@ def linearize_for_treaty(
     """
     if params:
         formula = _instantiate_params(formula, params)
+    _require_holds(formula, getobj)
+
+    result = LinearizedTreaty(constraints=[], preconditions=[formula])
+    for part in conjuncts(formula.to_nnf()):
+        _linearize_part(part, getobj, result)
+    return result
+
+
+def _require_holds(formula: Formula, getobj: Callable[[str], int]) -> None:
     if not formula.evaluate(getobj):
         raise ValueError(
             f"formula {formula.pretty()} does not hold on the current database; "
             "it cannot seed a treaty (H2 would be violated)"
         )
 
-    result = LinearizedTreaty(constraints=[])
-    for part in conjuncts(formula.to_nnf()):
-        _linearize_part(part, getobj, result)
-    return result
+
+def pin_constraint(obj: ObjT, getobj: Callable[[str], int]) -> LinearConstraint:
+    """The equality ``x = D(x)`` freezing one object (Appendix C.1, C.3)."""
+    return LinearConstraint.make(LinearExpr.variable(obj), "=", getobj(obj.name))
 
 
 def _linearize_part(
@@ -129,10 +161,8 @@ def _require_ground_objects(con: LinearConstraint) -> None:
 def _pin_subformula(
     part: Formula, getobj: Callable[[str], int], result: LinearizedTreaty
 ) -> None:
-    if not part.evaluate(getobj):
-        raise ValueError(
-            f"subformula {part.pretty()} is false on the current database"
-        )
+    _require_holds(part, getobj)
+    result.preconditions.append(part)
     objs = set(part.objects())
     for indexed in part.indexed_objects():
         grounded = indexed.try_ground()
@@ -143,7 +173,5 @@ def _pin_subformula(
         objs.add(grounded)
     for obj in sorted(objs, key=lambda o: o.name):
         result.pinned.add(obj)
-        value = getobj(obj.name)
-        result.constraints.append(
-            LinearConstraint.make(LinearExpr.variable(obj), "=", value)
-        )
+        result.pins.append((len(result.constraints), obj))
+        result.constraints.append(pin_constraint(obj, getobj))

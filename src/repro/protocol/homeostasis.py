@@ -25,12 +25,19 @@ objects did not change since the previous round keep their clauses
 and configuration verbatim (their per-factor treaty is a pure
 function of factor-local state, so regeneration would reproduce it;
 for the stochastic optimizer the cached configuration remains one of
-the valid optima).  This is an engineering optimization -- validity
-(H1/H2) is untouched -- that turns per-round cost from O(database)
-into O(touched factors), assembly included: the recomputed pieces are
-handed to a :class:`~repro.treaty.assembly.TreatyAssembly`, which
-re-derives only the clauses they contribute to (docs/ARCHITECTURE.md,
-"What a round costs").
+the valid optima).  A touched factor pays for what the database
+changed, not for what its row says: everything a matched row derives
+but the pin values -- which conjuncts linearize, which are pinned and
+over what, the per-site split -- is kept per ``(instance, row)`` the
+first time the row matches (its *shape*) and re-bound afterwards, and
+the optimizer's value memo keeps the one thing that is not a function
+of the values, the split the sampled futures chose.  This is an
+engineering optimization -- validity (H1/H2) is untouched -- that turns
+per-round cost from O(database) into O(touched factors), assembly
+included: the recomputed pieces are handed to a
+:class:`~repro.treaty.assembly.TreatyAssembly`, which re-derives only
+the clauses they contribute to (docs/ARCHITECTURE.md, "What a round
+costs").
 """
 
 from __future__ import annotations
@@ -40,10 +47,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from repro.analysis.residual import residual_reads
-from repro.analysis.symbolic import SymbolicTable
+from repro.analysis.symbolic import Row, SymbolicTable
 from repro.lang.ast import Transaction
-from repro.logic.linear import LinearConstraint, LinearExpr
-from repro.logic.linearize import LinearizedTreaty, linearize_for_treaty
+from repro.logic.linearize import (
+    LinearizedTreaty,
+    linearize_for_treaty,
+    pin_constraint,
+)
 from repro.logic.terms import ObjT
 from repro.protocol.messages import MessageStats, Outcome
 from repro.protocol.transport import Transport
@@ -54,31 +64,17 @@ from repro.treaty.config import (
     equal_split_configuration,
 )
 from repro.treaty.optimize import (
-    OptimizerStats,
+    SampledRun,
     WorkloadModel,
     configure_from_samples,
     demand_configuration,
     sample_executions,
 )
-from repro.treaty.table import TreatyTable
+from repro.treaty.table import InstallDivergence, TreatyTable
 from repro.treaty.templates import TreatyTemplates, build_templates
 
 #: Recognized treaty strategies.
 TreatyStrategy = str  # 'default' | 'equal-split' | 'optimized' | 'demand'
-
-#: bound on the generator's value-keyed piece memo.  Every miss adds a
-#: piece (about 3 KB, some thirty container objects), so an unbounded
-#: memo makes a round's cost follow the process's age: the collector's
-#: full passes walk it, 20 ms at start-up and 100 ms five seconds of
-#: negotiating later.  Where a piece is a pure function of those values
-#: -- every strategy but the sampling optimizer, whose memo also pins
-#: *which* optimum a value combination got -- the oldest piece is
-#: dropped for each new one past this many (recomputing reproduces it,
-#: and the pieces in force live in the assembly, not here).  The hits
-#: are recent: a dirty object that left the instance's values alone, a
-#: refill back to the last level -- 4-9 % of lookups on the e2e
-#: workloads with 64 pieces kept, 0-3 % more with all of them.
-_MEMO_LIMIT = 1024
 
 
 class ProtocolError(Exception):
@@ -242,25 +238,37 @@ class TreatyGenerator:
     #: family transactions, for optimizer workload simulation
     families: dict[str, Transaction] = field(default_factory=dict)
     arrays: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
-    last_optimizer_stats: OptimizerStats | None = None
     #: cumulative count of instance recomputations (observability)
     instances_recomputed: int = 0
 
     #: the merged treaty, holding every instance's current piece
     _assembly: TreatyAssembly = field(init=False)
     _instance_objects: list[set[str]] | None = None
-    #: value-keyed memo: an instance piece is a function of the values
-    #: of the objects it depends on, and stock levels recur across
-    #: refill cycles, so pieces are reused across rounds.  (For the
-    #: stochastic optimizer this reuses one valid optimum instead of
-    #: re-sampling; H1/H2 validity is a per-piece property.)  Bounded
-    #: by ``_MEMO_LIMIT`` for the deterministic strategies.
-    _memo: dict[tuple[int, tuple[int, ...]], TreatyPiece] = field(
+    #: per (instance, ``id`` of a row of its table): what the row
+    #: derived the first time it matched.  Everything in it but the pin
+    #: values is a function of the row, so later matches re-bind it.
+    _shapes: dict[tuple[int, int], tuple[LinearizedTreaty, TreatyTemplates]] = field(
+        init=False, default_factory=dict
+    )
+    #: the sampling optimizer's memo: the values of the objects an
+    #: instance depends on -> the configuration chosen the first time
+    #: they were seen, one integer per clause and site.  A piece is a
+    #: function of those values in everything *but* which optimum the
+    #: sampled futures picked, so that is all there is to remember; a
+    #: revisited value combination (stock levels recur across refill
+    #: cycles) keeps its optimum instead of re-sampling (H1/H2 validity
+    #: is a per-piece property).  Unbounded in entries: dropping one
+    #: would change which rounds sample, hence every later treaty.
+    _memo: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = field(
         default_factory=dict
     )
     _instance_keys: list[tuple[str, ...]] | None = None
     #: workload samples shared by all instances within one generate()
-    _sampled_runs: list[list[dict[str, int]]] | None = None
+    _sampled_runs: list[SampledRun] | None = None
+    #: the last generate()'s database and pieces, for the validate oracle
+    _last_round: tuple[Callable[[str], int], dict[int, TreatyPiece]] | None = field(
+        init=False, default=None
+    )
     #: lazy reverse index: object name -> instances depending on it
     _object_to_instances: dict[str, list[int]] | None = None
 
@@ -338,18 +346,16 @@ class TreatyGenerator:
 
     # -- per-instance computation ---------------------------------------------------
 
-    def _compute_instance(
-        self,
-        idx: int,
-        getobj: Callable[[str], int],
-        db_snapshot: Mapping[str, int],
-    ) -> TreatyPiece:
-        self.instances_recomputed += 1
+    def _derive(
+        self, idx: int, row: Row, getobj: Callable[[str], int]
+    ) -> tuple[LinearizedTreaty, TreatyTemplates]:
+        """The clauses the instance's matched ``row`` yields on the
+        current database, from scratch: its guard linearized (Appendix
+        C.1), its remote reads pinned (Appendix C.3), every clause
+        split per site.  Runs the first time a row matches, and under
+        validate as the oracle for every piece bound from the result."""
         table, home = self.ground_tables[idx]
-        row = table.lookup(getobj)
         lin = linearize_for_treaty(row.guard, getobj)
-        constraints = list(lin.constraints)
-        pinned = set(lin.pinned)
         # Appendix C.3: pin objects remote-read by the matched residual.
         # Sorted: the pins' order reaches the WAL bytes and the treaty
         # fingerprint, which must not follow the set's string hashing
@@ -363,27 +369,73 @@ class TreatyGenerator:
                 )
             if self.locate(read) != home and read not in pinned_names:
                 pinned_names.add(read)
-                constraints.append(
-                    LinearConstraint.make(
-                        LinearExpr.variable(ObjT(read)), "=", getobj(read)
-                    )
-                )
-                pinned.add(ObjT(read))
+                lin.pins.append((len(lin.constraints), ObjT(read)))
+                lin.constraints.append(pin_constraint(ObjT(read), getobj))
+                lin.pinned.add(ObjT(read))
+        # No clause here is trivially true: linearization drops those,
+        # and a pin has a coefficient.
+        return lin, build_templates(lin, self.locate, self.sites)
 
-        constraints = [c for c in constraints if not c.is_trivially_true()]
-        lin_piece = LinearizedTreaty(constraints=constraints, pinned=pinned)
-        templates = build_templates(lin_piece, self.locate, self.sites)
-        config = self._configure(templates, getobj, db_snapshot)
-        per_clause = [
-            {site: config.values[clause.config_var(site)] for site in clause.sites}
-            for clause in templates.clauses
-        ]
+    def _bind(
+        self, idx: int, getobj: Callable[[str], int]
+    ) -> tuple[LinearizedTreaty, TreatyTemplates]:
+        """:meth:`_derive`'s result, through the matched row's shape.
+        Pieces share their shape's lists; nothing mutates a piece."""
+        row = self.ground_tables[idx][0].lookup(getobj)
+        shape = self._shapes.get((idx, id(row)))
+        if shape is None:
+            shape = self._shapes[idx, id(row)] = self._derive(idx, row, getobj)
+            return shape
+        lin = shape[0].rebound(getobj)
+        if lin is shape[0]:
+            return shape
+        return lin, shape[1].rebound(lin.constraints)
+
+    def _piece(
+        self,
+        idx: int,
+        getobj: Callable[[str], int],
+        db_snapshot: Mapping[str, int],
+    ) -> TreatyPiece:
+        """The instance's piece: its bound shape plus a configuration."""
+        lin, templates = self._bind(idx, getobj)
+        # The deterministic strategies configure every time: the split
+        # is cheaper to compute than to key.  So does 'demand', whose
+        # split follows the estimator, not the object values.
+        memo_key = split = None
+        if self.strategy == "optimized":
+            memo_key = self._memo_key(idx, getobj)
+            split = self._memo.get(memo_key)
+        if split is None:
+            self.instances_recomputed += 1
+            config = self._configure(templates, getobj, db_snapshot)
+            split = tuple(
+                config.values[clause.config_var(site)]
+                for clause in templates.clauses
+                for site in clause.sites
+            )
+            if memo_key is not None:
+                self._memo[memo_key] = split
+        width = len(self.sites)
         return TreatyPiece(
-            constraints=constraints,
-            per_clause_config=per_clause,
+            constraints=lin.constraints,
+            per_clause_config=[
+                dict(zip(self.sites, split[at : at + width]))
+                for at in range(0, len(split), width)
+            ],
             site_exprs=[clause.site_exprs for clause in templates.clauses],
-            pinned=pinned,
+            pinned=lin.pinned,
         )
+
+    def _memo_key(
+        self, idx: int, getobj: Callable[[str], int]
+    ) -> tuple[int, tuple[int, ...]]:
+        if self._instance_keys is None:
+            self._instance_keys = [
+                tuple(sorted(self._objects_of_instance(i)))
+                for i in range(len(self.ground_tables))
+            ]
+        return idx, tuple(getobj(n) for n in self._instance_keys[idx])
 
     def _configure(
         self, templates: TreatyTemplates, getobj, db_snapshot
@@ -409,10 +461,9 @@ class TreatyGenerator:
                     self.optimizer.rng,
                     self.arrays,
                 )
-            config, stats = configure_from_samples(
+            config, _stats = configure_from_samples(
                 templates, getobj, self._sampled_runs, engine=self.optimizer.engine
             )
-            self.last_optimizer_stats = stats
             return config
         raise ProtocolError(f"unknown treaty strategy {self.strategy!r}")
 
@@ -435,45 +486,39 @@ class TreatyGenerator:
         needs enforcing, and it implies the rest).
         """
         self._sampled_runs = None  # fresh samples per generation
-        if self._instance_keys is None:
-            self._instance_keys = [
-                tuple(sorted(self._objects_of_instance(i)))
-                for i in range(len(self.ground_tables))
-            ]
         pieces = self._assembly.pieces
         if dirty is None or len(pieces) < len(self.ground_tables):
             stale: Iterable[int] = range(len(self.ground_tables))
         else:
             stale = sorted(self.instances_touching(dirty))
-        changed: dict[int, TreatyPiece] = {}
-        for idx in stale:
-            if self.strategy == "demand":
-                # The demand-weighted configuration is a function of
-                # the *estimator*, not just the instance's object
-                # values, so value-keyed memoization would resurrect
-                # splits computed under stale demand (exactly what a
-                # rebalance exists to replace).  Dirty instances
-                # recompute unconditionally; clean ones still keep
-                # their piece.
-                changed[idx] = self._compute_instance(idx, getobj, db_snapshot)
-                continue
-            memo_key = (idx, tuple(getobj(n) for n in self._instance_keys[idx]))
-            piece = self._memo.get(memo_key)
-            if piece is None:
-                piece = self._compute_instance(idx, getobj, db_snapshot)
-                if len(self._memo) >= _MEMO_LIMIT and self.strategy != "optimized":
-                    del self._memo[next(iter(self._memo))]
-                self._memo[memo_key] = piece
-            changed[idx] = piece
+        changed = {idx: self._piece(idx, getobj, db_snapshot) for idx in stale}
+        self._last_round = (getobj, changed)
         try:
             return self._assembly.update(changed, round_number)
         except ContradictoryPins as exc:
             raise ProtocolError(str(exc)) from exc
 
     def assert_matches_scratch(self, table: TreatyTable) -> None:
-        """The validate-mode oracle of the incremental assembly: the
-        table :meth:`generate` just returned must equal what its pieces
-        assemble to with nothing carried over."""
+        """The validate-mode oracle of incremental generation: the
+        pieces :meth:`generate` just bound from cached shapes must equal
+        what deriving them afresh gives, and the table it returned what
+        its pieces assemble to with nothing carried over."""
+        assert self._last_round is not None
+        getobj, changed = self._last_round
+        for idx, piece in changed.items():
+            row = self.ground_tables[idx][0].lookup(getobj)
+            lin, templates = self._derive(idx, row, getobj)
+            have = (piece.constraints, piece.site_exprs, piece.pinned)
+            expect = (
+                lin.constraints,
+                [clause.site_exprs for clause in templates.clauses],
+                lin.pinned,
+            )
+            if have != expect:
+                raise InstallDivergence(
+                    f"round {table.round_number}: instance {idx}'s piece bound "
+                    f"from its row shape differs from scratch: {have} vs {expect}"
+                )
         self._assembly.assert_matches_scratch(table)
 
 

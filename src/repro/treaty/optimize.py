@@ -8,13 +8,16 @@ parameters -- the lookahead interval ``L`` and the cost factor ``f``
    treaty, one linear constraint over configuration variables per
    clause);
 2. samples ``f`` future executions of ``L`` transactions each from
-   the workload model and replays them on a scratch copy of the
-   current database, recording after every transaction the soft
-   constraint "the local treaties hold on this state" -- which,
-   plugging the state's local sums into the templates, is an upper
-   bound on each clause's configuration variables (simplified to the
-   tightest bound per variable per execution, exactly as in the
-   worked example of Appendix C.2);
+   the workload model and replays each once on a scratch copy of the
+   current database, keeping per written object the steps that wrote
+   it (:class:`SampledRun`); the soft constraint "the local treaties
+   hold on state ``D_t``" is, plugging the state's local sums into the
+   templates, an upper bound on each clause's configuration variables,
+   simplified to the tightest bound per variable per execution exactly
+   as in the worked example of Appendix C.2 -- and a site's local sum
+   can only move at a step that wrote one of its objects, so only
+   ``D_1`` and those steps' states are evaluated (the state x clause x
+   site form is the oracle in ``tests/treaty/test_optimize.py``);
 3. hands hard + soft constraints to a MaxSAT engine: either the
    faithful Fu-Malik procedure over our LIA solver, or the exact
    specialized budget solver (default -- orders of magnitude faster,
@@ -28,16 +31,16 @@ so they take the Theorem 4.3 default.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol, Sequence
 
 from repro.lang.ast import Transaction
-from repro.lang.interp import evaluate
+from repro.lang.interp import ExecContext, InterpError, execute
 from repro.logic.linear import LinearConstraint, LinearExpr
 from repro.solver.fastmaxsat import BudgetInstance, solve_budget_allocation
 from repro.solver.maxsat import fu_malik_maxsat
 from repro.treaty.config import Configuration, default_configuration
-from repro.treaty.templates import ConfigVar, TreatyTemplates
+from repro.treaty.templates import ClauseTemplate, ConfigVar, TreatyTemplates
 
 
 class WorkloadModel(Protocol):
@@ -86,22 +89,96 @@ class OptimizerStats:
     engine: str = "fast"
 
 
-def _simulate_sequence(
-    db: dict[str, int],
-    sequence: Sequence[tuple[str, dict[str, int]]],
-    transactions: Mapping[str, Transaction],
-    arrays: Mapping[str, tuple[int, ...]] | None,
-) -> list[dict[str, int]]:
-    """Replay a sampled sequence, returning the post-state after every
-    transaction (Algorithm 1 line 8: [D_1, ..., D_L])."""
-    states: list[dict[str, int]] = []
-    current = dict(db)
-    for name, params in sequence:
-        tx = transactions[name]
-        result = evaluate(tx, current, params=params, arrays=arrays)
-        current = result.db
-        states.append(current)
-    return states
+@dataclass
+class SampledRun:
+    """One sampled execution (Algorithm 1 lines 6-8), indexed by what
+    it wrote.
+
+    The sequence is replayed on one scratch state; instead of keeping a
+    copy of the database per step, the run keeps, per written object,
+    its value in ``D_0`` and the value each writing step left behind:
+    every ``D_t(x)`` reads back from that, and an expression is only
+    evaluated at the states that can have moved it (:meth:`peak`).
+    """
+
+    #: the scratch state: ``D_0`` before the first replay, ``D_L`` after
+    #: the last
+    state: dict[str, int]
+    #: transactions replayed so far -- the ``L`` of ``[D_1, ..., D_L]``
+    steps: int = 0
+    #: object -> ``(0, D_0 value)`` then ``(step, value written)`` per
+    #: writing step, ascending
+    writes: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
+
+    def replay(
+        self,
+        tx: Transaction,
+        params: Mapping[str, int],
+        arrays: Mapping[str, tuple[int, ...]] | None = None,
+    ) -> None:
+        """Advance the scratch state by one transaction, as
+        :func:`~repro.lang.interp.evaluate` would."""
+        missing = set(tx.params) - set(params)
+        if missing:
+            raise InterpError(f"missing parameters for {tx.name}: {sorted(missing)}")
+        self.steps += 1
+        state = self.state
+        ctx = ExecContext(
+            getobj=lambda name: state.get(name, 0),
+            setobj=self.write,
+            emit=_discard,
+            params=params,
+            arrays=arrays or {},
+        )
+        execute(tx.body, ctx)
+
+    def write(self, name: str, value: int) -> None:
+        """The replay's ``setobj``: the current step leaves ``value``."""
+        history = self.writes.get(name)
+        if history is None:
+            history = self.writes[name] = [(0, self.state.get(name, 0))]
+        if history[-1][0] == self.steps:
+            history[-1] = (self.steps, value)
+        else:
+            history.append((self.steps, value))
+        self.state[name] = value
+
+    def peak(self, expr: LinearExpr | None) -> int:
+        """The largest value ``expr`` takes over ``[D_1, ..., D_L]``.
+
+        It can only move at a step that wrote one of its objects, so
+        the states evaluated are ``D_1`` (the first one Algorithm 1
+        line 8 samples -- never ``D_0``) and those steps'.
+        """
+        if expr is None:
+            return 0
+        still = 0
+        moving: list[tuple[int, list[tuple[int, int]]]] = []
+        for var, coeff in expr.coeffs:
+            history = self.writes.get(var.name)
+            if history is None:
+                still += coeff * self.state.get(var.name, 0)
+            else:
+                moving.append((coeff, history))
+        if not moving:
+            return still
+        steps = {1}
+        for _coeff, history in moving:
+            steps.update(step for step, _value in history[1:])
+        return still + max(
+            sum(coeff * _value_at(history, step) for coeff, history in moving)
+            for step in steps
+        )
+
+
+def _value_at(history: list[tuple[int, int]], step: int) -> int:
+    """The value a write history (ascending, from step 0) holds after
+    ``step``."""
+    return next(value for at, value in reversed(history) if at <= step)
+
+
+def _discard(_value: int) -> None:
+    """A sampled future's prints go nowhere."""
 
 
 def sample_executions(
@@ -112,22 +189,39 @@ def sample_executions(
     cost_factor: int,
     rng: random.Random,
     arrays: Mapping[str, tuple[int, ...]] | None = None,
-) -> list[list[dict[str, int]]]:
+) -> list[SampledRun]:
     """Lines 6-8 of Algorithm 1: f sampled executions of length L,
-    each yielding its sequence of post-transaction database states."""
-    runs: list[list[dict[str, int]]] = []
+    each replayed once on its own scratch copy of the database."""
+    runs: list[SampledRun] = []
     for _ in range(cost_factor):
-        sequence = model.sample(rng, lookahead)
-        runs.append(
-            _simulate_sequence(dict(db_snapshot), sequence, transactions, arrays)
-        )
+        run = SampledRun(dict(db_snapshot))
+        for name, params in model.sample(rng, lookahead):
+            run.replay(transactions[name], params, arrays)
+        runs.append(run)
     return runs
+
+
+def _soft_bounds(
+    clauses: Sequence[ClauseTemplate], runs: Sequence[SampledRun]
+) -> dict[ConfigVar, list[int]]:
+    """Per configuration variable, one entry per sampled execution:
+    the tightest bound ``n - local_sum(D_t)`` over that execution's
+    states (the worked example of Appendix C.2 simplifies the same
+    way)."""
+    sampled = [run for run in runs if run.steps]
+    return {
+        clause.config_var(site): [
+            clause.bound - run.peak(clause.site_exprs.get(site)) for run in sampled
+        ]
+        for clause in clauses
+        for site in clause.sites
+    }
 
 
 def configure_from_samples(
     templates: TreatyTemplates,
     getobj: Callable[[str], int],
-    state_runs: list[list[dict[str, int]]],
+    runs: Sequence[SampledRun],
     engine: str = "fast",
 ) -> tuple[Configuration, OptimizerStats]:
     """Lines 9-13 of Algorithm 1 given pre-sampled executions.
@@ -139,60 +233,34 @@ def configure_from_samples(
     stats = OptimizerStats(engine=engine)
     base = default_configuration(templates, getobj)
 
-    # Soft bounds per configuration variable: one entry per sampled
-    # execution (the tightest bound over that execution's states).
-    soft_bounds: dict[ConfigVar, list[int]] = {}
     opt_clauses = [cl for cl in templates.clauses if cl.op == "<="]
-    if not opt_clauses or not state_runs:
+    if not opt_clauses or not runs:
         return base, stats
 
-    for states in state_runs:
-        stats.sampled_states += len(states)
-        tightest: dict[ConfigVar, int] = {}
-        for state in states:
-            lookup = lambda name: state.get(name, 0)  # noqa: E731
-            for clause in opt_clauses:
-                for site in clause.sites:
-                    var = clause.config_var(site)
-                    bound = clause.bound - clause.local_sum_on(site, lookup)
-                    prev = tightest.get(var)
-                    if prev is None or bound < prev:
-                        tightest[var] = bound
-        for var, bound in tightest.items():
-            soft_bounds.setdefault(var, []).append(bound)
-
+    stats.sampled_states = sum(run.steps for run in runs)
+    soft_bounds = _soft_bounds(opt_clauses, runs)
     stats.soft_constraints = sum(len(v) for v in soft_bounds.values())
     values = dict(base.values)
 
     if engine == "fast":
         for clause in opt_clauses:
+            variables = [clause.config_var(s) for s in clause.sites]
             # base.values holds the Theorem 4.3 frozen defaults, which
             # for <=-clauses are exactly the H2 caps n - local_sum(D).
             # Sampled demand (cap minus tightest sampled bound) steers
             # the distribution of leftover slack.
-            demand: dict[ConfigVar, int] = {}
-            for site in clause.sites:
-                var = clause.config_var(site)
-                bounds = soft_bounds.get(var, [])
-                cap = base.values[var]
-                demand[var] = max(cap - min(bounds), 0) if bounds else 0
+            caps = [base.values[var] for var in variables]
+            bounds = [soft_bounds[var] for var in variables]
+            demand = [max(cap - min(b), 0) if b else 0 for cap, b in zip(caps, bounds)]
             # Laplace-style smoothing: finite samples of a uniform
             # workload should not produce a lopsided split.
-            total_demand = sum(demand.values())
-            smoothing = max(1, total_demand // (2 * len(clause.sites)))
-            demand = {var: d + smoothing for var, d in demand.items()}
+            smoothing = max(1, sum(demand) // (2 * len(variables)))
             instance = BudgetInstance(
-                sites=[clause.config_var(s) for s in clause.sites],
-                required_total=(len(clause.sites) - 1) * clause.bound,
-                soft_upper={
-                    clause.config_var(s): soft_bounds.get(clause.config_var(s), [])
-                    for s in clause.sites
-                },
-                hard_upper={
-                    clause.config_var(s): base.values[clause.config_var(s)]
-                    for s in clause.sites
-                },
-                slack_weights=demand,
+                sites=variables,
+                required_total=(len(variables) - 1) * clause.bound,
+                soft_upper=dict(zip(variables, bounds)),
+                hard_upper=dict(zip(variables, caps)),
+                slack_weights={v: d + smoothing for v, d in zip(variables, demand)},
             )
             solution = solve_budget_allocation(instance)
             values.update(solution.assignment)

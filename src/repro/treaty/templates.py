@@ -109,6 +109,22 @@ class TreatyTemplates:
         """theta_h of Algorithm 1: locals must imply the global treaty."""
         return [cl.hard_constraint() for cl in self.clauses]
 
+    def rebound(self, constraints: Sequence[LinearConstraint]) -> "TreatyTemplates":
+        """These templates over ``constraints`` that differ from the
+        ones they were built from in bounds only: the per-site split
+        follows the coefficients, so it is shared, not rebuilt."""
+        return TreatyTemplates(
+            clauses=[
+                clause
+                if clause.bound == con.bound
+                else ClauseTemplate(
+                    clause.index, clause.op, con.bound, clause.site_exprs, clause.sites
+                )
+                for clause, con in zip(self.clauses, constraints)
+            ],
+            sites=self.sites,
+        )
+
     def pretty(self) -> str:
         return "\n".join(cl.pretty() for cl in self.clauses)
 

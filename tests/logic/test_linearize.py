@@ -80,3 +80,42 @@ class TestPinningCases:
         out = linearize_for_treaty(f, getobj_from({"x": 10, "y": 3}))
         assert {o.name for o in out.pinned} == {"y"}
         assert len(out.constraints) == 2
+
+
+class TestRebinding:
+    """``rebound``: the outcome on a later database the formula matches,
+    equal to linearizing there again."""
+
+    MIXED = conj(
+        [
+            Cmp("<=", x, Const(50)),
+            Cmp("!=", y, Const(0)),
+            Cmp("<", Mul(x, y), Const(100)),
+        ]
+    )
+
+    def test_pins_are_read_again_and_nothing_else_moves(self):
+        first = linearize_for_treaty(self.MIXED, getobj_from({"x": 10, "y": 3}))
+        later = getobj_from({"x": 4, "y": 7})
+        again = first.rebound(later)
+        assert again == linearize_for_treaty(self.MIXED, later)
+        assert [pos for pos, _obj in first.pins] == [1, 2, 3]
+        assert again.constraints[0] is first.constraints[0]  # the linear conjunct
+        assert again.constraints != first.constraints
+
+    def test_without_pins_it_is_the_same_object(self):
+        f = Cmp(">=", Add(x, y), Const(20))
+        first = linearize_for_treaty(f, getobj_from({"x": 10, "y": 13}))
+        assert first.rebound(getobj_from({"x": 20, "y": 0})) is first
+
+    def test_the_formula_must_still_hold(self):
+        f = Cmp(">=", Add(x, y), Const(20))
+        first = linearize_for_treaty(f, getobj_from({"x": 10, "y": 13}))
+        with pytest.raises(ValueError):
+            first.rebound(getobj_from({"x": 1, "y": 1}))
+
+    def test_a_pinned_subformula_must_still_hold(self):
+        f = Or((Cmp("<", x, Const(0)), Cmp(">", y, Const(5))))
+        first = linearize_for_treaty(f, getobj_from({"x": 3, "y": 9}))
+        with pytest.raises(ValueError):
+            first.rebound(getobj_from({"x": 3, "y": 2}))

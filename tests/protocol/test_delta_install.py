@@ -16,7 +16,7 @@ because the oracle ran beside it.
 
 import json
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -29,7 +29,7 @@ from repro.logic.terms import ObjT, ParamT
 from repro.protocol.site import SiteServer, clause_slack
 from repro.storage.wal import decode_local_treaty, encode_local_treaty
 from repro.treaty.escrow import EscrowAccount
-from repro.treaty.table import LocalTreaty
+from repro.treaty.table import InstallDivergence, LocalTreaty
 from repro.workloads.flashsale import FlashSaleWorkload
 from repro.workloads.geo import GeoMicroWorkload
 from repro.workloads.micro import MicroWorkload
@@ -153,6 +153,26 @@ def test_untouched_objects_are_shared_between_consecutive_tables():
                 held = {id(con) for con in old.constraints}
                 kept_clauses += sum(id(con) in held for con in new.constraints)
     assert shared_locals > 0 and kept_clauses > 0
+
+
+def test_a_corrupted_row_shape_fails_the_next_validated_round():
+    """Generation binds each piece from what its row derived the first
+    time it matched; validate mode derives the round's pieces afresh
+    and refuses a shape that no longer says what the row does."""
+    workload = WORKLOADS["micro"]()
+    cluster = workload.build_homeostasis(strategy="equal-split", validate=True)
+    generator = cluster.generator
+    hot = generator.instances_touching({"qty[2]"})
+    for (idx, row), (lin, templates) in list(generator._shapes.items()):
+        if idx in hot:
+            first = lin.constraints[0]
+            loosened = LinearConstraint(first.expr, first.op, first.bound + 1)
+            corrupt = replace(lin, constraints=[loosened, *lin.constraints[1:]])
+            generator._shapes[idx, row] = (corrupt, templates)
+    with pytest.raises(InstallDivergence, match="row shape"):
+        for _ in range(50):
+            cluster.submit("Buy@s0", {"item": 2})
+    assert cluster.stats.rounds == 2  # the bootstrap, then the round that raised
 
 
 # -- one site, arbitrary reinstalls ----------------------------------------------

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from repro.analysis.joint import build_joint_table
 from repro.analysis.symbolic import build_symbolic_table
 from repro.lang.parser import parse_transaction
-from repro.logic.linearize import linearize_for_treaty
+from repro.logic.linear import LinearConstraint, LinearExpr
+from repro.logic.linearize import LinearizedTreaty, linearize_for_treaty
+from repro.logic.terms import ObjT
 from repro.treaty.config import (
     check_h1_algebraic,
     check_h1_semantic,
@@ -75,6 +77,26 @@ class TestTemplates:
     def test_global_holds_on(self):
         templates, getobj, _ = _running_example()
         assert templates.clauses[0].global_holds_on(getobj)
+
+    def test_rebound_moves_bounds_and_shares_the_split(self):
+        """Constraints differing in bounds only re-bound the templates
+        to what ``build_templates`` gives, without splitting again."""
+        locate = lambda name: 1 if name == "x" else 2  # noqa: E731
+        x, y = ObjT("x"), ObjT("y")
+
+        def treaty(pin):
+            return LinearizedTreaty(
+                [
+                    LinearConstraint.make(LinearExpr.make({x: -1, y: -1}), "<=", -20),
+                    LinearConstraint.make(LinearExpr.variable(y), "=", pin),
+                ]
+            )
+
+        first = build_templates(treaty(13), locate, [1, 2])
+        again = first.rebound(treaty(9).constraints)
+        assert again == build_templates(treaty(9), locate, [1, 2])
+        assert again.clauses[0] is first.clauses[0]  # bound unmoved
+        assert again.clauses[1].site_exprs is first.clauses[1].site_exprs
 
 
 class TestConfigurations:
