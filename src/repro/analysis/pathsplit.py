@@ -112,16 +112,18 @@ class ClauseSummary:
     def copy(self) -> "ClauseSummary":
         return ClauseSummary(dict(self.mentions))
 
-    def add(self, con: LinearConstraint, times: int = 1) -> None:
-        """Count one clause in (``times=-1`` takes it back out)."""
+    def add(self, con: LinearConstraint, times: int = 1) -> list[str]:
+        """Count one clause in (``times=-1`` takes it back out);
+        returns the bases it mentions."""
         mentions = self.mentions
-        for var, _coeff in con.expr.coeffs:
-            base = _base_of_var(var)
+        bases = [_base_of_var(var) for var, _coeff in con.expr.coeffs]
+        for base in bases:
             count = mentions.get(base, 0) + times
             if count:
                 mentions[base] = count
             else:
                 del mentions[base]
+        return bases
 
 
 @dataclass(frozen=True)

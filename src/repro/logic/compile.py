@@ -38,15 +38,16 @@ tables are bounded and cleared wholesale when they outgrow
 ``_CACHE_LIMIT``, so long-lived processes never accumulate dead code
 objects).  Escrow lowering is not memoized: consecutive treaties
 almost never repeat as a whole (under 7 % of installs on every
-benchmark workload), so a site instead carries each installed clause's
-:class:`ClauseRows` to the next install and only the program's index
-structures are re-derived -- and those only when the clause *shapes*
-changed (:func:`assemble_escrow`).
+benchmark workload), so a site instead keeps one
+:class:`EscrowProgram` and patches it with the clauses each install
+adds and removes (:meth:`EscrowProgram.add` / :meth:`~EscrowProgram.
+remove`); every other clause keeps its rows, its slots and its index
+entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from repro.logic.formula import And, BoolConst, Cmp, Formula, Not, Or
@@ -175,47 +176,100 @@ def lower_clause(con: LinearConstraint) -> ClauseRows | None:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class EscrowProgram:
-    """Static shape of an escrow-eligible clause set.
+    """Shape of an escrow-eligible clause set: which counter rows
+    exist, which objects they mention, what a write can drain.
 
-    The mutable counter state lives in
-    :class:`repro.treaty.escrow.EscrowAccount`; a program is immutable
-    and consecutive programs of one site share their index structures
-    whenever only bounds moved (:func:`assemble_escrow`).
+    The mutable counter values live in
+    :class:`repro.treaty.escrow.EscrowAccount`.  A site keeps one
+    program and **patches** it per install: :meth:`remove` for the
+    clauses that left, :meth:`add` for the ones that entered, each
+    touching the index entries of the names that clause mentions and
+    nothing else.  Rows are therefore numbered by **slot**, not by
+    treaty position: a removed row frees its slot, an added one takes
+    a free slot before the lists grow.  Nothing the commit check
+    computes depends on the numbering.
 
-    Each source clause lowers to one or two counter **rows**, every
-    row a ``<=``-bound (see :class:`ClauseRows`).  Pin rows are
-    excluded from the window budget -- they have no headroom to lend
-    -- and pinned objects carry a :data:`PIN_DRAIN` worst-case
-    coefficient so any write that moves one lands on the exact path.
+    Each source clause lowers to one or two counter rows, every row a
+    ``<=``-bound (see :class:`ClauseRows`).  Pin rows are excluded
+    from the window budget -- they have no headroom to lend -- and
+    pinned objects carry a :data:`PIN_DRAIN` worst-case coefficient so
+    any write that moves one lands on the exact path.
     """
 
-    #: the source clauses, in treaty order
-    constraints: tuple[LinearConstraint, ...]
-    #: counter rows, every one a normalized ``<=``-constraint
-    rows: tuple[LinearConstraint, ...]
-    #: per row: the index of the source clause it was lowered from
-    row_source: tuple[int, ...]
-    #: per row: the normalized right-hand bound
-    bounds: tuple[int, ...]
-    #: per row: the names of the objects its source clause mentions
-    #: (violation reconstruction returns exactly these, matching the
-    #: object set ``LocalTreaty.violations_after_writes`` reports)
-    clause_objects: tuple[tuple[str, ...], ...]
-    #: row indices participating in the window budget (rows lowered
-    #: from ``<=`` clauses; pin rows never lend headroom)
-    budget_rows: tuple[int, ...]
-    #: row indices lowered from equality pins
-    pin_rows: tuple[int, ...]
-    #: object name -> ((row index, coefficient), ...) for every row
+    #: slot -> counter row, a normalized ``<=``-constraint (``None``:
+    #: the slot is free)
+    rows: list[LinearConstraint | None] = field(default_factory=list)
+    #: slot -> the names of the objects the row's source clause
+    #: mentions (violation reconstruction returns exactly these,
+    #: matching the object set ``LocalTreaty.violations_after_writes``
+    #: reports)
+    clause_objects: list[tuple[str, ...]] = field(default_factory=list)
+    #: slots participating in the window budget (rows lowered from
+    #: ``<=`` clauses; pin rows never lend headroom).  A list, not a
+    #: set: every settlement takes a ``min`` over it, and a removal's
+    #: scan is the same pointer-level pass at a fraction of the rate
+    budget_rows: list[int] = field(default_factory=list)
+    #: slots lowered from equality pins
+    pin_rows: list[int] = field(default_factory=list)
+    #: object name -> [(slot, coefficient), ...] for every row
     #: mentioning it
-    touching: Mapping[str, tuple[tuple[int, int], ...]]
+    touching: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
     #: object name -> max |coefficient| across the rows mentioning it:
     #: a one-unit write to the object can drain at most this much
     #: headroom from any single budget row (the window guard's worst
     #: case); :data:`PIN_DRAIN` for pinned objects
-    max_coeff: Mapping[str, int]
+    max_coeff: dict[str, int] = field(default_factory=dict)
+    #: placed clause (by identity) -> the slots of its rows
+    slots: dict[ClauseRows, tuple[int, ...]] = field(default_factory=dict)
+    _free: list[int] = field(default_factory=list)
+
+    def add(self, clause: ClauseRows) -> tuple[int, ...]:
+        """Place one clause's rows; returns their slots."""
+        rows, free = self.rows, self._free
+        kind_rows = self.budget_rows if clause.budget else self.pin_rows
+        touching, max_coeff = self.touching, self.max_coeff
+        slots = []
+        for row, terms in zip(clause.rows, clause.terms):
+            if free:
+                slot = free.pop()
+                rows[slot] = row
+                self.clause_objects[slot] = clause.names
+            else:
+                slot = len(rows)
+                rows.append(row)
+                self.clause_objects.append(clause.names)
+            kind_rows.append(slot)
+            slots.append(slot)
+            for name, coeff in terms:
+                touching.setdefault(name, []).append((slot, coeff))
+                magnitude = abs(coeff) if clause.budget else PIN_DRAIN
+                if magnitude > max_coeff.get(name, 0):
+                    max_coeff[name] = magnitude
+        placed = self.slots[clause] = tuple(slots)
+        return placed
+
+    def remove(self, clause: ClauseRows) -> None:
+        """Take a placed clause's rows back out and free their slots."""
+        slots = self.slots.pop(clause)
+        kind_rows = self.budget_rows if clause.budget else self.pin_rows
+        for slot in slots:
+            self.rows[slot] = None
+            self.clause_objects[slot] = ()
+            kind_rows.remove(slot)
+            self._free.append(slot)
+        pin_rows = self.pin_rows
+        for name in clause.names:
+            left = [pair for pair in self.touching[name] if pair[0] not in slots]
+            if left:
+                self.touching[name] = left
+                self.max_coeff[name] = max(
+                    PIN_DRAIN if slot in pin_rows else abs(coeff)
+                    for slot, coeff in left
+                )
+            else:
+                del self.touching[name], self.max_coeff[name]
 
 
 def lower_to_escrow(
@@ -236,91 +290,19 @@ def lower_to_escrow(
     path.
 
     This is the from-scratch lowering (WAL replay, the validate-mode
-    oracle, tests); an install reuses the installed clauses' rows and
-    calls :func:`assemble_escrow` itself.
+    oracle, tests): slots come out in treaty order.  An install
+    patches the site's program instead.
     """
-    cons = tuple(constraints)
     lowered: list[ClauseRows] = []
-    for con in cons:
+    for con in constraints:
         clause = lower_clause(con)
         if clause is None:
             return None
         lowered.append(clause)
-    return assemble_escrow(cons, lowered)
-
-
-def _same_shape(program: EscrowProgram, cons: tuple[LinearConstraint, ...]) -> bool:
-    """Whether ``cons`` differs from the program's clauses in bounds
-    only (same coefficient vectors and operators, position by
-    position), so every row index means what it meant."""
-    old = program.constraints
-    if len(old) != len(cons):
-        return False
-    for a, b in zip(old, cons):
-        if a is not b and (
-            a.op != b.op
-            or (a.expr.coeffs is not b.expr.coeffs and a.expr.coeffs != b.expr.coeffs)
-        ):
-            return False
-    return True
-
-
-def assemble_escrow(
-    cons: tuple[LinearConstraint, ...],
-    lowered: Sequence[ClauseRows],
-    previous: EscrowProgram | None = None,
-) -> EscrowProgram:
-    """Concatenate per-clause rows (``lowered[i]`` is
-    ``lower_clause(cons[i])``) into a program.
-
-    The index structures -- which rows an object touches, which rows
-    are budget rows, worst-case coefficients -- depend on the clauses'
-    coefficient vectors and operators only, so when ``previous`` (the
-    site's installed program) has the same shape they are shared with
-    it and only the rows and bounds are new.
-    """
-    rows = tuple(row for clause in lowered for row in clause.rows)
-    bounds = tuple(row.bound for row in rows)
-    if previous is not None and _same_shape(previous, cons):
-        return EscrowProgram(
-            constraints=cons,
-            rows=rows,
-            row_source=previous.row_source,
-            bounds=bounds,
-            clause_objects=previous.clause_objects,
-            budget_rows=previous.budget_rows,
-            pin_rows=previous.pin_rows,
-            touching=previous.touching,
-            max_coeff=previous.max_coeff,
-        )
-    touching: dict[str, list[tuple[int, int]]] = {}
-    max_coeff: dict[str, int] = {}
-    row_source: list[int] = []
-    clause_objects: list[tuple[str, ...]] = []
-    budget_rows: list[int] = []
-    pin_rows: list[int] = []
-    for src, clause in enumerate(lowered):
-        for terms in clause.terms:
-            idx = len(row_source)
-            row_source.append(src)
-            clause_objects.append(clause.names)
-            (budget_rows if clause.budget else pin_rows).append(idx)
-            for name, coeff in terms:
-                touching.setdefault(name, []).append((idx, coeff))
-                magnitude = abs(coeff) if clause.budget else PIN_DRAIN
-                if magnitude > max_coeff.get(name, 0):
-                    max_coeff[name] = magnitude
-    return EscrowProgram(
-        constraints=cons,
-        rows=rows,
-        row_source=tuple(row_source),
-        bounds=bounds,
-        clause_objects=tuple(clause_objects),
-        budget_rows=tuple(budget_rows),
-        pin_rows=tuple(pin_rows),
-        touching={name: tuple(pairs) for name, pairs in touching.items()},
-        max_coeff=max_coeff,
-    )
+    program = EscrowProgram()
+    for clause in lowered:
+        program.add(clause)
+    return program
 
 
 # -- codegen ---------------------------------------------------------------

@@ -119,9 +119,11 @@ the escrow headroom counters (:mod:`repro.treaty.escrow`) when its
 installed treaty is escrow-eligible, falling back to the compiled
 closure otherwise, so a window's violators are exactly the
 transactions whose decrements would drive a counter negative.  Wave
-installs route through ``install_treaty`` and so re-lower the
-counters; the sync phase's pokes bump the engine epoch, which lazily
-resynchronizes any site whose counters a concurrent wave made stale.
+installs route through ``install_treaty`` and so patch the counters
+(the rows of the clauses the wave changed, and the rows over an object
+its sync phase poked); pokes that no install follows bump the engine
+epoch, which lazily resynchronizes any site whose counters a
+concurrent wave made stale.
 """
 
 from __future__ import annotations

@@ -28,28 +28,46 @@ window settlement.  The rest goes through the compiled-closure check
 which ``validate_escrow`` mode also runs beside each of the other two
 arms as their oracle, raising on any disagreement.
 
-An install is a **clause delta**: the site diffs the incoming local
-treaty against the installed one (by clause identity -- consecutive
-treaties share every clause the negotiation did not touch) and patches
-the path-check summary, the escrow rows and the static tier for the
-added and removed clauses only; a first install is the delta from the
-empty treaty.  ``validate_escrow`` re-derives all of it from scratch
-after every install and raises :class:`InstallDivergence` on any
-difference.
+An install is a **clause delta** end to end: the site diffs the
+incoming local treaty against the installed one (by clause identity --
+consecutive treaties share every clause the negotiation did not touch)
+and, for the added and removed clauses only, patches the path-check
+summary and the static tier, drops and places rows in its one escrow
+account, and appends a ``treaty_delta`` record to its log; a first
+install is the delta from the empty treaty, logged as a full
+``treaty_install`` snapshot.
+
+**The headroom invariant.**  A clause's install-time grant is its
+slack on the install-time store.  For a carried clause that number is
+already in the site's hands: a settled escrow counter *is* ``bound -
+sum(d_i * D(x_i))`` as long as every write to the clause's objects
+went through the account's ``commit`` -- and the writes that do not
+(``poke``, the cleanup run T') are named by ``LocalEngine.moved``, so
+an install reads the store for the new rows and the rows over a moved
+object, and copies every other grant from its counter.  An
+escrow-ineligible treaty has no counters and reads the store for every
+grant.  ``validate_escrow`` holds the invariant to its definition:
+after every install it re-derives everything from scratch -- path
+checks, summary, every grant by ``clause_slack``, the escrow rows,
+counters, index and budget by ``lower_to_escrow`` -- replays the
+site's own log from its last snapshot, and raises
+:class:`InstallDivergence` on any difference.
 
 Treaty installs are **durable**: every install (and every rebalance
 request this site acknowledges) is appended to the site's
-:class:`~repro.storage.wal.TreatyWAL` *before* it is applied or
+:class:`~repro.storage.wal.TreatyWAL` *before* it is enforced or
 acked, so a crash-stopped site restarted via :meth:`SiteServer.
 replay_wal` resumes enforcing exactly the local treaty its peers
 believe it holds -- H1 (locals imply the global treaty) survives the
 crash because no site can come back with a forgotten, weaker
-invariant.
+invariant.  Replay folds the log's last snapshot and the deltas behind
+it and derives everything else from scratch; the install after it is
+logged as a snapshot again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.analysis.classify import PathCheckDivergence
@@ -58,14 +76,12 @@ from repro.analysis.pathsplit import (
     ClauseSummary,
     PathCheck,
     build_path_checks,
-    clause_bases,
     patch_path_checks,
 )
 from repro.lang.interp import ExecContext, execute
 from repro.logic.compile import (
     ClauseRows,
     EscrowProgram,
-    assemble_escrow,
     lower_clause,
     lower_to_escrow,
 )
@@ -86,25 +102,18 @@ from repro.protocol.messages import (
 )
 from repro.storage.engine import LocalEngine
 from repro.storage.wal import (
+    SNAPSHOT_EVERY,
     TreatyWAL,
     decode_local_treaty,
     decode_recorded_paths,
     encode_local_treaty,
+    encode_treaty_delta,
 )
-from repro.treaty.escrow import EscrowAccount, EscrowDivergence
+from repro.treaty.escrow import EscrowAccount, EscrowDivergence, clause_slack
 from repro.treaty.table import InstallDivergence, LocalTreaty
 
 def _fresh_check_stats() -> dict[str, int]:
     return dict.fromkeys((*CHECK_KINDS, "checked", "clauses_in_scope"), 0)
-
-
-def clause_slack(con: LinearConstraint, getobj: Callable[[str], int]) -> int:
-    """Remaining headroom of one ``<=``-clause on the given state:
-    ``bound - sum(d_i * D(x_i))`` (negative means violated)."""
-    value = 0
-    for var, coeff in con.expr.coeffs:
-        value += coeff * getobj(var.name)
-    return con.bound - value
 
 
 @dataclass
@@ -115,12 +124,17 @@ class _Installed:
     #: per clause, its escrow lowering (None: escrow-ineligible)
     rows: list[ClauseRows | None]
     summary: ClauseSummary
+    #: per clause, the grant the last install record gives it
+    grants: list[int | None]
+    #: install records this site wrote since its last snapshot, that
+    #: one included (0: none, the next record is a snapshot)
+    chain: int
 
 
-def _program_fields(program: EscrowProgram | None) -> tuple | None:
-    if program is None:
-        return None
-    return tuple(getattr(program, f.name) for f in fields(program))
+def _grant_map(
+    clauses: list[LinearConstraint], grants: list[int | None]
+) -> dict[LinearConstraint, int]:
+    return {con: grant for con, grant in zip(clauses, grants) if grant is not None}
 
 
 @dataclass
@@ -154,24 +168,24 @@ class SiteServer:
     def owns(self, name: str) -> bool:
         return self.locate(name) == self.site_id
 
-    #: per-clause headroom at install time (the allocation the adaptive
-    #: low-watermark compares remaining slack against)
-    install_headroom: dict[LinearConstraint, int] = field(default_factory=dict)
+    #: see :attr:`install_headroom`
+    _headroom: dict[LinearConstraint, int] | None = field(default=None, repr=False)
     #: append-only durable log of treaty installs / rebalance acks;
     #: survives a crash-stop of the (volatile) server object
     wal: TreatyWAL = field(default_factory=TreatyWAL)
     #: round number of the currently installed treaty (-1 before any)
     treaty_round: int = -1
-    #: escrow fast-path account for the installed treaty; None when no
-    #: treaty is installed or the treaty is escrow-ineligible (any
-    #: clause over non-object variables keeps the compiled slow path)
+    #: the site's escrow fast-path account, carried from install to
+    #: install; None when no treaty is installed or the treaty is
+    #: escrow-ineligible (any clause over non-object variables keeps
+    #: the compiled slow path)
     escrow: EscrowAccount | None = None
     #: run the compiled oracle next to every escrow check and raise
     #: :class:`~repro.treaty.escrow.EscrowDivergence` on disagreement
     #: (the cluster's validate mode turns this on)
     validate_escrow: bool = False
-    #: stats folded out of replaced/dropped escrow accounts, so
-    #: run-level counters survive treaty reinstalls
+    #: stats folded out of dropped escrow accounts (crash-stop, an
+    #: ineligible treaty, a replay), so run-level counters survive them
     escrow_retired: dict[str, int] = field(default_factory=dict)
     #: installs that produced an escrow account vs. ones that fell back
     #: to the compiled path (the eligibility ratio the benchmark gates)
@@ -199,80 +213,140 @@ class SiteServer:
     #: trusted only while ``treaty`` is still the installed object
     _installed: _Installed | None = field(default=None, repr=False)
 
-    def install_treaty(
-        self, treaty: LocalTreaty, round_number: int = -1, log: bool = True
-    ) -> None:
+    @property
+    def install_headroom(self) -> dict[LinearConstraint, int]:
+        """Per-clause headroom at install time (the allocation the
+        adaptive low-watermark compares remaining slack against).  An
+        install keeps the grants by position; the map by clause is
+        built for whoever first asks for it."""
+        if self._headroom is None:
+            base = self._installed
+            self._headroom = (
+                {} if base is None else _grant_map(base.treaty.constraints, base.grants)
+            )
+        return self._headroom
+
+    @install_headroom.setter
+    def install_headroom(self, headroom: dict[LinearConstraint, int]) -> None:
+        self._headroom = headroom
+
+    def install_treaty(self, treaty: LocalTreaty, round_number: int = -1) -> None:
         """Install a new local treaty and checkpoint each ``<=``-clause's
         headroom on the install-time (synchronized) state.
 
         The headroom snapshot is what makes the low-watermark check a
         *relative* trigger: "this clause has burned through 1 - w of
         the budget the last negotiation granted", independent of the
-        clause's absolute scale.  It is read from the store for every
-        clause, carried over or not: commits since the last install
-        consumed slack without changing the clause.
+        clause's absolute scale.  Commits since the last install
+        consumed slack without changing the clause, so a carried
+        clause's grant is not its old one -- it is its escrow counter,
+        which the account kept equal to the clause's slack on the store
+        all along (the module docstring's headroom invariant).
 
-        Everything else is derived for the clauses this install adds
-        or removes relative to the installed treaty: the path-check
+        Everything is derived for the clauses this install adds or
+        removes relative to the installed treaty: the path-check
         summary is patched and only paths writing a base those clauses
-        mention are re-classified; carried clauses keep their escrow
-        rows.
+        mention are re-classified; the escrow account drops and places
+        their rows and reads the store for the new rows and the rows
+        over an object that moved outside a commit; the WAL record
+        lists them.
 
-        The install is **logged to the WAL before it is applied** (and
-        therefore before any transport-level acknowledgement returns to
-        the coordinator): once a peer believes this site holds the
-        treaty, a crash-stop cannot unhold it.  ``log=False`` is the
-        replay path only -- reinstalling a recovered treaty must not
-        re-append it.
+        The install is **logged to the WAL before the site enforces
+        it** (and therefore before any transport-level acknowledgement
+        returns to the coordinator): once a peer believes this site
+        holds the treaty, a crash-stop cannot unhold it.
         """
         base, position = self._delta_baseline()
+        carried = base is self._installed
         installed = base.treaty.constraints
-        peek = self.engine.peek
+        cons = treaty.constraints
         rows: list[ClauseRows | None] = []
-        added: list[LinearConstraint] = []
-        headroom: dict[LinearConstraint, int] = {}
-        counters: list[int] = []
-        for con in treaty.constraints:
-            at = position.pop(id(con), None)
-            if at is None:
-                added.append(con)
-                lowered = lower_clause(con)
+        #: per clause, its position in the baseline (-1: it enters)
+        origin: list[int] = []
+        entered: list[tuple[int, LinearConstraint]] = []
+        last, in_order = -1, True
+        for con in cons:
+            at = position.pop(id(con), -1)
+            if at < 0:
+                entered.append((len(rows), con))
+                rows.append(lower_clause(con))
             else:
-                lowered = base.rows[at]
-            rows.append(lowered)
-            slack = clause_slack(con, peek)
-            if con.op == "<=":
-                headroom[con] = slack
-            if lowered is not None and lowered.rows:
-                # a pin's opposing pair: zero slack both ways while it holds
-                counters.extend((slack,) if lowered.budget else (slack, -slack))
-        removed = [installed[at] for at in position.values()]
-        summary = base.summary.copy()
-        for con in removed:
-            summary.add(con, -1)
-        for con in added:
-            summary.add(con)
+                in_order = in_order and at > last
+                last = at
+                rows.append(base.rows[at])
+            origin.append(at)
+        left = list(position.values())  # ascending, like the enumeration
         # The static tier.  Deterministic given (catalog, treaty), so
         # the WAL record doubles as a recovery cross-check.
-        touched = clause_bases(added + removed) if installed else None
-        paths = patch_path_checks(self.catalog, summary, self.path_checks, touched)
-        if log:
+        summary = base.summary.copy()
+        touched: set[str] = set()
+        for at in left:
+            touched.update(summary.add(installed[at], -1))
+        for _at, con in entered:
+            touched.update(summary.add(con))
+        paths = patch_path_checks(
+            self.catalog, summary, self.path_checks, touched if installed else None
+        )
+
+        engine = self.engine
+        if None in rows:
+            # No counters to carry: an ineligible treaty reads the
+            # store for every grant, as its commits read it for every
+            # check.
+            self.drop_escrow()
+            self.escrow_ineligible_installs += 1
+            peek = engine.peek
+            grants = [
+                clause_slack(con, peek) if con.op == "<=" else None for con in cons
+            ]
+        else:
+            account = self.escrow
+            if carried and account is not None:
+                gone = [base.rows[at] for at in left]
+                new = [rows[at] for at, _con in entered]
+            else:
+                self._fold_escrow_stats()
+                account = self.escrow = EscrowAccount(EscrowProgram(), ())
+                gone, new = [], rows
+            account.install(gone, new, engine.moved, engine.peek, engine.epoch)
+            self.escrow_installs += 1
+            counter, slots = account.headroom, account.program.slots
+            grants = [
+                counter[slots[lowered][0]]
+                if lowered.budget
+                else (con.bound if con.op == "<=" else None)
+                for con, lowered in zip(cons, rows)
+            ]
+        engine.moved.clear()
+
+        # A delta needs a record to continue: this site's last one, and
+        # carried clauses in the order that record lists them.
+        if carried and in_order and base.chain < SNAPSHOT_EVERY:
+            record = {"kind": "treaty_delta", "round": round_number}
+            record.update(
+                encode_treaty_delta(
+                    self.treaty_round,  # of the record this one continues
+                    left,
+                    entered,
+                    [
+                        (at, grant)
+                        for at, (was, grant) in enumerate(zip(origin, grants))
+                        if grant is not None and (was < 0 or grant != base.grants[was])
+                    ],
+                    paths if paths != self.path_checks else None,
+                )
+            )
+            chain = base.chain + 1
+        else:
             record = {"kind": "treaty_install", "round": round_number}
-            record.update(encode_local_treaty(treaty, headroom, paths))
-            self.wal.append(record)
+            record.update(encode_local_treaty(treaty, _grant_map(cons, grants), paths))
+            chain = 1
+        self.wal.append(record)
         self.local_treaty = treaty
-        self.install_headroom = headroom
+        self._headroom = None
         self.treaty_round = round_number
         self.path_checks = paths
-        self._installed = _Installed(treaty, rows, summary)
-        program = None
-        if None not in rows:
-            program = assemble_escrow(
-                tuple(treaty.constraints),
-                rows,
-                self.escrow.program if self.escrow is not None else None,
-            )
-        self._open_escrow(program, counters)
+        self._installed = _Installed(treaty, rows, summary, grants, chain)
         if self.validate_escrow:
             self._assert_install_matches_scratch()
 
@@ -290,16 +364,29 @@ class SiteServer:
             position = {id(con): at for at, con in enumerate(installed)}
             if len(position) == len(installed):
                 return base, position
-        return _Installed(LocalTreaty(site=self.site_id), [], ClauseSummary()), {}
+        empty = LocalTreaty(site=self.site_id)
+        return _Installed(empty, [], ClauseSummary(), [], 0), {}
 
     def _assert_install_matches_scratch(self) -> None:
         """The validate-mode oracle of the delta install: everything
-        the install derived must equal its from-scratch derivation from
-        (catalog, treaty, store)."""
+        the install carried or patched must equal its from-scratch
+        derivation from (catalog, treaty, store) -- the headroom rule
+        among them: every grant, carried counter or fresh read, is
+        ``clause_slack`` on the install-time store -- and the site's
+        own log, replayed from its last snapshot through the delta
+        chain, must say what the site now holds."""
         treaty, peek = self.local_treaty, self.engine.peek
         assert treaty is not None and self._installed is not None
         program = lower_to_escrow(tuple(treaty.constraints))
-        live = self.escrow.program if self.escrow is not None else None
+        scratch = None
+        if program is not None:
+            scratch = EscrowAccount(
+                program, [clause_slack(row, peek) for row in program.rows]
+            ).enforced()
+        held = {"kind": "treaty_install", "round": self.treaty_round}
+        held.update(
+            encode_local_treaty(treaty, self.install_headroom, self.path_checks)
+        )
         checks = {
             "path checks": (self.path_checks, build_path_checks(self.catalog, treaty)),
             "clause summary": (
@@ -314,13 +401,11 @@ class SiteServer:
                     if con.op == "<="
                 },
             ),
-            "escrow program": (_program_fields(live), _program_fields(program)),
-            "escrow counters": (
-                self.escrow.headroom if self.escrow is not None else None,
-                [clause_slack(row, peek) for row in program.rows]
-                if program is not None
-                else None,
+            "escrow rows, counters, index and budget": (
+                self.escrow.enforced() if self.escrow is not None else None,
+                scratch,
             ),
+            "install, as its log replays,": (self.wal.last_treaty_install(), held),
         }
         for what, (have, expect) in checks.items():
             if have != expect:
@@ -332,17 +417,21 @@ class SiteServer:
     def replay_wal(self) -> int:
         """Restart path: restore the treaty state from the durable log.
 
-        Reduces the log to its last *complete* install record (a torn
-        tail -- crash mid-append -- is dropped; it was never acked, so
-        no peer assumes this site has it) and reinstalls that treaty
+        Reduces the log to its last *complete* install -- the last
+        snapshot record with the delta records after it folded in; a
+        torn tail (crash mid-append) is cut off: it was never acked, so
+        no peer assumes this site has it -- and reinstalls that treaty
         with its recorded headroom snapshot.  Idempotent: replaying
-        again reinstalls the same record.  Returns the replayed round
+        again reinstalls the same install.  Returns the replayed round
         number (-1 for a fresh log).
         """
+        # Before anything is appended behind it, or the next record
+        # would join the torn bytes into one unreadable interior line.
+        self.wal.truncate_torn_tail()
         self._replay_paxos_state()
         record = self.wal.last_treaty_install()
         # Replay derives everything from scratch; the next live install
-        # is then the delta from the empty treaty.
+        # is then the delta from the empty treaty, logged as a snapshot.
         self._installed = None
         if record is None:
             self.local_treaty = None
@@ -379,15 +468,24 @@ class SiteServer:
         # lowered treaty on the recovered state.
         program = lower_to_escrow(tuple(treaty.constraints))
         peek = self.engine.peek
-        self._open_escrow(
-            program,
-            [
-                headroom[row] if row in headroom else clause_slack(row, peek)
-                for row in (program.rows if program is not None else ())
-            ],
-        )
-        if self.escrow is not None:
-            self.escrow.resync(self.engine.peek, self.engine.epoch)
+        self._fold_escrow_stats()
+        if program is None:
+            self.escrow = None
+            self.escrow_ineligible_installs += 1
+        else:
+            # A ``<=``-clause row starts at the install-time grant;
+            # rows with no grant -- an equality pin's opposing pair --
+            # take their slack from the store.
+            self.escrow = EscrowAccount(
+                program,
+                [
+                    headroom[row] if row in headroom else clause_slack(row, peek)
+                    for row in program.rows
+                ],
+            )
+            self.escrow_installs += 1
+            self.escrow.resync(peek, self.engine.epoch)
+        self.engine.moved.clear()
         return self.treaty_round
 
     def _replay_paxos_state(self) -> None:
@@ -458,24 +556,6 @@ class SiteServer:
         return accepted[1] if accepted is not None else None
 
     # -- escrow fast-path plumbing -------------------------------------------------
-
-    def _open_escrow(self, program: EscrowProgram | None, counters: list[int]) -> None:
-        """Open a fresh escrow account on the installed treaty's
-        program (``None``: ineligible, fall back to the compiled path).
-
-        ``counters`` holds one starting value per program row: a
-        ``<=``-clause row starts at the install-time grant (the same
-        snapshot the adaptive watermark keeps); rows with no grant --
-        an equality pin's opposing pair -- take their slack straight
-        from the synchronized store.
-        """
-        self._fold_escrow_stats()
-        if program is None:
-            self.escrow = None
-            self.escrow_ineligible_installs += 1
-            return
-        self.escrow = EscrowAccount(program, counters, epoch=self.engine.epoch)
-        self.escrow_installs += 1
 
     def drop_escrow(self) -> None:
         """Retire the current escrow account (crash-stop, treaty
@@ -567,6 +647,7 @@ class SiteServer:
                             else peek(name),
                             engine.epoch,
                         )
+                        engine.moved.clear()
                     store_get = engine.store.get
                     deltas = {
                         name: store_get(name) - before
@@ -756,7 +837,7 @@ class SiteServer:
             # installed right after), so the escrow counters never saw
             # these writes: invalidate them like any non-transactional
             # mutation.
-            self.engine.epoch += 1
+            self.engine.wrote_outside_commit(written)
             return log, written
         except BaseException:
             if txn.active:

@@ -92,6 +92,10 @@ class LocalEngine:
     #: holding incremental views of the store -- the escrow headroom
     #: counters -- compare against it and resynchronize when it moves
     epoch: int = 0
+    #: the objects those writes touched since the consumer last caught
+    #: up (it clears the set): a treaty install re-reads only the
+    #: counter rows over these, every other counter is still exact
+    moved: set[str] = field(default_factory=set)
     committed: int = 0
     aborted: int = 0
     _ids: "itertools.count[int]" = field(default_factory=itertools.count)
@@ -106,6 +110,13 @@ class LocalEngine:
 
     def poke(self, name: str, value: int) -> None:
         self.store.put(name, value)
+        self.moved.add(name)
+        self.epoch += 1
+
+    def wrote_outside_commit(self, names: set[str]) -> None:
+        """A transaction committed ``names`` without the commit check
+        seeing its deltas (the cleanup run T')."""
+        self.moved.update(names)
         self.epoch += 1
 
     def dirty_objects(self) -> set[str]:

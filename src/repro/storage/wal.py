@@ -27,6 +27,37 @@ torn install was never acknowledged, so no peer assumes the site has
 it.  Replay is idempotent: it reduces the log to the *last complete*
 install, so replaying twice (or appending the same install twice)
 converges to the same state.
+
+**Install records are a snapshot and a chain of deltas.**  A
+``treaty_install`` record is the whole local treaty::
+
+    {"kind": "treaty_install", "round": R, "site": S,
+     "clauses": [{"coeffs": [[name, c], ...], "op": "<=", "bound": b}, ...],
+     "headroom": [grant or null, ...],          # per clause
+     "paths": {tx: [[row, kind, [], reason], ...], ...}}
+
+A ``treaty_delta`` record is the next install as a difference against
+the install record before it -- what a negotiation changed, which is a
+few clauses of a treaty that holds hundreds::
+
+    {"kind": "treaty_delta", "round": R, "base": R_before,
+     "removed": [position in the base's clause list, ...],
+     "added": [[position in the new list, clause], ...],   # ascending
+     "headroom": [[position in the new list, grant], ...],
+     "paths": {...}}                  # only when the partition changed
+
+``headroom`` lists the grants that are not the base's: those of added
+clauses and of carried clauses whose slack moved.  A site writes a
+snapshot for its first install, for the first install after a replay
+(it then has no baseline it can vouch for) and every
+:data:`SNAPSHOT_EVERY`-th install record, so the last install is the
+last snapshot with at most ``SNAPSHOT_EVERY - 1`` deltas folded over
+it (:func:`apply_treaty_delta`).  :meth:`TreatyWAL.last_treaty_install`
+does that fold and hands back a record of the snapshot form, reading
+the log from its tail: recovery costs the length of a chain, not the
+age of the log.  A delta whose ``base`` is not the round of the
+install record before it, or whose positions do not fit it, was not
+written against that record: :class:`WALCorruption`.
 """
 
 from __future__ import annotations
@@ -38,6 +69,7 @@ from typing import TYPE_CHECKING
 from repro.storage.kvstore import KVStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.logic.linear import LinearConstraint
     from repro.treaty.table import LocalTreaty
 
 
@@ -78,11 +110,20 @@ class UndoLog:
 # -- the treaty write-ahead log ----------------------------------------------------
 
 
+#: a site writes a full ``treaty_install`` snapshot at least every
+#: this many install records; the ones between are ``treaty_delta``s.
+#: Bounds what a replay folds (one snapshot, ``SNAPSHOT_EVERY - 1``
+#: deltas) against what a snapshot costs an install (the whole treaty,
+#: amortized over this many).
+SNAPSHOT_EVERY = 32
+
+
 class WALCorruption(Exception):
-    """An *interior* WAL record failed to parse.  Unlike a torn final
-    record (an interrupted append, expected under crash-stop), interior
-    corruption means the log was damaged after being written and replay
-    cannot trust anything past the damage."""
+    """An *interior* WAL record failed to parse, or a delta record
+    does not continue the install record before it.  Unlike a torn
+    final record (an interrupted append, expected under crash-stop),
+    interior corruption means the log was damaged after being written
+    and replay cannot trust anything past the damage."""
 
 
 @dataclass
@@ -105,8 +146,7 @@ class TreatyWAL:
 
     def append(self, record: dict) -> None:
         """Durably append one record (the newline is the commit point)."""
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._buf.extend(line.encode("utf-8"))
+        self._buf.extend(_encode_line(record).encode("utf-8"))
         self._buf.extend(b"\n")
         self.appended += 1
 
@@ -128,40 +168,72 @@ class TreatyWAL:
         view.  A malformed interior record raises
         :class:`WALCorruption`.
         """
-        out: list[dict] = []
-        lines = bytes(self._buf).split(b"\n")
         # A buffer ending in '\n' splits into [.., b'']; anything else
-        # in the final slot is a torn tail (dropped).  Records are
-        # single-line JSON, so an unparsable *newline-terminated* line
-        # can only mean post-write damage, never an append crash.
-        for i, line in enumerate(lines[:-1]):
-            try:
-                out.append(json.loads(line))
-            except ValueError as exc:
-                raise WALCorruption(f"record {i} unreadable: {line[:80]!r}") from exc
-        return out
+        # in the final slot is a torn tail (dropped).
+        return [_decode_line(line) for line in self._buf.split(b"\n")[:-1]]
 
     def truncate_torn_tail(self) -> int:
         """Drop a torn final record from the buffer (recovery repair);
         returns the number of bytes removed."""
-        idx = bytes(self._buf).rfind(b"\n")
-        keep = idx + 1  # 0 when no newline at all: the whole buffer is torn
+        keep = self._buf.rfind(b"\n") + 1  # 0: the whole buffer is torn
         removed = len(self._buf) - keep
         if removed:
             del self._buf[keep:]
         return removed
 
     def last_treaty_install(self) -> dict | None:
-        """The most recent complete ``treaty_install`` record (what
-        replay reinstalls); None for a fresh or fully-torn log."""
-        last = None
-        for record in self.records():
-            if record.get("kind") == "treaty_install":
-                last = record
-        return last
+        """The most recent complete install (what replay reinstalls),
+        as a record of the ``treaty_install`` form: the last snapshot
+        with the deltas after it folded in.  None for a fresh or
+        fully-torn log.
+
+        Reads back from the tail and stops at the snapshot, so it
+        decodes one chain however long the log is."""
+        buf = self._buf
+        end = buf.rfind(b"\n")  # anything past it is a torn tail
+        chain: list[dict] = []
+        while end >= 0:
+            start = buf.rfind(b"\n", 0, end) + 1
+            record = _decode_line(buf[start:end])
+            kind = record.get("kind")
+            if kind == "treaty_install":
+                while chain:
+                    record = apply_treaty_delta(record, chain.pop())
+                return record
+            if kind == "treaty_delta":
+                chain.append(record)
+            end = start - 1
+        if chain:
+            raise WALCorruption("delta records with no snapshot before them")
+        return None
 
     def clear(self) -> None:
         self._buf.clear()
+
+
+#: one record, one line, byte for byte the same for the same record
+_encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _decode_line(line: bytes | bytearray) -> dict:
+    # Records are single-line JSON, so an unparsable *newline-
+    # terminated* line can only mean post-write damage, never an
+    # append crash.
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise WALCorruption(f"record unreadable: {bytes(line[:80])!r}") from exc
+    if not isinstance(record, dict):
+        raise WALCorruption(f"record is not an object: {bytes(line[:80])!r}")
+    return record
+
+
+def _encode_clause(con: "LinearConstraint") -> dict:
+    return {
+        "coeffs": [[var.name, coeff] for var, coeff in con.expr.coeffs],
+        "op": con.op,
+        "bound": con.bound,
+    }
 
 
 def encode_local_treaty(
@@ -188,23 +260,80 @@ def encode_local_treaty(
     cross-checks the re-derivation against this record.
     """
     headroom = headroom or {}
-    clauses = []
-    grants = []
-    for con in treaty.constraints:
-        clauses.append(
-            {
-                "coeffs": [[var.name, coeff] for var, coeff in con.expr.coeffs],
-                "op": con.op,
-                "bound": con.bound,
-            }
-        )
-        grants.append(headroom.get(con))
-    record = {"site": treaty.site, "clauses": clauses, "headroom": grants}
+    record = {
+        "site": treaty.site,
+        "clauses": [_encode_clause(con) for con in treaty.constraints],
+        "headroom": [headroom.get(con) for con in treaty.constraints],
+    }
     if paths is not None:
         from repro.analysis.pathsplit import encode_path_checks
 
         record["paths"] = encode_path_checks(paths)
     return record
+
+
+def encode_treaty_delta(
+    base_round: int,
+    removed: list[int],
+    added: list[tuple[int, "LinearConstraint"]],
+    grants: list[tuple[int, int]],
+    paths: dict | None = None,
+) -> dict:
+    """The body of a ``treaty_delta`` record (layout in the module
+    docstring): ``removed`` holds positions in the base install's
+    clause list, ``added`` and ``grants`` positions in the new one,
+    ascending; ``paths`` is passed only when the partition changed."""
+    record = {
+        "base": base_round,
+        "removed": removed,
+        "added": [[at, _encode_clause(con)] for at, con in added],
+        "headroom": [[at, grant] for at, grant in grants],
+    }
+    if paths is not None:
+        from repro.analysis.pathsplit import encode_path_checks
+
+        record["paths"] = encode_path_checks(paths)
+    return record
+
+
+def apply_treaty_delta(install: dict, delta: dict) -> dict:
+    """Fold one ``treaty_delta`` record over the install it was
+    written against (a snapshot, or a snapshot with earlier deltas
+    folded in); the result has the ``treaty_install`` form."""
+    if delta.get("base") != install["round"]:
+        raise WALCorruption(
+            f"delta of round {delta.get('round')} continues round "
+            f"{delta.get('base')}, but the install record before it is "
+            f"round {install['round']}"
+        )
+    try:
+        removed = set(delta["removed"])
+        size = len(install["clauses"])
+        if len(removed) != len(delta["removed"]) or not all(
+            isinstance(at, int) and 0 <= at < size for at in removed
+        ):
+            raise ValueError(f"removed positions {delta['removed']} of {size}")
+        clauses = [c for at, c in enumerate(install["clauses"]) if at not in removed]
+        headroom = [g for at, g in enumerate(install["headroom"]) if at not in removed]
+        for at, clause in delta["added"]:
+            if not 0 <= at <= len(clauses):
+                raise ValueError(f"added position {at} of {len(clauses)}")
+            clauses.insert(at, clause)
+            headroom.insert(at, None)
+        for at, grant in delta["headroom"]:
+            if at < 0:
+                raise ValueError(f"grant position {at}")
+            headroom[at] = grant
+        out = {**install, "round": delta["round"]}
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise WALCorruption(
+            f"delta of round {delta.get('round')} does not fit the install "
+            f"record before it: {exc!r}"
+        ) from exc
+    out.update(clauses=clauses, headroom=headroom)
+    if "paths" in delta:
+        out["paths"] = delta["paths"]
+    return out
 
 
 def decode_local_treaty(record: dict):

@@ -62,13 +62,26 @@ feed it ``{object: delta}`` maps (the site server derives them from
 the undo journal's before-images) and resynchronize it from the store
 when non-transactional writes move values underneath it (tracked by
 ``LocalEngine.epoch``).
+
+**One account per site, patched per install.**  The escrow invariant
+-- a settled counter equals ``bound - sum(coeff_i * D(x_i))`` on the
+current store, for every row none of whose objects was written outside
+:meth:`EscrowAccount.commit` -- is what lets an account outlive the
+treaty it was opened for: :meth:`EscrowAccount.install` settles the
+open window, drops the rows of the clauses that left, places the rows
+of the ones that entered and reads from the store only those and the
+rows over an object that moved outside ``commit`` (``LocalEngine.
+moved``); every other counter already is the clause's slack on the
+install-time state.  The window afterwards is what a freshly opened
+account's would be: empty, its budget the minimum over the new rows.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Iterable, Mapping
 
-from repro.logic.compile import PIN_DRAIN, EscrowProgram
+from repro.logic.compile import PIN_DRAIN, ClauseRows, EscrowProgram
 from repro.logic.linear import LinearConstraint
 
 #: default commit-window size: settle the counters at most every this
@@ -88,14 +101,24 @@ class EscrowDivergence(AssertionError):
     over-enforcing) the treaty."""
 
 
+def clause_slack(con: LinearConstraint, getobj: Callable[[str], int]) -> int:
+    """Remaining headroom of one ``<=``-clause on the given state:
+    ``bound - sum(d_i * D(x_i))`` (negative means violated)."""
+    value = 0
+    for var, coeff in con.expr.coeffs:
+        value += coeff * getobj(var.name)
+    return con.bound - value
+
+
 class EscrowAccount:
-    """Mutable counter state enforcing one installed escrow program.
+    """Mutable counter state enforcing a site's escrow program.
 
     The hot path is :meth:`commit`, built as a closure over the
     account's state (cell-variable access keeps the per-commit cost in
-    the sub-microsecond range the escrow argument promises).  One
-    account exists per treaty install; replacing a treaty means
-    building a fresh account from the new install-time slack.
+    the sub-microsecond range the escrow argument promises).  The
+    closure holds the program's index structures and the counter list
+    themselves, so :meth:`install` patches them in place and the same
+    closure enforces the next treaty.
     """
 
     def __init__(
@@ -106,7 +129,8 @@ class EscrowAccount:
         window: int = DEFAULT_WINDOW,
     ) -> None:
         self.program = program
-        #: live per-row headroom; exact only after :meth:`settle`
+        #: live per-slot headroom; exact only after :meth:`settle`
+        #: (a free slot keeps whatever its last row left there)
         self.headroom = list(headroom)
         if len(self.headroom) != len(program.rows):
             raise ValueError(
@@ -144,12 +168,12 @@ class EscrowAccount:
         t_get = touching.get
         h_get = headroom.__getitem__
         pin_idx = program.pin_rows
-        # With any pin row installed the budget must sit below
-        # PIN_DRAIN, else a huge (or unbounded, for a pin-only treaty)
-        # budget would fast-admit pin-breaking deltas.
-        pin_cap = PIN_DRAIN - 1 if pin_idx else _UNBOUNDED
 
         def min_budget() -> int:
+            # With any pin row installed the budget must sit below
+            # PIN_DRAIN, else a huge (or unbounded, for a pin-only
+            # treaty) budget would fast-admit pin-breaking deltas.
+            pin_cap = PIN_DRAIN - 1 if pin_idx else _UNBOUNDED
             # A pin row already negative means the installed state
             # breaks the treaty (only reachable through an off-H2
             # resync): force the exact path on every commit so the
@@ -260,6 +284,43 @@ class EscrowAccount:
         true per-clause slack)."""
         self._flush()
 
+    def install(
+        self,
+        removed: Iterable[ClauseRows],
+        added: Iterable[ClauseRows],
+        moved: Iterable[str],
+        getobj: Callable[[str], int],
+        epoch: int,
+    ) -> None:
+        """Carry the account to the next treaty: the clauses in
+        ``removed`` left, the ones in ``added`` entered, and the
+        objects in ``moved`` were written outside :meth:`commit` since
+        the counters were last exact.
+
+        Settles the open window first, so every carried counter is its
+        clause's slack on the store as ``getobj`` reads it -- except
+        the rows over a moved object, which are read again beside the
+        new ones.  Counts as no settlement and no resync: a freshly
+        opened account would have counted neither.
+        """
+        self._flush()
+        program, headroom = self.program, self.headroom
+        for clause in removed:
+            program.remove(clause)
+        stale: set[int] = set()
+        for clause in added:
+            stale.update(program.add(clause))
+        headroom.extend([0] * (len(program.rows) - len(headroom)))
+        touching = program.touching
+        for name in moved:
+            for slot, _coeff in touching.get(name, ()):
+                stale.add(slot)
+        rows = program.rows
+        for slot in stale:
+            headroom[slot] = clause_slack(rows[slot], getobj)
+        self._flush()  # nothing pending: re-reads the budget
+        self.synced_epoch = epoch
+
     def resync(self, getobj: Callable[[str], int], epoch: int | None = None) -> None:
         """Recompute every counter from the store.
 
@@ -270,11 +331,9 @@ class EscrowAccount:
         deltas are discarded -- the store already reflects them.
         """
         headroom = self.headroom
-        for idx, row in enumerate(self.program.rows):
-            total = 0
-            for var, coeff in row.expr.coeffs:
-                total += coeff * getobj(var.name)
-            headroom[idx] = row.bound - total
+        for slot, row in enumerate(self.program.rows):
+            if row is not None:
+                headroom[slot] = clause_slack(row, getobj)
         self._discard_window()
         self.counters["resyncs"] += 1
         if epoch is not None:
@@ -296,7 +355,41 @@ class EscrowAccount:
         first).  ``<=`` clauses key their own constraint; an equality
         pin appears as its two derived ``<=`` rows."""
         self.settle()
-        return dict(zip(self.program.rows, self.headroom))
+        return {
+            row: slack
+            for row, slack in zip(self.program.rows, self.headroom)
+            if row is not None
+        }
+
+    def enforced(self) -> tuple:
+        """Everything the commit check reads, with rows named by their
+        constraint instead of their slot (settles first): two accounts
+        that compare equal here admit and reject the same commits.
+        What a patched account is compared to a from-scratch one by."""
+        self.settle()
+        program, headroom = self.program, self.headroom
+        rows = program.rows
+        budget_rows, pin_rows = set(program.budget_rows), set(program.pin_rows)
+        return (
+            Counter(
+                (
+                    row,
+                    headroom[slot],
+                    slot in budget_rows,
+                    slot in pin_rows,
+                    program.clause_objects[slot],
+                )
+                for slot, row in enumerate(rows)
+                if row is not None
+            ),
+            len(program.budget_rows) + len(program.pin_rows),
+            {
+                name: Counter((rows[slot], coeff) for slot, coeff in pairs)
+                for name, pairs in program.touching.items()
+            },
+            dict(program.max_coeff),
+            self.window_state()["budget"],
+        )
 
     def stats(self) -> dict[str, int]:
         """Cumulative counters, including the still-open window's

@@ -5,9 +5,12 @@ install (docs/ARCHITECTURE.md, "What a round costs").  The reference
 here is what an install did before installs were deltas -- every value
 derived from (catalog, treaty, store) with the from-scratch functions --
 and every install of every round, at every site, must leave exactly
-that behind: the bytes of its ``treaty_install`` WAL record, the
-install-time headroom, the path partition, the escrow program, its
-counters and the window budget.  The treaty table each round assembles
+that behind: a log that replays (last snapshot, then its delta chain)
+to the bytes of the full ``treaty_install`` record, the install-time
+headroom, the path partition, and an escrow account enforcing the same
+rows from the same counters under the same window budget (rows named
+by their constraint: the patched program numbers them by slot, the
+from-scratch one by position).  The treaty table each round assembles
 incrementally is held to whole-treaty assembly the same way.
 
 Validate mode is off: the delta path must be right on its own, not
@@ -16,7 +19,7 @@ because the oracle ran beside it.
 
 import json
 import random
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 
@@ -57,11 +60,11 @@ WORKLOADS = {
 }
 
 
-def _program_fields(program):
-    return {f.name: getattr(program, f.name) for f in fields(program)}
+def _line(record):
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def _assert_install_is_the_reference(server, wal_line, round_number):
+def _assert_install_is_the_reference(server, round_number):
     """What installing ``server.local_treaty`` from scratch on the
     server's current store leaves behind."""
     treaty, peek = server.local_treaty, server.engine.peek
@@ -71,8 +74,9 @@ def _assert_install_is_the_reference(server, wal_line, round_number):
     paths = build_path_checks(server.catalog, treaty)
     record = {"kind": "treaty_install", "round": round_number}
     record.update(encode_local_treaty(treaty, headroom, paths))
-    line = json.dumps(record, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-    assert wal_line == line
+    # The log, replayed through its chain, re-encodes to exactly the
+    # snapshot record a from-scratch install writes.
+    assert _line(server.wal.last_treaty_install()) == _line(record)
     assert server.install_headroom == headroom
     assert server.path_checks == paths
     program = lower_to_escrow(tuple(treaty.constraints))
@@ -83,27 +87,22 @@ def _assert_install_is_the_reference(server, wal_line, round_number):
         headroom[row] if row in headroom else clause_slack(row, peek)
         for row in program.rows
     ]
-    reference = EscrowAccount(program, counters)
-    assert _program_fields(server.escrow.program) == _program_fields(program)
-    assert server.escrow.headroom_map() == reference.headroom_map()
-    assert (
-        server.escrow.window_state()["budget"] == reference.window_state()["budget"]
-    )
+    assert server.escrow.enforced() == EscrowAccount(program, counters).enforced()
 
 
 @pytest.fixture
 def installs(monkeypatch):
-    """Hold every install, as it happens, to the reference."""
+    """Hold every install, as it happens, to the reference; collects
+    the kind of record each one logged."""
     install = SiteServer.install_treaty
     seen = []
 
-    def checked(self, treaty, round_number=-1, log=True):
-        size = self.wal.size_bytes()
-        install(self, treaty, round_number, log)
-        _assert_install_is_the_reference(
-            self, bytes(self.wal._buf[size:]), round_number
-        )
-        seen.append(self.site_id)
+    def checked(self, treaty, round_number=-1):
+        size, appended = self.wal.size_bytes(), self.wal.appended
+        install(self, treaty, round_number)
+        assert self.wal.appended == appended + 1
+        _assert_install_is_the_reference(self, round_number)
+        seen.append(json.loads(self.wal._buf[size:])["kind"])
 
     monkeypatch.setattr(SiteServer, "install_treaty", checked)
     return seen
@@ -127,6 +126,48 @@ def test_every_round_matches_the_from_scratch_reference(name, strategy, installs
             cluster.generator.assert_matches_scratch(cluster.treaty_table)
     # Not vacuous: rounds past the bootstrap ran, as deltas.
     assert len(installs) > bootstrap + 4
+    assert set(installs[:bootstrap]) == {"treaty_install"}
+    assert installs.count("treaty_delta") >= 0.9 * (len(installs) - bootstrap)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_replay_after_thirty_delta_rounds_is_the_live_state(name):
+    """Thirty and more installs logged as deltas behind one snapshot,
+    at every site; then each site forgets everything volatile and
+    replays its log -- chain folded over the snapshot, everything else
+    derived from scratch.  It must come back holding what it held."""
+    workload = WORKLOADS[name]()
+    cluster = workload.build_homeostasis(strategy="equal-split", validate=False)
+    rng = random.Random(8)
+
+    def delta_records(server):
+        return sum(r["kind"] == "treaty_delta" for r in server.wal.records())
+
+    for _ in range(4000):
+        if all(delta_records(s) >= 30 for s in cluster.sites.values()):
+            break
+        req = workload.next_request(rng)
+        cluster.submit(req.tx_name, req.params)
+    else:
+        raise AssertionError("not every site logged thirty delta installs")
+    for server in cluster.sites.values():
+        live = (
+            server.treaty_round,
+            list(server.local_treaty.constraints),
+            dict(server.install_headroom),
+            dict(server.path_checks),
+            server.escrow.enforced(),
+        )
+        server.local_treaty, server.install_headroom, server.path_checks = None, {}, {}
+        server.drop_escrow()
+        assert server.replay_wal() == live[0]
+        assert (
+            server.treaty_round,
+            server.local_treaty.constraints,
+            server.install_headroom,
+            server.path_checks,
+            server.escrow.enforced(),
+        ) == live
 
 
 def test_untouched_objects_are_shared_between_consecutive_tables():
@@ -190,10 +231,13 @@ def _clause(rng):
     objects = ["x", "y", "qty[0]", "qty[1]", "qty[2]", "cap[0]"]
     names = rng.sample(objects, rng.choice((1, 1, 2)))
     coeffs = {ObjT(name): rng.choice((-2, -1, 1, 3)) for name in names}
-    if rng.random() < 0.1:
-        coeffs = {ParamT("p"): 1}  # escrow-ineligible, opaque to the classifier
     op = "=" if rng.random() < 0.15 else "<="
     return LinearConstraint.make(LinearExpr.make(coeffs), op, rng.randrange(-3, 9))
+
+
+#: escrow-ineligible, opaque to the classifier, and outside what the
+#: WAL codec (rightly) carries: clauses over ground objects
+OPAQUE = LinearConstraint.make(LinearExpr.make({ParamT("p"): 1}), "<=", 3)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -201,12 +245,17 @@ def test_arbitrary_reinstalls_pass_the_install_oracle(seed):
     """Any sequence of local treaties -- clauses kept, dropped, added,
     reordered, listed twice, re-decoded into fresh objects, the same
     treaty object again -- installs to what a from-scratch install
-    derives (``validate_escrow`` raises ``InstallDivergence`` if not)."""
+    derives (``validate_escrow`` raises ``InstallDivergence`` if not).
+    Commits run in between, so a carried clause's counter is no longer
+    the grant it started from and has to be what the store says
+    anyway; now and then a clause over a parameter takes the site off
+    the counters for an install or two."""
     rng = random.Random(seed)
     server = SiteServer(site_id=0, locate=lambda name: 0, validate_escrow=True)
     for source in SOURCES:
         server.catalog.register(build_symbolic_table(parse_transaction(source)))
     clauses = [_clause(rng) for _ in range(4)]
+    commits = 0
     for round_number in range(80):
         move = rng.random()
         if move < 0.35:
@@ -217,18 +266,26 @@ def test_arbitrary_reinstalls_pass_the_install_oracle(seed):
             clauses = rng.sample(clauses, len(clauses))
         elif move < 0.75 and clauses:
             clauses = clauses + [rng.choice(clauses)]
-        # the WAL codec (rightly) only carries clauses over ground objects
-        ground = all(isinstance(v, ObjT) for c in clauses for v in c.variables())
-        if 0.75 <= move < 0.85 and ground:
+        if 0.75 <= move < 0.85:
             record = encode_local_treaty(LocalTreaty(site=0, constraints=clauses))
             clauses = decode_local_treaty(record)[0].constraints
-        treaty = LocalTreaty(site=0, constraints=list(clauses))
+        ground = rng.random() < 0.9
+        treaty = LocalTreaty(
+            site=0, constraints=list(clauses) if ground else [*clauses, OPAQUE]
+        )
         server.engine.poke("x", rng.randrange(0, 6))
         server.engine.poke("qty[1]", rng.randrange(0, 6))
         server.install_treaty(treaty, round_number)
+        assert (server.escrow is not None) == ground
         if rng.random() < 0.2:
             server.install_treaty(treaty, round_number)  # same object again
         if rng.random() < 0.1 and ground:
             server.replay_wal()
+        # (no check, compiled or counted, evaluates a clause over a parameter)
+        for _ in range(rng.randrange(4) if ground else 0):
+            tx_name = rng.choice(("Drain", "Tap", "BuyP", "Fill"))
+            outcome = server.execute(tx_name, {"i": rng.randrange(3)})
+            commits += outcome.committed
+    assert commits > 20  # and the clauses did not just reject them all
     kinds = {check.kind for checks in server.path_checks.values() for check in checks}
     assert kinds  # classified every round; the oracle compared each one

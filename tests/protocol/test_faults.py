@@ -280,13 +280,15 @@ class TestClusterFaults:
         cluster.submit(req.tx_name, req.params)
 
     def test_replay_after_delta_installs_reproduces_the_live_state(self):
-        """Installs are clause deltas on the live site; replay derives
-        everything from scratch from the last full-snapshot record.
-        Crashing right after the N-th install, the two must coincide:
-        same treaty, headroom grants, path partition, escrow program,
-        counters and window budget."""
-        from dataclasses import fields
-
+        """Installs are clause deltas on the live site, and delta
+        records in its log; replay folds the chain over the last
+        snapshot record and derives everything from scratch.  Crashing
+        right after the N-th install, the two must coincide: same
+        treaty, headroom grants, path partition, and an escrow account
+        enforcing the same rows from the same counters under the same
+        budget (the patched program numbers its rows by slot, the
+        replayed one by position: ``enforced`` names them by
+        constraint)."""
         workload, cluster = _micro_cluster()
         server = cluster.sites[1]
         rng = random.Random(4)
@@ -297,15 +299,12 @@ class TestClusterFaults:
             installs += result.synced and 1 in result.participants
 
         def volatile_state():
-            program = server.escrow.program
             return (
                 server.treaty_round,
                 list(server.local_treaty.constraints),
                 dict(server.install_headroom),
                 dict(server.path_checks),
-                [getattr(program, f.name) for f in fields(program)],
-                server.escrow.headroom_map(),
-                server.escrow.window_state()["budget"],
+                server.escrow.enforced(),
             )
 
         live = volatile_state()
@@ -320,6 +319,43 @@ class TestClusterFaults:
             req = workload.next_request(rng, site=rng.randrange(3))
             cluster.submit(req.tx_name, req.params)
         assert server.treaty_round > live[0]
+
+    def test_first_install_after_recovery_is_logged_as_a_snapshot(self):
+        """A site writes delta records against the install it holds in
+        memory.  A crash takes that baseline with it: the replayed
+        treaty is rebuilt from the log, so the next install is logged
+        whole, and deltas resume behind it."""
+        import json
+
+        workload, cluster = _micro_cluster()
+        server = cluster.sites[1]
+
+        def drive(installs):
+            rng, seen = random.Random(6), 0
+            while seen < installs:
+                req = workload.next_request(rng, site=rng.randrange(3))
+                result = cluster.submit(req.tx_name, req.params)
+                seen += result.synced and 1 in result.participants
+
+        def kinds():
+            lines = bytes(server.wal._buf).splitlines()
+            return [json.loads(line)["kind"] for line in lines]
+
+        drive(4)
+        assert kinds()[-3:] == ["treaty_delta"] * 3
+        cluster.crash_site(1)
+        logged = len(kinds())
+        cluster.recover_site(1)
+        drive(3)
+        after = [kind for kind in kinds()[logged:] if kind.startswith("treaty_")]
+        assert after[0] == "treaty_install"
+        assert after[1:] and set(after[1:]) == {"treaty_delta"}
+        # validate mode replayed the log after each of those installs
+        # and compared it to the live site; once more, from outside:
+        live = (server.treaty_round, list(server.local_treaty.constraints))
+        cluster.crash_site(1)
+        assert server.replay_wal() == live[0]
+        assert list(server.local_treaty.constraints) == live[1]
 
     def test_both_sides_of_a_partition_keep_committing_locally(self):
         """A network partition (severed edges, no crash: every site is

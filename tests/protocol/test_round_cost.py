@@ -6,9 +6,17 @@ ride through untouched (docs/ARCHITECTURE.md, "What a round costs").
 Timing is too noisy to hold that to, so this guard counts the work
 itself: across one single-item negotiation, the number of object names
 split, row shapes bound, linear expressions normalized and clause
-templates built is the same whether the treaty covers 50 items or 400.
+templates built is the same whether the treaty covers 50 items or 400
+-- and so, at the sites that install the round's treaty, is the number
+of clauses read from the store, lowered to escrow rows and encoded into
+the WAL, and the size of the record each site appends.
 """
 
+import json
+
+import repro.protocol.site as site_module
+import repro.storage.wal as wal_module
+import repro.treaty.escrow as escrow_module
 from repro.logic.linear import LinearExpr
 from repro.logic.linearize import LinearizedTreaty
 from repro.logic.terms import parse_ground_name
@@ -41,33 +49,81 @@ def _one_round_cost(num_items, monkeypatch):
     monkeypatch.setattr(
         ClauseTemplate, "__init__", lambda self, *a, **kw: init(self, *a, **kw)
     )
+    # The site side: store walks (a clause's slack, an escrow row's),
+    # clauses lowered, clauses encoded.
+    slack = _Calls(escrow_module.clause_slack)
+    lower = _Calls(site_module.lower_clause)
+    encode = _Calls(wal_module._encode_clause)
+    monkeypatch.setattr(site_module, "clause_slack", slack)
+    monkeypatch.setattr(escrow_module, "clause_slack", slack)
+    monkeypatch.setattr(site_module, "lower_clause", lower)
+    monkeypatch.setattr(wal_module, "_encode_clause", encode)
+
+    def counts():
+        names = parse_ground_name.cache_info()
+        return (
+            names.hits + names.misses,
+            bind.count,
+            make.count,
+            init.count,
+            slack.count,
+            lower.count,
+            encode.count,
+        )
+
     item = num_items // 2  # mid-treaty: clauses before it and after it
     for _ in range(200):
-        names = parse_ground_name.cache_info()
-        cost = (names.hits + names.misses, bind.count, make.count, init.count)
+        cost = counts()
+        logged = {sid: s.wal.size_bytes() for sid, s in cluster.sites.items()}
         result = cluster.submit("Buy@s0", {"item": item})
         if result.synced:
-            names = parse_ground_name.cache_info()
-            after = (names.hits + names.misses, bind.count, make.count, init.count)
+            after = counts()
             assert cluster.stats.negotiations == 1
-            return dict(
+            out = dict(
                 zip(
                     (
                         "parse_ground_name",
                         "shape binds",
                         "LinearExpr.make",
                         "ClauseTemplate",
+                        "store walks",
+                        "clauses lowered",
+                        "clauses encoded",
                     ),
                     (b - a for a, b in zip(cost, after)),
                 )
             )
+            records = {
+                sid: json.loads(s.wal._buf[logged[sid] :])
+                for sid, s in cluster.sites.items()
+            }
+            return out, records
     raise AssertionError("the hot item never exhausted its budget")
 
 
 def test_single_item_negotiation_costs_the_same_at_any_treaty_size(monkeypatch):
-    small = _one_round_cost(50, monkeypatch)
-    large = _one_round_cost(400, monkeypatch)
+    small, small_records = _one_round_cost(50, monkeypatch)
+    large, large_records = _one_round_cost(400, monkeypatch)
     # Not vacuous: the round did re-bind the item's clauses (their
-    # shapes were derived at bootstrap, so it normalizes nothing anew).
+    # shapes were derived at bootstrap, so it normalizes nothing anew),
+    # and its sites did read, lower and log the clauses that changed.
     assert small["shape binds"] > 0 and small["parse_ground_name"] > 0
+    for site_side in ("store walks", "clauses lowered", "clauses encoded"):
+        assert small[site_side] > 0
     assert large == small
+    # Each site appended one delta record listing the same number of
+    # removed and added clauses and changed grants; only the positions
+    # they name are longer numbers in the larger treaty.
+    for sid, record in small_records.items():
+        twin = large_records[sid]
+        assert record["kind"] == twin["kind"] == "treaty_delta"
+        entries = 0
+        for part in ("removed", "added", "headroom"):
+            assert len(record[part]) == len(twin[part]) > 0
+            entries += len(record[part])
+        assert ("paths" in record) == ("paths" in twin)
+        small_size, large_size = (
+            len(json.dumps(r, sort_keys=True, separators=(",", ":")))
+            for r in (record, twin)
+        )
+        assert 0 <= large_size - small_size <= 2 * entries

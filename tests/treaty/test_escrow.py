@@ -18,12 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic.compile import (
-    PIN_DRAIN,
-    assemble_escrow,
-    lower_clause,
-    lower_to_escrow,
-)
+from repro.logic.compile import PIN_DRAIN, lower_clause, lower_to_escrow
 from repro.logic.linear import LinearConstraint, LinearExpr
 from repro.logic.terms import ObjT, ParamT
 from repro.protocol.site import clause_slack
@@ -56,16 +51,16 @@ class TestLowering:
     def test_le_clause_is_one_budget_row(self):
         program = lower_to_escrow((con({"x": 2, "y": -1}, "<=", 7),))
         assert len(program.rows) == 1
-        assert program.budget_rows == (0,)
-        assert program.bounds == (7,)
+        assert program.budget_rows == [0]
+        assert [row.bound for row in program.rows] == [7]
         assert program.max_coeff == {"x": 2, "y": 1}
 
     def test_equality_pin_lowers_to_opposing_pair_outside_budget(self):
         program = lower_to_escrow((con({"x": 1}, "=", 5),))
         assert len(program.rows) == 2
-        assert program.budget_rows == ()
-        assert program.row_source == (0, 0)
-        assert sorted(program.bounds) == [-5, 5]
+        assert program.budget_rows == []
+        assert program.pin_rows == [0, 1]
+        assert sorted(row.bound for row in program.rows) == [-5, 5]
         assert program.max_coeff == {"x": PIN_DRAIN}
 
     def test_strict_and_reversed_ops_normalize_to_eligible_forms(self):
@@ -83,36 +78,59 @@ class TestLowering:
         program = lower_to_escrow(
             (con({}, "<=", 3), con({"x": 1}, "<=", 5))
         )
-        assert len(program.rows) == 1
-        assert program.row_source == (1,)
+        assert program.rows == [con({"x": 1}, "<=", 5)]
 
-    def test_rebounded_clauses_share_the_index_structures(self):
-        """Consecutive installs mostly move bounds: the program built
-        on top of the installed one reuses its index structures and
-        equals a from-scratch lowering; a changed coefficient vector
-        or operator rebuilds them."""
-        old = (con({"x": 1, "z": 3}, "<=", 11), con({"y": 1}, "=", 4))
-        installed = lower_to_escrow(old)
-        new = (con({"x": 1, "z": 3}, "<=", 9), old[1])
-        patched = assemble_escrow(new, [lower_clause(c) for c in new], installed)
-        assert patched.touching is installed.touching
-        assert patched.max_coeff is installed.max_coeff
-        scratch = lower_to_escrow(new)
-        for name in (
-            "constraints", "rows", "row_source", "bounds", "clause_objects",
-            "budget_rows", "pin_rows", "touching", "max_coeff",
-        ):
-            assert getattr(patched, name) == getattr(scratch, name), name
-        for reshaped in (
-            (con({"x": 1, "z": 2}, "<=", 9), old[1]),
-            (new[0], con({"y": 1}, "<=", 4)),
-            new[:1],
-        ):
-            rebuilt = assemble_escrow(
-                reshaped, [lower_clause(c) for c in reshaped], installed
+    def test_a_patched_program_is_the_lowering_of_what_it_holds(self):
+        """A site patches one program per install.  Whatever was
+        removed and added on the way, the account on it enforces what
+        an account on the from-scratch lowering of the clauses it now
+        holds does -- up to which slot a row sits in: a removed row
+        frees its slot and the next added row takes it."""
+        state = {"x": 2, "y": 4, "z": 1}
+        getobj = state.__getitem__
+        held = [
+            con({"x": 1, "z": 3}, "<=", 11),
+            con({"y": 1}, "=", 4),
+            con({"x": -2}, "<=", 0),
+            con({"z": 1, "y": 1}, "<=", 9),
+        ]
+        lowered = {id(c): lower_clause(c) for c in held}
+        account = EscrowAccount(lower_to_escrow(()), ())
+        account.install([], lowered.values(), (), getobj, epoch=0)
+        steps = [
+            ([held[1]], [con({"x": 1}, "=", 2)]),  # a pin's two slots go to a pin
+            ([held[0], held[3]], []),  # y and z leave the index altogether
+            ([held[2]], [con({"x": 5, "z": -1}, "<=", 40), con({}, "<=", 3)]),
+        ]
+        for gone, new in steps:
+            held = [c for c in held if c not in gone] + new
+            lowered.update((id(c), lower_clause(c)) for c in new)
+            account.install(
+                [lowered[id(c)] for c in gone],
+                [lowered[id(c)] for c in new],
+                (),
+                getobj,
+                epoch=0,
             )
-            assert rebuilt.touching is not installed.touching
-            assert rebuilt.touching == lower_to_escrow(reshaped).touching
+            assert account.enforced() == account_for(held, state).enforced()
+        assert len(account.program.rows) == 5  # freed slots were reused
+        assert set(account.program.touching) == {"x", "z"}
+
+    def test_install_reads_again_only_the_rows_over_a_moved_object(self):
+        held = [con({"x": 1}, "<=", 10), con({"y": 1}, "<=", 10)]
+        state = {"x": 1, "y": 1}
+        account = account_for(held, state)
+        reads = []
+
+        def getobj(name):
+            reads.append(name)
+            return state[name]
+
+        state.update(x=4, y=7)  # both written behind the account's back ...
+        account.install([], [], ["x"], getobj, epoch=1)  # ... one of them owned up to
+        assert reads == ["x"]
+        assert account.headroom_map() == {held[0]: 6, held[1]: 9}
+        assert account.synced_epoch == 1
 
 
 class TestAccount:
