@@ -14,7 +14,9 @@ These are the semantic foundations of the protocol (Section 3.2):
 
 The checkers in this module verify these definitions by enumeration
 over explicit (small) value sets; they are the executable
-specification against which the treaty generator is property-tested.
+specification the treaty generator is held to: the states its installed
+local treaties admit must form a valid global treaty
+(``tests/analysis/test_slices.py::TestGeneratedTreatyIsValid``).
 """
 
 from __future__ import annotations

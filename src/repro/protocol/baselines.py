@@ -42,6 +42,7 @@ from repro.protocol.homeostasis import (
     Unavailable,
 )
 from repro.protocol.messages import Decision, Message, Prepare
+from repro.protocol.site import run_transaction
 from repro.protocol.transport import Transport, UnreachableError
 from repro.storage.engine import LocalEngine
 
@@ -100,25 +101,7 @@ class _ReplicatedBase:
 
     def _run_at(self, sid: int, tx_name: str, params: Mapping[str, int] | None):
         tx = self.transactions[tx_name]
-        engine = self.replicas[sid].engine
-        txn = engine.begin()
-        try:
-            ctx = ExecContext(
-                getobj=txn.read,
-                setobj=txn.write,
-                emit=txn.emit,
-                params=dict(params or {}),
-                arrays=self.arrays,
-            )
-            execute(tx.body, ctx)
-            log = tuple(txn.log)
-            written = set(txn.written)
-            txn.commit()
-            return log, written
-        except BaseException:
-            if txn.active:
-                txn.abort()
-            raise
+        return run_transaction(self.replicas[sid].engine, tx.body, params, self.arrays)
 
     def _origin(self, tx_name: str) -> int:
         if tx_name not in self.tx_home:

@@ -40,7 +40,7 @@ Faults never hang the synchronous kernel: anything a real deployment
 would discover by waiting out a timer surfaces immediately as
 :class:`UnreachableError` ("timeout surfacing"), which the protocol
 layer converts into a clean round abort and the simulator prices as a
-``sync_timeout_ms`` stall.
+``SYNC_TIMEOUT_MS`` stall.
 """
 
 from __future__ import annotations

@@ -78,6 +78,7 @@ from repro.analysis.pathsplit import (
     build_path_checks,
     patch_path_checks,
 )
+from repro.lang.ast import Com
 from repro.lang.interp import ExecContext, execute
 from repro.logic.compile import (
     ClauseRows,
@@ -135,6 +136,35 @@ def _grant_map(
     clauses: list[LinearConstraint], grants: list[int | None]
 ) -> dict[LinearConstraint, int]:
     return {con: grant for con, grant in zip(clauses, grants) if grant is not None}
+
+
+def run_transaction(
+    engine: LocalEngine,
+    body: Com,
+    params: Mapping[str, int] | None,
+    arrays: Mapping[str, tuple[int, ...]],
+) -> tuple[tuple[int, ...], set[str]]:
+    """Run ``body`` to completion in one storage transaction of
+    ``engine`` and commit it; returns its log and the objects it
+    wrote.  Any exception aborts the transaction and propagates."""
+    txn = engine.begin()
+    try:
+        ctx = ExecContext(
+            getobj=txn.read,
+            setobj=txn.write,
+            emit=txn.emit,
+            params=dict(params or {}),
+            arrays=arrays,
+        )
+        execute(body, ctx)
+        log = tuple(txn.log)
+        written = set(txn.written)
+        txn.commit()
+        return log, written
+    except BaseException:
+        if txn.active:
+            txn.abort()
+        raise
 
 
 @dataclass
@@ -820,29 +850,13 @@ class SiteServer:
         deterministic).
         """
         tx = self.catalog.full_transaction(tx_name)
-        txn = self.engine.begin()
-        try:
-            ctx = ExecContext(
-                getobj=txn.read,
-                setobj=txn.write,
-                emit=txn.emit,
-                params=dict(params or {}),
-                arrays=self.arrays,
-            )
-            execute(tx.body, ctx)
-            log = tuple(txn.log)
-            written = set(txn.written)
-            txn.commit()
-            # T' commits without a treaty check (the new treaty is
-            # installed right after), so the escrow counters never saw
-            # these writes: invalidate them like any non-transactional
-            # mutation.
-            self.engine.wrote_outside_commit(written)
-            return log, written
-        except BaseException:
-            if txn.active:
-                txn.abort()
-            raise
+        log, written = run_transaction(self.engine, tx.body, params, self.arrays)
+        # T' commits without a treaty check (the new treaty is
+        # installed right after), so the escrow counters never saw
+        # these writes: invalidate them like any non-transactional
+        # mutation.
+        self.engine.wrote_outside_commit(written)
+        return log, written
 
     def state_snapshot(self) -> dict[str, int]:
         return self.engine.store.snapshot()

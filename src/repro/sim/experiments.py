@@ -460,7 +460,7 @@ def run_faults(
     Expected contrast (the Gray & Lamport blocking argument made
     measurable): under ``mode="2pc"`` every commit needs every
     replica, so availability collapses to ~0 for the whole outage --
-    clients cycle through ``sync_timeout_ms`` discovery stalls.  Under
+    clients cycle through ``SYNC_TIMEOUT_MS`` discovery stalls.  Under
     ``mode="homeo"`` the surviving sites keep committing on their
     local treaties; only transactions homed at the crashed site, or
     whose violation closure includes it, fail.  Read the gap with

@@ -63,7 +63,7 @@ recoveries on the simulated clock; the driver forwards them to the
 kernel (``crash_site`` / ``recover_site``), prices each recovery's
 rejoin round from its participant edges, and converts the kernel's
 ``Unavailable`` refusals into failed records costing the client
-``sync_timeout_ms`` (the time a real client spends discovering the
+``SYNC_TIMEOUT_MS`` (the time a real client spends discovering the
 site is unreachable before giving up).  ``SimResult.availability``
 and ``availability_between`` report the resulting commit fraction --
 the metric on which homeostasis (only closures touching the crashed
@@ -143,6 +143,10 @@ ESCROW_CHECK_COST_MS = 0.03
 #: Records starting before this are excluded from the derived metrics
 #: (10% of the run when a count-bounded run ends sooner).
 WARMUP_MS = 2_000.0
+#: What an unavailable submission costs its client: the time spent
+#: discovering the needed site is unreachable (vote/sync timeout)
+#: before giving up and re-entering the closed loop.
+SYNC_TIMEOUT_MS = 500.0
 
 
 @dataclass
@@ -173,10 +177,6 @@ class SimConfig:
     #: scheduled site crashes/recoveries (see :class:`FaultEvent`);
     #: requires a kernel exposing ``crash_site`` / ``recover_site``
     fault_events: tuple[FaultEvent, ...] = ()
-    #: what an unavailable submission costs its client: the time spent
-    #: discovering the needed site is unreachable (vote/sync timeout)
-    #: before giving up and re-entering the closed loop
-    sync_timeout_ms: float = 500.0
     #: arbitration clock granularity for the windowed runtime: vote
     #: timestamps are quantized to this many milliseconds, so racing
     #: violators whose arrivals fall inside one quantum carry *equal*
@@ -582,10 +582,10 @@ def _run_window(
             records.append(
                 TxnRecord(
                     start_ms=entry.ready,
-                    end_ms=finish[i] + config.sync_timeout_ms,
+                    end_ms=finish[i] + SYNC_TIMEOUT_MS,
                     kind="failed", replica=entry.replica,
                     family=entry.request.family,
-                    wait_ms=wait[i] + config.sync_timeout_ms,
+                    wait_ms=wait[i] + SYNC_TIMEOUT_MS,
                     local_ms=local[i], retries=outcome.lost_votes,
                     timed_out=True,
                 )
@@ -663,13 +663,13 @@ def _run_2pc(
             # never finish.  The transaction holds its item locks for
             # the full wait-then-give-up window (propagating the
             # outage onto every waiter of the same keys) and fails.
-            fail_end = lock_at + service + config.sync_timeout_ms
+            fail_end = lock_at + service + SYNC_TIMEOUT_MS
             for key in request.lock_keys:
                 lock_free[("2pc", key)] = fail_end
             return TxnRecord(
                 start_ms=ready, end_ms=fail_end, kind="failed",
                 replica=replica, family=request.family,
-                wait_ms=(lock_at - ready) + config.sync_timeout_ms,
+                wait_ms=(lock_at - ready) + SYNC_TIMEOUT_MS,
                 local_ms=service, retries=retries, timed_out=True,
             )
         for key in request.lock_keys:

@@ -1,14 +1,16 @@
 """The per-site transactional engine.
 
-Combines the object store, the strict-2PL lock manager and the undo
-journal into the interface the protocol layer needs:
+Combines the object store and the undo journal into the interface the
+protocol layer needs:
 
 - ``begin() -> StorageTxn`` with ``read`` / ``write`` / ``commit`` /
   ``abort``;
-- reads take S locks, writes take X locks (strict 2PL: everything is
-  held until commit/abort), so committed local histories are conflict-
-  serializable -- satisfying the protocol's first normal-execution
-  invariant (Section 3.3);
+- a site has one writer, so its transactions run one after another and
+  the committed local history is serial -- which is the protocol's
+  first normal-execution invariant (Section 3.3).  ``begin()`` enforces
+  it: it raises :class:`TxnOverlap` while the previous transaction is
+  still open.  An engine that admitted a second writer would have to
+  bring its own concurrency control with it;
 - ``peek`` / ``poke`` bypass transactions for synchronization-phase
   state exchange (the protocol performs those while the site is
   quiesced);
@@ -22,12 +24,15 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.storage.kvstore import KVStore
-from repro.storage.locks import LockManager, LockMode
 from repro.storage.wal import UndoLog
 
 
 class TxnAborted(Exception):
     """Operations on a finished transaction handle."""
+
+
+class TxnOverlap(Exception):
+    """``begin()`` while the engine's previous transaction is still open."""
 
 
 @dataclass
@@ -46,14 +51,12 @@ class StorageTxn:
         if not self.active:
             raise TxnAborted(f"txn {self.txn_id} is finished")
 
-    def read(self, name: str, wait: bool = False) -> int:
+    def read(self, name: str) -> int:
         self._check_active()
-        self.engine.locks.acquire(self.txn_id, name, LockMode.S, wait=wait)
         return self.engine.store.get(name)
 
-    def write(self, name: str, value: int, wait: bool = False) -> None:
+    def write(self, name: str, value: int) -> None:
         self._check_active()
-        self.engine.locks.acquire(self.txn_id, name, LockMode.X, wait=wait)
         self.undo.record(self.engine.store, name)
         self.engine.store.put(name, value)
         self.written.add(name)
@@ -68,14 +71,14 @@ class StorageTxn:
         self.undo.clear()
         for name in self.written:
             self.engine.dirty_counts[name] = self.engine.dirty_counts.get(name, 0) + 1
-        self.engine.locks.release_all(self.txn_id)
+        self.engine._open = None
         self.engine.committed += 1
 
     def abort(self) -> None:
         self._check_active()
         self.active = False
         self.undo.rollback(self.engine.store)
-        self.engine.locks.release_all(self.txn_id)
+        self.engine._open = None
         self.engine.aborted += 1
 
 
@@ -84,7 +87,6 @@ class LocalEngine:
     """One site's storage engine."""
 
     store: KVStore = field(default_factory=KVStore)
-    locks: LockManager = field(default_factory=LockManager)
     #: per-object committed-write counters since the last checkpoint
     dirty_counts: dict[str, int] = field(default_factory=dict)
     #: bumped by every write that bypasses the transactional commit
@@ -99,9 +101,17 @@ class LocalEngine:
     committed: int = 0
     aborted: int = 0
     _ids: "itertools.count[int]" = field(default_factory=itertools.count)
+    #: the transaction begun and not yet committed or aborted, if any
+    _open: StorageTxn | None = field(default=None, init=False, repr=False)
 
     def begin(self) -> StorageTxn:
-        return StorageTxn(txn_id=next(self._ids), engine=self)
+        if self._open is not None:
+            raise TxnOverlap(
+                f"txn {self._open.txn_id} is still open: a site runs "
+                "one transaction at a time"
+            )
+        self._open = txn = StorageTxn(txn_id=next(self._ids), engine=self)
+        return txn
 
     # -- non-transactional access (synchronization phases) ---------------------
 

@@ -7,8 +7,12 @@ from repro.analysis.slices import (
     observationally_equivalent,
     treaty_states_from_predicate,
 )
+from repro.analysis.symbolic import build_symbolic_table
 from repro.lang.interp import EvalResult
 from repro.lang.parser import parse_transaction
+from repro.logic.linear import LinearConstraint
+from repro.protocol.config import ClusterSpec, build_cluster
+from repro.treaty.table import LocalTreaty
 
 T3_SRC = """
 transaction T3() {
@@ -141,3 +145,67 @@ class TestValidGlobalTreaty:
         )
         states = [{"x": -1, "y": -1}, {"x": 1, "y": 1}]  # "x = y" treaty
         assert not is_valid_global_treaty([(tx, ["y"])], states)
+
+
+# The paper's running example (Figure 3), as in examples/quickstart.py.
+T1_SRC = """
+transaction T1() {
+  xh := read(x);
+  yh := read(y);
+  if xh + yh < 10 then { write(x = xh + 1) } else { write(x = xh - 1) }
+}
+"""
+
+T2_SRC = """
+transaction T2() {
+  xh := read(x);
+  yh := read(y);
+  if xh + yh < 20 then { write(y = yh + 1) } else { write(y = yh - 1) }
+}
+"""
+
+
+class TestGeneratedTreatyIsValid:
+    """The treaty generator held to Definition 3.7: the states its
+    installed local treaties admit form a valid global treaty."""
+
+    BOX = {"x": range(6, 15), "y": range(9, 18)}  # around D = {x: 10, y: 13}
+
+    def _installed(self):
+        t1, t2 = parse_transaction(T1_SRC), parse_transaction(T2_SRC)
+        tab1, tab2 = build_symbolic_table(t1), build_symbolic_table(t2)
+        cluster = build_cluster(
+            ClusterSpec(
+                sites=(1, 2),
+                locate=lambda name: 1 if name == "x" else 2,
+                initial_db={"x": 10, "y": 13},
+                tables=(tab1, tab2),
+                tx_home={"T1": 1, "T2": 2},
+                ground_tables=((tab1, 1), (tab2, 2)),
+                strategy="equal-split",
+            )
+        )
+        treaties = {sid: site.local_treaty for sid, site in cluster.sites.items()}
+        return [(t1, ["x"]), (t2, ["y"])], treaties
+
+    def _admitted(self, treaties):
+        return treaty_states_from_predicate(
+            ["x", "y"],
+            self.BOX,
+            lambda db: all(t.holds(db.__getitem__) for t in treaties.values()),
+        )
+
+    def test_installed_local_treaties_form_a_valid_global_treaty(self):
+        transactions, treaties = self._installed()
+        states = self._admitted(treaties)
+        assert {"x": 10, "y": 13} in states and len(states) < 81
+        assert is_valid_global_treaty(transactions, states)
+
+    def test_bound_loosened_past_h1_is_invalid(self):
+        """x >= 9 and y >= 12 imply the matched guard x + y >= 20 (H1);
+        x >= 6 does not, and T2 then branches on the remote x."""
+        transactions, treaties = self._installed()
+        (clause,) = treaties[1].constraints
+        loose = LinearConstraint(clause.expr, clause.op, clause.bound + 3)
+        treaties[1] = LocalTreaty(site=1, constraints=[loose])
+        assert not is_valid_global_treaty(transactions, self._admitted(treaties))

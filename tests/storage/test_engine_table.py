@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.engine import LocalEngine, TxnAborted
+from repro.analysis.symbolic import build_symbolic_table
+from repro.lang.interp import InterpError
+from repro.lang.parser import parse_transaction
+from repro.protocol.catalog import CatalogError
+from repro.protocol.site import SiteServer
+from repro.storage.engine import LocalEngine, TxnAborted, TxnOverlap
 from repro.storage.kvstore import KVStore
 
 
@@ -38,15 +43,37 @@ class TestEngine:
         with pytest.raises(TxnAborted):
             txn.commit()
 
-    def test_locks_released_on_commit(self):
+    def test_second_txn_begins_after_first_finishes(self):
         engine = LocalEngine()
         t1 = engine.begin()
         t1.write("x", 1)
         t1.commit()
         t2 = engine.begin()
-        t2.write("x", 2)  # must not block
+        t2.write("x", 2)
         t2.commit()
         assert engine.peek("x") == 2
+
+    def test_begin_while_open_raises_and_leaves_first_usable(self):
+        engine = LocalEngine()
+        t1 = engine.begin()
+        t1.write("x", 1)
+        with pytest.raises(TxnOverlap):
+            engine.begin()
+        t1.write("x", 2)
+        assert t1.read("x") == 2
+        t1.commit()
+        assert engine.peek("x") == 2
+        assert (engine.committed, engine.aborted) == (1, 0)
+
+    @pytest.mark.parametrize("finish", ["commit", "abort"])
+    def test_begin_after_finish_succeeds(self, finish):
+        engine = LocalEngine()
+        t1 = engine.begin()
+        t1.write("x", 1)
+        getattr(t1, finish)()
+        t2 = engine.begin()
+        assert t2.txn_id != t1.txn_id
+        t2.commit()
 
     def test_dirty_tracking(self):
         engine = LocalEngine()
@@ -94,3 +121,37 @@ class TestEngine:
             else:
                 txn.abort()
         assert engine.store == KVStore.from_mapping(expected)
+
+
+PUT_SRC = """
+transaction Put(p) {
+  write(x = 1);
+  write(y = @p)
+}
+"""
+
+
+class TestSiteLeavesEngineFree:
+    """An exception escaping ``SiteServer.execute`` mid-transaction
+    aborts it, so the site's next transaction can begin."""
+
+    def _server(self):
+        server = SiteServer(site_id=0, locate=lambda name: 0)
+        server.catalog.register(build_symbolic_table(parse_transaction(PUT_SRC)))
+        return server
+
+    def test_unknown_transaction_name(self):
+        server = self._server()
+        with pytest.raises(CatalogError):
+            server.execute("Nope")
+        assert server.engine.aborted == 1
+        assert server.execute("Put", {"p": 7}).committed
+
+    def test_residual_that_raises(self):
+        server = self._server()
+        with pytest.raises(InterpError):
+            server.execute("Put")  # unbound @p, after x was written
+        assert server.engine.peek("x") == 0
+        assert server.engine.aborted == 1
+        assert server.execute("Put", {"p": 7}).committed
+        assert server.engine.peek("y") == 7
