@@ -66,7 +66,9 @@ FAMILY_KINDS = ("buy", "transfer", "pay", "probe")
 #: locking and still must be serially equivalent)
 FUZZ_STRATEGIES = ("equal-split", "demand", "default")
 
-#: arbitration policies a case may attach (None = legacy coordinator)
+#: arbitration policies a case may attach: a policy name runs a
+#: three-acceptor spec (F = 1), None the default spec (F = 0, the
+#: coordinator as sole acceptor)
 FUZZ_POLICIES = (None, "priority", "credit")
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 from repro.lang.interp import evaluate
 from repro.protocol.homeostasis import AdaptiveSettings
-from repro.protocol.paxos_commit import NegotiationSpec
+from repro.protocol.paxos_commit import DEFAULT_NEGOTIATION, NegotiationSpec
 from repro.fuzz.generators import FuzzCase, FuzzWorkload
 
 
@@ -76,7 +76,9 @@ def build_cluster(workload: FuzzWorkload):
     """The case's protocol cluster, validate-mode oracles armed."""
     spec = workload.fuzz
     negotiation = (
-        NegotiationSpec(policy=spec.negotiation) if spec.negotiation else None
+        NegotiationSpec(policy=spec.negotiation)
+        if spec.negotiation
+        else DEFAULT_NEGOTIATION
     )
     adaptive = AdaptiveSettings() if spec.adaptive else None
     return workload.build_homeostasis(

@@ -36,7 +36,7 @@ from repro.protocol.homeostasis import (
 )
 from repro.protocol.kernel import HomeostasisCluster
 from repro.protocol.messages import Outcome
-from repro.protocol.paxos_commit import NegotiationSpec
+from repro.protocol.paxos_commit import DEFAULT_NEGOTIATION, NegotiationSpec
 from repro.protocol.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover - runtime imports protocol, not back
@@ -84,12 +84,11 @@ class ClusterSpec:
     optimizer: OptimizerSettings | None = None
     #: adaptive-reallocation knobs (enables watermark refreshes)
     adaptive: AdaptiveSettings | None = None
-    #: non-blocking negotiation knobs: attach a
-    #: :class:`~repro.protocol.paxos_commit.NegotiationSpec` to run
-    #: cleanup-round commit decisions through a Paxos Commit acceptor
-    #: quorum (survivor-completable) and to pick the arbitration
-    #: policy; None keeps the legacy single-coordinator decision
-    negotiation: NegotiationSpec | None = None
+    #: the cleanup round's Paxos Commit acceptor-set size and the
+    #: arbitration policy; the default is F = 0 (the coordinator as
+    #: sole acceptor, i.e. two-phase commit), a larger acceptor set
+    #: makes a round survivor-completable when its coordinator crashes
+    negotiation: NegotiationSpec = DEFAULT_NEGOTIATION
     #: run the validation oracles (H1/H2, sync agreement, escrow
     #: cross-checks) next to every protocol step
     validate: bool = False

@@ -152,7 +152,6 @@ from repro.protocol.messages import (
 )
 from repro.protocol.paxos_commit import (
     CreditLedger,
-    NegotiationSpec,
     PaxosCommitDriver,
     QuorumUnreachable,
 )
@@ -331,14 +330,10 @@ class HomeostasisCluster:
         self.transport = transport if transport is not None else Transport()
         self.stats = ClusterStats(transport=self.transport)
         self.treaty_table: TreatyTable | None = None
-        # Non-blocking negotiation: with a NegotiationSpec the cleanup
-        # round's commit decision runs through a Paxos Commit acceptor
-        # quorum (None keeps the legacy single-coordinator decision).
-        # The credit ledger always exists -- fairness is observed under
-        # either policy so the two can be compared on one workload.
+        # Every cleanup round decides through Paxos Commit; the credit
+        # ledger is observed under either arbitration policy.
         self.negotiation = spec.negotiation
-        self.fairness = CreditLedger(spec=spec.negotiation or NegotiationSpec())
-        self._paxos: PaxosCommitDriver | None = None
+        self.fairness = CreditLedger(spec=spec.negotiation)
         #: rounds completed by a survivor while their coordinator was
         #: down: site -> (tx_name, params) of the T' it must re-run
         #: deterministically at recovery to catch up
@@ -364,10 +359,9 @@ class HomeostasisCluster:
             self.sites[sid] = server
             self.transport.register(sid, server)
 
-        if spec.negotiation is not None:
-            self._paxos = PaxosCommitDriver(
-                transport=self.transport, sites=self.sites, spec=spec.negotiation
-            )
+        self._paxos = PaxosCommitDriver(
+            transport=self.transport, sites=self.sites, spec=spec.negotiation
+        )
 
         self._install_new_treaty(dirty=None)
 
@@ -686,7 +680,6 @@ class HomeostasisCluster:
         complete the round (every live candidate failed, or none are
         left) -- the caller aborts cleanly; the decision either never
         became durable or will be completed after recovery."""
-        assert self._paxos is not None
         tried: set[int] = set()
         while True:
             candidates = sorted(
@@ -701,7 +694,7 @@ class HomeostasisCluster:
             tried.add(survivor)
             try:
                 self._paxos.complete_as_survivor(
-                    survivor, round_index, participants, tx_name
+                    survivor, round_index, origin, participants, tx_name
                 )
             except UnreachableError:
                 # The survivor itself died mid-completion; the next
@@ -980,24 +973,30 @@ class HomeostasisCluster:
         have disjoint closures, so the crashed site cannot be in
         theirs."""
         self.transport.abort(rnd.trace)
+        self._forget(rnd)
         self._fail_group(rnd.group, outcomes, Outcome.UNAVAILABLE, unreachable)
         rnd.alive = False
 
+    def _forget(self, rnd: _WaveRound) -> None:
+        """The round is closed: its live acceptors (all participants)
+        drop their state for it."""
+        for sid in rnd.group[0].participants - self.transport.down:
+            self.sites[sid].paxos_forget(rnd.trace.index)
+
     def _decide(self, rnd: _WaveRound) -> None:
-        """Decision phase (NegotiationSpec attached): make the round's
-        commit decision quorum-durable through Paxos Commit before
-        anything irreversible runs.  The phase extends the abortable
-        prefix -- a round that loses its acceptor quorum raises, and
-        aborts cleanly like a sync timeout (T' has not run anywhere) --
-        and removes the coordinator as a single point of failure: if
-        the winner's origin dies mid-quorum, a surviving participant
-        completes the round from the acceptors' logged state and the
-        wave finishes T' and the install over the live participants.
-        Rebalance rounds stay on the legacy path: they install from
-        already-committed state, are best-effort by contract, and
-        abort harmlessly on any crash."""
+        """Decision phase: make the round's commit decision durable
+        through Paxos Commit before anything irreversible runs (at
+        F = 0, the default, the origin's own logged accept: two-phase
+        commit, no message).  A round that loses its acceptor quorum
+        aborts cleanly like a sync timeout (T' has not run anywhere);
+        with F >= 1, if the winner's origin dies mid-quorum, a
+        surviving participant completes the round from the acceptors'
+        logged state and the wave finishes T' and the install over the
+        live participants.  Rebalance rounds do not decide: nothing
+        aborted, so there is no T' to decide on, and a quorum would
+        only add Phase2 messages."""
         winner = rnd.group[0]
-        if self._paxos is None or winner.rebalance:
+        if winner.rebalance:
             return
         try:
             self._paxos.decide(winner.origin, rnd.trace.index, winner.participants)
@@ -1100,17 +1099,13 @@ class HomeostasisCluster:
                     self._abort_round(
                         rnd, outcomes, self.transport.down or {rnd.group[0].origin}
                     )
-            # Commit point: from here the surviving rounds must run to
-            # completion.  Without a NegotiationSpec, a crash discovered
-            # during the T' re-execution or install phases would leave
-            # participants divergent (T' commits site by site), so it is
-            # *not* converted into a clean failure -- it escapes as
-            # UnreachableError with the round still open, which trips
-            # the transport's nesting invariant loudly on the next
-            # round.  The quorum decision above is how a deployment
-            # closes the window that used to need coordinator redo
-            # logging: once decided, any participant can finish the
-            # round.
+            # Commit point: the decision above is durable, so the
+            # surviving rounds must run to completion.  A crash
+            # discovered during the T' re-execution or install phases is
+            # *not* converted into a clean failure (T' commits site by
+            # site): it escapes as UnreachableError with the round still
+            # open, which trips the transport's nesting invariant loudly
+            # on the next round.
             alive = [rnd for rnd in rounds if rnd.alive]
             for rnd in alive:
                 winner = rnd.group[0]
@@ -1142,6 +1137,7 @@ class HomeostasisCluster:
                 )
             for rnd in alive:
                 self.transport.end(rnd.trace)
+                self._forget(rnd)
 
             losers: list[_Contender] = []
             wave_groups: list[GroupOutcome] = []

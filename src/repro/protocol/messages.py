@@ -26,13 +26,11 @@ tuple wins deterministically, and each loser concedes with a
 :class:`VoteReply` before aborting and re-running after the winner's
 negotiation installs new treaties.
 
-With a :class:`~repro.protocol.paxos_commit.NegotiationSpec`
-attached, the round's commit decision itself becomes non-blocking:
-the coordinator drives a Paxos Commit decision phase
-(:class:`Phase2a` accept requests to a 2F+1 acceptor set,
-:class:`Phase2b` acks back) between synchronization and the T'
-re-run, and a surviving participant can finish a round whose
-coordinator crashed mid-quorum (:class:`Complete`).
+The round's commit decision is Paxos Commit, between synchronization
+and the T' re-run: :class:`Phase2a` accept requests to the remote
+members of a 2F+1 acceptor set (none at F = 0, the default), and
+:class:`Phase2b` acks back; a surviving participant can finish a
+round whose coordinator crashed mid-quorum (:class:`Complete`).
 
 Two message families sit outside the violation path: the adaptive
 subsystem's :class:`RebalanceRequest` (a proactive treaty refresh,
@@ -253,8 +251,8 @@ class Phase2a(Message):
     round's 2F+1 acceptor set (acceptors are co-located on participant
     sites; the sender's own acceptor accepts locally).  **When**: the
     decision phase of a quorum-negotiated cleanup round, after state
-    synchronization and before T' re-executes -- the Gray & Lamport
-    replacement for the single-coordinator commit decision.
+    synchronization and before T' re-executes (at F = 0 the
+    coordinator is the only acceptor and sends none).
 
     ``verdicts`` carries one ``(participant, prepared)`` pair per
     paxos instance (every participant was prepared once the sync

@@ -5,21 +5,18 @@ starvation from the cleanup round, both configured through one frozen
 :class:`NegotiationSpec` on the cluster facade:
 
 **Paxos Commit** (Gray & Lamport, *Consensus on Transaction Commit*).
-The classic cleanup round dies with its initiator: after the
-participant-scoped synchronization, the winner's origin single-
-handedly decides the round commits, re-runs T' and installs treaties
--- a crash in that window leaves the conflict group aborted and the
-treaty un-refreshed until the origin returns.  With a
-:class:`NegotiationSpec` attached, the commit decision becomes a
-quorum property instead: each participant's *prepared* verdict is one
-paxos instance, a 2F+1 **acceptor set co-located on the participant
-sites** makes the joint decision durable (every accept is logged to
-the acceptor's write-ahead log *before* it is acknowledged), and the
-decision exists once a quorum of :class:`~repro.protocol.messages.
-Phase2b` acks reach the driver.  Because the coordinator *handles*
-those acks, a fault plan can crash it mid-quorum -- and any surviving
-participant then completes the round: it solicits the acceptors'
-logged state at a higher ballot (an empty-verdict
+Every cleanup round decides through it: after the participant-scoped
+synchronization, each participant's *prepared* verdict is one paxos
+instance, a 2F+1 acceptor set (the origin first, then the other
+participants lowest-first) logs the joint decision to its write-ahead
+logs *before* acking, and the decision exists once a quorum of acks
+reaches the driver.  :data:`DEFAULT_NEGOTIATION` is F = 0 -- 2PC *is*
+Paxos Commit with F = 0: the origin's logged accept is the forced
+commit record and no decision message is sent.  With F >= 1 the
+coordinator *handles* the :class:`~repro.protocol.messages.Phase2b`
+acks, so a fault plan can crash it mid-quorum -- and any surviving
+participant then completes the round: it solicits
+the acceptors' logged state at a higher ballot (an empty-verdict
 :class:`~repro.protocol.messages.Phase2a` doubles as promise +
 report), re-drives the accepts, announces
 :class:`~repro.protocol.messages.Complete`, and the cluster runs T'
@@ -72,6 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CreditLedger",
+    "DEFAULT_NEGOTIATION",
     "NegotiationSpec",
     "PaxosCommitDriver",
     "QuorumUnreachable",
@@ -96,19 +94,18 @@ class NegotiationSpec:
     arbitration machinery (attach to
     :class:`~repro.protocol.config.ClusterSpec` via ``negotiation=``).
 
-    With a spec attached, cleanup rounds run the Paxos Commit decision
-    phase described in the module docstring; without one (the
-    default), the kernel keeps the legacy single-coordinator decision
-    and the legacy priority ordering -- byte-identical traces to
-    earlier releases.
+    Every cleanup round runs the Paxos Commit decision phase described
+    in the module docstring over :meth:`acceptors_for`; a cluster that
+    names no spec gets :data:`DEFAULT_NEGOTIATION` (F = 0, the
+    priority ordering).
     """
 
     #: arbitration policy: ``"priority"`` is the legacy
     #: ``(timestamp, site, txn_seq)`` ordering; ``"credit"`` folds the
     #: budgeted priority credit in ahead of the site id
     policy: str = "priority"
-    #: acceptor-set size (2F+1; co-located on the first ``acceptors``
-    #: participant sites, clamped to the participant count)
+    #: acceptor-set size (2F+1; co-located on participant sites, see
+    #: :meth:`acceptors_for`, clamped to the participant count)
     acceptors: int = 3
     #: credit accrued per lost election under ``policy="credit"``
     credit_unit: int = 1
@@ -130,6 +127,22 @@ class NegotiationSpec:
             raise ValueError("credit_unit must be at least 1")
         if self.credit_cap < self.credit_unit:
             raise ValueError("credit_cap must be at least credit_unit")
+
+    def acceptors_for(
+        self, origin: int, participants: Iterable[int]
+    ) -> tuple[int, ...]:
+        """A round's acceptor set: the coordinator first, then the
+        other participants lowest-first, ``acceptors`` of them
+        (deterministic, co-located, and inside the round's transport
+        scope by construction).  The coordinator's own accept is a
+        local WAL append, so F = 0 sends no decision message."""
+        others = sorted(set(participants) - {origin})
+        return (origin, *others)[: self.acceptors]
+
+
+#: The spec of a cluster that names none: F = 0, the coordinator as
+#: sole acceptor (two-phase commit), the priority ordering.
+DEFAULT_NEGOTIATION = NegotiationSpec(acceptors=1)
 
 
 def _percentile(samples: list[int], q: float) -> float:
@@ -155,7 +168,7 @@ class CreditLedger:
     identical workloads.
     """
 
-    spec: NegotiationSpec = field(default_factory=NegotiationSpec)
+    spec: NegotiationSpec = DEFAULT_NEGOTIATION
     _credit: dict[int, int] = field(default_factory=dict)
     _streak: dict[int, int] = field(default_factory=dict)
     _max_streak: dict[int, int] = field(default_factory=dict)
@@ -243,13 +256,6 @@ class PaxosCommitDriver:
     sites: Mapping[int, "SiteServer"]
     spec: NegotiationSpec
 
-    def acceptors_for(self, participants: Iterable[int]) -> tuple[int, ...]:
-        """The round's acceptor set: the lowest ``spec.acceptors``
-        participant sites (deterministic, co-located, and inside the
-        round's transport scope by construction)."""
-        ordered = sorted(participants)
-        return tuple(ordered[: min(self.spec.acceptors, len(ordered))])
-
     def quorum_of(self, acceptors: tuple[int, ...]) -> int:
         return len(acceptors) // 2 + 1
 
@@ -262,12 +268,8 @@ class PaxosCommitDriver:
 
         Every participant is *prepared* (the synchronization
         completed), so the coordinator proposes all-prepared verdicts
-        at ballot 0 to each acceptor; an acceptor logs the accept to
-        its WAL before acking, and the ack crosses back to the origin
-        as a :class:`~repro.protocol.messages.Phase2b` (sent on the
-        acceptor's behalf, like a
-        :class:`~repro.protocol.messages.VoteReply`).  Returns the ack
-        count (>= quorum).
+        at ballot 0 (:meth:`_drive_accepts`).  Returns the ack count
+        (>= quorum).
 
         Raises :class:`UnreachableError` when the **coordinator
         itself** crashes mid-quorum (the survivable window -- the
@@ -278,22 +280,49 @@ class PaxosCommitDriver:
         """
         members = sorted(set(participants))
         verdicts = tuple((p, True) for p in members)
-        acceptors = self.acceptors_for(members)
+        acceptors = self.spec.acceptors_for(origin, members)
+        acks = self._drive_accepts(origin, acceptors, round_number, 0, verdicts)
+        if acks < self.quorum_of(acceptors):
+            raise QuorumUnreachable(
+                f"decision round {round_number}: {acks} acks from "
+                f"{len(acceptors)} acceptors (quorum {self.quorum_of(acceptors)})"
+            )
+        return acks
+
+    def _drive_accepts(
+        self,
+        sender: int,
+        acceptors: tuple[int, ...],
+        round_number: int,
+        ballot: int,
+        verdicts: tuple[tuple[int, bool], ...],
+    ) -> int:
+        """Propose ``verdicts`` at ``ballot`` to every live acceptor and
+        return the ack count.  The sender's own acceptor accepts
+        locally; a remote one logs the accept before its
+        :class:`~repro.protocol.messages.Phase2b` ack crosses back
+        (sent on its behalf, like a
+        :class:`~repro.protocol.messages.VoteReply`).  A lost acceptor
+        may or may not have logged -- either way the quorum can still
+        form from the others; a lost *sender* (it died handling an ack:
+        the non-blocking window) re-raises."""
         acks = 0
         for acceptor in acceptors:
+            if self.transport.is_down(acceptor):
+                continue
             try:
-                if acceptor == origin:
-                    if not self.sites[origin].paxos_accept(
-                        round_number, 0, verdicts
+                if acceptor == sender:
+                    if not self.sites[sender].paxos_accept(
+                        round_number, ballot, verdicts
                     ):
                         continue
                 else:
                     accepted = self.transport.send(
                         Phase2a(
-                            src=origin,
+                            src=sender,
                             dst=acceptor,
                             round_number=round_number,
-                            ballot=0,
+                            ballot=ballot,
                             verdicts=verdicts,
                         )
                     )
@@ -302,27 +331,16 @@ class PaxosCommitDriver:
                     self.transport.send(
                         Phase2b(
                             src=acceptor,
-                            dst=origin,
+                            dst=sender,
                             round_number=round_number,
-                            ballot=0,
+                            ballot=ballot,
                             acked=True,
                         )
                     )
                 acks += 1
             except UnreachableError:
-                if self.transport.is_down(origin):
-                    # The coordinator died handling an ack (or before
-                    # it could even send): the non-blocking window.
+                if self.transport.is_down(sender):
                     raise
-                # A lost acceptor: its accept may or may not have been
-                # logged; either way the quorum can still form from
-                # the others.
-                continue
-        if acks < self.quorum_of(acceptors):
-            raise QuorumUnreachable(
-                f"decision round {round_number}: {acks} acks from "
-                f"{len(acceptors)} acceptors (quorum {self.quorum_of(acceptors)})"
-            )
         return acks
 
     # -- the survivor path ---------------------------------------------------------
@@ -331,10 +349,12 @@ class PaxosCommitDriver:
         self,
         survivor: int,
         round_number: int,
+        origin: int,
         participants: Iterable[int],
         tx_name: str = "",
     ) -> bool:
-        """Finish a round whose coordinator crashed mid-decision.
+        """Finish a round whose coordinator ``origin`` crashed
+        mid-decision.
 
         The survivor solicits every live acceptor's logged state at
         ballot 1 (an empty-verdict :class:`Phase2a` is promise +
@@ -352,7 +372,7 @@ class PaxosCommitDriver:
         crashes mid-completion (the caller tries the next survivor).
         """
         members = sorted(set(participants))
-        acceptors = self.acceptors_for(members)
+        acceptors = self.spec.acceptors_for(origin, members)
         quorum = self.quorum_of(acceptors)
         adopted: tuple[tuple[int, bool], ...] | None = None
         promised = 0
@@ -390,40 +410,7 @@ class PaxosCommitDriver:
                 f"round {round_number}: no live acceptor logged an accept "
                 f"({promised} promises)"
             )
-        acks = 0
-        for acceptor in acceptors:
-            if self.transport.is_down(acceptor):
-                continue
-            try:
-                if acceptor == survivor:
-                    if self.sites[acceptor].paxos_accept(round_number, 1, adopted):
-                        acks += 1
-                    continue
-                accepted = self.transport.send(
-                    Phase2a(
-                        src=survivor,
-                        dst=acceptor,
-                        round_number=round_number,
-                        ballot=1,
-                        verdicts=adopted,
-                    )
-                )
-                if not accepted:
-                    continue
-                self.transport.send(
-                    Phase2b(
-                        src=acceptor,
-                        dst=survivor,
-                        round_number=round_number,
-                        ballot=1,
-                        acked=True,
-                    )
-                )
-                acks += 1
-            except UnreachableError:
-                if self.transport.is_down(survivor):
-                    raise
-                continue
+        acks = self._drive_accepts(survivor, acceptors, round_number, 1, adopted)
         if acks < quorum:
             raise QuorumUnreachable(
                 f"round {round_number}: survivor {survivor} re-drove only "

@@ -585,6 +585,12 @@ class SiteServer:
         accepted = self.paxos_accepted.get(round_number)
         return accepted[1] if accepted is not None else None
 
+    def paxos_forget(self, round_number: int) -> None:
+        """Drop a closed round's acceptor state (no survivor can
+        solicit it; the WAL records stay for replay)."""
+        self.paxos_promised.pop(round_number, None)
+        self.paxos_accepted.pop(round_number, None)
+
     # -- escrow fast-path plumbing -------------------------------------------------
 
     def drop_escrow(self) -> None:

@@ -24,7 +24,7 @@ from typing import Iterable
 
 from repro.protocol.homeostasis import AdaptiveSettings
 from repro.protocol.kernel import HomeostasisCluster
-from repro.protocol.paxos_commit import NegotiationSpec
+from repro.protocol.paxos_commit import DEFAULT_NEGOTIATION, NegotiationSpec
 from repro.sim.metrics import SimResult
 from repro.sim.network import rtt_matrix_for
 from repro.sim.runner import FaultEvent, SimConfig, simulate
@@ -82,7 +82,7 @@ def _run(
     lookahead: int = 20,
     cost_factor: int = 3,
     watermark: float | None = None,
-    negotiation: NegotiationSpec | None = None,
+    negotiation: NegotiationSpec = DEFAULT_NEGOTIATION,
     validate: bool = False,
     **timing,
 ) -> SimResult:
@@ -277,7 +277,7 @@ def run_contention(
     max_txns: int = 2_000,
     seed: int = 0,
     skew: float = 0.0,
-    negotiation: NegotiationSpec | None = None,
+    negotiation: NegotiationSpec = DEFAULT_NEGOTIATION,
     config_overrides: dict | None = None,
 ) -> SimResult:
     """One racing-violator point through the kernel's windowed entry.
@@ -296,10 +296,10 @@ def run_contention(
     replicas by Zipf(``skew``) weights -- a hot low-id site then races
     in (and, under the legacy tie-break, wins) most elections, the
     regime where arbitration fairness separates the policies.
-    ``negotiation`` attaches a :class:`NegotiationSpec`: the commit
-    decision runs through the Paxos Commit quorum (priced as one extra
-    scoped round trip) and ``policy="credit"`` turns on the budgeted
-    priority credit; ``SimResult.fairness`` then reports the ledger.
+    ``negotiation`` picks the :class:`NegotiationSpec`: F >= 1 prices
+    the Paxos Commit quorum as one extra scoped round trip and
+    ``policy="credit"`` turns on the budgeted priority credit;
+    ``SimResult.fairness`` then reports the ledger.
     """
     workload: ReplicatedWorkloadBase
     if groups is not None:
@@ -506,17 +506,16 @@ def run_winner_crash(
 ) -> dict:
     """The winner-crash fault scenario: a survivor completes the round.
 
-    Builds a validate-mode sequential cluster with a
-    :class:`NegotiationSpec` attached, locates a treaty-violating
+    Builds a validate-mode sequential cluster with a three-acceptor
+    :class:`NegotiationSpec` (F = 1), locates a treaty-violating
     request with a fault-free twin (both clusters driven through the
     identical request prefix), then crash-stops the negotiation's
-    *origin* right after the first ``Phase2b`` ack -- mid-quorum, with
-    the install decision already durable at one acceptor but the round
-    incomplete.  Under the legacy single-coordinator decision this is
-    exactly the window where 2PC blocks; under Paxos Commit a
-    surviving participant solicits the acceptors' WAL state, re-drives
-    the accepted verdicts to a quorum at ballot 1, and finishes the
-    round without the origin.  The crashed origin then recovers (WAL
+    *origin* right after the first ``Phase2b`` ack -- mid-quorum, the
+    round incomplete.  At F = 0 (the default spec: 2PC) this is
+    exactly the window where 2PC blocks; at F = 1 a surviving
+    participant solicits the acceptors' WAL state, re-drives the
+    accepted verdicts to a quorum at ballot 1, and finishes the round
+    without the origin.  The crashed origin then recovers (WAL
     replay + missed cleanup re-run + rejoin, with the validate-mode
     recovered-treaty/H1/H2 oracles asserting along the way) and
     commits again.
@@ -529,17 +528,17 @@ def run_winner_crash(
 
     spec = NegotiationSpec(policy=policy)
 
-    def build(validate: bool, negotiation: NegotiationSpec | None):
+    def build(validate: bool):
         workload = MicroWorkload(
             num_items=18, refill=12, num_sites=num_sites, initial_qty="refill"
         )
         cluster = workload.build_homeostasis(
-            strategy="equal-split", validate=validate, negotiation=negotiation
+            strategy="equal-split", validate=validate, negotiation=spec
         )
         return workload, cluster
 
-    twin_workload, twin = build(False, None)
-    workload, cluster = build(True, spec)
+    twin_workload, twin = build(False)
+    workload, cluster = build(True)
     rng = random.Random(seed + 1)
     violating = None
     for _ in range(600):
@@ -638,7 +637,7 @@ def run_flashsale(
     peek_fraction: float = 0.1,
     watermark: float = 0.25,
     window_ms: float = 0.0,
-    negotiation: NegotiationSpec | None = None,
+    negotiation: NegotiationSpec = DEFAULT_NEGOTIATION,
     max_txns: int = 2_500,
     seed: int = 0,
     validate: bool = False,
@@ -756,7 +755,7 @@ def run_banking(
     lookahead: int = 20,
     cost_factor: int = 3,
     window_ms: float = 0.0,
-    negotiation: NegotiationSpec | None = None,
+    negotiation: NegotiationSpec = DEFAULT_NEGOTIATION,
     max_txns: int = 4_000,
     seed: int = 0,
     validate: bool = False,
@@ -854,7 +853,7 @@ def run_quota(
     lookahead: int = 20,
     cost_factor: int = 3,
     window_ms: float = 0.0,
-    negotiation: NegotiationSpec | None = None,
+    negotiation: NegotiationSpec = DEFAULT_NEGOTIATION,
     max_txns: int = 4_000,
     seed: int = 0,
     validate: bool = False,

@@ -237,21 +237,20 @@ class _FaultSchedule:
                 raise ValueError(f"unknown fault action {event.action!r}")
 
 
-def _quorum_round_ms(matrix: list[list[float]], cluster, participants) -> float:
+def _quorum_round_ms(
+    matrix: list[list[float]], cluster, origin: int, participants
+) -> float:
     """Extra per-negotiation cost of the Paxos Commit decision round.
 
-    With a :class:`~repro.protocol.paxos_commit.NegotiationSpec`
-    attached, every won negotiation pays one more scoped round trip:
-    the origin's Phase2a fan-out to the acceptor set and the Phase2b
-    acks back.  The acceptors are co-located on the lowest participant
-    sites, so the round is priced at the slowest RTT edge *inside the
-    acceptor set* -- strictly no wider than the sync barrier already
-    paid.  Legacy clusters (no spec) price zero here.
+    Every won negotiation decides over the acceptor set the kernel's
+    spec places (:meth:`~repro.protocol.paxos_commit.NegotiationSpec.
+    acceptors_for`): the origin's Phase2a fan-out to the other
+    acceptors and the Phase2b acks back, priced at the slowest RTT
+    edge *inside the acceptor set* -- strictly no wider than the sync
+    barrier already paid.  At F = 0 the origin is the sole acceptor
+    and the round costs nothing.
     """
-    spec = getattr(cluster, "negotiation", None)
-    if spec is None or not participants:
-        return 0.0
-    acceptors = tuple(sorted(participants)[: spec.acceptors])
+    acceptors = cluster.negotiation.acceptors_for(origin, participants)
     if len(acceptors) < 2:
         return 0.0
     return participants_rtt(matrix, acceptors)
@@ -538,8 +537,10 @@ def _run_window(
             )
             if not grp.rebalance:
                 # Paxos Commit decision round (Phase2a/Phase2b over
-                # the acceptor set); 0 for legacy clusters.
-                comm_ms += _quorum_round_ms(matrix, cluster, grp.participants)
+                # the acceptor set); 0 at F = 0.
+                comm_ms += _quorum_round_ms(
+                    matrix, cluster, window.outcomes[w].site, grp.participants
+                )
             neg_end = t0 + vote_ms + comm_ms + solver
             for gate in gates:
                 lock_free[gate] = neg_end

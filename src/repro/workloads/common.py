@@ -29,9 +29,10 @@ from typing import TYPE_CHECKING, Sequence
 from repro.analysis.symbolic import SymbolicTable, build_symbolic_table
 from repro.lang.ast import Transaction
 from repro.protocol.baselines import LocalCluster, TwoPhaseCommitCluster
-from repro.protocol.config import ClusterSpec, NegotiationSpec
+from repro.protocol.config import ClusterSpec
 from repro.protocol.homeostasis import AdaptiveSettings, OptimizerSettings
 from repro.protocol.kernel import HomeostasisCluster
+from repro.protocol.paxos_commit import DEFAULT_NEGOTIATION, NegotiationSpec
 from repro.treaty.optimize import SequenceWorkloadModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -141,7 +142,7 @@ class ReplicatedWorkloadBase:
         seed: int = 0,
         validate: bool = False,
         adaptive: AdaptiveSettings | None = None,
-        negotiation: NegotiationSpec | None = None,
+        negotiation: NegotiationSpec = DEFAULT_NEGOTIATION,
     ) -> ClusterSpec:
         """The workload as a :class:`ClusterSpec` (feed
         :func:`~repro.protocol.config.build_cluster` with any kernel)."""
@@ -178,7 +179,7 @@ class ReplicatedWorkloadBase:
         seed: int = 0,
         validate: bool = False,
         adaptive: AdaptiveSettings | None = None,
-        negotiation: NegotiationSpec | None = None,
+        negotiation: NegotiationSpec = DEFAULT_NEGOTIATION,
     ) -> HomeostasisCluster:
         spec = self.cluster_spec(
             strategy=strategy,

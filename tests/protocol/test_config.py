@@ -10,13 +10,19 @@ The API-redesign acceptance criteria:
   instead of making callers fingerprint exceptions.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.protocol.config import KERNELS, ClusterSpec, build_cluster
 from repro.protocol.homeostasis import Unavailable
 from repro.protocol.kernel import HomeostasisCluster
 from repro.protocol.messages import Outcome
+from repro.protocol.paxos_commit import DEFAULT_NEGOTIATION, PaxosCommitDriver
 from repro.workloads.micro import MicroWorkload
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def _spec(**kwargs):
@@ -30,6 +36,26 @@ class TestClusterSpec:
         spec = _spec()
         with pytest.raises(AttributeError):
             spec.validate = True
+
+    def test_every_cluster_decides_through_paxos_commit(self):
+        spec = _spec()
+        assert spec.negotiation is DEFAULT_NEGOTIATION
+        assert DEFAULT_NEGOTIATION.acceptors == 1  # F = 0: two-phase commit
+        assert isinstance(HomeostasisCluster(spec)._paxos, PaxosCommitDriver)
+
+    def test_no_second_decision_path_in_src(self):
+        """A cleanup round has one commit decision: nothing in ``src/``
+        may make the spec optional or branch around the driver."""
+        legacy = re.compile(
+            r"_paxos is None|NegotiationSpec\s*\|\s*None|Optional\[NegotiationSpec\]"
+        )
+        offenders = [
+            f"{path.relative_to(SRC)}:{number}"
+            for path in sorted(SRC.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if legacy.search(line)
+        ]
+        assert not offenders, offenders
 
     def test_make_generator_is_fresh_per_call(self):
         spec = _spec()

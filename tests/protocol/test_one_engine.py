@@ -20,7 +20,7 @@ import pytest
 from repro.protocol.faults import FaultPlan
 from repro.protocol.homeostasis import AdaptiveSettings, ProtocolError, Unavailable
 from repro.protocol.messages import Outcome
-from repro.protocol.paxos_commit import NegotiationSpec
+from repro.protocol.paxos_commit import DEFAULT_NEGOTIATION, NegotiationSpec
 from repro.workloads.geo import GeoMicroWorkload
 from repro.workloads.micro import MicroWorkload
 
@@ -47,9 +47,11 @@ def _fingerprints(cluster):
 
 @pytest.mark.parametrize("make_workload", [_micro, _geo], ids=["micro", "geo"])
 @pytest.mark.parametrize("adaptive", [False, True], ids=["static", "adaptive"])
+# "legacy": the default spec (F = 0), whose trace is the historical
+# single-coordinator one.
 @pytest.mark.parametrize(
     "negotiation",
-    [None, NegotiationSpec(), NegotiationSpec(policy="credit")],
+    [DEFAULT_NEGOTIATION, NegotiationSpec(), NegotiationSpec(policy="credit")],
     ids=["legacy", "priority", "credit"],
 )
 def test_submit_is_a_window_of_one(make_workload, adaptive, negotiation):

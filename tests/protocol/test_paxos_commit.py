@@ -17,9 +17,16 @@ Covers the acceptance criteria of the non-blocking negotiation layer:
   completion) either commits through a survivor or aborts cleanly,
   with the validate-mode oracle on throughout;
 - credit arbitration changes who wins ties, never which outcomes
-  commit (Hypothesis property over the concurrent kernel).
+  commit (Hypothesis property over the concurrent kernel);
+- the acceptor set puts the coordinator first, so the default spec
+  (F = 0) is two-phase commit: the same messages as a coordinator
+  that decides alone, plus one logged accept at the origin per round;
+- acceptor state is held only for open rounds (the WAL keeps the
+  rest for replay).
 """
 
+import functools
+import hashlib
 import random
 
 import pytest
@@ -28,8 +35,9 @@ from hypothesis import strategies as st
 
 from repro.protocol.faults import FaultPlan
 from repro.protocol.homeostasis import Unavailable
-from repro.protocol.messages import Complete, Phase2a
+from repro.protocol.messages import Complete, Phase2a, Phase2b
 from repro.protocol.paxos_commit import (
+    DEFAULT_NEGOTIATION,
     CreditLedger,
     NegotiationSpec,
     QuorumUnreachable,
@@ -163,6 +171,20 @@ class TestAcceptorState:
         assert site.paxos_accepted[7] == (0, verdicts)
         assert site.paxos_promised[7] == 0
         assert site.paxos_promised[9] == 3
+        # A round still in flight at the crash: its decision is durable,
+        # the kernel has not ended it, and replay hands the accepted
+        # verdicts back for a survivor to complete the round with.
+        trace = cluster.transport.begin("cleanup", 0)
+        assert trace.index not in (7, 9)
+        cluster._paxos.decide(0, trace.index, [0, 1, 2])
+        site.paxos_promised.clear()
+        site.paxos_accepted.clear()
+        site._replay_paxos_state()
+        assert site.paxos_accepted[trace.index] == (0, verdicts)
+        cluster.transport.crash(0)
+        assert cluster._paxos.complete_as_survivor(1, trace.index, 0, [0, 1, 2])
+        assert site.paxos_accepted[trace.index] == (1, verdicts)
+        cluster.transport.abort(trace)
 
     def test_stale_ballots_are_refused(self):
         _, cluster = _negotiated_cluster(validate=False)
@@ -193,7 +215,7 @@ class TestDriver:
         cluster._paxos.decide(0, trace.index, [0, 1, 2])
         cluster.transport.crash(0)
         committed = cluster._paxos.complete_as_survivor(
-            1, trace.index, [0, 1, 2], tx_name="buy"
+            1, trace.index, 0, [0, 1, 2], tx_name="buy"
         )
         assert committed is True
         # The survivor re-drove the accepts at ballot 1 and announced.
@@ -210,7 +232,7 @@ class TestDriver:
         # ballot-1 promises in hand, ballot 0 can never complete behind
         # the survivor's back, so declaring it undecided is safe.
         with pytest.raises(QuorumUnreachable):
-            cluster._paxos.complete_as_survivor(1, trace.index, [0, 1, 2])
+            cluster._paxos.complete_as_survivor(1, trace.index, 0, [0, 1, 2])
         cluster.transport.abort(trace)
 
 
@@ -488,3 +510,117 @@ class TestFairnessFacade:
         assert set(stats["per_site"]) <= set(cluster.site_ids)
         for row in stats["per_site"].values():
             assert {"wins", "losses", "max_consecutive_losses"} <= set(row)
+
+
+@functools.lru_cache(maxsize=None)
+def _micro_run(num_sites, negotiation=None):
+    """3,000 seeded requests through a ``micro`` cluster (shared by the
+    placement tests below; clusters are not mutated after the run).
+    ``negotiation=None`` names no spec at all."""
+    workload = MicroWorkload(
+        num_items=18, refill=12, num_sites=num_sites, initial_qty="refill"
+    )
+    options = {} if negotiation is None else {"negotiation": negotiation}
+    cluster = workload.build_homeostasis(strategy="equal-split", **options)
+    rng = random.Random(1)
+    rounds = []
+    for _ in range(3000):
+        req = workload.next_request(rng, site=rng.randrange(num_sites))
+        result = cluster.submit(req.tx_name, req.params)
+        if result.synced:
+            rounds.append((result.site, result.participants))
+    return cluster, tuple(rounds)
+
+
+class TestCoordinatorFirstPlacement:
+    @given(
+        origin=st.integers(0, 6),
+        others=st.sets(st.integers(0, 6), max_size=6),
+        acceptors=st.sampled_from([1, 3, 5]),
+    )
+    def test_acceptor_set_always_contains_the_origin(self, origin, others, acceptors):
+        participants = others | {origin}
+        chosen = NegotiationSpec(acceptors=acceptors).acceptors_for(
+            origin, participants
+        )
+        assert chosen[0] == origin
+        assert len(chosen) == min(acceptors, len(participants))
+        # The rest are the lowest other participants.
+        assert list(chosen[1:]) == sorted(participants - {origin})[: len(chosen) - 1]
+
+    @pytest.mark.parametrize(
+        "num_sites, rounds, messages, digest",
+        [(2, 798, 3192, "c769702d271351d6"), (4, 1324, 23832, "3ad26581243e2603")],
+    )
+    def test_default_spec_is_two_phase_commit(
+        self, num_sites, rounds, messages, digest
+    ):
+        """F = 0 puts the decision at the coordinator: a cluster that
+        names no spec and an explicit one-acceptor spec send the same
+        messages, none of them Phase2a/Phase2b -- the trace of a
+        coordinator deciding alone, pinned by its digest -- and the
+        only trace of the decision is one logged accept at each
+        round's origin."""
+        default, cleanups = _micro_run(num_sites)
+        explicit, _ = _micro_run(num_sites, NegotiationSpec(acceptors=1))
+        assert default.negotiation == DEFAULT_NEGOTIATION
+        assert default.transport.trace == explicit.transport.trace
+        assert len(default.transport.trace) == messages
+        text = "\n".join(
+            f"{type(m).__name__} {m.src} {m.dst}" for m in default.transport.trace
+        )
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+        assert not any(
+            isinstance(m, (Phase2a, Phase2b)) for m in default.transport.trace
+        )
+        assert len(cleanups) == default.stats.negotiations == rounds
+        for sid, server in default.sites.items():
+            accepts = [
+                r for r in server.wal.records() if r["kind"] == "paxos_accept"
+            ]
+            assert len(accepts) == sum(origin == sid for origin, _ in cleanups)
+
+    def test_three_acceptors_on_four_sites_ask_fewer_remote_acceptors(self):
+        """The coordinator's own accept is local, so counting it into
+        the acceptor set saves a Phase2a in every round whose origin
+        lowest-first placement would have left out."""
+        cluster, cleanups = _micro_run(4, NegotiationSpec())
+        sent = sum(isinstance(m, Phase2a) for m in cluster.transport.trace)
+        lowest_first = sum(
+            len([a for a in sorted(participants)[:3] if a != origin])
+            for origin, participants in cleanups
+        )
+        assert lowest_first == 2994
+        assert sent == 2648 < lowest_first
+
+
+class TestBoundedAcceptorState:
+    def test_acceptor_state_holds_only_open_rounds(self):
+        workload, cluster = _negotiated_cluster(validate=False)
+        transport = cluster.transport
+        held = []
+        end = transport.end
+
+        def end_and_measure(trace):
+            held.append(max(len(s.paxos_accepted) for s in cluster.sites.values()))
+            end(trace)
+
+        transport.end = end_and_measure
+        rng = random.Random(1)
+        while cluster.stats.negotiations < 200:
+            req = workload.next_request(rng, site=rng.randrange(3))
+            cluster.submit(req.tx_name, req.params)
+            open_rounds = len(transport._open)
+            for server in cluster.sites.values():
+                assert len(server.paxos_accepted) <= open_rounds
+                assert len(server.paxos_promised) <= open_rounds
+        # Not vacuous: every decided round held its entry until it ended.
+        assert max(held) == 1
+        # The WAL keeps every accept, and replay still rebuilds them all.
+        server = cluster.sites[0]
+        logged = {
+            r["round"] for r in server.wal.records() if r["kind"] == "paxos_accept"
+        }
+        assert logged
+        server._replay_paxos_state()
+        assert set(server.paxos_accepted) == logged

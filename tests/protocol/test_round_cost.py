@@ -93,8 +93,16 @@ def _one_round_cost(num_items, monkeypatch):
                     (b - a for a, b in zip(cost, after)),
                 )
             )
+            # The round's install record at each site (its origin also
+            # logs the decision, a ``paxos_accept``).
             records = {
-                sid: json.loads(s.wal._buf[logged[sid] :])
+                sid: [
+                    record
+                    for record in map(
+                        json.loads, bytes(s.wal._buf[logged[sid] :]).splitlines()
+                    )
+                    if record["kind"].startswith("treaty_")
+                ]
                 for sid, s in cluster.sites.items()
             }
             return out, records
@@ -114,8 +122,8 @@ def test_single_item_negotiation_costs_the_same_at_any_treaty_size(monkeypatch):
     # Each site appended one delta record listing the same number of
     # removed and added clauses and changed grants; only the positions
     # they name are longer numbers in the larger treaty.
-    for sid, record in small_records.items():
-        twin = large_records[sid]
+    for sid, (record,) in small_records.items():
+        (twin,) = large_records[sid]
         assert record["kind"] == twin["kind"] == "treaty_delta"
         entries = 0
         for part in ("removed", "added", "headroom"):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.protocol.paxos_commit import DEFAULT_NEGOTIATION
 from repro.sim.experiments import (
     run_adaptive_skew,
     run_contention,
@@ -25,6 +26,8 @@ class _StubCluster:
     fall back to cluster-wide pricing.  ``submit`` serves the 2PC /
     LOCAL baselines, ``submit_window`` the protocol modes.
     """
+
+    negotiation = DEFAULT_NEGOTIATION
 
     def __init__(self, sync_every=0, participants=None):
         self.sync_every = sync_every
