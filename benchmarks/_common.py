@@ -5,7 +5,8 @@ evaluation (Section 6 / Appendix F) at reduced scale, prints the
 series it measured next to the paper's qualitative expectation, and
 asserts the *shape*: orderings, rough factors, and trend directions.
 Absolute numbers differ by design -- the substrate is a simulator,
-not the authors' EC2 testbed (see EXPERIMENTS.md).
+not the authors' EC2 testbed (see the README's *Benchmarks* section
+for the scale note).
 """
 
 from __future__ import annotations

@@ -17,29 +17,23 @@ drop is coordination avoided, not relabelled.
 """
 
 from _common import print_table
-from scenarios import ADAPTIVE_POINTS, adaptive_block, assert_gates
-
-from repro.sim.experiments import run_adaptive_skew
+from scenarios import ADAPTIVE_POINTS, adaptive_block, assert_gates, skewed_clients
 
 SKEW_SWEEP = (0.0, 1.0, 2.0)
 
-#: the gated micro point at a smaller run size, swept over the skew
-MICRO_POINT = {**ADAPTIVE_POINTS["micro"], "max_txns": 1_200}
-TPCC_POINT = ADAPTIVE_POINTS["tpcc"]
-
 
 def _run_sweep():
+    # the gated micro point at a smaller run size, swept over the skew
     micro = {
         skew: {
-            mode: run_adaptive_skew(mode, **{**MICRO_POINT, "skew": skew})
+            mode: ADAPTIVE_POINTS["micro"].run(
+                mode, clients_per_replica=skewed_clients(skew), max_txns=1_200
+            )
             for mode in ("static", "adaptive")
         }
         for skew in SKEW_SWEEP
     }
-    tpcc = {
-        mode: run_adaptive_skew(mode, **TPCC_POINT)
-        for mode in ("static", "adaptive")
-    }
+    tpcc = {mode: ADAPTIVE_POINTS["tpcc"].run(mode) for mode in ("static", "adaptive")}
     return micro, tpcc
 
 

@@ -11,16 +11,12 @@ cluster where every transfer crossed site-local knowledge.
 """
 
 from _common import print_table
-from scenarios import BANKING_POINT, assert_gates, conservation_audit
-
-from repro.sim.experiments import run_banking
-
-#: the gated point at a smaller run size, under both modes
-POINT = {**BANKING_POINT, "max_txns": 1_000}
+from scenarios import BANKING, assert_gates, conservation_audit
 
 
 def _run():
-    runs = {mode: run_banking(mode, **POINT) for mode in ("homeo", "2pc")}
+    # the gated point at a smaller run size, under both modes
+    runs = {mode: BANKING.run(mode, max_txns=1_000) for mode in ("homeo", "2pc")}
     return runs, conservation_audit()
 
 

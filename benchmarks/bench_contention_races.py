@@ -16,22 +16,21 @@ transport rounds overlap instead of serializing (parallel waves).
 """
 
 from _common import once, print_table
-from scenarios import CONTENTION_POINT
+from scenarios import CONTENTION
 
-from repro.sim.experiments import run_contention
 from repro.workloads.geo import GeoMicroWorkload
 
 ITEM_SWEEP = (6, 12, 48)
 
-#: the gated uniform-load point with scarcer stock and a longer run,
-#: swept over the item population
-POINT = {**CONTENTION_POINT, "refill": 20, "clients_per_replica": 8, "max_txns": 1_200}
+
+def _point(num_items):
+    """The gated uniform-load point with scarcer stock and a longer
+    run, at ``num_items``."""
+    return CONTENTION.but(num_items=num_items, refill=20).run("homeo", max_txns=1_200)
 
 
 def _run_sweep():
-    sweep = {
-        n: run_contention("homeo", **{**POINT, "num_items": n}) for n in ITEM_SWEEP
-    }
+    sweep = {n: _point(n) for n in ITEM_SWEEP}
     # Kernel-level parallel-wave demo on the geo deployment.
     workload = GeoMicroWorkload(
         groups=((0, 1), (2, 3)), num_sites=4, items_per_group=2, refill=4
@@ -98,5 +97,5 @@ def test_contention_races(benchmark):
     b = negs[first_wave[1].negotiation_index]
     assert a.overlaps(b)
     # Determinism of the seeded arbitration order.
-    again = run_contention("homeo", **{**POINT, "num_items": ITEM_SWEEP[0]})
+    again = _point(ITEM_SWEEP[0])
     assert again.records == sweep[ITEM_SWEEP[0]].records

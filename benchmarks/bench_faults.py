@@ -17,44 +17,55 @@ and the TPC-C point (Table 1 RTTs).
 """
 
 from _common import print_table
-from scenarios import FAULT_POINT, assert_gates, availability_block
+from scenarios import (
+    CRASH_AT_MS,
+    FAULTS,
+    OUTAGE_MS,
+    Point,
+    assert_gates,
+    availability_block,
+)
 
-from repro.sim.experiments import run_faults
+from repro.sim.network import rtt_matrix_for
+from repro.sim.runner import crash_schedule
+from repro.workloads.tpcc import TpccWorkload
 
 OUTAGE_SWEEP_MS = (1_000.0, 3_000.0, 6_000.0)
 
-#: the gated crash schedule on a longer run, so the longest outage fits
-POINT = {**FAULT_POINT, "duration_ms": 9_000.0}
-
-TPCC_POINT = {**FAULT_POINT, "workload": "tpcc", "num_items": 40}
+#: the gated crash schedule on the TPC-C subset (Table 1 RTTs)
+TPCC = Point(
+    TpccWorkload,
+    dict(items_per_district=40, num_sites=3),
+    {**FAULTS.config, "rtt_matrix": rtt_matrix_for(3), "cores_per_replica": 16},
+)
 
 CYCLES_SWEEP = (1, 2, 3)
 
 
-def _outage_point(outage_ms):
-    return {**POINT, "outage_ms": outage_ms}
+def _outage_run(mode, outage_ms, cycles=1, **run):
+    """The gated crash schedule with an ``outage_ms`` outage repeated
+    ``cycles`` times, on a longer run so the longest outage fits."""
+    return FAULTS.run(
+        mode,
+        duration_ms=9_000.0,
+        fault_events=crash_schedule(1, CRASH_AT_MS, outage_ms, cycles, 1_200.0),
+        **run,
+    )
 
 
-def _window(point):
-    return point["crash_at_ms"], point["crash_at_ms"] + point["outage_ms"]
+def _window(outage_ms):
+    return CRASH_AT_MS, CRASH_AT_MS + outage_ms
 
 
 def _run_sweep():
     outage = {
-        ms: {
-            mode: run_faults(mode, **_outage_point(ms))
-            for mode in ("homeo", "2pc")
-        }
+        ms: {mode: _outage_run(mode, ms) for mode in ("homeo", "2pc")}
         for ms in OUTAGE_SWEEP_MS
     }
     cycles = {
-        n: run_faults(
-            "homeo", cycles=n, cycle_gap_ms=1_200.0, validate=True,
-            **_outage_point(1_200.0)
-        )
-        for n in CYCLES_SWEEP
+        n: _outage_run("homeo", 1_200.0, cycles=n, validate=True) for n in CYCLES_SWEEP
     }
-    tpcc = {mode: run_faults(mode, **TPCC_POINT) for mode in ("homeo", "2pc")}
+    tpcc = {mode: TPCC.run(mode) for mode in ("homeo", "2pc")}
     return outage, cycles, tpcc
 
 
@@ -64,7 +75,7 @@ def test_faults(benchmark):
     rows = []
     for ms, runs in outage.items():
         h, p = runs["homeo"], runs["2pc"]
-        t0, t1 = _window(_outage_point(ms))
+        t0, t1 = _window(ms)
         rows.append([
             ms,
             h.availability,
@@ -90,7 +101,7 @@ def test_faults(benchmark):
     )
 
     th, tp = tpcc["homeo"], tpcc["2pc"]
-    t0, t1 = _window(TPCC_POINT)
+    t0, t1 = _window(OUTAGE_MS)
     print_table(
         "Availability under one crash (TPC-C, Table 1 RTTs)",
         ["mode", "avail", "avail (window)", "txns", "failed"],
@@ -105,9 +116,9 @@ def test_faults(benchmark):
     # The headline claim at every point: homeostasis keeps committing
     # on the surviving sites while 2PC blocks for the whole outage.
     for ms, runs in outage.items():
-        block = availability_block(runs["homeo"], runs["2pc"], _outage_point(ms))
+        block = availability_block(runs["homeo"], runs["2pc"], CRASH_AT_MS, ms)
         assert_gates("faults", "fault_gate", block)
-    w0, w1 = _window(TPCC_POINT)
+    w0, w1 = _window(OUTAGE_MS)
     assert th.availability_between(w0, w1) > tp.availability_between(w0, w1)
     # Longer outages hurt overall availability more under 2PC than
     # under homeostasis (the gap widens with the outage).

@@ -10,19 +10,21 @@ from _common import (
     print_table,
 )
 
-from repro.sim.experiments import run_micro
+from repro.sim.experiments import run
+from repro.workloads.micro import MicroWorkload
 
 RTTS = (50.0, 100.0, 200.0)
 MODES = ("homeo", "opt", "2pc", "local")
 
 
+def _point(mode, rtt):
+    workload = MicroWorkload(num_items=MICRO_ITEMS, initial_qty="random")
+    return run(mode, workload, rtt_ms=rtt, max_txns=MICRO_TXNS)
+
+
 def _sweep(run_once, rtts=RTTS, modes=MODES):
     return {
-        (mode, rtt): run_once(
-            run_micro, mode, rtt_ms=rtt, max_txns=MICRO_TXNS, num_items=MICRO_ITEMS
-        )
-        for rtt in rtts
-        for mode in modes
+        (mode, rtt): run_once(_point, mode, rtt) for rtt in rtts for mode in modes
     }
 
 

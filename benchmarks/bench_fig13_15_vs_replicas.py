@@ -11,20 +11,21 @@ from _common import (
     print_table,
 )
 
-from repro.sim.experiments import run_micro
+from repro.sim.experiments import run
+from repro.workloads.micro import MicroWorkload
 
 REPLICAS = (2, 3, 5)
 MODES = ("homeo", "opt", "2pc", "local")
 
 
+def _point(mode, nr):
+    workload = MicroWorkload(num_items=MICRO_ITEMS, num_sites=nr, initial_qty="random")
+    return run(mode, workload, rtt_ms=100.0, max_txns=MICRO_TXNS)
+
+
 def _sweep(run_once, replicas=REPLICAS, modes=MODES):
     return {
-        (mode, nr): run_once(
-            run_micro, mode, rtt_ms=100.0, num_replicas=nr,
-            max_txns=MICRO_TXNS, num_items=MICRO_ITEMS,
-        )
-        for nr in replicas
-        for mode in modes
+        (mode, nr): run_once(_point, mode, nr) for nr in replicas for mode in modes
     }
 
 

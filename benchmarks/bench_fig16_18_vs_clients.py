@@ -17,20 +17,23 @@ model does not reach -- matches the seed (Figure 18).
 
 from _common import MICRO_ITEMS, MICRO_TXNS, assert_factor, once, print_table
 
-from repro.sim.experiments import run_micro
+from repro.sim.experiments import run
+from repro.workloads.micro import MicroWorkload
 
 CLIENTS = (1, 4, 16, 32, 128)
 MODES = ("homeo", "opt", "2pc", "local")
 
 
+def _point(mode, nc):
+    workload = MicroWorkload(num_items=MICRO_ITEMS, initial_qty="random")
+    return run(
+        mode, workload, rtt_ms=100.0, clients_per_replica=nc, max_txns=MICRO_TXNS
+    )
+
+
 def _sweep(run_once, clients=CLIENTS, modes=MODES):
     return {
-        (mode, nc): run_once(
-            run_micro, mode, rtt_ms=100.0, clients_per_replica=nc,
-            max_txns=MICRO_TXNS, num_items=MICRO_ITEMS,
-        )
-        for nc in clients
-        for mode in modes
+        (mode, nc): run_once(_point, mode, nc) for nc in clients for mode in modes
     }
 
 

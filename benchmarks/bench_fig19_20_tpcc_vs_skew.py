@@ -3,17 +3,26 @@ UE+UW, Nc = 8) -- one sweep, read as latency and throughput."""
 
 from _common import TPCC_TXNS, assert_factor, assert_monotone, once, print_table
 
-from repro.sim.experiments import run_tpcc
+from repro.sim.experiments import run
+from repro.sim.network import rtt_matrix_for
+from repro.workloads.tpcc import TpccWorkload
 
 MODES = ("homeo", "opt", "2pc")
 
 
+def _point(mode, h):
+    return run(
+        mode,
+        TpccWorkload(items_per_district=60, hotness=h),
+        rtt_matrix=rtt_matrix_for(2),  # UE + UW
+        cores_per_replica=16,  # c3.4xlarge
+        clients_per_replica=8,
+        max_txns=TPCC_TXNS,
+    )
+
+
 def _sweep(run_once, hotness):
-    return {
-        (mode, h): run_once(run_tpcc, mode, hotness=h, max_txns=TPCC_TXNS)
-        for h in hotness
-        for mode in MODES
-    }
+    return {(mode, h): run_once(_point, mode, h) for h in hotness for mode in MODES}
 
 
 def test_fig19_tpcc_latency_vs_skew(benchmark, run_once):

@@ -4,23 +4,33 @@ throughput."""
 
 from _common import TPCC_TXNS, assert_factor, assert_monotone, once, print_table
 
-from repro.sim.experiments import run_tpcc
+from repro.sim.experiments import run
+from repro.sim.network import rtt_matrix_for
+from repro.workloads.tpcc import TpccWorkload
 
-
-#: series -> (mode, run_tpcc arguments); ``2pc-c1`` is the single
-#: client per replica the paper could run 2PC with
+#: series -> (mode, clients per replica, transactions); ``2pc-c1`` is
+#: the single client per replica the paper could run 2PC with
 SERIES = {
-    "homeo": ("homeo", dict(max_txns=TPCC_TXNS)),
-    "2pc": ("2pc", dict(max_txns=TPCC_TXNS)),
-    "2pc-c1": ("2pc", dict(clients_per_replica=1, max_txns=TPCC_TXNS // 2)),
+    "homeo": ("homeo", 8, TPCC_TXNS),
+    "2pc": ("2pc", 8, TPCC_TXNS),
+    "2pc-c1": ("2pc", 1, TPCC_TXNS // 2),
 }
+
+
+def _point(mode, clients, max_txns, nr):
+    return run(
+        mode,
+        TpccWorkload(items_per_district=60, num_sites=nr, hotness=10),
+        rtt_matrix=rtt_matrix_for(nr),
+        cores_per_replica=16,  # c3.4xlarge
+        clients_per_replica=clients,
+        max_txns=max_txns,
+    )
 
 
 def _sweep(run_once, replicas, series):
     return {
-        (name, nr): run_once(
-            run_tpcc, SERIES[name][0], hotness=10, num_replicas=nr, **SERIES[name][1]
-        )
+        (name, nr): run_once(_point, *SERIES[name], nr)
         for nr in replicas
         for name in series
     }

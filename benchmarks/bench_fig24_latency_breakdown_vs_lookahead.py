@@ -9,16 +9,20 @@ f executions of length L and solves a larger MaxSAT instance).
 
 from _common import MICRO_ITEMS, MICRO_TXNS, assert_monotone, once, print_table
 
-from repro.sim.experiments import run_micro
+from repro.sim.experiments import run
+from repro.workloads.micro import MicroWorkload
 
 LOOKAHEADS = (10, 50, 100)
 
 
 def _run_all():
     return {
-        l: run_micro(
-            "homeo", rtt_ms=100.0, lookahead=l,
-            max_txns=MICRO_TXNS, num_items=MICRO_ITEMS,
+        l: run(
+            "homeo",
+            MicroWorkload(num_items=MICRO_ITEMS, initial_qty="random"),
+            lookahead=l,
+            rtt_ms=100.0,
+            max_txns=MICRO_TXNS,
         )
         for l in LOOKAHEADS
     }

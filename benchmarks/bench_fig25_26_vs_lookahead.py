@@ -3,18 +3,21 @@ sweep, read as throughput and sync ratio."""
 
 from _common import MICRO_TXNS, assert_factor, once, print_table
 
-from repro.sim.experiments import run_micro
+from repro.sim.experiments import run
+from repro.workloads.micro import MicroWorkload
 
 LOOKAHEADS = (20, 100)
 REFILLS = (10, 100, 1000)
 
 
+def _point(refill, l):
+    workload = MicroWorkload(num_items=150, refill=refill, initial_qty="random")
+    return run("homeo", workload, lookahead=l, rtt_ms=100.0, max_txns=MICRO_TXNS)
+
+
 def _sweep(run_once):
     return {
-        (refill, l): run_once(
-            run_micro, "homeo", rtt_ms=100.0, lookahead=l, refill=refill,
-            max_txns=MICRO_TXNS, num_items=150,
-        )
+        (refill, l): run_once(_point, refill, l)
         for refill in REFILLS
         for l in LOOKAHEADS
     }

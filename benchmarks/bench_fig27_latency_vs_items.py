@@ -9,23 +9,22 @@ count (network-bound either way).
 
 from _common import MICRO_TXNS, assert_monotone, once, print_table
 
-from repro.sim.experiments import run_micro
+from repro.sim.experiments import run
+from repro.workloads.micro import MicroWorkload
 
 ITEM_COUNTS = (1, 2, 3, 4, 5)
 
 
+def _point(mode, m):
+    workload = MicroWorkload(
+        num_items=150, refill=100, items_per_txn=m, initial_qty="random"
+    )
+    return run(mode, workload, rtt_ms=100.0, max_txns=MICRO_TXNS // 2)
+
+
 def _run_all():
-    out = {}
-    for m in ITEM_COUNTS:
-        out[("homeo", m)] = run_micro(
-            "homeo", rtt_ms=100.0, items_per_txn=m, refill=100,
-            max_txns=MICRO_TXNS // 2, num_items=150,
-        )
-    for m in (1, 5):
-        out[("2pc", m)] = run_micro(
-            "2pc", rtt_ms=100.0, items_per_txn=m, refill=100,
-            max_txns=MICRO_TXNS // 2, num_items=150,
-        )
+    out = {("homeo", m): _point("homeo", m) for m in ITEM_COUNTS}
+    out.update({("2pc", m): _point("2pc", m) for m in (1, 5)})
     return out
 
 

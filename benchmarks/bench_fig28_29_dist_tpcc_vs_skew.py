@@ -7,7 +7,9 @@ warehouse) and replicated across two datacenters; mix 49/49/2.
 
 from _common import assert_factor, assert_monotone, once, print_table
 
-from repro.sim.experiments import run_tpcc
+from repro.sim.experiments import run
+from repro.sim.network import rtt_matrix_for
+from repro.workloads.tpcc import TpccWorkload
 
 DIST_MIX = (0.49, 0.49, 0.02)
 
@@ -15,19 +17,27 @@ DIST_MIX = (0.49, 0.49, 0.02)
 SERIES = {"homeo": ("homeo", 8), "opt": ("opt", 8), "2pc-c1": ("2pc", 1)}
 
 
+def _point(mode, clients, h):
+    workload = TpccWorkload(
+        num_warehouses=3,  # scaled-down stand-in for 10 machines
+        num_districts=2,
+        items_per_district=60,
+        hotness=h,
+        mix=DIST_MIX,
+    )
+    return run(
+        mode,
+        workload,
+        rtt_matrix=rtt_matrix_for(2),  # UE + UW
+        cores_per_replica=16,  # c3.4xlarge
+        clients_per_replica=clients,
+        max_txns=1_500,
+    )
+
+
 def _sweep(run_once, hotness, series):
     return {
-        (name, h): run_once(
-            run_tpcc,
-            SERIES[name][0],
-            hotness=h,
-            num_warehouses=3,  # scaled-down stand-in for 10 machines
-            num_districts=2,
-            items_per_district=60,
-            mix=DIST_MIX,
-            clients_per_replica=SERIES[name][1],
-            max_txns=1_500,
-        )
+        (name, h): run_once(_point, *SERIES[name], h)
         for h in hotness
         for name in series
     }

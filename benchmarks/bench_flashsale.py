@@ -12,20 +12,16 @@ treaty splits moved.
 """
 
 from _common import print_table
-from scenarios import FLASHSALE_POINT, assert_gates, sellout_audit
-
-from repro.sim.experiments import run_flashsale
+from scenarios import FLASHSALE, assert_gates, sellout_audit
 
 HOT_SWEEP = (0.5, 0.7, 0.9)
 
-#: the gated point at a smaller run size, swept up to its hot fraction
-POINT = {**FLASHSALE_POINT, "max_txns": 1_200}
-
 
 def _run_sweep():
+    # the gated point at a smaller run size, swept up to its hot fraction
     sweep = {
         hot: {
-            mode: run_flashsale(mode, **{**POINT, "hot_fraction": hot})
+            mode: FLASHSALE.but(hot_fraction=hot).run(mode, max_txns=1_200)
             for mode in ("static", "adaptive")
         }
         for hot in HOT_SWEEP

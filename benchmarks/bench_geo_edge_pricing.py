@@ -16,20 +16,16 @@ mean violating latency drops well below the flat-model bound.
 """
 
 from _common import once, print_table
-from scenarios import GEO_POINT
+from scenarios import GEO
 
-from repro.sim.experiments import run_geo
 from repro.sim.network import max_rtt, participants_rtt, rtt_matrix_for
 
-GROUPS = ((0, 1), (2, 3), (0, 4))
+GROUPS = GEO.spec["groups"]
 
 
 def _run():
-    # The gated point (these groups and five replicas are run_geo's
-    # defaults) at a longer run.
-    return run_geo(
-        "homeo", groups=GROUPS, num_replicas=5, **{**GEO_POINT, "max_txns": 2_000}
-    )
+    # The gated point at a longer run.
+    return GEO.run("homeo", max_txns=2_000)
 
 
 def test_geo_edge_pricing(benchmark):

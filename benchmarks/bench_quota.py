@@ -11,19 +11,15 @@ reaches its limit and never passes it.
 """
 
 from _common import print_table
-from scenarios import QUOTA_POINT, assert_gates, saturation_audit
-
-from repro.sim.experiments import run_quota
+from scenarios import QUOTA, assert_gates, saturation_audit
 
 TENANT_SWEEP = (30, 80, 150)
 
-#: the gated point at a smaller run size, swept up to its tenant count
-POINT = {**QUOTA_POINT, "max_txns": 1_200}
-
 
 def _run_sweep():
+    # the gated point at a smaller run size, swept up to its tenant count
     sweep = {
-        tenants: run_quota("homeo", **{**POINT, "num_tenants": tenants})
+        tenants: QUOTA.but(num_tenants=tenants).run("homeo", max_txns=1_200)
         for tenants in TENANT_SWEEP
     }
     return sweep, saturation_audit()

@@ -8,9 +8,14 @@ Everything else reads this module:
 - ``compare_bench.py`` evaluates every row against the committed
   baselines (the CI gate);
 - the ``bench_*`` scenario sweeps derive their wider, smaller points
-  from the ones here (``{**POINT, "max_txns": 1_000}`` -- a stated
-  override, not a second literal) and hold their gated blocks to the
-  same rows through :func:`assert_gates`.
+  from the ones here (``BANKING.run("2pc", max_txns=1_000)``,
+  ``FLASHSALE.but(hot_fraction=0.5)`` -- a stated override, not a
+  second literal) and hold their gated blocks to the same rows
+  through :func:`assert_gates`.
+
+A point (:class:`Point`) holds two of the three axes the paper's
+Section 6 defines an experiment by, a workload and a network; the
+third, the mode, is the argument of :meth:`Point.run`.
 
 A new scenario is one ``SCENARIOS`` entry; a new gate is one row.
 
@@ -28,11 +33,12 @@ from __future__ import annotations
 
 import json
 import operator
+import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))  # script mode: no install needed
@@ -42,24 +48,25 @@ from repro.logic.compile import (  # noqa: E402
     interpret_clauses,
     lower_to_escrow,
 )
+from repro.protocol.kernel import HomeostasisCluster  # noqa: E402
 from repro.protocol.paxos_commit import NegotiationSpec  # noqa: E402
+from repro.sim import experiments  # noqa: E402
 from repro.sim.experiments import (  # noqa: E402
-    run_adaptive_skew,
-    run_banking,
-    run_banking_conservation,
-    run_contention,
-    run_faults,
-    run_flashsale,
-    run_flashsale_sellout,
-    run_geo,
-    run_micro,
-    run_quota,
-    run_quota_saturation,
     run_winner_crash,
+    skewed_client_counts,
+    zipf_weights,
 )
 from repro.sim.metrics import SimResult  # noqa: E402
+from repro.sim.network import rtt_matrix_for  # noqa: E402
+from repro.sim.runner import crash_schedule  # noqa: E402
 from repro.treaty.escrow import EscrowAccount  # noqa: E402
+from repro.workloads.banking import BankingWorkload  # noqa: E402
+from repro.workloads.common import ReplicatedWorkloadBase  # noqa: E402
+from repro.workloads.flashsale import FlashSaleWorkload  # noqa: E402
+from repro.workloads.geo import GeoMicroWorkload  # noqa: E402
 from repro.workloads.micro import MicroWorkload  # noqa: E402
+from repro.workloads.quota import QuotaWorkload  # noqa: E402
+from repro.workloads.tpcc import TpccWorkload  # noqa: E402
 
 SCHEMA_VERSION = 4
 
@@ -204,12 +211,47 @@ def sim_record(result: SimResult, **blocks: dict) -> dict:
     }
 
 
+# -- points ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Point:
+    """One simulated point, as the paper's Section 6 defines it: a
+    workload spec (its class and literal fields) and :func:`run`'s
+    keywords -- the network, the clients, the run length.  Every point
+    here runs seed 0, whose workload draw is the specs' default
+    ``init_seed=1``.  Sweeps derive theirs with :meth:`but` (spec
+    fields) and :meth:`run`'s keywords."""
+
+    workload: Callable[..., ReplicatedWorkloadBase]
+    spec: dict
+    config: dict
+
+    def but(self, **spec) -> Point:
+        return replace(self, spec={**self.spec, **spec})
+
+    def run(self, mode: str, **config) -> SimResult:
+        return experiments.run(
+            mode, self.workload(**self.spec), **{**self.config, **config}
+        )
+
+
+def skewed_clients(skew: float) -> tuple[int, ...]:
+    """32 closed-loop clients over four replicas by Zipf(``skew``)
+    weights: where clients live is how a point skews *site* load."""
+    return skewed_client_counts(32, zipf_weights(4, skew))
+
+
 # -- micro, geo_pricing ----------------------------------------------------------
 
 # A quarter of the mix is read-only Audit probes: the traffic class
 # the coordination-freedom classifier proves FREE, so the scenario
 # exercises (and its baseline gates) the static tier.
-MICRO_POINT = dict(num_items=150, max_txns=2_000, seed=0, audit_fraction=0.25)
+MICRO = Point(
+    MicroWorkload,
+    dict(num_items=150, audit_fraction=0.25, initial_qty="random"),
+    dict(max_txns=2_000),
+)
 
 _MICRO_GATES = {
     "": REGRESSION
@@ -219,26 +261,45 @@ _MICRO_GATES = {
     )
 }
 
-GEO_POINT = dict(max_txns=1_500, seed=0)
+#: items in replication groups (site subsets) on Table 1 RTTs, so each
+#: negotiation is priced from the slowest edge inside its group
+GEO = Point(
+    GeoMicroWorkload,
+    dict(
+        groups=((0, 1), (2, 3), (0, 4)),
+        num_sites=5,
+        items_per_group=30,
+        refill=50,
+        initial_qty="random",
+    ),
+    dict(rtt_matrix=rtt_matrix_for(5), clients_per_replica=8, max_txns=1_500),
+)
 
 # -- contention_races ------------------------------------------------------------
 
-#: the uniform-load racing-violator run (the scenario's headline)
-CONTENTION_POINT = dict(num_items=20, window_ms=10.0, max_txns=800, seed=0)
+#: the uniform-load racing-violator run (the scenario's headline):
+#: 10 ms arrival windows through the kernel's vote phase
+CONTENTION = Point(
+    MicroWorkload,
+    dict(num_items=20, refill=40, initial_qty="random"),
+    dict(clients_per_replica=8, window_ms=10.0, max_txns=800),
+)
 
 #: the tie-dominated arbitration point: Zipf(2.0)-skewed clients over
 #: four replicas, hot items, and an arbitration clock so coarse that
 #: every within-window race carries equal vote timestamps -- elections
 #: are decided purely by the tie-break chain (credit, then site id),
 #: the regime where the policies separate
-FAIRNESS_POINT = dict(
-    num_replicas=4,
-    clients_per_replica=8,
-    num_items=12,
-    skew=2.0,
-    max_txns=1_200,
-    seed=0,
-    config_overrides={"clock_quantum_ms": 1e6},
+FAIRNESS_SKEW = 2.0
+FAIRNESS = Point(
+    MicroWorkload,
+    dict(num_items=12, refill=40, num_sites=4, initial_qty="random"),
+    dict(
+        clients_per_replica=skewed_clients(FAIRNESS_SKEW),
+        window_ms=10.0,
+        max_txns=1_200,
+        clock_quantum_ms=1e6,
+    ),
 )
 
 
@@ -260,16 +321,14 @@ def _fairness_block(result: SimResult) -> dict:
 
 
 def _contention_races() -> dict:
-    headline = run_contention("homeo", **CONTENTION_POINT)
+    headline = CONTENTION.run("homeo")
     gate: dict = {
-        "skew": FAIRNESS_POINT["skew"],
-        "clock_quantum_ms": FAIRNESS_POINT["config_overrides"]["clock_quantum_ms"],
+        "skew": FAIRNESS_SKEW,
+        "clock_quantum_ms": FAIRNESS.config["clock_quantum_ms"],
     }
     for policy in ("priority", "credit"):
         gate[policy] = _fairness_block(
-            run_contention(
-                "homeo", negotiation=NegotiationSpec(policy=policy), **FAIRNESS_POINT
-            )
+            FAIRNESS.run("homeo", negotiation=NegotiationSpec(policy=policy))
         )
     return sim_record(headline, fairness_gate=gate)
 
@@ -294,18 +353,30 @@ _CONTENTION_GATES = {
 # -- adaptive_skew ---------------------------------------------------------------
 
 #: the high-skew point of the adaptive-reallocation experiment, per
-#: workload (TPC-C: scarce stock, and long enough past the estimator's
-#: learning phase that the honest-total comparison is meaningful)
+#: workload, under the adaptive / static modes
+ADAPTIVE_SKEW = 2.0
 ADAPTIVE_POINTS = {
-    "micro": dict(workload="micro", skew=2.0, max_txns=2_000, seed=0),
-    "tpcc": dict(
-        workload="tpcc",
-        skew=2.0,
-        max_txns=1_000,
-        num_items=30,
-        initial_stock=35,
-        seed=0,
-        config_overrides={"duration_ms": 30_000.0},
+    "micro": Point(
+        MicroWorkload,
+        dict(num_items=60, refill=80, num_sites=4, initial_qty="random"),
+        dict(clients_per_replica=skewed_clients(ADAPTIVE_SKEW), max_txns=2_000),
+    ),
+    # Scarce TPC-C stock makes allocation the binding constraint: with
+    # the default of 100 the per-site splits are so generous that even
+    # a frozen equal split never violates at this scale, and there is
+    # nothing to reallocate.  The run is long enough past the
+    # estimator's learning phase that the honest-total comparison is
+    # meaningful.
+    "tpcc": Point(
+        TpccWorkload,
+        dict(items_per_district=30, num_sites=4, initial_stock=35),
+        dict(
+            rtt_matrix=rtt_matrix_for(4),
+            cores_per_replica=16,  # c3.4xlarge
+            clients_per_replica=skewed_clients(ADAPTIVE_SKEW),
+            max_txns=1_000,
+            duration_ms=30_000.0,
+        ),
     ),
 }
 
@@ -327,12 +398,10 @@ def adaptive_block(adaptive: SimResult, static: SimResult) -> dict:
 def _adaptive_skew() -> dict:
     """Headline: the adaptive micro run."""
     runs = {
-        workload: {
-            mode: run_adaptive_skew(mode, **point) for mode in ("adaptive", "static")
-        }
+        workload: {mode: point.run(mode) for mode in ("adaptive", "static")}
         for workload, point in ADAPTIVE_POINTS.items()
     }
-    gate: dict = {"skew": ADAPTIVE_POINTS["micro"]["skew"]}
+    gate: dict = {"skew": ADAPTIVE_SKEW}
     for workload, pair in runs.items():
         gate[workload] = adaptive_block(pair["adaptive"], pair["static"])
     return sim_record(runs["micro"]["adaptive"], adaptive_gate=gate)
@@ -360,24 +429,41 @@ _ADAPTIVE_GATES = {
 
 #: the deterministic crash schedule (site 1 is down for half of the
 #: 1.5s..4.5s window of a 6s run)
-FAULT_POINT = dict(
-    crash_site=1,
-    crash_at_ms=1_500.0,
-    outage_ms=3_000.0,
-    duration_ms=6_000.0,
-    clients_per_replica=4,
-    num_items=120,
-    seed=0,
+CRASH_AT_MS = 1_500.0
+OUTAGE_MS = 3_000.0
+
+# Gray & Lamport's blocking argument made measurable: under "2pc"
+# every commit needs every replica, so availability collapses to ~0
+# for the whole outage -- clients cycle through SYNC_TIMEOUT_MS
+# discovery stalls.  Under "homeo" the surviving sites keep committing
+# on their local treaties; only transactions homed at the crashed
+# site, or whose violation closure includes it, fail.  The run is
+# duration-bounded, so the outage is a fixed fraction of every mode's
+# run and availabilities compare apples to apples; the crashed site
+# loses its volatile treaty state (its database and treaty WAL are
+# durable) and recovers by WAL replay plus a rejoin round.
+FAULTS = Point(
+    MicroWorkload,
+    dict(num_items=120, num_sites=3, initial_qty="random"),
+    dict(
+        strategy="equal-split",
+        clients_per_replica=4,
+        duration_ms=6_000.0,
+        max_txns=100_000,
+        fault_events=crash_schedule(1, CRASH_AT_MS, OUTAGE_MS),
+    ),
 )
 
 
-def availability_block(homeo: SimResult, twopc: SimResult, point: dict) -> dict:
+def availability_block(
+    homeo: SimResult, twopc: SimResult, crash_at_ms: float, outage_ms: float
+) -> dict:
     """Both modes' availability over the whole run and over the outage
-    window of ``point`` specifically."""
-    window = (point["crash_at_ms"], point["crash_at_ms"] + point["outage_ms"])
+    window ``crash_at_ms .. crash_at_ms + outage_ms`` specifically."""
+    window = (crash_at_ms, crash_at_ms + outage_ms)
     return {
-        "crash_at_ms": point["crash_at_ms"],
-        "outage_ms": point["outage_ms"],
+        "crash_at_ms": crash_at_ms,
+        "outage_ms": outage_ms,
         "homeo_availability": round(homeo.availability, 5),
         "homeo_outage_availability": round(homeo.availability_between(*window), 5),
         "twopc_availability": round(twopc.availability, 5),
@@ -393,9 +479,9 @@ def _faults() -> dict:
     cluster's).  ``winner_crash``: the origin of a violating round
     crash-stops after the first Phase2b ack and a survivor completes
     the round from the acceptors' WAL state."""
-    homeo = run_faults("homeo", validate=True, **FAULT_POINT)
-    twopc = run_faults("2pc", **FAULT_POINT)
-    gate = availability_block(homeo, twopc, FAULT_POINT)
+    homeo = FAULTS.run("homeo", validate=True)
+    twopc = FAULTS.run("2pc")
+    gate = availability_block(homeo, twopc, CRASH_AT_MS, OUTAGE_MS)
     gate["winner_crash"] = run_winner_crash(seed=0)
     return sim_record(homeo, fault_gate=gate)
 
@@ -429,60 +515,137 @@ _FAULT_GATES = {
 
 #: the flash-sale stress point: 90% of checkouts on one SKU, treaty
 #: headroom collapsing toward zero -- the regime adaptive rebalancing
-#: was built for
-FLASHSALE_POINT = dict(
-    num_skus=8,
-    hot_stock=150,
-    cold_stock=60,
-    hot_fraction=0.9,
-    restock_fraction=0.05,
-    peek_fraction=0.1,
-    max_txns=2_500,
-    seed=0,
+#: was built for.  Unlike the adaptive-skew points, which skew *site*
+#: load through client placement, the flash sale skews *object* load:
+#: every site hammers SKU 0, so the hot treaty's headroom collapses
+#: while the cold catalog idles.
+FLASHSALE = Point(
+    FlashSaleWorkload,
+    dict(
+        num_skus=8,
+        hot_stock=150,
+        cold_stock=60,
+        hot_fraction=0.9,
+        restock_fraction=0.05,
+        peek_fraction=0.1,
+    ),
+    dict(clients_per_replica=8, max_txns=2_500),
 )
 
-BANKING_POINT = dict(
-    num_accounts=8,
-    initial_balance=30,
-    deposit_fraction=0.1,
-    audit_fraction=0.05,
-    max_txns=2_000,
-    seed=0,
+BANKING = Point(
+    BankingWorkload,
+    dict(num_accounts=8, initial_balance=30, deposit_fraction=0.1, audit_fraction=0.05),
+    dict(clients_per_replica=8, max_txns=2_000),
 )
 
 #: 150 independent small treaties: where a treaty-table or
 #: compiled-check-cache regression shows up as clause-scope bloat
-QUOTA_POINT = dict(
-    num_tenants=150, limit=12, usage_fraction=0.05, max_txns=2_500, seed=0
+QUOTA = Point(
+    QuotaWorkload,
+    dict(num_tenants=150, limit=12, usage_fraction=0.05),
+    dict(clients_per_replica=8, max_txns=2_500),
 )
 
-# The three exact-invariant audits, each on its own small validate-mode
-# cluster (H1/H2 oracles on every install).
+# The three exact-invariant audits, each driving a deterministic stream
+# through its own small validate-mode cluster (H1/H2 oracles on every
+# install) and auditing the final state.
+
+
+def _audited(
+    workload: ReplicatedWorkloadBase, stream: Iterable[tuple[str, dict[str, int]]]
+) -> HomeostasisCluster:
+    cluster = workload.build_homeostasis(strategy="equal-split", validate=True)
+    for tx_name, params in stream:
+        cluster.submit(tx_name, params)
+    return cluster
 
 
 def sellout_audit() -> dict:
-    """3x the hot stock in checkouts must end exactly at zero."""
-    return run_flashsale_sellout(num_sites=2, hot_stock=60, seed=0)
+    """3x the hot stock in checkouts must end exactly at zero.
+
+    Round-robin over two sites, the guarded decrement must sell
+    *exactly* the hot stock -- the treaty may defer coordination but
+    never mint inventory -- and the tail of the sale, where every
+    site's split has rounded down to nothing, must still terminate
+    with the logical stock at exactly zero."""
+    workload = FlashSaleWorkload(
+        num_skus=2, hot_stock=60, cold_stock=10, restock_fraction=0.0
+    )
+    cluster = _audited(
+        workload, ((f"Checkout@s{i % 2}", {"item": 0}) for i in range(3 * 60))
+    )
+    levels = workload.stock_levels(cluster.global_state())
+    return {
+        "hot_stock": 60,
+        "hot_remaining": levels[0],
+        "sold_out": levels[0] == 0,
+        "oversold_units": sum(-v for v in levels.values() if v < 0),
+        "min_stock": min(levels.values()),
+        "sync_ratio": round(cluster.stats.sync_ratio, 5),
+    }
 
 
 def conservation_audit() -> dict:
-    """Money in equals money out across three sites; nobody overdrawn."""
-    return run_banking_conservation(num_sites=3, num_accounts=6, requests=600, seed=0)
+    """Money in equals money out across three sites; nobody overdrawn.
+
+    After a mixed stream (transfers, deposits, read-only audits) the
+    logical money supply must equal the opening supply plus every
+    committed deposit -- the protocol may defer writes into per-site
+    deltas but may not mint or burn a unit."""
+    workload = BankingWorkload(
+        num_accounts=6, num_sites=3, deposit_fraction=0.15, audit_fraction=0.05
+    )
+    rng = random.Random(0)
+    stream = [workload.next_request(rng) for _ in range(600)]
+    cluster = _audited(workload, ((r.tx_name, r.params) for r in stream))
+    state = cluster.global_state()
+    deposited = sum(r.params["amount"] for r in stream if r.family == "Deposit")
+    problems = workload.conservation_violations(state, deposited)
+    return {
+        "accounts": 6,
+        "requests": 600,
+        "deposited": deposited,
+        "expected_total": 6 * workload.initial_balance + deposited,
+        "final_total": workload.total_money(state),
+        "min_balance": min(workload.balances(state).values()),
+        "money_conserved": not problems,
+        "conservation_problems": problems,
+        "sync_ratio": round(cluster.stats.sync_ratio, 5),
+    }
 
 
 def saturation_audit() -> dict:
-    """A hammered tenant reaches its limit exactly and never passes it."""
-    return run_quota_saturation(
-        num_sites=2, num_tenants=30, limit=8, requests=600, seed=0
-    )
+    """A hammered tenant reaches its limit exactly and never passes it.
+
+    90% of 600 hits aim at tenant 0 -- far more than one window's
+    budget, so the counter cycles through the rollover path
+    repeatedly -- and every tenant's logical counter must end inside
+    ``[0, limit]``."""
+    workload = QuotaWorkload(num_tenants=30, limit=8, hot_fraction=0.9)
+    rng = random.Random(0)
+    stream = (workload.next_request(rng) for _ in range(600))
+    cluster = _audited(workload, ((r.tx_name, r.params) for r in stream))
+    state = cluster.global_state()
+    levels = workload.usage_levels(state)
+    overruns = workload.overruns(state)
+    return {
+        "tenants": 30,
+        "limit": 8,
+        "requests": 600,
+        "max_used": max(levels.values()),
+        "min_used": min(levels.values()),
+        "overrun_violations": len(overruns),
+        "within_limits": not overruns,
+        "sync_ratio": round(cluster.stats.sync_ratio, 5),
+    }
 
 
 def _flashsale() -> dict:
     """Headline: the adaptive run."""
-    adaptive = run_flashsale("adaptive", **FLASHSALE_POINT)
-    static = run_flashsale("static", **FLASHSALE_POINT)
+    adaptive = FLASHSALE.run("adaptive")
+    static = FLASHSALE.run("static")
     gate = {
-        "hot_fraction": FLASHSALE_POINT["hot_fraction"],
+        "hot_fraction": FLASHSALE.spec["hot_fraction"],
         "flashsale": adaptive_block(adaptive, static),
     }
     return sim_record(adaptive, adaptive_gate=gate, flashsale_gate=sellout_audit())
@@ -611,26 +774,18 @@ _CHECK_GATES = {
 # -- the table -------------------------------------------------------------------
 
 SCENARIOS: dict[str, Scenario] = {
-    "micro": Scenario(
-        lambda: sim_record(run_micro("homeo", **MICRO_POINT)), _MICRO_GATES
-    ),
-    "geo_pricing": Scenario(
-        lambda: sim_record(run_geo("homeo", **GEO_POINT)), {"": REGRESSION}
-    ),
+    "micro": Scenario(lambda: sim_record(MICRO.run("homeo")), _MICRO_GATES),
+    "geo_pricing": Scenario(lambda: sim_record(GEO.run("homeo")), {"": REGRESSION}),
     "contention_races": Scenario(_contention_races, _CONTENTION_GATES),
     "adaptive_skew": Scenario(_adaptive_skew, _ADAPTIVE_GATES),
     "faults": Scenario(_faults, _FAULT_GATES),
     "flashsale": Scenario(_flashsale, _FLASHSALE_GATES),
     "banking": Scenario(
-        lambda: sim_record(
-            run_banking("homeo", **BANKING_POINT), banking_gate=conservation_audit()
-        ),
+        lambda: sim_record(BANKING.run("homeo"), banking_gate=conservation_audit()),
         _BANKING_GATES,
     ),
     "quota": Scenario(
-        lambda: sim_record(
-            run_quota("homeo", **QUOTA_POINT), quota_gate=saturation_audit()
-        ),
+        lambda: sim_record(QUOTA.run("homeo"), quota_gate=saturation_audit()),
         _QUOTA_GATES,
     ),
     # the one host-time record: the same installed treaty checked three ways

@@ -20,25 +20,24 @@ the same point.
 Run:  python examples/fairness_arbitration.py
 """
 
-from repro import NegotiationSpec, run_contention
+from repro import MicroWorkload, NegotiationSpec, run_experiment
 
 
 def main() -> None:
     print("Racing violators: 4 replicas, Zipf(2.0) client skew, "
           "12 hot items, 800 transactions per policy\n")
     for policy in ("priority", "credit"):
-        result = run_contention(
+        result = run_experiment(
             "homeo",
-            num_replicas=4,
-            clients_per_replica=8,
-            num_items=12,
-            skew=2.0,
-            max_txns=800,
-            seed=0,
+            MicroWorkload(num_items=12, refill=40, num_sites=4, initial_qty="random"),
             negotiation=NegotiationSpec(policy=policy),
+            # 32 clients by Zipf(2.0) weights over the replicas
+            clients_per_replica=(21, 6, 3, 2),
+            window_ms=10.0,
+            max_txns=800,
             # Quantize vote timestamps into one shared window so every
             # race is a genuine tie -- the regime the tiebreak decides.
-            config_overrides={"clock_quantum_ms": 1e6},
+            clock_quantum_ms=1e6,
         )
         fairness = result.fairness
         print(f"policy={policy}: {fairness['elections']} contested "

@@ -10,7 +10,7 @@ and synchronization ratio.
 Run:  python examples/performance_comparison.py
 """
 
-from repro import run_micro
+from repro import MicroWorkload, run_experiment
 
 MODES = ("homeo", "opt", "2pc", "local")
 
@@ -26,7 +26,8 @@ def main() -> None:
     print("-" * len(header))
     rows = {}
     for mode in MODES:
-        res = run_micro(mode, rtt_ms=100.0, max_txns=2_500, num_items=150)
+        workload = MicroWorkload(num_items=150, initial_qty="random")
+        res = run_experiment(mode, workload, rtt_ms=100.0, max_txns=2_500)
         s = res.latency_stats()
         rows[mode] = res
         print(

@@ -14,8 +14,9 @@ The package implements the paper's full pipeline from scratch:
   used Z3; this reproduction is self-contained);
 - :mod:`repro.treaty` -- treaty templates, Theorem 4.3 / equal-split
   / Algorithm 1 configurations, treaty tables;
-- :mod:`repro.storage` -- the per-site transactional engine (strict
-  2PL, undo log; the paper used MySQL);
+- :mod:`repro.storage` -- the per-site transactional engine (a
+  single writer: one open transaction at a time, undo log; the paper
+  used MySQL);
 - :mod:`repro.protocol` -- the homeostasis protocol kernel, the
   Appendix B remote-write transform, and the LOCAL / 2PC baselines;
 - :mod:`repro.runtime` -- the asyncio runtime: sites as tasks,
@@ -48,7 +49,7 @@ from repro.protocol.config import ClusterSpec, NegotiationSpec, build_cluster
 from repro.protocol.homeostasis import TreatyGenerator
 from repro.protocol.kernel import HomeostasisCluster
 from repro.protocol.messages import Outcome
-from repro.sim.experiments import run_contention, run_micro
+from repro.sim.experiments import run as run_experiment
 from repro.sim.runner import SimConfig, SimResult
 from repro.sim.runner import simulate as run_simulation
 from repro.treaty.config import (
@@ -107,8 +108,7 @@ __all__ = [
     # simulation harness
     "SimConfig",
     "SimResult",
-    "run_contention",
-    "run_micro",
+    "run_experiment",
     "run_simulation",
     # workloads
     "BankingWorkload",

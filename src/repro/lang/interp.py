@@ -12,8 +12,9 @@ Two entry points:
   executor.
 - :func:`execute` -- effectful evaluation against arbitrary
   read/write/print callbacks, used by the storage engine's stored
-  procedures (Section 5.1) so that reads acquire locks and writes are
-  journaled.
+  procedures (Section 5.1): a site runs one transaction at a time, so
+  reads go straight to its store, and writes are journaled in the
+  transaction's undo log.
 """
 
 from __future__ import annotations

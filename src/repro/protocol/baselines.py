@@ -23,9 +23,9 @@ partitioned away **no** transaction can commit anywhere -- ``submit``
 raises :class:`~repro.protocol.homeostasis.Unavailable` (after
 aborting the local execution cleanly; the commit is deferred until
 the cohort votes arrive, so an unreachable cohort leaves no partial
-state).  This is the availability counterpoint the ``run_faults``
-experiment measures against homeostasis, where only closures touching
-the crashed site block.
+state).  This is the availability counterpoint the fault scenario
+(``benchmarks/scenarios.py``) measures against homeostasis, where only
+closures touching the crashed site block.
 """
 
 from __future__ import annotations

@@ -117,6 +117,25 @@ class FaultEvent:
     site: int
 
 
+def crash_schedule(
+    site: int,
+    at_ms: float,
+    outage_ms: float,
+    cycles: int = 1,
+    gap_ms: float = 2_000.0,
+) -> tuple[FaultEvent, ...]:
+    """``site`` crash-stops at ``at_ms`` and recovers ``outage_ms``
+    later; with ``cycles > 1`` the pair repeats every ``outage_ms +
+    gap_ms`` (the *crash rate* axis -- each cycle exercises the WAL
+    replay and rejoin path again)."""
+    events: list[FaultEvent] = []
+    for cycle in range(cycles):
+        start = at_ms + cycle * (outage_ms + gap_ms)
+        events.append(FaultEvent(at_ms=start, action="crash", site=site))
+        events.append(FaultEvent(at_ms=start + outage_ms, action="recover", site=site))
+    return tuple(events)
+
+
 class SubmitTarget(Protocol):
     """The kernel interface the simulator drives: the baselines
     through ``submit``, the protocol kernels (``homeo`` / ``opt``)

@@ -25,7 +25,8 @@ from repro.protocol.faults import FaultPlan, Partition
 from repro.protocol.homeostasis import Unavailable
 from repro.protocol.messages import SyncBroadcast, Vote
 from repro.protocol.transport import Transport, UnreachableError
-from repro.sim.experiments import run_faults
+from repro.sim.experiments import run
+from repro.sim.runner import crash_schedule
 from repro.workloads.micro import MicroWorkload
 
 
@@ -496,15 +497,15 @@ class TestConcurrentFaults:
 class TestSimulatorAvailability:
     def test_availability_gap_and_recovery(self):
         point = dict(
+            strategy="equal-split",
             clients_per_replica=3,
-            num_items=60,
-            crash_at_ms=800.0,
-            outage_ms=1_500.0,
             duration_ms=3_200.0,
-            seed=0,
+            max_txns=100_000,
+            fault_events=crash_schedule(1, 800.0, 1_500.0),
         )
-        homeo = run_faults("homeo", validate=True, **point)
-        twopc = run_faults("2pc", **point)
+        workload = MicroWorkload(num_items=60, num_sites=3, initial_qty="random")
+        homeo = run("homeo", workload, validate=True, **point)
+        twopc = run("2pc", workload, **point)
         window = (800.0, 2_300.0)
         assert homeo.recoveries == 1 and twopc.recoveries == 1
         assert homeo.availability_between(*window) > 0.5
@@ -519,7 +520,6 @@ class TestSimulatorAvailability:
     def test_fault_free_run_unchanged(self):
         """No fault events -> byte-identical results to the plain
         driver (the fault machinery must cost nothing when unused)."""
-        from repro.sim.experiments import run_micro
-
-        base = run_micro("homeo", num_items=80, max_txns=400, seed=0)
+        workload = MicroWorkload(num_items=80, initial_qty="random")
+        base = run("homeo", workload, max_txns=400)
         assert base.failed == 0 and base.timeouts == 0 and base.recoveries == 0

@@ -4,10 +4,7 @@ import pytest
 
 from repro.protocol.paxos_commit import DEFAULT_NEGOTIATION
 from repro.sim.experiments import (
-    run_adaptive_skew,
-    run_contention,
-    run_geo,
-    run_micro,
+    run,
     skewed_client_counts,
     solver_time_model,
     zipf_weights,
@@ -15,6 +12,31 @@ from repro.sim.experiments import (
 from repro.protocol.kernel import GroupOutcome, WindowOutcome, WindowResult
 from repro.sim.network import rtt_matrix_for
 from repro.sim.runner import SimConfig, SimRequest, _Entry, _run_2pc, simulate
+from repro.workloads.geo import GeoMicroWorkload
+from repro.workloads.micro import MicroWorkload
+
+
+def _micro(seed=0, **spec):
+    """The microbenchmark at steady state (stock drawn at random)."""
+    return MicroWorkload(initial_qty="random", init_seed=seed + 1, **spec)
+
+
+def _contention(seed, window_ms=10.0, **config):
+    """The racing-violator point: 8 clients a replica, 8 hot items."""
+    return run(
+        "homeo", _micro(seed, num_items=8, refill=20), seed=seed,
+        clients_per_replica=8, window_ms=window_ms, **config,
+    )
+
+
+def _adaptive(mode, seed=0, skew=2.0, num_items=60, refill=80, **kw):
+    """The adaptive-skew point: four replicas, 32 Zipf-placed clients."""
+    return run(
+        mode, _micro(seed, num_items=num_items, refill=refill, num_sites=4),
+        seed=seed,
+        clients_per_replica=skewed_client_counts(32, zipf_weights(4, skew)),
+        **kw,
+    )
 
 
 class _StubCluster:
@@ -218,10 +240,7 @@ class TestWindowedDriver:
     """The concurrent runtime driven with real interleaving."""
 
     def test_contention_run_produces_real_races(self):
-        res = run_contention(
-            "homeo", num_items=8, refill=20, clients_per_replica=8,
-            max_txns=1000, seed=0,
-        )
+        res = _contention(0, max_txns=1000)
         assert res.committed == 1000
         assert res.negotiations > 0
         contested = [r for r in res.records if r.kind == "sync" and r.vote_ms > 0]
@@ -236,18 +255,21 @@ class TestWindowedDriver:
     def test_contention_determinism(self):
         """Two runs with the same seed produce identical records --
         the seeded arbitration order is deterministic end to end."""
-        a = run_contention("homeo", num_items=8, refill=20, max_txns=600, seed=5)
-        b = run_contention("homeo", num_items=8, refill=20, max_txns=600, seed=5)
+        a = _contention(5, max_txns=600)
+        b = _contention(5, max_txns=600)
         assert a.records == b.records
         assert a.aborted_attempts == b.aborted_attempts
 
     def test_disjoint_groups_priced_independently(self):
         """Geo-partitioned contention: each group's negotiations are
         priced from its own edge, as in the per-transaction path."""
-        res = run_contention(
-            "homeo", groups=((0, 1), (2, 3)), num_replicas=4,
-            num_items=6, refill=16, clients_per_replica=6,
-            max_txns=800, seed=1, config_overrides={"solver_ms": 0.0},
+        workload = GeoMicroWorkload(
+            groups=((0, 1), (2, 3)), num_sites=4, items_per_group=6,
+            refill=16, initial_qty="random", init_seed=2,
+        )
+        res = run(
+            "homeo", workload, seed=1, rtt_matrix=rtt_matrix_for(4),
+            clients_per_replica=6, window_ms=10.0, max_txns=800, solver_ms=0.0,
         )
         matrix = rtt_matrix_for(4)
         synced = [r for r in res.records if r.kind == "sync"]
@@ -264,17 +286,12 @@ class TestWindowedDriver:
         violators queue on the per-key negotiation gate instead -- some
         round waits out another round of its item, a wait no core or
         item-lock queue (millisecond scale) could produce."""
-        res = run_contention(
-            "homeo", num_items=8, refill=20, max_txns=400, seed=3,
-            config_overrides={"window_ms": 0.0},
-        )
+        res = _contention(3, window_ms=0.0, max_txns=400)
         assert res.committed == 400
         assert all(r.vote_ms == 0.0 and r.retries == 0 for r in res.records)
         synced = [r for r in res.records if r.kind == "sync"]
         assert any(r.wait_ms >= 100.0 for r in synced)
-        windowed = run_contention(
-            "homeo", num_items=8, refill=20, max_txns=400, seed=3
-        )
+        windowed = _contention(3, max_txns=400)
         assert any(r.retries for r in windowed.records)
 
 
@@ -379,10 +396,13 @@ class TestPerEdgePricing:
     def test_run_geo_scopes_and_prices_by_group(self):
         """End-to-end: the geo workload's (0, 1) group never pays more
         than its own 64 ms edge unless extra sites join the round."""
-        res = run_geo(
-            "homeo", groups=((0, 1),), num_replicas=5,
-            clients_per_replica=2, max_txns=500, seed=1,
-            config_overrides={"solver_ms": 0.0},
+        workload = GeoMicroWorkload(
+            groups=((0, 1),), num_sites=5, items_per_group=30, refill=50,
+            initial_qty="random", init_seed=2,
+        )
+        res = run(
+            "homeo", workload, seed=1, rtt_matrix=rtt_matrix_for(5),
+            clients_per_replica=2, max_txns=500, solver_ms=0.0,
         )
         synced = [r for r in res.records if r.kind == "sync"]
         assert synced, "expected negotiations"
@@ -397,7 +417,7 @@ class TestExperimentRunners:
         assert solver_time_model(100) > solver_time_model(10)
 
     def test_run_micro_smoke(self):
-        res = run_micro("homeo", rtt_ms=50.0, max_txns=600, num_items=40)
+        res = run("homeo", _micro(num_items=40), rtt_ms=50.0, max_txns=600)
         assert res.committed == 600
         assert res.mode == "homeo"
         assert res.latency_stats().count > 0
@@ -406,18 +426,18 @@ class TestExperimentRunners:
         """A homeostasis run folds the kernel's escrow fast-path
         counters into the result; the local baseline has no treaty
         kernel and reports nothing."""
-        res = run_micro("homeo", max_txns=400, num_items=40)
+        res = run("homeo", _micro(num_items=40), max_txns=400)
         assert res.escrow["installs"] > 0
         assert res.escrow["eligible_ratio"] > 0.0
         assert res.escrow["sites_on_escrow"] > 0
         assert res.escrow["fast_commits"] + res.escrow["settled_commits"] > 0
-        assert run_micro("local", max_txns=200, num_items=40).escrow == {}
+        assert run("local", _micro(num_items=40), max_txns=200).escrow == {}
 
     def test_run_micro_modes_ordering(self):
         """The headline result at smoke scale: local >= homeo >> 2pc."""
-        local = run_micro("local", max_txns=800, num_items=40)
-        homeo = run_micro("homeo", max_txns=800, num_items=40)
-        two_pc = run_micro("2pc", max_txns=800, num_items=40)
+        local = run("local", _micro(num_items=40), max_txns=800)
+        homeo = run("homeo", _micro(num_items=40), max_txns=800)
+        two_pc = run("2pc", _micro(num_items=40), max_txns=800)
         t_local = local.throughput_per_replica()
         t_homeo = homeo.throughput_per_replica()
         t_2pc = two_pc.throughput_per_replica()
@@ -446,8 +466,8 @@ class TestAdaptiveSkew:
         workload: demand-weighted allocation plus the watermark
         refresh strictly lowers the sync ratio under Zipf site skew --
         even counting every refresh round against it."""
-        static = run_adaptive_skew("static", skew=2.0, max_txns=900, seed=0)
-        adaptive = run_adaptive_skew("adaptive", skew=2.0, max_txns=900, seed=0)
+        static = _adaptive("static", max_txns=900)
+        adaptive = _adaptive("adaptive", max_txns=900)
         assert adaptive.sync_ratio < static.sync_ratio
         assert (
             adaptive.sync_ratio + adaptive.rebalance_ratio
@@ -458,9 +478,8 @@ class TestAdaptiveSkew:
         """Refresh rounds must cost simulated time: every rebalancing
         record carries a positive rebalance_ms and the run's rebalance
         total matches the records."""
-        res = run_adaptive_skew(
-            "adaptive", skew=2.0, workload="micro", num_items=12,
-            refill=30, max_txns=900, watermark=0.6, seed=0,
+        res = _adaptive(
+            "adaptive", num_items=12, refill=30, max_txns=900, watermark=0.6
         )
         rebalancers = [r for r in res.records if r.rebalances]
         assert rebalancers, "expected watermark refreshes at this scale"
@@ -470,8 +489,8 @@ class TestAdaptiveSkew:
         assert res.rebalances == sum(r.rebalances for r in res.records)
 
     def test_adaptive_skew_determinism(self):
-        a = run_adaptive_skew("adaptive", skew=1.5, max_txns=500, seed=3)
-        b = run_adaptive_skew("adaptive", skew=1.5, max_txns=500, seed=3)
+        a = _adaptive("adaptive", seed=3, skew=1.5, max_txns=500)
+        b = _adaptive("adaptive", seed=3, skew=1.5, max_txns=500)
         assert a.sync_ratio == b.sync_ratio
         assert a.rebalances == b.rebalances
         assert [r.end_ms for r in a.records] == [r.end_ms for r in b.records]
@@ -480,8 +499,7 @@ class TestAdaptiveSkew:
         """The global treaty is never weakened: a validate-mode
         adaptive run (H1 + per-site H2 + untouched non-participants
         asserted at every install) completes without protocol errors."""
-        res = run_adaptive_skew(
-            "adaptive", skew=2.0, num_items=20, max_txns=400,
-            validate=True, seed=1,
+        res = _adaptive(
+            "adaptive", seed=1, num_items=20, max_txns=400, validate=True
         )
         assert res.committed == 400

@@ -21,50 +21,87 @@ import hashlib
 
 import pytest
 
-from repro.sim.experiments import (
-    run_adaptive_skew,
-    run_banking,
-    run_contention,
-    run_faults,
-    run_geo,
-    run_micro,
-    run_quota,
-)
+from repro.sim.experiments import run, skewed_client_counts, zipf_weights
+from repro.sim.network import rtt_matrix_for
+from repro.sim.runner import crash_schedule
+from repro.workloads.banking import BankingWorkload
+from repro.workloads.geo import GeoMicroWorkload
+from repro.workloads.micro import MicroWorkload
+from repro.workloads.quota import QuotaWorkload
 
-_MICRO = dict(num_items=30, refill=40, seed=7)
+
+def _micro(**spec):
+    return MicroWorkload(initial_qty="random", init_seed=8, **spec)
+
+
+_MICRO = dict(num_items=30, refill=40)
 
 CASES = {
-    "micro-homeo": lambda: run_micro(
-        "homeo", max_txns=400, audit_fraction=0.2, **_MICRO
+    "micro-homeo": lambda: run(
+        "homeo", _micro(audit_fraction=0.2, **_MICRO), seed=7, max_txns=400
     ),
-    "micro-opt": lambda: run_micro("opt", max_txns=400, **_MICRO),
-    "micro-2pc": lambda: run_micro("2pc", max_txns=300, **_MICRO),
-    "micro-local": lambda: run_micro("local", max_txns=300, **_MICRO),
-    "geo": lambda: run_geo("homeo", items_per_group=8, refill=20, max_txns=400, seed=7),
+    "micro-opt": lambda: run("opt", _micro(**_MICRO), seed=7, max_txns=400),
+    "micro-2pc": lambda: run("2pc", _micro(**_MICRO), seed=7, max_txns=300),
+    "micro-local": lambda: run("local", _micro(**_MICRO), seed=7, max_txns=300),
+    "geo": lambda: run(
+        "homeo",
+        GeoMicroWorkload(
+            groups=((0, 1), (2, 3), (0, 4)),
+            num_sites=5,
+            items_per_group=8,
+            refill=20,
+            initial_qty="random",
+            init_seed=8,
+        ),
+        seed=7,
+        rtt_matrix=rtt_matrix_for(5),
+        clients_per_replica=8,
+        max_txns=400,
+    ),
     # watermark refreshes (rebalances > 0) queue on the gate too
-    "adaptive-skew": lambda: run_adaptive_skew(
-        "adaptive", num_items=12, refill=30, watermark=0.6, max_txns=400, seed=7
+    "adaptive-skew": lambda: run(
+        "adaptive",
+        _micro(num_items=12, refill=30, num_sites=4),
+        seed=7,
+        watermark=0.6,
+        clients_per_replica=skewed_client_counts(32, zipf_weights(4, 2.0)),
+        max_txns=400,
     ),
     # one crash + recovery inside the run: failed records, a rejoin
-    "faults": lambda: run_faults(
+    "faults": lambda: run(
         "homeo",
-        crash_at_ms=300.0,
-        outage_ms=600.0,
-        duration_ms=1500.0,
-        clients_per_replica=4,
-        num_items=40,
-        refill=40,
+        _micro(num_items=40, refill=40, num_sites=3),
         seed=7,
+        strategy="equal-split",
+        clients_per_replica=4,
+        duration_ms=1500.0,
+        max_txns=100_000,
+        fault_events=crash_schedule(1, 300.0, 600.0),
     ),
-    "banking": lambda: run_banking(
-        "homeo", num_accounts=4, initial_balance=12, max_txns=300, seed=7
+    "banking": lambda: run(
+        "homeo",
+        BankingWorkload(
+            num_accounts=4, initial_balance=12, audit_fraction=0.05, init_seed=8
+        ),
+        seed=7,
+        clients_per_replica=8,
+        max_txns=300,
     ),
-    "quota": lambda: run_quota(
-        "homeo", num_tenants=20, limit=8, max_txns=300, seed=7
+    "quota": lambda: run(
+        "homeo",
+        QuotaWorkload(num_tenants=20, limit=8, usage_fraction=0.05, init_seed=8),
+        seed=7,
+        clients_per_replica=8,
+        max_txns=300,
     ),
     # the windowed point (window_ms = 10): real elections, no gate
-    "contention": lambda: run_contention(
-        "homeo", num_items=8, refill=20, max_txns=300, seed=7
+    "contention": lambda: run(
+        "homeo",
+        _micro(num_items=8, refill=20),
+        seed=7,
+        clients_per_replica=8,
+        window_ms=10.0,
+        max_txns=300,
     ),
 }
 

@@ -29,7 +29,7 @@ class TestFacade:
             "GeoMicroWorkload",
             "TpccWorkload",
             "run_simulation",
-            "run_contention",
+            "run_experiment",
             "analyze",
             "parse_transaction",
         ):

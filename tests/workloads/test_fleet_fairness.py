@@ -14,30 +14,31 @@ policy bounds the worst losing streak.
 import pytest
 
 from repro.protocol.paxos_commit import NegotiationSpec
-from repro.sim.experiments import run_banking, run_flashsale, run_quota
+from repro.sim.experiments import run
+from repro.workloads.banking import BankingWorkload
+from repro.workloads.flashsale import FlashSaleWorkload
+from repro.workloads.quota import QuotaWorkload
 
-#: a clock so coarse every within-window vote ties (harness idiom)
-_COARSE_CLOCK = {"clock_quantum_ms": 1e6}
+#: the hot-SKU sale: every site races violations of SKU 0's treaty
+_HOT_SALE = dict(hot_stock=120, cold_stock=60, restock_fraction=0.0, peek_fraction=0.0)
 
 
-def _fairness_point(runner, **kwargs):
-    return runner(
-        num_replicas=4,
+def _fairness_point(mode, workload, policy="credit"):
+    """Four replicas of 8 clients racing in 10 ms windows, with a
+    clock so coarse every within-window vote ties (harness idiom)."""
+    return run(
+        mode,
+        workload,
+        negotiation=NegotiationSpec(policy=policy),
         clients_per_replica=8,
         window_ms=10.0,
-        negotiation=NegotiationSpec(policy="credit"),
         max_txns=900,
-        seed=0,
-        config_overrides=_COARSE_CLOCK,
-        **kwargs,
+        clock_quantum_ms=1e6,
     )
 
 
 def test_flashsale_fairness_is_recorded_and_bounded():
-    result = _fairness_point(
-        run_flashsale, mode="static", hot_stock=120, restock_fraction=0.0,
-        peek_fraction=0.0,
-    )
+    result = _fairness_point("static", FlashSaleWorkload(num_sites=4, **_HOT_SALE))
     fairness = result.fairness
     assert fairness["policy"] == "credit"
     assert fairness["elections"] > 0, "hot-SKU point held no contested elections"
@@ -55,17 +56,12 @@ def test_flashsale_fairness_is_recorded_and_bounded():
 
 
 def test_flashsale_credit_bounds_what_priority_lets_grow():
-    point = dict(
-        mode="static", hot_stock=120, restock_fraction=0.0, peek_fraction=0.0,
-        num_replicas=4, clients_per_replica=8, window_ms=10.0,
-        max_txns=900, seed=0, config_overrides=_COARSE_CLOCK,
+    credit, priority = (
+        _fairness_point(
+            "static", FlashSaleWorkload(num_sites=4, **_HOT_SALE), policy
+        ).fairness
+        for policy in ("credit", "priority")
     )
-    credit = run_flashsale(
-        negotiation=NegotiationSpec(policy="credit"), **point
-    ).fairness
-    priority = run_flashsale(
-        negotiation=NegotiationSpec(policy="priority"), **point
-    ).fairness
     assert credit["elections"] > 0 and priority["elections"] > 0
     assert (
         credit["max_consecutive_losses"] <= priority["max_consecutive_losses"]
@@ -77,8 +73,8 @@ def test_flashsale_credit_bounds_what_priority_lets_grow():
 
 def test_quota_hot_tenant_fairness():
     result = _fairness_point(
-        run_quota, num_tenants=10, limit=8, hot_fraction=0.9,
-        usage_fraction=0.0,
+        "homeo",
+        QuotaWorkload(num_tenants=10, num_sites=4, limit=8, hot_fraction=0.9),
     )
     fairness = result.fairness
     assert fairness["elections"] > 0, "hot-tenant point held no elections"
@@ -91,18 +87,32 @@ def test_quota_hot_tenant_fairness():
 
 def test_banking_hot_account_fairness():
     result = _fairness_point(
-        run_banking, num_accounts=4, initial_balance=200, hot_fraction=0.9,
-        deposit_fraction=0.0, audit_fraction=0.0,
+        "homeo",
+        BankingWorkload(
+            num_accounts=4,
+            num_sites=4,
+            initial_balance=200,
+            deposit_fraction=0.0,
+            hot_fraction=0.9,
+        ),
     )
     fairness = result.fairness
     assert fairness["elections"] > 0, "hot-account point held no elections"
     assert fairness["max_consecutive_losses"] <= 3
 
 
-@pytest.mark.parametrize("runner", [run_flashsale, run_banking, run_quota])
-def test_uncontested_points_record_empty_fairness(runner):
-    """The sequential kernel (window_ms=0, no NegotiationSpec) holds
-    no elections; the fairness block must say so, not lie."""
-    result = runner(max_txns=150, seed=0)
+@pytest.mark.parametrize(
+    "mode, workload",
+    [
+        ("adaptive", FlashSaleWorkload),
+        ("homeo", BankingWorkload),
+        ("homeo", QuotaWorkload),
+    ],
+    ids=["flashsale", "banking", "quota"],
+)
+def test_uncontested_points_record_empty_fairness(mode, workload):
+    """The sequential kernel (window_ms=0, the default spec) holds no
+    elections; the fairness block must say so, not lie."""
+    result = run(mode, workload(), clients_per_replica=8, max_txns=150)
     assert result.fairness["elections"] == 0
     assert result.fairness["max_consecutive_losses"] == 0
