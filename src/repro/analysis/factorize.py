@@ -138,12 +138,6 @@ class FactorizedJointTable:
             residuals.extend(row.residuals)
         return JointRow(guard=conj(guards), residuals=tuple(residuals))
 
-    def factor_for(self, tx_name: str) -> JointSymbolicTable:
-        for factor in self.factors:
-            if any(tx.name == tx_name for tx in factor.transactions):
-                return factor
-        raise KeyError(f"transaction {tx_name!r} not in any factor")
-
 
 def factorize_workload(
     tables: Sequence[SymbolicTable], simplify: bool = True

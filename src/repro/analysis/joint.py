@@ -136,13 +136,3 @@ def build_joint_table(
     return JointSymbolicTable(transactions=transactions, rows=rows)
 
 
-def joint_from_rows(
-    transactions: Sequence[Transaction], rows: Sequence[tuple[Formula, Sequence[Com]]]
-) -> JointSymbolicTable:
-    """Assemble a joint table from explicit rows (used in tests)."""
-    out = JointSymbolicTable(transactions=tuple(transactions))
-    for guard, residuals in rows:
-        if len(residuals) != len(transactions):
-            raise JointTableError("row arity does not match transaction count")
-        out.rows.append(JointRow(guard=guard, residuals=tuple(residuals)))
-    return out

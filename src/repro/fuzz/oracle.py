@@ -6,8 +6,8 @@ serial execution of the same transactions on one consistent database.
 :func:`run_case` replays a case's schedule through a validate-mode
 homeostasis cluster -- so every treaty install additionally asserts
 the H1 sum partition and the per-site H2 regions, the escrow
-differential cross-checks the counter fast path against the compiled
-checks, and the path-sensitive check oracles run -- then compares
+differential cross-checks the counters against the interpreted clause
+check, and the path-sensitive check oracles run -- then compares
 against plain-interpreter evaluation on three levels:
 
 - **Final state, strictly serial.**  The cluster's merged global

@@ -8,7 +8,7 @@ property is tested on parser output, which is already desugared).
 
 from __future__ import annotations
 
-from repro.lang.ast import Com, Program, Transaction
+from repro.lang.ast import Com, Transaction
 
 
 def pretty_com(com: Com, indent: int = 0) -> str:
@@ -21,12 +21,3 @@ def pretty_transaction(tx: Transaction) -> str:
     return tx.pretty()
 
 
-def pretty_program(prog: Program) -> str:
-    """Render a full compilation unit as source text."""
-    parts: list[str] = []
-    for name, shape in sorted(prog.arrays.items()):
-        dims = ", ".join(str(d) for d in shape)
-        parts.append(f"array {name}[{dims}]")
-    for tx in prog.transactions.values():
-        parts.append(pretty_transaction(tx))
-    return "\n\n".join(parts)

@@ -1,54 +1,45 @@
-"""Formula and treaty-clause compilation: the local-check fast path.
+"""Guard compilation and escrow lowering: the two local-check lowerings.
 
 The whole point of the homeostasis protocol is that a *local* treaty
 check replaces a coordinated round (Section 5.1), so the check sits on
 the hot path of every single commit: stored-procedure dispatch
-evaluates a row guard, and the pre-commit check evaluates the site's
-local treaty clauses.  The interpreted implementations
-(:meth:`repro.logic.formula.Formula.evaluate` and the per-constraint
-loops over :class:`repro.logic.linear.LinearConstraint`) walk an AST
-per call, which costs microseconds where the protocol's argument says
-it should cost nanoseconds.
-
-This module lowers both representations into single Python code
-objects built with :func:`compile`:
+evaluates a row guard, and the pre-commit check enforces the site's
+local treaty clauses.  This module lowers both ahead of time:
 
 - :func:`compile_formula` turns a :class:`Formula` (ideally after
-  :func:`repro.logic.simplify.simplify`) into a closure with the same
+  :func:`repro.logic.simplify.simplify`) into a single Python code
+  object built with :func:`compile`, a closure with the same
   ``(getobj, params, temps)`` signature and semantics as
-  ``Formula.evaluate`` -- including raising :class:`KeyError` on
-  unbound parameters or temporaries;
-- :func:`compile_clause` / :func:`compile_clauses` turn normalized
-  linear treaty constraints into closures over ``getobj`` alone,
-  equivalent to :func:`interpret_clauses` (the interpreted reference
-  kept for differential tests and benchmarks);
-- :func:`lower_to_escrow` classifies a clause set for the **escrow
-  fast path** (:mod:`repro.treaty.escrow`): a conjunction whose every
-  clause is a linear ``<=``-bound or equality pin over ground objects
-  lowers to an :class:`EscrowProgram` -- the static shape (per-row
-  coefficients, object-to-row index, worst-case coefficient
-  magnitudes) that a site's headroom counters are run from.  Anything
-  else (non-object variables, non-normalized operators) returns
-  ``None`` and stays on the compiled-closure path.
+  :meth:`~repro.logic.formula.Formula.evaluate` -- including raising
+  :class:`KeyError` on unbound parameters or temporaries.  Compilation
+  is memoized on the (hashable, immutable) AST, so recurring guards
+  compile once while cached (the memo is bounded and cleared wholesale
+  when it outgrows ``_CACHE_LIMIT``).
+- :func:`lower_to_escrow` lowers a local treaty for the **escrow
+  account** (:mod:`repro.treaty.escrow`), the one commit-time treaty
+  check: each clause, a linear ``<=``-bound or equality pin over ground
+  objects, becomes counter rows of an :class:`EscrowProgram` -- the
+  static shape (per-row coefficients, object-to-row index, worst-case
+  coefficient magnitudes) a site's headroom counters are run from.
+  Treaty generation emits nothing else (``linearize_for_treaty`` and
+  ``build_templates`` refuse clauses over non-object variables,
+  :meth:`~repro.logic.linear.LinearConstraint.make` leaves only ``<=``
+  and ``=``, and the WAL codec carries object names only), so a clause
+  that does not lower is a caller's bug and raises
+  :class:`CompilationError`.
 
-Compilation is memoized on the (hashable, immutable) AST nodes, so
-recurring guards and the value-keyed treaty pieces the incremental
-generator reuses across rounds compile once while cached (the memo
-tables are bounded and cleared wholesale when they outgrow
-``_CACHE_LIMIT``, so long-lived processes never accumulate dead code
-objects).  Escrow lowering is not memoized: consecutive treaties
-almost never repeat as a whole (under 7 % of installs on every
-benchmark workload), so a site instead keeps one
-:class:`EscrowProgram` and patches it with the clauses each install
-adds and removes (:meth:`EscrowProgram.add` / :meth:`~EscrowProgram.
-remove`); every other clause keeps its rows, its slots and its index
-entries.
+Escrow lowering is not memoized: consecutive treaties almost never
+repeat as a whole (under 7 % of installs on every benchmark workload),
+so a site instead keeps one :class:`EscrowProgram` and patches it with
+the clauses each install adds and removes (:meth:`EscrowProgram.add` /
+:meth:`~EscrowProgram.remove`); every other clause keeps its rows, its
+slots and its index entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping
 
 from repro.logic.formula import And, BoolConst, Cmp, Formula, Not, Or
 from repro.logic.linear import LinearConstraint
@@ -67,8 +58,6 @@ from repro.logic.terms import (
 
 #: signature of a compiled formula check (mirrors ``Formula.evaluate``)
 FormulaCheck = Callable[..., bool]
-#: signature of a compiled treaty-clause check
-ClauseCheck = Callable[[Callable[[str], int]], bool]
 
 
 class CompilationError(Exception):
@@ -83,40 +72,12 @@ _PY_OP = {"<": "<", "<=": "<=", "=": "==", "!=": "!=", ">": ">", ">=": ">="}
 #: same ``KeyError`` the interpreter raises on unbound names
 _EMPTY: Mapping[str, int] = {}
 
-#: above this many clauses a conjunction is split into several code
-#: objects (keeps generated expressions small for pathological treaties)
-_CHUNK = 64
-
-#: per-table memo bound: value-keyed treaty pieces recur across rounds
-#: so the working set is small, but each negotiation can also mint
-#: clauses with fresh bounds -- when a table outgrows this limit it is
-#: simply cleared (recompilation is cheap and correctness-free), which
-#: keeps long-lived processes from accumulating dead code objects
+#: memo bound: when the table outgrows this limit it is simply cleared
+#: (recompilation is cheap and correctness-free), which keeps
+#: long-lived processes from accumulating dead code objects
 _CACHE_LIMIT = 4096
 
 _formula_cache: dict[Formula, FormulaCheck] = {}
-_clause_cache: dict[LinearConstraint, ClauseCheck] = {}
-_conjunction_cache: dict[tuple[LinearConstraint, ...], ClauseCheck] = {}
-
-
-_K = TypeVar("_K")
-_V = TypeVar("_V")
-
-
-def _remember(cache: dict[_K, _V], key: _K, value: _V) -> _V:
-    if len(cache) >= _CACHE_LIMIT:
-        cache.clear()
-    cache[key] = value
-    return value
-
-
-def compiled_counts() -> dict[str, int]:
-    """Sizes of the memo tables (observability for tests/benchmarks)."""
-    return {
-        "formulas": len(_formula_cache),
-        "clauses": len(_clause_cache),
-        "conjunctions": len(_conjunction_cache),
-    }
 
 
 # -- escrow lowering (the counter fast path's static shape) ---------------
@@ -138,8 +99,9 @@ class ClauseRows:
     A ``<=`` clause is its own (budget) row; an equality pin ``e = b``
     becomes the opposing pair ``e <= b`` and ``-e <= -b``; a
     coefficient-less clause (trivially true, or the canonical-false
-    normal form) mentions no object, so neither check path can ever
-    attribute a violation to it and it lowers to no row at all.
+    normal form) mentions no object, so neither the account nor the
+    interpreted oracle can ever attribute a violation to it (both judge
+    only the clauses over a written object) and it lowers to no row.
     """
 
     rows: tuple[LinearConstraint, ...]
@@ -150,15 +112,17 @@ class ClauseRows:
     budget: bool
 
 
-def lower_clause(con: LinearConstraint) -> ClauseRows | None:
-    """Lower one clause, or ``None`` if it is escrow-ineligible (not a
-    ``<=``-bound or equality pin, or over non-object variables)."""
+def lower_clause(con: LinearConstraint) -> ClauseRows:
+    """Lower one clause to its counter rows; :class:`CompilationError`
+    if it is not a ``<=``-bound or equality pin over ground objects."""
     if con.op not in ("<=", "="):
-        return None
+        raise CompilationError(f"non-normalized constraint operator {con.op!r}")
     terms: list[tuple[str, int]] = []
     for var, coeff in con.expr.coeffs:
         if not isinstance(var, ObjT):
-            return None
+            raise CompilationError(
+                f"treaty clause mentions non-object variable {var!r}"
+            )
         terms.append((var.name, coeff))
     names = tuple(name for name, _coeff in terms)
     if not terms:
@@ -178,7 +142,7 @@ def lower_clause(con: LinearConstraint) -> ClauseRows | None:
 
 @dataclass(eq=False)
 class EscrowProgram:
-    """Shape of an escrow-eligible clause set: which counter rows
+    """Shape of a lowered clause set: which counter rows
     exist, which objects they mention, what a write can drain.
 
     The mutable counter values live in
@@ -272,36 +236,25 @@ class EscrowProgram:
                 del self.touching[name], self.max_coeff[name]
 
 
-def lower_to_escrow(
-    constraints: Iterable[LinearConstraint],
-) -> EscrowProgram | None:
-    """Lower a clause set to its escrow program, or ``None`` if any
-    clause is ineligible.
+def lower_to_escrow(constraints: Iterable[LinearConstraint]) -> EscrowProgram:
+    """Lower a clause set to its escrow program.
 
-    Eligibility rule: every clause must be a linear ``<=``-bound or
-    equality pin over ground objects (the two normal forms
-    :meth:`LinearConstraint.make` produces).  For a ``<=`` clause,
-    slack ``bound - sum(coeff_i * D(x_i))`` is an integer headroom
-    counter that a commit's deltas update incrementally -- exactly the
-    numeric-invariant class that admits escrow-style local
-    enforcement.  An equality pin lowers to an opposing pair of
-    zero-slack rows (see :class:`ClauseRows`).  Any clause over
-    non-object variables sends the whole treaty to the compiled slow
-    path.
+    Every clause is a linear ``<=``-bound or equality pin over ground
+    objects (the two normal forms :meth:`LinearConstraint.make`
+    produces; :func:`lower_clause` raises on anything else).  For a
+    ``<=`` clause, slack ``bound - sum(coeff_i * D(x_i))`` is an
+    integer headroom counter that a commit's deltas update
+    incrementally -- exactly the numeric-invariant class that admits
+    escrow-style local enforcement.  An equality pin lowers to an
+    opposing pair of zero-slack rows (see :class:`ClauseRows`).
 
     This is the from-scratch lowering (WAL replay, the validate-mode
     oracle, tests): slots come out in treaty order.  An install
     patches the site's program instead.
     """
-    lowered: list[ClauseRows] = []
-    for con in constraints:
-        clause = lower_clause(con)
-        if clause is None:
-            return None
-        lowered.append(clause)
     program = EscrowProgram()
-    for clause in lowered:
-        program.add(clause)
+    for con in constraints:
+        program.add(lower_clause(con))
     return program
 
 
@@ -353,34 +306,6 @@ def _formula_source(formula: Formula) -> str:
     raise CompilationError(f"unknown formula node {formula!r}")
 
 
-def _clause_source(con: LinearConstraint) -> str:
-    """Python expression source for a treaty clause over ``g``."""
-    if con.op not in ("<=", "="):
-        raise CompilationError(f"non-normalized constraint operator {con.op!r}")
-    parts: list[str] = []
-    for var, coeff in con.expr.coeffs:
-        if not isinstance(var, ObjT):
-            raise CompilationError(
-                f"treaty clause mentions non-object variable {var!r}"
-            )
-        access = f"g({var.name!r})"
-        if coeff == 1:
-            parts.append(access)
-        elif coeff == -1:
-            parts.append(f"-{access}")
-        else:
-            parts.append(f"{coeff}*{access}")
-    total = " + ".join(parts) if parts else "0"
-    return f"({total}) {_PY_OP[con.op]} {con.bound}"
-
-
-def _make(source: str, args: str) -> Callable[..., Any]:
-    """Build one closure from generated expression source."""
-    code = compile(f"lambda {args}: {source}", "<treaty-check>", "eval")
-    closure: Callable[..., Any] = eval(code, {"_gn": ground_name})
-    return closure
-
-
 # -- public API ------------------------------------------------------------
 
 
@@ -395,8 +320,10 @@ def compile_formula(formula: Formula) -> FormulaCheck:
     cached = _formula_cache.get(formula)
     if cached is not None:
         return cached
+    raw: Callable[..., bool] | None
     try:
-        raw = _make(_formula_source(formula), "g, p, t")
+        source = f"lambda g, p, t: {_formula_source(formula)}"
+        raw = eval(compile(source, "<guard-check>", "eval"), {"_gn": ground_name})
     except (SyntaxError, RecursionError, MemoryError):
         # Pathologically deep ASTs (e.g. a foreach unrolled over
         # hundreds of array slots) can exceed CPython's nested-paren
@@ -419,68 +346,7 @@ def compile_formula(formula: Formula) -> FormulaCheck:
                 _EMPTY if temps is None else temps,
             )
 
-    return _remember(_formula_cache, formula, check)
-
-
-def compile_clause(con: LinearConstraint) -> ClauseCheck:
-    """Compile one normalized treaty clause into a check over ``getobj``."""
-    cached = _clause_cache.get(con)
-    if cached is not None:
-        return cached
-    return _remember(_clause_cache, con, _make(_clause_source(con), "g"))
-
-
-def compile_clauses(constraints: Iterable[LinearConstraint]) -> ClauseCheck:
-    """Compile a conjunction of treaty clauses into one check.
-
-    This is the per-commit fast path: the entire local treaty becomes
-    a single short-circuiting code object, so checking costs one
-    closure call instead of a Python-level loop with per-clause
-    dispatch.
-    """
-    cons = tuple(constraints)
-    cached = _conjunction_cache.get(cons)
-    if cached is not None:
-        return cached
-    if not cons:
-        check: ClauseCheck = lambda g: True  # the empty treaty holds
-    elif len(cons) <= _CHUNK:
-        check = _make(" and ".join(_clause_source(c) for c in cons), "g")
-    else:
-        chunks = tuple(
-            _make(" and ".join(_clause_source(c) for c in cons[i : i + _CHUNK]), "g")
-            for i in range(0, len(cons), _CHUNK)
-        )
-
-        def check(
-            g: Callable[[str], int],
-            _chunks: tuple[Callable[..., Any], ...] = chunks,
-        ) -> bool:
-            return all(part(g) for part in _chunks)
-
-    return _remember(_conjunction_cache, cons, check)
-
-
-def interpret_clauses(
-    constraints: Sequence[LinearConstraint], getobj: Callable[[str], int]
-) -> bool:
-    """Interpreted reference semantics for :func:`compile_clauses`.
-
-    Kept (rather than deleted with the old per-call loops) so the
-    equivalence property tests and the benchmark harness can measure
-    compiled-vs-interpreted head to head.
-    """
-    for con in constraints:
-        if con.op not in ("<=", "="):
-            raise CompilationError(f"non-normalized constraint operator {con.op!r}")
-        total = 0
-        for var, coeff in con.expr.coeffs:
-            if not isinstance(var, ObjT):
-                raise CompilationError(
-                    f"treaty clause mentions non-object variable {var!r}"
-                )
-            total += coeff * getobj(var.name)
-        ok = total <= con.bound if con.op == "<=" else total == con.bound
-        if not ok:
-            return False
-    return True
+    if len(_formula_cache) >= _CACHE_LIMIT:
+        _formula_cache.clear()
+    _formula_cache[formula] = check
+    return check

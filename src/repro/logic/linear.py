@@ -105,6 +105,20 @@ class LinearExpr:
             total += c * assignment[v]
         return total
 
+    def value_on(self, getobj: Callable[[str], int]) -> int:
+        """The expression's value on a store, ``getobj`` reading each
+        ground object by name: the one loop that evaluates a treaty
+        clause.  Raises :class:`LinearizationError` on a variable that
+        is not a ground object (a parameter or temporary left in)."""
+        total = self.const
+        for var, coeff in self.coeffs:
+            if not isinstance(var, ObjT):
+                raise LinearizationError(
+                    f"treaty constraint mentions non-object variable {var!r}"
+                )
+            total += coeff * getobj(var.name)
+        return total
+
     def pretty(self) -> str:
         parts: list[str] = []
         for v, c in self.coeffs:
@@ -139,7 +153,7 @@ class LinearConstraint:
 
     def __hash__(self) -> int:
         # Clauses key the per-install dicts (headroom grants, WAL
-        # encoding, compiled checks), and hashing one walks its whole
+        # encoding, escrow rows), and hashing one walks its whole
         # coefficient vector: remember the result.
         cached: int | None = self.__dict__.get("_hash")
         if cached is None:
@@ -208,6 +222,17 @@ class LinearConstraint:
         value = self.expr.evaluate(assignment)
         return value <= self.bound if self.op == "<=" else value == self.bound
 
+    def slack(self, getobj: Callable[[str], int]) -> int:
+        """Headroom on a store: ``bound - sum(d_i * D(x_i))``; negative
+        means a ``<=``-clause is violated (see :meth:`LinearExpr.value_on`)."""
+        return self.bound - self.expr.value_on(getobj)
+
+    def holds_on(self, getobj: Callable[[str], int]) -> bool:
+        """Whether the clause holds on a store (an equality needs zero
+        slack, a ``<=``-bound any slack that is not negative)."""
+        value = self.expr.value_on(getobj)
+        return value <= self.bound if self.op == "<=" else value == self.bound
+
     def negated(self) -> "LinearConstraint":
         """Return the negation (only defined for ``<=``)."""
         if self.op != "<=":
@@ -265,17 +290,3 @@ def constraints_of_cmp(atom: Cmp) -> list[LinearConstraint]:
     rhs = linear_of_term(atom.right)
     diff = lhs - rhs
     return [LinearConstraint.make(diff, atom.op, 0)]
-
-
-def evaluate_constraints(
-    constraints: list[LinearConstraint], lookup: Callable[[Hashable], int]
-) -> bool:
-    """Check all constraints under a variable lookup function."""
-    for con in constraints:
-        total = 0
-        for v, c in con.expr.coeffs:
-            total += c * lookup(v)
-        ok = total <= con.bound if con.op == "<=" else total == con.bound
-        if not ok:
-            return False
-    return True

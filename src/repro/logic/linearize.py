@@ -67,25 +67,16 @@ class LinearizedTreaty:
         return replace(self, constraints=constraints)
 
     def holds_on(self, getobj: Callable[[str], int]) -> bool:
-        for con in self.constraints:
-            total = 0
-            for var, coeff in con.expr.coeffs:
-                if not isinstance(var, ObjT):
-                    raise LinearizationError(
-                        f"treaty constraint mentions non-object variable {var!r}"
-                    )
-                total += coeff * getobj(var.name)
-            ok = total <= con.bound if con.op == "<=" else total == con.bound
-            if not ok:
-                return False
-        return True
+        return all(con.holds_on(getobj) for con in self.constraints)
 
     def pretty(self) -> str:
         return " and ".join(c.pretty() for c in self.constraints) or "true"
 
 
 def _instantiate_params(formula: Formula, params: Mapping[str, int]) -> Formula:
-    mapping: dict[Term, Term] = {ParamT(name): Const(value) for name, value in params.items()}
+    mapping: dict[Term, Term] = {
+        ParamT(name): Const(value) for name, value in params.items()
+    }
     return formula.substitute(mapping)
 
 

@@ -116,10 +116,6 @@ class Term:
     def temps(self) -> set["TempT"]:
         return {n for n in self.walk() if isinstance(n, TempT)}
 
-    def is_ground(self) -> bool:
-        """True if the term mentions no temporaries or parameters."""
-        return not any(isinstance(n, (TempT, ParamT)) for n in self.walk())
-
     # -- substitution and evaluation -----------------------------------------
 
     def substitute(self, mapping: Mapping["Term", "Term"]) -> "Term":

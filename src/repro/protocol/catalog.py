@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 from repro.analysis.pathsplit import WriteSummary, summarize_writes
 from repro.analysis.symbolic import Row, SymbolicTable
-from repro.lang.ast import Com, Transaction
+from repro.lang.ast import Transaction
 from repro.lang.interp import ExecContext, execute
 from repro.logic.compile import FormulaCheck, compile_formula
 
@@ -106,6 +106,3 @@ class StoredProcedureCatalog:
         if tx_name not in self.transactions:
             raise CatalogError(f"unknown transaction {tx_name!r}")
         return self.transactions[tx_name]
-
-    def residual_body(self, tx_name: str, row_index: int) -> Com:
-        return self.procedures[tx_name][row_index].row.residual

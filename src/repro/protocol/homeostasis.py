@@ -155,8 +155,6 @@ class DemandEstimator:
     halflife: int = 512
     _counts: dict[str, tuple[float, int]] = field(default_factory=dict)
     _step: int = 0
-    #: total observations (commits + violating attempts) seen
-    observed: int = 0
 
     def __post_init__(self) -> None:
         self._decay = 0.5 ** (1.0 / self.halflife)
@@ -164,7 +162,6 @@ class DemandEstimator:
     def observe(self, written) -> None:
         """Record one attempt's write set."""
         self._step += 1
-        self.observed += 1
         for name in written:
             count, last = self._counts.get(name, (0.0, self._step))
             decayed = count * self._decay ** (self._step - last)

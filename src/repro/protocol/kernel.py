@@ -115,9 +115,8 @@ survive.
 Optimistic execution goes through the per-site commit check
 unchanged: each origin site's
 :class:`~repro.protocol.site.SiteServer` decides admission through
-the escrow headroom counters (:mod:`repro.treaty.escrow`) when its
-installed treaty is escrow-eligible, falling back to the compiled
-closure otherwise, so a window's violators are exactly the
+the escrow headroom counters (:mod:`repro.treaty.escrow`) every
+installed treaty lowers to, so a window's violators are exactly the
 transactions whose decrements would drive a counter negative.  Wave
 installs route through ``install_treaty`` and so patch the counters
 (the rows of the clauses the wave changed, and the rows over an object
@@ -155,7 +154,7 @@ from repro.protocol.paxos_commit import (
     PaxosCommitDriver,
     QuorumUnreachable,
 )
-from repro.protocol.site import SiteResult, SiteServer, clause_slack
+from repro.protocol.site import SiteResult, SiteServer
 from repro.protocol.transport import NegotiationTrace, Transport, UnreachableError
 from repro.treaty.config import check_h1_algebraic
 from repro.treaty.table import TreatyTable
@@ -318,14 +317,16 @@ class HomeostasisCluster:
         self.tx_home = dict(spec.tx_home)
         self.generator = spec.make_generator()
         self.adaptive = spec.adaptive
-        # The estimator always runs (observation is O(write set)); the
-        # 'demand' strategy reads it at negotiation time and the
-        # watermark refresh path is gated on ``adaptive``.
-        self.demand = (
-            DemandEstimator(halflife=spec.adaptive.halflife)
-            if spec.adaptive
-            else DemandEstimator()
-        )
+        # Only the 'demand' strategy reads the estimator (at negotiation
+        # time), so only a 'demand' cluster observes its commit trace;
+        # the watermark refresh path is gated on ``adaptive``.
+        self.demand: DemandEstimator | None = None
+        if spec.strategy == "demand":
+            self.demand = (
+                DemandEstimator(halflife=spec.adaptive.halflife)
+                if spec.adaptive
+                else DemandEstimator()
+            )
         self.generator.demand = self.demand
         self.transport = transport if transport is not None else Transport()
         self.stats = ClusterStats(transport=self.transport)
@@ -349,8 +350,8 @@ class HomeostasisCluster:
         self.sites: dict[int, SiteServer] = {}
         for sid in self.site_ids:
             server = SiteServer(site_id=sid, locate=spec.locate, arrays=arrays)
-            # Validate mode runs the compiled oracle next to every
-            # escrow fast-path check and asserts the verdicts agree.
+            # Validate mode runs the interpreted oracle next to every
+            # escrow check and asserts the verdicts agree.
             server.validate_escrow = spec.validate
             for table in spec.tables:
                 server.catalog.register(table)
@@ -722,26 +723,25 @@ class HomeostasisCluster:
         ``watermark`` times the slack it was granted at install time
         (clauses granted less than ``min_headroom`` are exempt -- the
         global slack cannot fund a useful refresh for them).  Only
-        clauses touching the write set are checked, via the same
-        per-object clause index the commit check uses.
+        clauses touching the write set are checked, via the treaty's
+        per-object clause index.
         """
         treaty = server.local_treaty
         if treaty is None or self.adaptive is None:
             return set()
         settings = self.adaptive
         peek = server.engine.peek
-        index = treaty._object_index()
         seen: set[int] = set()
         breached: set[str] = set()
         for name in written:
-            for con, _check in index.get(name, ()):
+            for con in treaty.clauses_over(name):
                 if con.op != "<=" or id(con) in seen:
                     continue
                 seen.add(id(con))
                 granted = server.install_headroom.get(con)
                 if granted is None or granted < settings.min_headroom:
                     continue
-                if clause_slack(con, peek) < settings.watermark * granted:
+                if con.slack(peek) < settings.watermark * granted:
                     for var in con.variables():
                         breached.add(var.name)
         return breached
@@ -759,15 +759,17 @@ class HomeostasisCluster:
         self, origin: int, tx_name: str, params: Mapping[str, int] | None
     ) -> SiteResult:
         """One optimistic, disconnected execution at the origin site,
-        observed by the demand estimator.  A violating attempt is
-        demand too -- the re-negotiation's configuration should see the
-        burst that exhausted the budget."""
+        observed by the demand estimator (if the strategy has one).  A
+        violating attempt is demand too -- the re-negotiation's
+        configuration should see the burst that exhausted the budget."""
         result = self.sites[origin].execute(tx_name, params)
         if result.committed:
             self.stats.committed_local += 1
-            self.demand.observe(result.written)
-        else:
-            self.demand.observe(result.attempted_writes)
+        demand = self.demand
+        if demand is not None:
+            demand.observe(
+                result.written if result.committed else result.attempted_writes
+            )
         return result
 
     def _execute_round(
@@ -1343,47 +1345,41 @@ class HomeostasisCluster:
             )
 
     def precompile_checks(self) -> int:
-        """Warm every site's compiled treaty check and per-object
-        clause index; returns the number of sites warmed.
+        """Warm every site's per-object clause index (what the
+        watermark check and the validate-mode oracle read); returns the
+        number of sites warmed.
 
-        Guards compile at catalog registration and treaty checks
-        compile lazily on first use; the simulator calls this up front
-        so no measured transaction pays the one-time lowering cost.
+        Guards compile at catalog registration and escrow counters are
+        built at install; the index is built on its first lookup, and
+        the simulator and the e2e driver call this up front so no
+        measured transaction pays for it.
         """
         warmed = 0
         for server in self.sites.values():
             if server.local_treaty is not None:
-                server.local_treaty.compiled_check()
-                server.local_treaty._object_index()
+                server.local_treaty.clauses_over("")  # the first lookup builds it
                 warmed += 1
         return warmed
 
     def escrow_stats(self) -> dict:
-        """Cluster-wide escrow fast-path statistics.
+        """Cluster-wide escrow account statistics.
 
-        ``eligible_ratio`` is the fraction of treaty installs (over the
-        whole run, across every site) that lowered to escrow counters;
-        the commit counters aggregate live accounts and every retired
-        one, so reinstalls do not erase history.  Deterministic under a
-        fixed seed, which is what lets the benchmark gate on it.
+        ``installs`` counts treaty installs over the whole run, across
+        every site; the commit counters aggregate live accounts and
+        every retired one, so reinstalls do not erase history.
+        Deterministic under a fixed seed, which is what lets the
+        benchmark gate on it.
         """
         totals: dict[str, int] = {}
-        installs = eligible = sites_with_treaty = sites_on_escrow = 0
+        installs = sites_with_treaty = 0
         for server in self.sites.values():
-            installs += server.escrow_installs + server.escrow_ineligible_installs
-            eligible += server.escrow_installs
-            if server.local_treaty is not None:
-                sites_with_treaty += 1
-                if server.escrow is not None:
-                    sites_on_escrow += 1
+            installs += server.escrow_installs
+            sites_with_treaty += server.local_treaty is not None
             for key, value in server.escrow_stats().items():
                 totals[key] = totals.get(key, 0) + value
         return {
             "installs": installs,
-            "eligible_installs": eligible,
-            "eligible_ratio": round(eligible / installs, 5) if installs else 0.0,
             "sites_with_treaty": sites_with_treaty,
-            "sites_on_escrow": sites_on_escrow,
             **totals,
         }
 
@@ -1444,15 +1440,12 @@ class HomeostasisCluster:
         return frozenset(out)
 
     def check_mechanism(self) -> str:
-        """The commit-check mechanism this kernel is running on:
-        ``"escrow"`` when every treaty-bearing site holds lowered
-        headroom counters, ``"compiled"`` otherwise.  The simulator
-        reads this once at run start to price the per-commit check
-        service component."""
-        bearing = [s for s in self.sites.values() if s.local_treaty is not None]
-        if bearing and all(s.escrow is not None for s in bearing):
-            return "escrow"
-        return "compiled"
+        """The commit-check mechanism this kernel runs on, which the
+        simulator reads once at run start to price the per-commit check
+        service component.  It has one answer: every installed treaty
+        is enforced by an escrow account, so this is always
+        ``"escrow"``."""
+        return "escrow"
 
     # -- inspection ----------------------------------------------------------------
 

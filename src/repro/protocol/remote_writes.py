@@ -64,11 +64,6 @@ def delta_base(base: str, site: int) -> str:
     return f"{base}__d{site}"
 
 
-def is_delta_name(name: str) -> bool:
-    base = name.split("[", 1)[0]
-    return "__d" in base
-
-
 @dataclass
 class ReplicationSpec:
     """Which bases are replicated, and across which writer sites.
@@ -95,9 +90,6 @@ class ReplicationSpec:
     def base_of(self, name: str) -> str:
         parsed = parse_ground_name(name)
         return parsed[0] if parsed else name
-
-    def is_replicated(self, name: str) -> bool:
-        return self.base_of(name) in self.bases
 
     def locate(self, name: str, fallback: int = 0) -> int:
         """Placement for both bases and deltas."""

@@ -13,20 +13,21 @@ the stored procedure whose guard matches, run it inside a storage
 transaction, check the local treaty before commit, and either commit
 (returning the log) or abort and report the treaty violation.
 
-The treaty check has three arms.  A **static tier** runs first: at
+The treaty check has two arms.  A **static tier** runs first: at
 install time the site classifies every stored procedure's execution
 paths against the new treaty (:mod:`repro.analysis.pathsplit`), so a
 commit on a path that writes no array base any clause mentions
 (``free``) skips the check -- and the write-delta computation --
-outright.  Every other path is ``full`` and lands on one of the two
-dynamic arms: treaties whose clauses are all linear ``<=``-bounds are
-lowered at install time into **escrow headroom counters**
-(:mod:`repro.treaty.escrow`): the commit check becomes counter
+outright.  Every other path is ``full`` and is checked by the site's
+**escrow account** (:mod:`repro.treaty.escrow`): every installed
+treaty lowers to headroom counters (``lower_to_escrow``; a clause that
+does not is refused at install with ``CompilationError`` and the site
+keeps the treaty it held), and the commit check is counter
 subtractions driven by the undo journal's write deltas, with batched
-window settlement.  The rest goes through the compiled-closure check
-(:meth:`~repro.treaty.table.LocalTreaty.violations_after_writes`),
-which ``validate_escrow`` mode also runs beside each of the other two
-arms as their oracle, raising on any disagreement.
+window settlement.  ``validate_escrow`` mode runs the interpreted
+clause check (:meth:`~repro.treaty.table.LocalTreaty.
+violations_after_writes`) beside both arms as their oracle, raising on
+any disagreement.
 
 An install is a **clause delta** end to end: the site diffs the
 incoming local treaty against the installed one (by clause identity --
@@ -44,11 +45,10 @@ sum(d_i * D(x_i))`` as long as every write to the clause's objects
 went through the account's ``commit`` -- and the writes that do not
 (``poke``, the cleanup run T') are named by ``LocalEngine.moved``, so
 an install reads the store for the new rows and the rows over a moved
-object, and copies every other grant from its counter.  An
-escrow-ineligible treaty has no counters and reads the store for every
-grant.  ``validate_escrow`` holds the invariant to its definition:
-after every install it re-derives everything from scratch -- path
-checks, summary, every grant by ``clause_slack``, the escrow rows,
+object, and copies every other grant from its counter.
+``validate_escrow`` holds the invariant to its definition: after every
+install it re-derives everything from scratch -- path checks, summary,
+every grant by ``LinearConstraint.slack``, the escrow rows,
 counters, index and budget by ``lower_to_escrow`` -- replays the
 site's own log from its last snapshot, and raises
 :class:`InstallDivergence` on any difference.
@@ -110,7 +110,7 @@ from repro.storage.wal import (
     encode_local_treaty,
     encode_treaty_delta,
 )
-from repro.treaty.escrow import EscrowAccount, EscrowDivergence, clause_slack
+from repro.treaty.escrow import EscrowAccount, EscrowDivergence
 from repro.treaty.table import InstallDivergence, LocalTreaty
 
 def _fresh_check_stats() -> dict[str, int]:
@@ -122,8 +122,8 @@ class _Installed:
     """What the next install's delta is taken against."""
 
     treaty: LocalTreaty
-    #: per clause, its escrow lowering (None: escrow-ineligible)
-    rows: list[ClauseRows | None]
+    #: per clause, its escrow lowering
+    rows: list[ClauseRows]
     summary: ClauseSummary
     #: per clause, the grant the last install record gives it
     grants: list[int | None]
@@ -205,22 +205,17 @@ class SiteServer:
     wal: TreatyWAL = field(default_factory=TreatyWAL)
     #: round number of the currently installed treaty (-1 before any)
     treaty_round: int = -1
-    #: the site's escrow fast-path account, carried from install to
-    #: install; None when no treaty is installed or the treaty is
-    #: escrow-ineligible (any clause over non-object variables keeps
-    #: the compiled slow path)
+    #: the site's escrow account, carried from install to install;
+    #: None exactly when no treaty is installed
     escrow: EscrowAccount | None = None
-    #: run the compiled oracle next to every escrow check and raise
-    #: :class:`~repro.treaty.escrow.EscrowDivergence` on disagreement
-    #: (the cluster's validate mode turns this on)
+    #: run the interpreted oracle next to every commit check and raise
+    #: on disagreement (the cluster's validate mode turns this on)
     validate_escrow: bool = False
-    #: stats folded out of dropped escrow accounts (crash-stop, an
-    #: ineligible treaty, a replay), so run-level counters survive them
+    #: stats folded out of dropped escrow accounts (crash-stop, a
+    #: replay), so run-level counters survive them
     escrow_retired: dict[str, int] = field(default_factory=dict)
-    #: installs that produced an escrow account vs. ones that fell back
-    #: to the compiled path (the eligibility ratio the benchmark gates)
+    #: treaty installs this site enforced, replays included
     escrow_installs: int = 0
-    escrow_ineligible_installs: int = 0
     #: per-(tx, path) check kind under the installed treaty, in row
     #: order (the static tier; patched on every install, cleared on
     #: crash)
@@ -285,12 +280,17 @@ class SiteServer:
         it** (and therefore before any transport-level acknowledgement
         returns to the coordinator): once a peer believes this site
         holds the treaty, a crash-stop cannot unhold it.
+
+        Raises :class:`~repro.logic.compile.CompilationError`, before
+        anything changes, if a clause does not lower to escrow counters
+        (one over a parameter or temporary); the site keeps the treaty
+        it held.
         """
         base, position = self._delta_baseline()
         carried = base is self._installed
         installed = base.treaty.constraints
         cons = treaty.constraints
-        rows: list[ClauseRows | None] = []
+        rows: list[ClauseRows] = []
         #: per clause, its position in the baseline (-1: it enters)
         origin: list[int] = []
         entered: list[tuple[int, LinearConstraint]] = []
@@ -319,34 +319,23 @@ class SiteServer:
         )
 
         engine = self.engine
-        if None in rows:
-            # No counters to carry: an ineligible treaty reads the
-            # store for every grant, as its commits read it for every
-            # check.
-            self.drop_escrow()
-            self.escrow_ineligible_installs += 1
-            peek = engine.peek
-            grants = [
-                clause_slack(con, peek) if con.op == "<=" else None for con in cons
-            ]
+        account = self.escrow
+        if carried and account is not None:
+            gone = [base.rows[at] for at in left]
+            new = [rows[at] for at, _con in entered]
         else:
-            account = self.escrow
-            if carried and account is not None:
-                gone = [base.rows[at] for at in left]
-                new = [rows[at] for at, _con in entered]
-            else:
-                self._fold_escrow_stats()
-                account = self.escrow = EscrowAccount(EscrowProgram(), ())
-                gone, new = [], rows
-            account.install(gone, new, engine.moved, engine.peek, engine.epoch)
-            self.escrow_installs += 1
-            counter, slots = account.headroom, account.program.slots
-            grants = [
-                counter[slots[lowered][0]]
-                if lowered.budget
-                else (con.bound if con.op == "<=" else None)
-                for con, lowered in zip(cons, rows)
-            ]
+            self._fold_escrow_stats()
+            account = self.escrow = EscrowAccount(EscrowProgram(), ())
+            gone, new = [], rows
+        account.install(gone, new, engine.moved, engine.peek, engine.epoch)
+        self.escrow_installs += 1
+        counter, slots = account.headroom, account.program.slots
+        grants: list[int | None] = [
+            counter[slots[lowered][0]]
+            if lowered.budget
+            else (con.bound if con.op == "<=" else None)
+            for con, lowered in zip(cons, rows)
+        ]
         engine.moved.clear()
 
         # A delta needs a record to continue: this site's last one, and
@@ -401,18 +390,14 @@ class SiteServer:
         """The validate-mode oracle of the delta install: everything
         the install carried or patched must equal its from-scratch
         derivation from (catalog, treaty, store) -- the headroom rule
-        among them: every grant, carried counter or fresh read, is
-        ``clause_slack`` on the install-time store -- and the site's
+        among them: every grant, carried counter or fresh read, is the
+        clause's slack on the install-time store -- and the site's
         own log, replayed from its last snapshot through the delta
         chain, must say what the site now holds."""
         treaty, peek = self.local_treaty, self.engine.peek
         assert treaty is not None and self._installed is not None
-        program = lower_to_escrow(tuple(treaty.constraints))
-        scratch = None
-        if program is not None:
-            scratch = EscrowAccount(
-                program, [clause_slack(row, peek) for row in program.rows]
-            ).enforced()
+        program = lower_to_escrow(treaty.constraints)
+        scratch = EscrowAccount(program, [row.slack(peek) for row in program.rows])
         held = {"kind": "treaty_install", "round": self.treaty_round}
         held.update(
             encode_local_treaty(treaty, self.install_headroom, self.path_checks)
@@ -425,15 +410,11 @@ class SiteServer:
             ),
             "install headroom": (
                 self.install_headroom,
-                {
-                    con: clause_slack(con, peek)
-                    for con in treaty.constraints
-                    if con.op == "<="
-                },
+                {con: con.slack(peek) for con in treaty.constraints if con.op == "<="},
             ),
             "escrow rows, counters, index and budget": (
-                self.escrow.enforced() if self.escrow is not None else None,
-                scratch,
+                self.escrow.enforced(),
+                scratch.enforced(),
             ),
             "install, as its log replays,": (self.wal.last_treaty_install(), held),
         }
@@ -496,25 +477,21 @@ class SiteServer:
         # account from the WAL record and then resynchronizes it
         # against the store, leaving counters identical to a freshly
         # lowered treaty on the recovered state.
-        program = lower_to_escrow(tuple(treaty.constraints))
+        program = lower_to_escrow(treaty.constraints)
         peek = self.engine.peek
         self._fold_escrow_stats()
-        if program is None:
-            self.escrow = None
-            self.escrow_ineligible_installs += 1
-        else:
-            # A ``<=``-clause row starts at the install-time grant;
-            # rows with no grant -- an equality pin's opposing pair --
-            # take their slack from the store.
-            self.escrow = EscrowAccount(
-                program,
-                [
-                    headroom[row] if row in headroom else clause_slack(row, peek)
-                    for row in program.rows
-                ],
-            )
-            self.escrow_installs += 1
-            self.escrow.resync(peek, self.engine.epoch)
+        # A ``<=``-clause row starts at the install-time grant; rows
+        # with no grant -- an equality pin's opposing pair -- take their
+        # slack from the store.
+        self.escrow = EscrowAccount(
+            program,
+            [
+                headroom[row] if row in headroom else row.slack(peek)
+                for row in program.rows
+            ],
+        )
+        self.escrow_installs += 1
+        self.escrow.resync(peek, self.engine.epoch)
         self.engine.moved.clear()
         return self.treaty_round
 
@@ -643,14 +620,12 @@ class SiteServer:
                 stats[kind] += 1
                 if kind == "full":
                     stats["clauses_in_scope"] += len(treaty.constraints)
-                escrow = self.escrow
                 if kind == "free":
                     # The path's writes touch no base any clause
                     # mentions: under H2 the treaty still holds, and
-                    # the escrow counters (if any) would not have
-                    # staged these deltas either (max_coeff == 0), so
-                    # the delta computation is skipped along with the
-                    # check.
+                    # the escrow counters would not have staged these
+                    # deltas either (max_coeff == 0), so the delta
+                    # computation is skipped along with the check.
                     violated: set[str] | frozenset[str] = frozenset()
                     if self.validate_escrow:
                         oracle = treaty.violations_after_writes(
@@ -662,7 +637,8 @@ class SiteServer:
                                 f"{proc.row_index}: FREE bypass but full "
                                 f"check violates {sorted(oracle)}"
                             )
-                elif escrow is not None:
+                else:
+                    escrow = self.escrow  # every installed treaty has one
                     engine = self.engine
                     if escrow.synced_epoch != engine.epoch:
                         # Non-transactional writes (sync broadcasts,
@@ -702,13 +678,9 @@ class SiteServer:
                         if set(violated) != oracle:
                             raise EscrowDivergence(
                                 f"site {self.site_id}, {tx_name}: escrow says "
-                                f"{sorted(violated)}, compiled oracle says "
+                                f"{sorted(violated)}, interpreted oracle says "
                                 f"{sorted(oracle)} (deltas {deltas})"
                             )
-                else:
-                    violated = treaty.violations_after_writes(
-                        getobj, txn.written
-                    )
                 if violated:
                     attempted = frozenset(txn.written)
                     txn.abort()
@@ -752,13 +724,6 @@ class SiteServer:
             for name in self.engine.dirty_objects()
             if self.owns(name)
         }
-
-    def apply_sync(self, updates: Mapping[str, int]) -> None:
-        """Install broadcast values (both snapshots and owned objects;
-        owned entries are no-ops since the site is their source)."""
-        for name, value in updates.items():
-            self.engine.poke(name, value)
-        self.engine.checkpoint()
 
     def finish_sync(self) -> None:
         """End of a sync round this site participated in: the dirty

@@ -152,9 +152,9 @@ class SubmitTarget(Protocol):
 #: undo journal, store writes); the commit-time treaty check is priced
 #: separately, by check mechanism.
 LOCAL_SERVICE_MS = 1.5
-#: Per-commit treaty-check cost through the compiled closure (kernels
-#: that report no mechanism -- 2PC, stubs -- price at this too, which
-#: keeps their mean service at the pre-decomposition 2.0 ms).
+#: Per-commit treaty-check cost of kernels that report no mechanism
+#: (2PC, stubs): the price of the retired compiled-closure check, which
+#: keeps their mean service at the pre-decomposition 2.0 ms.
 CHECK_COST_MS = 0.5
 #: Per-commit check cost with the escrow headroom counters engaged
 #: (the measured microbenchmark ratio, ~15x, on the compiled cost).
@@ -288,8 +288,8 @@ def _check_cost_ms(config: SimConfig, cluster) -> float:
     start by the mechanism the kernel reports.
 
     The local baseline enforces no treaty, so it pays nothing; kernels
-    that do not report a mechanism (2PC, test stubs) price at the
-    compiled-closure cost.  The constant is added to
+    that do not report a mechanism (2PC, test stubs) price at
+    :data:`CHECK_COST_MS`.  The constant is added to
     every service draw *after* the exponential sample, so it consumes
     no RNG draws -- the request sequence, and therefore the sync
     ratio, are unchanged by which mechanism is engaged.
@@ -325,8 +325,8 @@ def simulate(
     protected = config.mode in ("homeo", "opt")
     rng = random.Random(config.seed)
     matrix = config.matrix()
-    # Warm the kernel's compiled treaty/guard checks before the first
-    # arrival: every in-run check is one closure call.
+    # Warm the kernel's per-object clause index before the first
+    # arrival, so no in-run commit pays for building it.
     warm = getattr(cluster, "precompile_checks", None)
     if warm is not None:
         warm()

@@ -53,9 +53,6 @@ class BudgetInstance:
     #: optional slack-distribution weights (e.g. sampled per-site demand)
     slack_weights: dict[Hashable, int] = field(default_factory=dict)
 
-    def num_soft(self) -> int:
-        return sum(len(v) for v in self.soft_upper.values())
-
 
 @dataclass
 class BudgetSolution:

@@ -96,9 +96,6 @@ class UndoLog:
                 store.delete(name)
         self.clear()
 
-    def written_objects(self) -> list[str]:
-        return [name for name, _value, _existed in self.entries]
-
     def clear(self) -> None:
         self.entries.clear()
         self._seen.clear()

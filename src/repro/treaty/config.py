@@ -23,7 +23,7 @@ Three closed-form strategies are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.logic.linear import LinearConstraint, LinearExpr
 from repro.solver.ilp import ilp_feasible
@@ -169,9 +169,3 @@ def check_h2(
             if not ok:
                 return False
     return True
-
-
-def configuration_from_mapping(
-    values: Mapping[ConfigVar, int], strategy: str = "custom"
-) -> Configuration:
-    return Configuration(values=dict(values), strategy=strategy)

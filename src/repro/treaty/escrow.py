@@ -1,17 +1,20 @@
 """Escrow headroom counters: the O(1) commit-time treaty check.
 
-The paper's dominant local-treaty shape is a conjunction of linear
-``<=``-bounds over site-owned counters, plus equality pins on objects
-the negotiation froze.  For that shape the compiled closure
-(:func:`repro.logic.compile.compile_clauses`) still re-reads every
-object of every clause on each commit; this module replaces the
-re-evaluation with *decrement-only integer headroom counters* (escrow
-semantics): at install time each counter row's slack ``bound -
-sum(coeff_i * D(x_i))`` is computed once, and a commit's check becomes
-a handful of counter subtractions driven by the transaction's write
-deltas.  A violation is exactly "a counter would go negative", at
-which point the violated row indices are reported so the caller can
-reconstruct the violated-object set for the cleanup/negotiation path.
+Every local treaty that generation produces is a conjunction of
+linear ``<=``-bounds over site-owned objects, plus equality pins on
+objects the negotiation froze (:func:`repro.logic.compile.
+lower_to_escrow` raises on anything else).  Re-evaluating those
+clauses on every commit would re-read every object of every clause
+touched; this module is the site's one commit-time check instead, and
+it never evaluates a clause: it keeps *decrement-only integer headroom
+counters* (escrow semantics).  At install time each counter row's
+slack ``bound - sum(coeff_i * D(x_i))`` is read once
+(:meth:`~repro.logic.linear.LinearConstraint.slack`), and a commit's
+check becomes a handful of counter subtractions driven by the
+transaction's write deltas.  A violation is exactly "a counter would
+go negative", at which point the violated row indices are reported so
+the caller can reconstruct the violated-object set for the
+cleanup/negotiation path.
 An equality pin contributes an opposing pair of zero-slack rows
 (``e <= b`` and ``-e <= -b``), so the same "negative counter" test
 detects a pin breaking in either direction.
@@ -54,8 +57,9 @@ no budget rows and an uncapped "unbounded" budget would fast-admit
 pin-breaking writes.)  A pin row that is already negative -- possible
 only when a resync recomputed the counters from a state that breaks
 the treaty -- drops the budget to ``-1`` so every commit is judged on
-the exact counters, keeping the verdict identical to the compiled
-oracle even off the protocol's H2 happy path.
+the exact counters, keeping the verdict identical to the interpreted
+oracle (:meth:`repro.treaty.table.LocalTreaty.violations_after_writes`)
+even off the protocol's H2 happy path.
 
 The account is deliberately *not* aware of the storage engine: callers
 feed it ``{object: delta}`` maps (the site server derives them from
@@ -95,19 +99,10 @@ _UNBOUNDED = 1 << 62
 
 
 class EscrowDivergence(AssertionError):
-    """The escrow fast path and the compiled oracle disagreed on one
+    """The escrow account and the interpreted oracle disagreed on one
     commit's verdict -- a bug in the lowering or the counter state,
     surfaced loudly by validate mode instead of silently weakening (or
     over-enforcing) the treaty."""
-
-
-def clause_slack(con: LinearConstraint, getobj: Callable[[str], int]) -> int:
-    """Remaining headroom of one ``<=``-clause on the given state:
-    ``bound - sum(d_i * D(x_i))`` (negative means violated)."""
-    value = 0
-    for var, coeff in con.expr.coeffs:
-        value += coeff * getobj(var.name)
-    return con.bound - value
 
 
 class EscrowAccount:
@@ -177,7 +172,7 @@ class EscrowAccount:
             # A pin row already negative means the installed state
             # breaks the treaty (only reachable through an off-H2
             # resync): force the exact path on every commit so the
-            # verdict still matches the compiled oracle.
+            # verdict still matches the interpreted oracle.
             if pin_idx and min(map(h_get, pin_idx)) < 0:
                 return -1
             base = min(map(h_get, budget_idx)) if budget_idx else pin_cap
@@ -317,7 +312,7 @@ class EscrowAccount:
                 stale.add(slot)
         rows = program.rows
         for slot in stale:
-            headroom[slot] = clause_slack(rows[slot], getobj)
+            headroom[slot] = rows[slot].slack(getobj)
         self._flush()  # nothing pending: re-reads the budget
         self.synced_epoch = epoch
 
@@ -333,7 +328,7 @@ class EscrowAccount:
         headroom = self.headroom
         for slot, row in enumerate(self.program.rows):
             if row is not None:
-                headroom[slot] = clause_slack(row, getobj)
+                headroom[slot] = row.slack(getobj)
         self._discard_window()
         self.counters["resyncs"] += 1
         if epoch is not None:

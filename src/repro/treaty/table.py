@@ -10,9 +10,8 @@ replaces it at each round boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Mapping
+from typing import AbstractSet, Callable, Mapping, Sequence
 
-from repro.logic.compile import ClauseCheck, compile_clause, compile_clauses
 from repro.logic.linear import LinearConstraint
 from repro.logic.linearize import LinearizedTreaty
 from repro.logic.terms import ObjT
@@ -32,60 +31,38 @@ class InstallDivergence(AssertionError):
 class LocalTreaty:
     """The conjunction of local treaty clauses enforced at one site.
 
+    A site enforces it through its escrow account
+    (:mod:`repro.treaty.escrow`); the methods here evaluate the clauses
+    on a store directly -- the H2 check and the validate-mode oracle
+    the account's verdicts are held to.
+
     ``constraints`` must not be mutated after construction: the
-    compiled whole-treaty check and the per-object clause index are
-    built lazily from it and cached.  Replacing a site's treaty means
-    installing a *new* ``LocalTreaty`` (which is what every install
-    path does), never editing one in place.
+    per-object clause index is built lazily from it and cached.
+    Replacing a site's treaty means installing a *new* ``LocalTreaty``
+    (which is what every install path does), never editing one in
+    place.
     """
 
     site: int
     constraints: list[LinearConstraint] = field(default_factory=list)
-    _by_object: dict[str, list[tuple[LinearConstraint, ClauseCheck]]] | None = None
-    _compiled: ClauseCheck | None = None
-    _clause_checks_cache: list[tuple[LinearConstraint, ClauseCheck]] | None = None
-
-    def compiled_check(self) -> ClauseCheck:
-        """The whole-treaty check as one compiled closure (the
-        per-commit fast path)."""
-        if self._compiled is None:
-            self._compiled = compile_clauses(self.constraints)
-        return self._compiled
+    _by_object: dict[str, list[LinearConstraint]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def holds(self, getobj: Callable[[str], int]) -> bool:
-        return self.compiled_check()(getobj)
+        return all(con.holds_on(getobj) for con in self.constraints)
 
-    def _clause_checks(self) -> list[tuple[LinearConstraint, ClauseCheck]]:
-        """Per-clause compiled checks, in clause order, built once per
-        treaty (:meth:`violated_clauses` and the per-object index both
-        read from here instead of re-entering ``compile_clause``)."""
-        if self._clause_checks_cache is None:
-            self._clause_checks_cache = [
-                (con, compile_clause(con)) for con in self.constraints
-            ]
-        return self._clause_checks_cache
-
-    def _object_index(self) -> dict[str, list[tuple[LinearConstraint, ClauseCheck]]]:
-        if self._by_object is None:
-            index: dict[str, list[tuple[LinearConstraint, ClauseCheck]]] = {}
-            for con, check in self._clause_checks():
+    def clauses_over(self, name: str) -> Sequence[LinearConstraint]:
+        """The clauses mentioning object ``name``, in treaty order (the
+        per-object index, built on the first lookup)."""
+        index = self._by_object
+        if index is None:
+            index = self._by_object = {}
+            for con in self.constraints:
                 for var in con.variables():
                     assert isinstance(var, ObjT)
-                    index.setdefault(var.name, []).append((con, check))
-            self._by_object = index
-        return self._by_object
-
-    def holds_after_writes(
-        self, getobj: Callable[[str], int], written: set[str]
-    ) -> bool:
-        """Treaty check restricted to clauses touching written objects.
-
-        Sound fast path for the per-commit check: the treaty held
-        before the transaction (H2 at round start, inductively per
-        commit), and a clause's truth value can only change if one of
-        its objects was written.
-        """
-        return not self.violations_after_writes(getobj, written)
+                    index.setdefault(var.name, []).append(con)
+        return index.get(name, ())
 
     def violations_after_writes(
         self, getobj: Callable[[str], int], written: set[str]
@@ -93,28 +70,26 @@ class LocalTreaty:
         """Objects of every violated clause touching the written set
         (empty means the treaty still holds).
 
-        The object set seeds the cleanup phase's participant
-        computation: the violated treaty factors name the sites whose
-        state and treaty pieces the negotiation must involve.
+        Restricting the check to those clauses is sound because the
+        treaty held before the transaction (H2 at round start,
+        inductively per commit), and a clause's truth value can only
+        change if one of its objects was written.  The object set seeds
+        the cleanup phase's participant computation: the violated
+        treaty factors name the sites whose state and treaty pieces the
+        negotiation must involve.
         """
-        index = self._object_index()
         seen: set[int] = set()
         violated: set[str] = set()
         for name in written:
-            for con, check in index.get(name, ()):
+            for con in self.clauses_over(name):
                 if id(con) in seen:
                     continue
                 seen.add(id(con))
-                if not check(getobj):
+                if not con.holds_on(getobj):
                     for var in con.variables():
                         assert isinstance(var, ObjT)
                         violated.add(var.name)
         return violated
-
-    def violated_clauses(self, getobj: Callable[[str], int]) -> list[LinearConstraint]:
-        return [
-            con for con, check in self._clause_checks() if not check(getobj)
-        ]
 
     def objects(self) -> set[str]:
         names: set[str] = set()
@@ -191,12 +166,6 @@ class TreatyTable:
             for name in local.objects():
                 index.setdefault(name, set()).add(site)
         return index
-
-    def global_holds(self, getobj: Callable[[str], int]) -> bool:
-        """Direct check of the global treaty (needs a global view;
-        used in tests and during synchronization, never during normal
-        disconnected execution)."""
-        return self.global_treaty.holds_on(getobj)
 
     def pretty(self) -> str:
         lines = [f"treaty table (round {self.round_number})"]

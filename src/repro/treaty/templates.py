@@ -72,17 +72,7 @@ class ClauseTemplate:
 
     def local_sum_on(self, site: int, getobj: Callable[[str], int]) -> int:
         expr = self.site_exprs.get(site)
-        if expr is None:
-            return 0
-        total = 0
-        for var, coeff in expr.coeffs:
-            assert isinstance(var, ObjT)
-            total += coeff * getobj(var.name)
-        return total
-
-    def global_holds_on(self, getobj: Callable[[str], int]) -> bool:
-        total = sum(self.local_sum_on(s, getobj) for s in self.sites)
-        return total <= self.bound if self.op == "<=" else total == self.bound
+        return 0 if expr is None else expr.value_on(getobj)
 
     def pretty(self) -> str:
         parts = []
@@ -101,13 +91,6 @@ class TreatyTemplates:
 
     clauses: list[ClauseTemplate] = field(default_factory=list)
     sites: tuple[int, ...] = ()
-
-    def config_vars(self) -> list[ConfigVar]:
-        return [cl.config_var(s) for cl in self.clauses for s in cl.sites]
-
-    def hard_constraints(self) -> list[LinearConstraint]:
-        """theta_h of Algorithm 1: locals must imply the global treaty."""
-        return [cl.hard_constraint() for cl in self.clauses]
 
     def rebound(self, constraints: Sequence[LinearConstraint]) -> "TreatyTemplates":
         """These templates over ``constraints`` that differ from the
@@ -153,7 +136,9 @@ def build_templates(
                 raise TemplateError(f"non-object variable {var!r} in treaty clause")
             site = locate(var.name)
             if site not in site_set:
-                raise TemplateError(f"object {var.name!r} located on unknown site {site}")
+                raise TemplateError(
+                    f"object {var.name!r} located on unknown site {site}"
+                )
             per_site.setdefault(site, {})[var] = coeff
         templates.clauses.append(
             ClauseTemplate(

@@ -27,7 +27,7 @@ implicit:
   canonical example).
 - :mod:`repro.workloads.quota` -- a multi-tenant rate limiter: many
   small independent treaties stressing the treaty table and the
-  compiled-check cache.
+  escrow index.
 
 The micro, geo, TPC-C and fleet workloads share one builder spine
 and one request shape, both in :mod:`repro.workloads.common`, whose

@@ -53,11 +53,6 @@ def require_positive(name: str, value: int | float) -> None:
         raise WorkloadSpecError(f"{name} must be positive, got {value!r}")
 
 
-def require_at_least(name: str, value: int | float, floor: int | float) -> None:
-    if value < floor:
-        raise WorkloadSpecError(f"{name} must be >= {floor}, got {value!r}")
-
-
 def require_fraction(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise WorkloadSpecError(f"{name} must be in [0, 1], got {value!r}")

@@ -3,10 +3,10 @@
 Where the flash sale concentrates all contention on one slot, the
 quota workload shatters it: every tenant owns a private ``used``
 counter with a private invariant ``used <= limit``, so the treaty
-table holds one small treaty per tenant and the compiled-check cache
-one guard clause per tenant.  Scaling the tenant count is therefore a
-direct stress test of the treaty *table* and the compiled-check
-*cache* -- the per-commit metadata path -- rather than of headroom
+table holds one small treaty per tenant and each site's escrow account
+one counter row per tenant clause.  Scaling the tenant count is
+therefore a direct stress test of the treaty *table* and the escrow
+*index* -- the per-commit metadata path -- rather than of headroom
 arithmetic on a single hot counter.
 
 One family does the work, in the same two-path shape as the micro

@@ -121,9 +121,6 @@ class WeatherWorkload:
     def record_low(self) -> Transaction:
         return parse_transaction(record_low_source(self.num_days))
 
-    def record_obs(self) -> Transaction:
-        return parse_transaction(record_range_source(self.num_days))
-
     def top2_lows(self) -> Transaction:
         return parse_transaction(top2_of_minimums_source(self.num_days))
 

@@ -1,12 +1,11 @@
-"""Compiled-check equivalence and cache-invalidation tests.
+"""Compiled-guard equivalence and cache-invalidation tests.
 
-The compiled fast path (:mod:`repro.logic.compile`) must be
-observationally identical to the interpreters it replaces --
-``Formula.evaluate`` for guards and the per-clause loop for treaty
-constraints -- on *every* environment, including the error behaviour
-for unbound parameters.  Hypothesis generates random ASTs and
+A compiled guard (:func:`repro.logic.compile.compile_formula`) must be
+observationally identical to ``Formula.evaluate``, the interpreter it
+replaces, on *every* environment, including the error behaviour for
+unbound parameters.  Hypothesis generates random ASTs and
 environments; the treaty-table tests pin the cache-invalidation
-contract (a replaced treaty is recompiled, never served stale).
+contract (a replaced treaty is re-indexed, never served stale).
 """
 
 from __future__ import annotations
@@ -15,12 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic.compile import (
-    compile_clause,
-    compile_clauses,
-    compile_formula,
-    interpret_clauses,
-)
+from repro.logic.compile import compile_formula
 from repro.logic.formula import And, BoolConst, Cmp, Formula, Not, Or
 from repro.logic.linear import LinearConstraint, LinearExpr
 from repro.logic.terms import (
@@ -88,16 +82,6 @@ environments = st.tuples(
     st.fixed_dictionaries({name: st.integers(-15, 15) for name in TEMP_NAMES}),
 )
 
-linear_constraints = st.builds(
-    lambda coeffs, op, bound: LinearConstraint.make(
-        LinearExpr.make({ObjT(name): c for name, c in coeffs.items()}), op, bound
-    ),
-    st.dictionaries(st.sampled_from(OBJ_NAMES), st.integers(-6, 6), max_size=3),
-    st.sampled_from(("<", "<=", "=", ">", ">=")),
-    st.integers(-30, 30),
-)
-
-
 class TestFormulaEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(formula=formulas, env=environments)
@@ -135,34 +119,6 @@ class TestFormulaEquivalence:
         assert compile_formula(formula)(getobj) == formula.evaluate(getobj)
 
 
-class TestClauseEquivalence:
-    @settings(max_examples=300, deadline=None)
-    @given(cons=st.lists(linear_constraints, max_size=5), salt=st.integers(0, 7))
-    def test_conjunction_matches_interpreter(self, cons, salt):
-        getobj = make_getobj(salt)
-        expected = interpret_clauses(cons, getobj)
-        assert compile_clauses(cons)(getobj) == expected
-        assert all(compile_clause(c)(getobj) for c in cons) == expected
-
-    @settings(max_examples=100, deadline=None)
-    @given(con=linear_constraints, salt=st.integers(0, 7))
-    def test_clause_matches_satisfied_by(self, con, salt):
-        getobj = make_getobj(salt)
-        assignment = {var: getobj(var.name) for var in con.variables()}
-        assert compile_clause(con)(getobj) == con.satisfied_by(assignment)
-
-    def test_large_conjunction_chunks(self):
-        # Past the chunking threshold the check is split across several
-        # code objects; semantics must not change.
-        cons = [
-            LinearConstraint.make(LinearExpr.variable(ObjT(f"o{i}")), "<=", 100)
-            for i in range(200)
-        ]
-        check = compile_clauses(cons)
-        assert check(lambda name: 7) is True
-        assert check(lambda name: 101) is False
-
-
 def le_clause(name: str, bound: int) -> LinearConstraint:
     return LinearConstraint.make(LinearExpr.variable(ObjT(name)), "<=", bound)
 
@@ -190,10 +146,6 @@ class TestCacheInvalidation:
 
         cluster = MicroWorkload(num_items=2, refill=5).build_homeostasis()
         treaties = [server.local_treaty for server in cluster.sites.values()]
-        assert all(t._compiled is None and t._by_object is None for t in treaties)
+        assert all(t._by_object is None for t in treaties)
         assert cluster.precompile_checks() == len(treaties) == 2
-        assert not any(t._compiled is None or t._by_object is None for t in treaties)
-
-    def test_local_treaty_compiled_check_is_cached(self):
-        treaty = LocalTreaty(site=0, constraints=[le_clause("x", 5)])
-        assert treaty.compiled_check() is treaty.compiled_check()
+        assert not any(t._by_object is None for t in treaties)

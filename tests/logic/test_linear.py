@@ -12,7 +12,7 @@ from repro.logic.linear import (
     constraints_of_cmp,
     linear_of_term,
 )
-from repro.logic.terms import Add, Const, Mul, Neg, ObjT
+from repro.logic.terms import Add, Const, Mul, Neg, ObjT, ParamT
 
 x = ObjT("x")
 y = ObjT("y")
@@ -41,6 +41,15 @@ class TestLinearExpr:
     def test_evaluate(self):
         expr = LinearExpr.make({x: 2, y: -1}, 4)
         assert expr.evaluate({x: 3, y: 1}) == 9
+
+    def test_value_on_reads_objects_by_name(self):
+        expr = LinearExpr.make({x: 2, y: -1}, 4)
+        assert expr.value_on({"x": 3, "y": 1}.__getitem__) == 9
+
+    def test_value_on_refuses_a_non_object_variable(self):
+        expr = LinearExpr.make({x: 1, ParamT("p"): 1})
+        with pytest.raises(LinearizationError, match="non-object"):
+            expr.value_on(lambda name: 0)
 
 
 class TestNormalization:
@@ -82,6 +91,14 @@ class TestNormalization:
         con = LinearConstraint.make(LinearExpr.make({x: 1, y: 1}), "<=", 10)
         assert con.satisfied_by({x: 4, y: 6})
         assert not con.satisfied_by({x: 5, y: 6})
+
+    def test_slack_on_a_store(self):
+        con = LinearConstraint.make(LinearExpr.make({x: 1, y: 1}), "<=", 10)
+        assert con.slack({"x": 4, "y": 6}.__getitem__) == 0
+        assert con.slack({"x": 5, "y": 6}.__getitem__) == -1
+        pin = LinearConstraint.make(LinearExpr.make({x: 1}), "=", 3)
+        assert pin.holds_on(lambda name: 3)
+        assert not pin.holds_on(lambda name: 2)  # positive slack breaks a pin
 
     def test_negated_inequality(self):
         con = LinearConstraint.make(LinearExpr.make({x: 1}), "<=", 5)
@@ -128,7 +145,8 @@ class TestLowering:
     st.integers(-15, 15),
 )
 def test_normalization_preserves_integer_semantics(coeffs, op, bound, vx, vy):
-    """The normalized constraint holds exactly when the original does."""
+    """The normalized constraint holds exactly when the original does,
+    evaluated on an assignment or on a store."""
     con = LinearConstraint.make(LinearExpr.make(coeffs), op, bound)
     total = coeffs.get(x, 0) * vx + coeffs.get(y, 0) * vy
     original = {
@@ -139,3 +157,4 @@ def test_normalization_preserves_integer_semantics(coeffs, op, bound, vx, vy):
         ">=": total >= bound,
     }[op]
     assert con.satisfied_by({x: vx, y: vy}) == original
+    assert con.holds_on({"x": vx, "y": vy}.__getitem__) == original

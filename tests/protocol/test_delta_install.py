@@ -26,10 +26,10 @@ import pytest
 from repro.analysis.pathsplit import build_path_checks
 from repro.analysis.symbolic import build_symbolic_table
 from repro.lang.parser import parse_transaction
-from repro.logic.compile import lower_to_escrow
+from repro.logic.compile import CompilationError, lower_to_escrow
 from repro.logic.linear import LinearConstraint, LinearExpr
 from repro.logic.terms import ObjT, ParamT
-from repro.protocol.site import SiteServer, clause_slack
+from repro.protocol.site import SiteServer
 from repro.storage.wal import decode_local_treaty, encode_local_treaty
 from repro.treaty.escrow import EscrowAccount
 from repro.treaty.table import InstallDivergence, LocalTreaty
@@ -68,9 +68,7 @@ def _assert_install_is_the_reference(server, round_number):
     """What installing ``server.local_treaty`` from scratch on the
     server's current store leaves behind."""
     treaty, peek = server.local_treaty, server.engine.peek
-    headroom = {
-        con: clause_slack(con, peek) for con in treaty.constraints if con.op == "<="
-    }
+    headroom = {con: con.slack(peek) for con in treaty.constraints if con.op == "<="}
     paths = build_path_checks(server.catalog, treaty)
     record = {"kind": "treaty_install", "round": round_number}
     record.update(encode_local_treaty(treaty, headroom, paths))
@@ -79,13 +77,9 @@ def _assert_install_is_the_reference(server, round_number):
     assert _line(server.wal.last_treaty_install()) == _line(record)
     assert server.install_headroom == headroom
     assert server.path_checks == paths
-    program = lower_to_escrow(tuple(treaty.constraints))
-    assert (server.escrow is None) == (program is None)
-    if program is None:
-        return
+    program = lower_to_escrow(treaty.constraints)
     counters = [
-        headroom[row] if row in headroom else clause_slack(row, peek)
-        for row in program.rows
+        headroom[row] if row in headroom else row.slack(peek) for row in program.rows
     ]
     assert server.escrow.enforced() == EscrowAccount(program, counters).enforced()
 
@@ -235,8 +229,8 @@ def _clause(rng):
     return LinearConstraint.make(LinearExpr.make(coeffs), op, rng.randrange(-3, 9))
 
 
-#: escrow-ineligible, opaque to the classifier, and outside what the
-#: WAL codec (rightly) carries: clauses over ground objects
+#: a clause treaty generation never emits: over a parameter, so it has
+#: no escrow lowering and is outside what the WAL codec carries
 OPAQUE = LinearConstraint.make(LinearExpr.make({ParamT("p"): 1}), "<=", 3)
 
 
@@ -248,14 +242,15 @@ def test_arbitrary_reinstalls_pass_the_install_oracle(seed):
     derives (``validate_escrow`` raises ``InstallDivergence`` if not).
     Commits run in between, so a carried clause's counter is no longer
     the grant it started from and has to be what the store says
-    anyway; now and then a clause over a parameter takes the site off
-    the counters for an install or two."""
+    anyway.  Now and then a treaty carries a clause over a parameter:
+    the install is refused and the site keeps the treaty it held, its
+    account and its log as they were."""
     rng = random.Random(seed)
     server = SiteServer(site_id=0, locate=lambda name: 0, validate_escrow=True)
     for source in SOURCES:
         server.catalog.register(build_symbolic_table(parse_transaction(source)))
     clauses = [_clause(rng) for _ in range(4)]
-    commits = 0
+    commits = refused = 0
     for round_number in range(80):
         move = rng.random()
         if move < 0.35:
@@ -269,23 +264,27 @@ def test_arbitrary_reinstalls_pass_the_install_oracle(seed):
         if 0.75 <= move < 0.85:
             record = encode_local_treaty(LocalTreaty(site=0, constraints=clauses))
             clauses = decode_local_treaty(record)[0].constraints
-        ground = rng.random() < 0.9
-        treaty = LocalTreaty(
-            site=0, constraints=list(clauses) if ground else [*clauses, OPAQUE]
-        )
         server.engine.poke("x", rng.randrange(0, 6))
         server.engine.poke("qty[1]", rng.randrange(0, 6))
+        if rng.random() < 0.1 and server.local_treaty is not None:
+            held = server.local_treaty, server.escrow, server.wal.size_bytes()
+            opaque = LocalTreaty(site=0, constraints=[*clauses, OPAQUE])
+            with pytest.raises(CompilationError):
+                server.install_treaty(opaque, round_number)
+            assert (server.local_treaty, server.escrow, server.wal.size_bytes()) == held
+            refused += 1
+        treaty = LocalTreaty(site=0, constraints=list(clauses))
         server.install_treaty(treaty, round_number)
-        assert (server.escrow is not None) == ground
+        assert server.escrow is not None
         if rng.random() < 0.2:
             server.install_treaty(treaty, round_number)  # same object again
-        if rng.random() < 0.1 and ground:
+        if rng.random() < 0.1:
             server.replay_wal()
-        # (no check, compiled or counted, evaluates a clause over a parameter)
-        for _ in range(rng.randrange(4) if ground else 0):
+        for _ in range(rng.randrange(4)):
             tx_name = rng.choice(("Drain", "Tap", "BuyP", "Fill"))
             outcome = server.execute(tx_name, {"i": rng.randrange(3)})
             commits += outcome.committed
     assert commits > 20  # and the clauses did not just reject them all
+    assert refused > 0
     kinds = {check.kind for checks in server.path_checks.values() for check in checks}
     assert kinds  # classified every round; the oracle compared each one

@@ -246,7 +246,6 @@ class TestClusterFaults:
         crash lives in the durable store, never in the (volatile)
         account."""
         from repro.logic.compile import lower_to_escrow
-        from repro.protocol.site import clause_slack
 
         workload, cluster = _micro_cluster()
         rng = random.Random(3)
@@ -268,15 +267,15 @@ class TestClusterFaults:
         program = server.escrow.program
         # The lowering of a fresh install of the replayed treaty, and
         # exactly the slack a fresh lowering would grant.
-        fresh = lower_to_escrow(tuple(server.local_treaty.constraints))
+        fresh = lower_to_escrow(server.local_treaty.constraints)
         assert (program.rows, program.touching) == (fresh.rows, fresh.touching)
         assert server.escrow.headroom == [
-            clause_slack(row, server.engine.peek) for row in program.rows
+            row.slack(server.engine.peek) for row in program.rows
         ]
         # (The engine epoch may have moved again during the rejoin
         # synchronization; the lazy per-commit resync covers that.)
         # The recovered account keeps enforcing (validate mode runs
-        # the compiled oracle next to it).
+        # the interpreted oracle next to it).
         req = workload.next_request(rng, site=1)
         cluster.submit(req.tx_name, req.params)
 

@@ -131,15 +131,15 @@ class TestCheckStatsCounters:
 
 
 class TestPartitionAgainstOracle:
-    def _compiled_server(self, constraints):
-        """A server forced onto the compiled (non-escrow) check path,
-        so the closure arm of the full check is what runs."""
+    def _escrow_server(self, constraints):
+        """A validate-mode server whose full checks run on its escrow
+        account, the interpreted oracle beside every verdict."""
         server = _server(DRAIN_SRC, constraints=constraints)
-        server.escrow = None
+        assert server.escrow is not None and server.validate_escrow
         return server
 
     def test_partition_detects_violation(self):
-        server = self._compiled_server([_le({"x": -1}, -1)])
+        server = self._escrow_server([_le({"x": -1}, -1)])
         server.engine.poke("x", 2)
         assert server.execute("Drain").committed  # x: 2 -> 1
         result = server.execute("Drain")  # x: 1 -> 0 violates x >= 1
@@ -149,7 +149,7 @@ class TestPartitionAgainstOracle:
 
     def test_partition_agrees_with_full_check_in_validate_mode(self):
         # validate_escrow is on and the escrow arm runs: any
-        # disagreement with the compiled oracle raises out of execute().
+        # disagreement with the interpreted oracle raises out of execute().
         server = _server(DRAIN_SRC, constraints=[_le({"x": -1}, -1), _le({"y": 1}, 5)])
         assert server.escrow is not None
         server.engine.poke("x", 6)
@@ -161,7 +161,7 @@ class TestPartitionAgainstOracle:
         # The check must not charge the drain path for the y-clause:
         # with y already past its bound before the commit, H2 is broken
         # for y, but every clause over what the drain wrote still holds.
-        server = self._compiled_server([_le({"x": -1}, -1), _le({"y": 1}, 5)])
+        server = self._escrow_server([_le({"x": -1}, -1), _le({"y": 1}, 5)])
         server.engine.poke("x", 4)
         server.engine.poke("y", 9)
         result = server.execute("Drain")

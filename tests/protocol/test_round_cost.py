@@ -16,8 +16,7 @@ import json
 
 import repro.protocol.site as site_module
 import repro.storage.wal as wal_module
-import repro.treaty.escrow as escrow_module
-from repro.logic.linear import LinearExpr
+from repro.logic.linear import LinearConstraint, LinearExpr
 from repro.logic.linearize import LinearizedTreaty
 from repro.logic.terms import parse_ground_name
 from repro.treaty.templates import ClauseTemplate
@@ -51,11 +50,12 @@ def _one_round_cost(num_items, monkeypatch):
     )
     # The site side: store walks (a clause's slack, an escrow row's),
     # clauses lowered, clauses encoded.
-    slack = _Calls(escrow_module.clause_slack)
+    slack = _Calls(LinearConstraint.slack)
     lower = _Calls(site_module.lower_clause)
     encode = _Calls(wal_module._encode_clause)
-    monkeypatch.setattr(site_module, "clause_slack", slack)
-    monkeypatch.setattr(escrow_module, "clause_slack", slack)
+    monkeypatch.setattr(
+        LinearConstraint, "slack", lambda self, getobj: slack(self, getobj)
+    )
     monkeypatch.setattr(site_module, "lower_clause", lower)
     monkeypatch.setattr(wal_module, "_encode_clause", encode)
 

@@ -7,7 +7,7 @@ from repro.lang.parser import parse_transaction
 from repro.logic.linear import LinearConstraint, LinearExpr
 from repro.logic.terms import ObjT
 from repro.protocol.catalog import CatalogError, StoredProcedureCatalog
-from repro.protocol.messages import MessageStats
+from repro.protocol.messages import MessageStats, SyncBroadcast
 from repro.protocol.site import SiteServer
 from repro.treaty.table import LocalTreaty
 
@@ -101,7 +101,9 @@ class TestSiteServer:
         server.execute("Incr")
         dirty = server.dirty_owned_values()
         assert dirty == {"x": 1}
-        server.apply_sync({"x": 42, "remote": 7})
+        # The kernel's path: the round's broadcast, then its end.
+        server.handle(SyncBroadcast(src=1, dst=0, updates=(("x", 42), ("remote", 7))))
+        server.finish_sync()
         assert server.engine.peek("x") == 42
         assert server.engine.peek("remote") == 7
         assert server.dirty_owned_values() == {}

@@ -6,6 +6,10 @@ guard runs the six cluster workloads and fails when a kind is never
 installed, or installed and never executed, anywhere in the fleet -- so
 a tier that stops firing (or a new one that never did) is a red test,
 not a finding in the next audit (docs/AUDIT.md).
+
+The ``full`` kind has one dynamic check behind it, the site's escrow
+account, because treaty generation only emits clauses the account can
+carry; the same fleet guards that too.
 """
 
 import random
@@ -13,6 +17,7 @@ import random
 import pytest
 
 from repro.analysis.pathsplit import CHECK_KINDS
+from repro.logic.compile import lower_to_escrow
 from repro.workloads import (
     BankingWorkload,
     FlashSaleWorkload,
@@ -50,8 +55,8 @@ FLEET = {
 
 @pytest.fixture(scope="module")
 def fleet():
-    """name -> (kinds installed at any site, cluster-wide check counters)
-    after 150 requests."""
+    """name -> (kinds installed at any site, cluster-wide check counters,
+    the cluster) after 150 requests."""
     out = {}
     for name, make in FLEET.items():
         workload = make()
@@ -66,13 +71,13 @@ def fleet():
             for checks in server.path_checks.values()
             for check in checks
         }
-        out[name] = installed, cluster.classifier_stats()
+        out[name] = installed, cluster.classifier_stats(), cluster
     return out
 
 
 @pytest.mark.parametrize("name", sorted(FLEET))
 def test_kinds_account_for_every_check(fleet, name):
-    installed, stats = fleet[name]
+    installed, stats, _cluster = fleet[name]
     assert installed <= set(CHECK_KINDS)
     assert stats["checked"] > 0
     assert sum(stats[kind] for kind in CHECK_KINDS) == stats["checked"]
@@ -80,7 +85,23 @@ def test_kinds_account_for_every_check(fleet, name):
 
 @pytest.mark.parametrize("kind", CHECK_KINDS)
 def test_every_kind_is_installed_and_executed(fleet, kind):
-    installed_in = [name for name, (kinds, _) in fleet.items() if kind in kinds]
-    executed_in = [name for name, (_, stats) in fleet.items() if stats[kind]]
+    installed_in = [name for name, (kinds, _, _) in fleet.items() if kind in kinds]
+    executed_in = [name for name, (_, stats, _) in fleet.items() if stats[kind]]
     assert installed_in, f"no workload installs a {kind!r} check"
     assert executed_in, f"{kind!r} is installed but never executed"
+
+
+@pytest.mark.parametrize("name", sorted(FLEET))
+def test_every_treaty_lowers_to_the_escrow_account(fleet, name):
+    """Every treaty-bearing site holds an escrow account enforcing the
+    lowering of its treaty: ``lower_to_escrow`` raises on a clause the
+    account cannot carry, so this fails the day treaty generation
+    emits one."""
+    _installed, _stats, cluster = fleet[name]
+    bearing = [s for s in cluster.sites.values() if s.local_treaty is not None]
+    assert bearing
+    for server in bearing:
+        assert server.escrow is not None
+        program = lower_to_escrow(server.local_treaty.constraints)
+        held = [row for row in server.escrow.program.rows if row is not None]
+        assert sorted(map(repr, held)) == sorted(map(repr, program.rows))

@@ -428,8 +428,7 @@ class TestExperimentRunners:
         kernel and reports nothing."""
         res = run("homeo", _micro(num_items=40), max_txns=400)
         assert res.escrow["installs"] > 0
-        assert res.escrow["eligible_ratio"] > 0.0
-        assert res.escrow["sites_on_escrow"] > 0
+        assert res.escrow["sites_with_treaty"] > 0
         assert res.escrow["fast_commits"] + res.escrow["settled_commits"] > 0
         assert run("local", _micro(num_items=40), max_txns=200).escrow == {}
 

@@ -12,8 +12,12 @@ The rebalance invariants the adaptive subsystem rests on:
   (every local treaty is feasible on the current database), whatever
   the observed rates say;
 - the online :class:`repro.protocol.homeostasis.DemandEstimator`
-  favors recent writers and decays stale history.
+  favors recent writers and decays stale history, and exists only in
+  a cluster whose strategy reads it.
 """
+
+import hashlib
+import random
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,6 +29,7 @@ from repro.protocol.homeostasis import DemandEstimator
 from repro.treaty.config import check_h1_algebraic, check_h2
 from repro.treaty.optimize import demand_configuration, demand_split
 from repro.treaty.templates import build_templates
+from repro.workloads.micro import MicroWorkload
 
 rates = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -42,8 +47,10 @@ class TestDemandSplit:
         for share in shares:
             assert share >= effective_floor >= 0
 
-    @given(slack=st.integers(min_value=0, max_value=10_000),
-           count=st.integers(min_value=1, max_value=10))
+    @given(
+        slack=st.integers(min_value=0, max_value=10_000),
+        count=st.integers(min_value=1, max_value=10),
+    )
     def test_zero_demand_degrades_to_equal_split(self, slack, count):
         shares = demand_split(slack, [0.0] * count, floor=0)
         assert sum(shares) == slack
@@ -134,3 +141,28 @@ class TestDemandEstimator:
         for _ in range(40):
             est.observe({"new"})
         assert est.rate("new") > est.rate("old")
+
+
+#: sha256 prefix of every site's WAL after the demand run below: the
+#: treaties a demand cluster installs, as the estimator shapes them
+DEMAND_WAL_DIGEST = "aabb9cf35693f539"
+
+
+def test_only_a_demand_cluster_keeps_an_estimator():
+    """An ``equal-split`` cluster never reads demand, so it has no
+    estimator to feed; a ``demand`` cluster feeds the one its generator
+    reads, and installs exactly the treaties it always did."""
+    workload = MicroWorkload(num_items=4, refill=6, num_sites=3, initial_qty="random")
+    static = workload.build_homeostasis(strategy="equal-split")
+    assert static.demand is None and static.generator.demand is None
+    cluster = workload.build_homeostasis(strategy="demand")
+    assert cluster.demand is not None and cluster.generator.demand is cluster.demand
+    rng = random.Random(2)
+    for _ in range(300):
+        request = workload.next_request(rng)
+        cluster.submit(request.tx_name, request.params)
+    assert cluster.stats.rounds == 180
+    digest = hashlib.sha256()
+    for sid in sorted(cluster.sites):
+        digest.update(bytes(cluster.sites[sid].wal._buf))
+    assert digest.hexdigest()[:16] == DEMAND_WAL_DIGEST

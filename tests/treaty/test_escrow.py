@@ -1,8 +1,8 @@
-"""Escrow fast-path tests: lowering, counter semantics, batching, and
-the differential property against the compiled oracle.
+"""Escrow account tests: lowering, counter semantics, batching, and
+the differential property against the interpreted oracle.
 
-The escrow account (:mod:`repro.treaty.escrow`) replaces the compiled
-per-commit treaty check with decrement-only headroom counters plus a
+The escrow account (:mod:`repro.treaty.escrow`) is a site's one
+commit-time treaty check: decrement-only headroom counters plus a
 batched commit window.  Its contract is *observational equivalence*
 with :meth:`LocalTreaty.violations_after_writes` -- same accept/reject
 verdict and same violated-object set on every commit -- which the
@@ -18,10 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic.compile import PIN_DRAIN, lower_clause, lower_to_escrow
+from repro.logic.compile import (
+    PIN_DRAIN,
+    CompilationError,
+    lower_clause,
+    lower_to_escrow,
+)
 from repro.logic.linear import LinearConstraint, LinearExpr
 from repro.logic.terms import ObjT, ParamT
-from repro.protocol.site import clause_slack
 from repro.treaty.escrow import DEFAULT_WINDOW, EscrowAccount
 from repro.treaty.table import LocalTreaty
 
@@ -37,13 +41,10 @@ def con(coeffs: dict[str, int], op: str, bound: int) -> LinearConstraint:
 def account_for(
     constraints, state: dict[str, int], window: int = DEFAULT_WINDOW
 ) -> EscrowAccount:
-    program = lower_to_escrow(tuple(constraints))
-    assert program is not None
+    program = lower_to_escrow(constraints)
     getobj = lambda n: state.get(n, 0)  # noqa: E731
     return EscrowAccount(
-        program,
-        [clause_slack(row, getobj) for row in program.rows],
-        window=window,
+        program, [row.slack(getobj) for row in program.rows], window=window
     )
 
 
@@ -65,19 +66,22 @@ class TestLowering:
 
     def test_strict_and_reversed_ops_normalize_to_eligible_forms(self):
         # LinearConstraint.make normalizes <, >, >= into <= over the
-        # integers, so every comparison op lowers.
+        # integers, so every comparison op lowers to one budget row.
         for op in ("<", "<=", ">", ">="):
-            assert lower_to_escrow((con({"x": 1}, op, 5),)) is not None
+            assert lower_to_escrow((con({"x": 1}, op, 5),)).budget_rows == [0]
 
     def test_non_object_variable_is_ineligible(self):
         bad = LinearConstraint.make(LinearExpr.variable(ParamT("p")), "<=", 3)
-        assert lower_to_escrow((bad,)) is None
-        assert lower_to_escrow((con({"x": 1}, "<=", 5), bad)) is None
+        with pytest.raises(CompilationError, match="non-object variable"):
+            lower_to_escrow((bad,))
+        with pytest.raises(CompilationError, match="non-object variable"):
+            lower_to_escrow((con({"x": 1}, "<=", 5), bad))
+        strict = LinearConstraint(LinearExpr.variable(ObjT("x")), "<", 5)
+        with pytest.raises(CompilationError, match="operator"):
+            lower_clause(strict)
 
     def test_coefficient_less_clause_lowers_to_no_row(self):
-        program = lower_to_escrow(
-            (con({}, "<=", 3), con({"x": 1}, "<=", 5))
-        )
+        program = lower_to_escrow((con({}, "<=", 3), con({"x": 1}, "<=", 5)))
         assert program.rows == [con({"x": 1}, "<=", 5)]
 
     def test_a_patched_program_is_the_lowering_of_what_it_holds(self):
@@ -257,7 +261,7 @@ class TestBatchingEquivalence:
         assert per_commit.stats()["fast_commits"] == 0
 
 
-# -- differential property test against the compiled oracle -------------------
+# -- differential property test against the interpreted oracle ----------------
 
 clauses = st.builds(
     con,
@@ -290,7 +294,7 @@ class TestDifferential:
         script=steps,
         window=st.sampled_from((1, 2, DEFAULT_WINDOW)),
     )
-    def test_escrow_matches_compiled_oracle(self, cons, state0, script, window):
+    def test_escrow_matches_interpreted_oracle(self, cons, state0, script, window):
         """Accept/reject verdict and violated-object set must match
         ``violations_after_writes`` on every commit, for arbitrary
         (including treaty-breaking) pre-states, zero-delta writes, and
@@ -320,20 +324,27 @@ class TestDifferential:
         # Settled counters end exactly at the final state's slack.
         account.settle()
         getobj = lambda n: state.get(n, 0)  # noqa: E731
-        assert account.headroom == [
-            clause_slack(row, getobj) for row in account.program.rows
-        ]
+        assert account.headroom == [row.slack(getobj) for row in account.program.rows]
 
 
 class TestSiteIntegration:
-    def test_ineligible_treaty_keeps_compiled_path(self):
+    def test_a_treaty_that_does_not_lower_is_refused_at_install(self):
+        """Nothing changes: the site keeps enforcing the treaty it held,
+        on the account it held, and logs nothing."""
         from repro.protocol.site import SiteServer
 
         server = SiteServer(site_id=0, locate=lambda name: 0)
+        held = LocalTreaty(site=0, constraints=[con({"x": 1}, "<=", 9)])
+        server.install_treaty(held)
+        account, logged = server.escrow, server.wal.size_bytes()
         bad = LinearConstraint.make(LinearExpr.variable(ParamT("p")), "<=", 3)
-        server.install_treaty(LocalTreaty(site=0, constraints=[bad]))
-        assert server.escrow is None
-        assert server.escrow_ineligible_installs == 1
+        refused = LocalTreaty(site=0, constraints=[con({"x": 1}, "<=", 7), bad])
+        with pytest.raises(CompilationError):
+            server.install_treaty(refused)
+        assert server.local_treaty is held and server.escrow is account
+        assert list(account.headroom_map().values()) == [9]
+        assert server.wal.size_bytes() == logged
+        assert server.escrow_installs == 1
 
     def test_install_builds_account_from_install_headroom(self):
         from repro.protocol.site import SiteServer
@@ -360,7 +371,7 @@ def test_validate_mode_raises_on_seeded_divergence():
     server = cluster.sites[0]
     assert server.escrow is not None
     # Steal every counter's headroom: the escrow path now rejects
-    # commits the compiled oracle accepts.
+    # commits the interpreted oracle accepts.
     server.escrow.settle()
     server.escrow.headroom[:] = [-1] * len(server.escrow.headroom)
     server.escrow._install_hot_path()

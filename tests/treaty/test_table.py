@@ -1,9 +1,9 @@
-"""Tests for the treaty table and the indexed fast-path check.
+"""Tests for the local treaty's interpreted clause check.
 
-``holds_after_writes`` is a soundness-critical optimization: the
-per-commit treaty check evaluates only clauses touching written
-objects.  Its contract -- equivalence to the full check whenever the
-treaty held before the writes -- is property-tested here.
+``violations_after_writes`` is the validate-mode oracle every escrow
+verdict is held to, and it evaluates only the clauses touching written
+objects.  That restriction's contract -- equivalence to the full check
+whenever the treaty held before the writes -- is property-tested here.
 """
 
 import random
@@ -51,36 +51,25 @@ class TestLocalTreaty:
                 LinearConstraint.make(LinearExpr.variable(ObjT("b")), "<=", 99),
             ],
         )
-        violated = treaty.violated_clauses(lambda n: {"a": 9, "b": 0}.get(n, 0))
-        assert len(violated) == 1
+        state = {"a": 9, "b": 0}
+        violated = treaty.violations_after_writes(state.__getitem__, {"a", "b"})
+        assert violated == {"a"}
 
-    def test_violated_clauses_reuses_cached_per_clause_checks(self):
-        """Repeated calls must not recompile: the per-clause closures
-        are built once and shared with the per-object index."""
-        import repro.logic.compile as compile_mod
-
-        treaty = LocalTreaty(
-            site=0,
-            constraints=[
-                LinearConstraint.make(LinearExpr.variable(ObjT("a")), "<=", 5),
-                LinearConstraint.make(LinearExpr.variable(ObjT("b")), "<=", 9),
-            ],
+    def test_per_object_index_is_built_once_over_the_clauses(self):
+        """The index holds the treaty's own clause objects, in treaty
+        order, and is built on the first lookup only."""
+        ab = LinearConstraint.make(
+            LinearExpr.make({ObjT("a"): 1, ObjT("b"): 1}), "<=", 5
         )
-        treaty.violated_clauses(lambda n: 0)
-        cache = treaty._clause_checks_cache
-        assert cache is not None
-        before = compile_mod.compiled_counts()
-        for _ in range(5):
-            treaty.violated_clauses(lambda n: 0)
-        assert treaty._clause_checks_cache is cache
-        # No new clause entered the compiler: every call served from
-        # the treaty-local cache, not even a memo-table hit.
-        assert compile_mod.compiled_counts() == before
-        # The per-object index shares the same compiled closures.
-        checks = {id(con): chk for con, chk in cache}
-        for entries in treaty._object_index().values():
-            for con, chk in entries:
-                assert checks[id(con)] is chk
+        b = LinearConstraint.make(LinearExpr.variable(ObjT("b")), "<=", 9)
+        treaty = LocalTreaty(site=0, constraints=[ab, b])
+        assert treaty.violations_after_writes(lambda n: 0, {"b"}) == set()
+        index = treaty._by_object
+        assert index is not None
+        assert treaty.clauses_over("b") == [ab, b]
+        assert treaty.clauses_over("a")[0] is ab
+        assert treaty.clauses_over("z") == ()
+        assert treaty._by_object is index
 
     def test_objects_enumeration(self):
         treaty = LocalTreaty(
@@ -103,7 +92,7 @@ class TestLocalTreaty:
         )
         # Full check would fail on this state; the fast path correctly
         # trusts the induction hypothesis for clauses not written.
-        assert treaty.holds_after_writes(lambda n: 99, written={"z"})
+        assert not treaty.violations_after_writes(lambda n: 99, written={"z"})
 
     @settings(max_examples=80)
     @given(seed=st.integers(0, 100_000))
@@ -121,4 +110,5 @@ class TestLocalTreaty:
             new_db[name] = db[name] + rng.randint(-4, 4)
 
         lookup = lambda n: new_db.get(n, 0)  # noqa: E731
-        assert treaty.holds_after_writes(lookup, written) == treaty.holds(lookup)
+        violated = treaty.violations_after_writes(lookup, written)
+        assert (not violated) == treaty.holds(lookup)

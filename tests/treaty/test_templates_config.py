@@ -75,8 +75,16 @@ class TestTemplates:
         assert clause.local_sum_on(2, getobj) == -13
 
     def test_global_holds_on(self):
+        """The sites' shares of the one clause add back up to a global
+        treaty that holds on the database it was split on."""
         templates, getobj, _ = _running_example()
-        assert templates.clauses[0].global_holds_on(getobj)
+        (clause,) = templates.clauses
+        whole = clause.site_exprs[1] + clause.site_exprs[2]
+        treaty = LinearizedTreaty(
+            [LinearConstraint.make(whole, clause.op, clause.bound)]
+        )
+        assert treaty.holds_on(getobj)
+        assert not treaty.holds_on(lambda name: 0)
 
     def test_rebound_moves_bounds_and_shares_the_split(self):
         """Constraints differing in bounds only re-bound the templates
@@ -100,7 +108,9 @@ class TestTemplates:
 
 
 class TestConfigurations:
-    @pytest.mark.parametrize("maker", [default_configuration, equal_split_configuration])
+    @pytest.mark.parametrize(
+        "maker", [default_configuration, equal_split_configuration]
+    )
     def test_h1_and_h2(self, maker):
         templates, getobj, _ = _running_example()
         config = maker(templates, getobj)
