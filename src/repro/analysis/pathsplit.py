@@ -16,9 +16,9 @@ Two check kinds:
     objects, so under H2 (the treaty holds before the commit) it still
     holds after -- the commit can skip the treaty check, the escrow
     interaction, and the write-delta computation outright.  This is
-    exactly escrow-equivalent: untracked objects have ``max_coeff ==
-    0``, so the escrow account would not have staged their deltas
-    either.
+    exactly escrow-equivalent: no escrow row is over an untracked
+    object, so the account would neither have moved nor judged a
+    counter for these writes either.
 
 ``full``
     The path writes a base some clause mentions: the commit runs the

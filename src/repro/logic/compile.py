@@ -19,8 +19,8 @@ local treaty clauses.  This module lowers both ahead of time:
   account** (:mod:`repro.treaty.escrow`), the one commit-time treaty
   check: each clause, a linear ``<=``-bound or equality pin over ground
   objects, becomes counter rows of an :class:`EscrowProgram` -- the
-  static shape (per-row coefficients, object-to-row index, worst-case
-  coefficient magnitudes) a site's headroom counters are run from.
+  static shape (per-row coefficients, object-to-row index) a site's
+  headroom counters are run from.
   Treaty generation emits nothing else (``linearize_for_treaty`` and
   ``build_templates`` refuse clauses over non-object variables,
   :meth:`~repro.logic.linear.LinearConstraint.make` leaves only ``<=``
@@ -80,15 +80,7 @@ _CACHE_LIMIT = 4096
 _formula_cache: dict[Formula, FormulaCheck] = {}
 
 
-# -- escrow lowering (the counter fast path's static shape) ---------------
-
-
-#: drain coefficient assigned to objects pinned by an equality clause:
-#: large enough that any nonzero delta to a pinned object exceeds any
-#: realistic window budget, forcing the exact settle-and-check path
-#: (a pin has zero headroom in at least one direction, so there is no
-#: slack to consume optimistically)
-PIN_DRAIN = 1 << 60
+# -- escrow lowering (the counter check's static shape) --------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +88,7 @@ class ClauseRows:
     """One clause's share of an escrow program: the counter rows it
     lowers to and the objects a violated row is attributed to.
 
-    A ``<=`` clause is its own (budget) row; an equality pin ``e = b``
+    A ``<=`` clause is its own row; an equality pin ``e = b``
     becomes the opposing pair ``e <= b`` and ``-e <= -b``; a
     coefficient-less clause (trivially true, or the canonical-false
     normal form) mentions no object, so neither the account nor the
@@ -108,7 +100,8 @@ class ClauseRows:
     #: per row: its ``(object name, coefficient)`` pairs
     terms: tuple[tuple[tuple[str, int], ...], ...]
     names: tuple[str, ...]
-    #: rows lend headroom to the window budget (``<=`` clauses only)
+    #: a ``<=`` clause: its one row's counter is the clause's
+    #: install-time grant (a pin's rows are not)
     budget: bool
 
 
@@ -143,7 +136,7 @@ def lower_clause(con: LinearConstraint) -> ClauseRows:
 @dataclass(eq=False)
 class EscrowProgram:
     """Shape of a lowered clause set: which counter rows
-    exist, which objects they mention, what a write can drain.
+    exist and which objects they mention.
 
     The mutable counter values live in
     :class:`repro.treaty.escrow.EscrowAccount`.  A site keeps one
@@ -156,10 +149,7 @@ class EscrowProgram:
     computes depends on the numbering.
 
     Each source clause lowers to one or two counter rows, every row a
-    ``<=``-bound (see :class:`ClauseRows`).  Pin rows are excluded
-    from the window budget -- they have no headroom to lend -- and
-    pinned objects carry a :data:`PIN_DRAIN` worst-case coefficient so
-    any write that moves one lands on the exact path.
+    ``<=``-bound (see :class:`ClauseRows`).
     """
 
     #: slot -> counter row, a normalized ``<=``-constraint (``None``:
@@ -170,30 +160,16 @@ class EscrowProgram:
     #: matching the object set ``LocalTreaty.violations_after_writes``
     #: reports)
     clause_objects: list[tuple[str, ...]] = field(default_factory=list)
-    #: slots participating in the window budget (rows lowered from
-    #: ``<=`` clauses; pin rows never lend headroom).  A list, not a
-    #: set: every settlement takes a ``min`` over it, and a removal's
-    #: scan is the same pointer-level pass at a fraction of the rate
-    budget_rows: list[int] = field(default_factory=list)
-    #: slots lowered from equality pins
-    pin_rows: list[int] = field(default_factory=list)
     #: object name -> [(slot, coefficient), ...] for every row
     #: mentioning it
     touching: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
-    #: object name -> max |coefficient| across the rows mentioning it:
-    #: a one-unit write to the object can drain at most this much
-    #: headroom from any single budget row (the window guard's worst
-    #: case); :data:`PIN_DRAIN` for pinned objects
-    max_coeff: dict[str, int] = field(default_factory=dict)
     #: placed clause (by identity) -> the slots of its rows
     slots: dict[ClauseRows, tuple[int, ...]] = field(default_factory=dict)
     _free: list[int] = field(default_factory=list)
 
     def add(self, clause: ClauseRows) -> tuple[int, ...]:
         """Place one clause's rows; returns their slots."""
-        rows, free = self.rows, self._free
-        kind_rows = self.budget_rows if clause.budget else self.pin_rows
-        touching, max_coeff = self.touching, self.max_coeff
+        rows, free, touching = self.rows, self._free, self.touching
         slots = []
         for row, terms in zip(clause.rows, clause.terms):
             if free:
@@ -204,36 +180,25 @@ class EscrowProgram:
                 slot = len(rows)
                 rows.append(row)
                 self.clause_objects.append(clause.names)
-            kind_rows.append(slot)
             slots.append(slot)
             for name, coeff in terms:
                 touching.setdefault(name, []).append((slot, coeff))
-                magnitude = abs(coeff) if clause.budget else PIN_DRAIN
-                if magnitude > max_coeff.get(name, 0):
-                    max_coeff[name] = magnitude
         placed = self.slots[clause] = tuple(slots)
         return placed
 
     def remove(self, clause: ClauseRows) -> None:
         """Take a placed clause's rows back out and free their slots."""
         slots = self.slots.pop(clause)
-        kind_rows = self.budget_rows if clause.budget else self.pin_rows
         for slot in slots:
             self.rows[slot] = None
             self.clause_objects[slot] = ()
-            kind_rows.remove(slot)
             self._free.append(slot)
-        pin_rows = self.pin_rows
         for name in clause.names:
             left = [pair for pair in self.touching[name] if pair[0] not in slots]
             if left:
                 self.touching[name] = left
-                self.max_coeff[name] = max(
-                    PIN_DRAIN if slot in pin_rows else abs(coeff)
-                    for slot, coeff in left
-                )
             else:
-                del self.touching[name], self.max_coeff[name]
+                del self.touching[name]
 
 
 def lower_to_escrow(constraints: Iterable[LinearConstraint]) -> EscrowProgram:

@@ -120,9 +120,9 @@ installed treaty lowers to, so a window's violators are exactly the
 transactions whose decrements would drive a counter negative.  Wave
 installs route through ``install_treaty`` and so patch the counters
 (the rows of the clauses the wave changed, and the rows over an object
-its sync phase poked); pokes that no install follows bump the engine
-epoch, which lazily resynchronizes any site whose counters a
-concurrent wave made stale.
+its sync phase poked); pokes that no install follows stay in the
+engine's ``moved`` set, and the site's next checked commit re-reads
+the rows over them.
 """
 
 from __future__ import annotations

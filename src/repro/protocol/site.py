@@ -23,9 +23,9 @@ outright.  Every other path is ``full`` and is checked by the site's
 treaty lowers to headroom counters (``lower_to_escrow``; a clause that
 does not is refused at install with ``CompilationError`` and the site
 keeps the treaty it held), and the commit check is counter
-subtractions driven by the undo journal's write deltas, with batched
-window settlement.  ``validate_escrow`` mode runs the interpreted
-clause check (:meth:`~repro.treaty.table.LocalTreaty.
+subtractions driven by the undo journal's write deltas, exact after
+every commit.  ``validate_escrow`` mode runs the interpreted clause
+check (:meth:`~repro.treaty.table.LocalTreaty.
 violations_after_writes`) beside both arms as their oracle, raising on
 any disagreement.
 
@@ -40,7 +40,7 @@ install is the delta from the empty treaty, logged as a full
 
 **The headroom invariant.**  A clause's install-time grant is its
 slack on the install-time store.  For a carried clause that number is
-already in the site's hands: a settled escrow counter *is* ``bound -
+already in the site's hands: an escrow counter *is* ``bound -
 sum(d_i * D(x_i))`` as long as every write to the clause's objects
 went through the account's ``commit`` -- and the writes that do not
 (``poke``, the cleanup run T') are named by ``LocalEngine.moved``, so
@@ -49,7 +49,7 @@ object, and copies every other grant from its counter.
 ``validate_escrow`` holds the invariant to its definition: after every
 install it re-derives everything from scratch -- path checks, summary,
 every grant by ``LinearConstraint.slack``, the escrow rows,
-counters, index and budget by ``lower_to_escrow`` -- replays the
+counters and index by ``lower_to_escrow`` -- replays the
 site's own log from its last snapshot, and raises
 :class:`InstallDivergence` on any difference.
 
@@ -327,7 +327,7 @@ class SiteServer:
             self._fold_escrow_stats()
             account = self.escrow = EscrowAccount(EscrowProgram(), ())
             gone, new = [], rows
-        account.install(gone, new, engine.moved, engine.peek, engine.epoch)
+        account.install(gone, new, engine.moved, engine.peek)
         self.escrow_installs += 1
         counter, slots = account.headroom, account.program.slots
         grants: list[int | None] = [
@@ -412,7 +412,7 @@ class SiteServer:
                 self.install_headroom,
                 {con: con.slack(peek) for con in treaty.constraints if con.op == "<="},
             ),
-            "escrow rows, counters, index and budget": (
+            "escrow rows, counters and index": (
                 self.escrow.enforced(),
                 scratch.enforced(),
             ),
@@ -473,25 +473,15 @@ class SiteServer:
         self.treaty_round = record["round"]
         # The escrow counters take the opposite stance: the recorded
         # grants are the *install-time* slack, and everything consumed
-        # since lives in the durable store -- so recovery rebuilds the
-        # account from the WAL record and then resynchronizes it
-        # against the store, leaving counters identical to a freshly
-        # lowered treaty on the recovered state.
+        # since lives in the durable store -- so recovery reads every
+        # counter from the store, once, as the new account's first
+        # resync: counters identical to a freshly lowered treaty on the
+        # recovered state.
         program = lower_to_escrow(treaty.constraints)
-        peek = self.engine.peek
         self._fold_escrow_stats()
-        # A ``<=``-clause row starts at the install-time grant; rows
-        # with no grant -- an equality pin's opposing pair -- take their
-        # slack from the store.
-        self.escrow = EscrowAccount(
-            program,
-            [
-                headroom[row] if row in headroom else row.slack(peek)
-                for row in program.rows
-            ],
-        )
+        self.escrow = EscrowAccount(program, [0] * len(program.rows))
+        self.escrow.resync(self.engine.peek, program.touching)
         self.escrow_installs += 1
-        self.escrow.resync(peek, self.engine.epoch)
         self.engine.moved.clear()
         return self.treaty_round
 
@@ -623,9 +613,9 @@ class SiteServer:
                 if kind == "free":
                     # The path's writes touch no base any clause
                     # mentions: under H2 the treaty still holds, and
-                    # the escrow counters would not have staged these
-                    # deltas either (max_coeff == 0), so the delta
-                    # computation is skipped along with the check.
+                    # no escrow row is over a written object either,
+                    # so the delta computation is skipped along with
+                    # the check.
                     violated: set[str] | frozenset[str] = frozenset()
                     if self.validate_escrow:
                         oracle = treaty.violations_after_writes(
@@ -640,14 +630,14 @@ class SiteServer:
                 else:
                     escrow = self.escrow  # every installed treaty has one
                     engine = self.engine
-                    if escrow.synced_epoch != engine.epoch:
+                    if engine.moved:
                         # Non-transactional writes (sync broadcasts,
                         # post-sync hooks, cleanup runs) moved values
-                        # under the counters; recompute before trusting
-                        # them.  The store already holds *this*
-                        # transaction's writes, so the recomputation
-                        # must read its before-images -- resyncing on
-                        # the post-state would charge the deltas twice.
+                        # under the counters; re-read their rows before
+                        # trusting them.  The store already holds *this*
+                        # transaction's writes, so the re-read must see
+                        # its before-images -- reading the post-state
+                        # would charge the deltas twice.
                         before_images = {
                             name: before
                             for name, before, _existed in txn.undo.entries
@@ -657,7 +647,7 @@ class SiteServer:
                             lambda name: before_images[name]
                             if name in before_images
                             else peek(name),
-                            engine.epoch,
+                            engine.moved,
                         )
                         engine.moved.clear()
                     store_get = engine.store.get

@@ -112,7 +112,7 @@ class SimResult:
     measured_from_ms: float = 0.0
     measured_to_ms: float = 0.0
     num_replicas: int = 1
-    #: run-level escrow fast-path counters (from
+    #: run-level escrow account counters (from
     #: ``HomeostasisCluster.escrow_stats``; empty for kernels without
     #: the counter path, e.g. the 2PC baseline)
     escrow: dict = field(default_factory=dict)

@@ -89,13 +89,10 @@ class LocalEngine:
     store: KVStore = field(default_factory=KVStore)
     #: per-object committed-write counters since the last checkpoint
     dirty_counts: dict[str, int] = field(default_factory=dict)
-    #: bumped by every write that bypasses the transactional commit
-    #: path (``poke``, cleanup transactions): consumers
-    #: holding incremental views of the store -- the escrow headroom
-    #: counters -- compare against it and resynchronize when it moves
-    epoch: int = 0
-    #: the objects those writes touched since the consumer last caught
-    #: up (it clears the set): a treaty install re-reads only the
+    #: the objects written outside the transactional commit path
+    #: (``poke``, cleanup transactions) since the consumer holding an
+    #: incremental view of the store -- the escrow headroom counters
+    #: -- last caught up (it clears the set): it re-reads only the
     #: counter rows over these, every other counter is still exact
     moved: set[str] = field(default_factory=set)
     committed: int = 0
@@ -121,13 +118,11 @@ class LocalEngine:
     def poke(self, name: str, value: int) -> None:
         self.store.put(name, value)
         self.moved.add(name)
-        self.epoch += 1
 
     def wrote_outside_commit(self, names: set[str]) -> None:
         """A transaction committed ``names`` without the commit check
         seeing its deltas (the cleanup run T')."""
         self.moved.update(names)
-        self.epoch += 1
 
     def dirty_objects(self) -> set[str]:
         """Objects committed-to since the last checkpoint."""

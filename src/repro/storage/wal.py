@@ -243,13 +243,12 @@ def encode_local_treaty(
     (``ObjT`` leaves), so ``(object name, coefficient)`` pairs plus
     the normalized ``(op, bound)`` reconstruct each clause exactly.
 
-    The per-clause ``headroom`` grants serve two recovery consumers:
-    the adaptive low-watermark restores them verbatim (slack consumed
-    before the crash must stay consumed), and the escrow fast path
-    rebuilds its counter account from them before resynchronizing the
-    live counters against the durable store (post-install consumption
-    is derivable from the data, so the recovered counters equal a
-    freshly lowered treaty's).
+    The per-clause ``headroom`` grants serve recovery's adaptive
+    low-watermark, which restores them verbatim (slack consumed before
+    the crash must stay consumed).  The escrow account does not read
+    them: it reads every counter from the durable store (post-install
+    consumption is derivable from the data, so the recovered counters
+    equal a freshly lowered treaty's).
 
     ``paths`` is the optional per-path check table built at install
     time (``tx name -> PathCheck tuples``): recovery re-derives the

@@ -1,5 +1,6 @@
 """Tests for residual optimization (dead reads, linear cancellation)."""
 
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,7 +114,7 @@ def _straightline(draw):
     return "; ".join(lines)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(
     src=_straightline(),
     db=st.fixed_dictionaries(

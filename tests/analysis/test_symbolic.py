@@ -7,6 +7,7 @@ transaction.
 """
 
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -164,7 +165,7 @@ class TestParameterizedTables:
         row = table.lookup(lambda n: db.get(n, 0), params={"i": 3})
         assert "> 1" in row.guard.pretty()
 
-    @settings(max_examples=40)
+    @settings(max_examples=examples(40))
     @given(q=st.integers(-2, 12), item=st.integers(0, 4))
     def test_param_soundness(self, q, item):
         tx = parse_transaction(
@@ -190,7 +191,7 @@ class TestAliasing:
         # 2 branches x 2 alias cases, minus the pruned (a=b and 5<3) case.
         assert len(table) == 3
 
-    @settings(max_examples=50)
+    @settings(max_examples=examples(50))
     @given(
         a=st.integers(0, 2),
         b=st.integers(0, 2),
@@ -248,7 +249,7 @@ def _random_transaction(draw):
     return gen_block(depth)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     src=_random_transaction(),
     vx=st.integers(-10, 10),

@@ -1,6 +1,7 @@
 """Tests for L++ desugaring (Appendix A encodings)."""
 
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,7 +160,7 @@ def test_out_of_bounds_param_modes_differ_documented():
     assert out_cmp.db["a[9]"] == 1
 
 
-@settings(max_examples=30)
+@settings(max_examples=examples(30))
 @given(
     sel=st.integers(0, 3),
     init=st.lists(st.integers(-10, 10), min_size=4, max_size=4),

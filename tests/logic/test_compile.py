@@ -11,6 +11,7 @@ contract (a replaced treaty is re-indexed, never served stale).
 from __future__ import annotations
 
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,7 +84,7 @@ environments = st.tuples(
 )
 
 class TestFormulaEquivalence:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(formula=formulas, env=environments)
     def test_compiled_matches_interpreter(self, formula, env):
         salt, params, temps = env
@@ -91,7 +92,7 @@ class TestFormulaEquivalence:
         expected = formula.evaluate(getobj, params=params, temps=temps)
         assert compile_formula(formula)(getobj, params, temps) == expected
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(formula=formulas, salt=st.integers(0, 7))
     def test_unbound_names_raise_keyerror_like_interpreter(self, formula, salt):
         getobj = make_getobj(salt)

@@ -14,6 +14,7 @@ serial evaluation.  Every treaty strategy must pass.
 import random
 
 import pytest
+from conftest import examples
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -86,7 +87,7 @@ def test_theorem_38_skewed_sites():
 
 
 @settings(
-    max_examples=12,
+    max_examples=examples(12),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )

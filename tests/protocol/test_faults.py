@@ -263,7 +263,6 @@ class TestClusterFaults:
         cluster.recover_site(1)
         server = cluster.sites[1]
         assert server.escrow is not None
-        server.escrow.settle()
         program = server.escrow.program
         # The lowering of a fresh install of the replayed treaty, and
         # exactly the slack a fresh lowering would grant.
@@ -272,8 +271,8 @@ class TestClusterFaults:
         assert server.escrow.headroom == [
             row.slack(server.engine.peek) for row in program.rows
         ]
-        # (The engine epoch may have moved again during the rejoin
-        # synchronization; the lazy per-commit resync covers that.)
+        # (The rejoin synchronization may have moved objects again;
+        # the next checked commit's resync covers that.)
         # The recovered account keeps enforcing (validate mode runs
         # the interpreted oracle next to it).
         req = workload.next_request(rng, site=1)

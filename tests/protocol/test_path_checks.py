@@ -15,6 +15,7 @@ what such a path gets today, the ``full`` check.
 
 import random
 
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -240,7 +241,7 @@ class TestDifferentialOracle:
     matches a plain (non-validating) run of the same request stream.
     """
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     @given(
         num_items=st.integers(min_value=2, max_value=6),
         audit=st.sampled_from([0.0, 0.25, 0.5]),

@@ -30,6 +30,7 @@ import hashlib
 import random
 
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -434,7 +435,7 @@ class TestCreditNeutrality:
     @given(seed=st.integers(0, 2**16), sizes=st.lists(
         st.integers(min_value=2, max_value=6), min_size=1, max_size=3
     ))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     def test_credit_never_changes_which_outcomes_commit(self, seed, sizes):
         """Arbitration policy moves ties between contenders; it must
         never move a transaction between commit and abort.  Both

@@ -1,6 +1,7 @@
 """Tests for the Appendix B transform (repro.protocol.remote_writes)."""
 
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,7 +126,7 @@ class TestArrayTransform:
         rendered = tx.body.pretty()
         assert "qty__d0(@i)" in rendered
 
-    @settings(max_examples=40)
+    @settings(max_examples=examples(40))
     @given(q=st.integers(-3, 12), item=st.integers(0, 3), site=st.integers(0, 1))
     def test_array_semantics_preserved(self, q, item, site):
         spec = ReplicationSpec(bases={"qty": (0, 1)}, home={"qty": 0})
@@ -140,7 +141,7 @@ class TestArrayTransform:
         assert effective == ref.db[f"qty[{item}]"]
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 @given(
     initial=st.integers(-5, 15),
     moves=st.lists(st.tuples(st.integers(1, 2)), min_size=1, max_size=8),

@@ -17,6 +17,7 @@ agreement.
 """
 
 import pytest
+from conftest import examples
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -63,7 +64,7 @@ class TestDifferentialGate:
 
 class TestHypothesisSchedules:
     @settings(
-        max_examples=5,
+        max_examples=examples(5),
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )

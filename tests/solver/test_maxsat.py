@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,7 +120,7 @@ class TestBudgetSolver:
         assert sol.assignment["a"] < sol.assignment["b"]
         assert sol.assignment["a"] + sol.assignment["b"] >= 0
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(st.integers(0, 100_000))
     def test_matches_bruteforce(self, seed):
         rng = random.Random(seed)
@@ -137,7 +138,7 @@ class TestBudgetSolver:
         assert fast.satisfied == brute.satisfied
         assert sum(fast.assignment.values()) >= inst.required_total
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     @given(st.integers(0, 100_000))
     def test_matches_fumalik(self, seed):
         """The two MaxSAT engines find the same optimum."""

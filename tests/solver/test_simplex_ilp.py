@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,7 +107,7 @@ class TestILP:
         assert res.status == "unbounded"
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(st.integers(0, 10_000))
 def test_ilp_matches_bruteforce_on_random_boxes(seed):
     """Random small bounded ILPs: branch and bound agrees with brute

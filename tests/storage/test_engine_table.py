@@ -1,6 +1,7 @@
 """Tests for the transactional engine."""
 
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,7 +100,7 @@ class TestEngine:
         txn.emit(4)
         assert txn.log == [3, 4]
 
-    @settings(max_examples=40)
+    @settings(max_examples=examples(40))
     @given(
         ops=st.lists(
             st.tuples(

@@ -1,32 +1,28 @@
-"""Escrow account tests: lowering, counter semantics, batching, and
-the differential property against the interpreted oracle.
+"""Escrow account tests: lowering, counter semantics, and the
+differential property against the interpreted oracle.
 
 The escrow account (:mod:`repro.treaty.escrow`) is a site's one
-commit-time treaty check: decrement-only headroom counters plus a
-batched commit window.  Its contract is *observational equivalence*
+commit-time treaty check: decrement-only headroom counters, settled
+exactly on every commit.  Its contract is *observational equivalence*
 with :meth:`LocalTreaty.violations_after_writes` -- same accept/reject
 verdict and same violated-object set on every commit -- which the
 Hypothesis test here checks over random ``<=``/``=`` treaties, random
 write sequences (zero deltas and exact-zero headroom included), and
-mid-sequence treaty reinstalls, at window sizes from settle-everything
-to settle-never.
+mid-sequence treaty reinstalls; a second property holds every counter
+to its row's slack on the store after every commit.
 """
 
 from __future__ import annotations
 
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic.compile import (
-    PIN_DRAIN,
-    CompilationError,
-    lower_clause,
-    lower_to_escrow,
-)
+from repro.logic.compile import CompilationError, lower_clause, lower_to_escrow
 from repro.logic.linear import LinearConstraint, LinearExpr
 from repro.logic.terms import ObjT, ParamT
-from repro.treaty.escrow import DEFAULT_WINDOW, EscrowAccount
+from repro.treaty.escrow import EscrowAccount
 from repro.treaty.table import LocalTreaty
 
 OBJECTS = ("x", "y", "z")
@@ -38,37 +34,31 @@ def con(coeffs: dict[str, int], op: str, bound: int) -> LinearConstraint:
     )
 
 
-def account_for(
-    constraints, state: dict[str, int], window: int = DEFAULT_WINDOW
-) -> EscrowAccount:
+def account_for(constraints, state: dict[str, int]) -> EscrowAccount:
     program = lower_to_escrow(constraints)
     getobj = lambda n: state.get(n, 0)  # noqa: E731
-    return EscrowAccount(
-        program, [row.slack(getobj) for row in program.rows], window=window
-    )
+    return EscrowAccount(program, [row.slack(getobj) for row in program.rows])
 
 
 class TestLowering:
     def test_le_clause_is_one_budget_row(self):
         program = lower_to_escrow((con({"x": 2, "y": -1}, "<=", 7),))
-        assert len(program.rows) == 1
-        assert program.budget_rows == [0]
-        assert [row.bound for row in program.rows] == [7]
-        assert program.max_coeff == {"x": 2, "y": 1}
+        assert program.rows == [con({"x": 2, "y": -1}, "<=", 7)]
+        assert program.touching == {"x": [(0, 2)], "y": [(0, -1)]}
 
     def test_equality_pin_lowers_to_opposing_pair_outside_budget(self):
         program = lower_to_escrow((con({"x": 1}, "=", 5),))
-        assert len(program.rows) == 2
-        assert program.budget_rows == []
-        assert program.pin_rows == [0, 1]
-        assert sorted(row.bound for row in program.rows) == [-5, 5]
-        assert program.max_coeff == {"x": PIN_DRAIN}
+        assert program.rows == [con({"x": 1}, "<=", 5), con({"x": -1}, "<=", -5)]
+        assert program.touching == {"x": [(0, 1), (1, -1)]}
+        assert not lower_clause(con({"x": 1}, "=", 5)).budget
 
     def test_strict_and_reversed_ops_normalize_to_eligible_forms(self):
         # LinearConstraint.make normalizes <, >, >= into <= over the
         # integers, so every comparison op lowers to one budget row.
         for op in ("<", "<=", ">", ">="):
-            assert lower_to_escrow((con({"x": 1}, op, 5),)).budget_rows == [0]
+            program = lower_to_escrow((con({"x": 1}, op, 5),))
+            assert [row.op for row in program.rows] == ["<="]
+            assert [slot for slot, _coeff in program.touching["x"]] == [0]
 
     def test_non_object_variable_is_ineligible(self):
         bad = LinearConstraint.make(LinearExpr.variable(ParamT("p")), "<=", 3)
@@ -100,7 +90,7 @@ class TestLowering:
         ]
         lowered = {id(c): lower_clause(c) for c in held}
         account = EscrowAccount(lower_to_escrow(()), ())
-        account.install([], lowered.values(), (), getobj, epoch=0)
+        account.install([], lowered.values(), (), getobj)
         steps = [
             ([held[1]], [con({"x": 1}, "=", 2)]),  # a pin's two slots go to a pin
             ([held[0], held[3]], []),  # y and z leave the index altogether
@@ -114,7 +104,6 @@ class TestLowering:
                 [lowered[id(c)] for c in new],
                 (),
                 getobj,
-                epoch=0,
             )
             assert account.enforced() == account_for(held, state).enforced()
         assert len(account.program.rows) == 5  # freed slots were reused
@@ -131,21 +120,20 @@ class TestLowering:
             return state[name]
 
         state.update(x=4, y=7)  # both written behind the account's back ...
-        account.install([], [], ["x"], getobj, epoch=1)  # ... one of them owned up to
+        account.install([], [], ["x"], getobj)  # ... one of them owned up to
         assert reads == ["x"]
         assert account.headroom_map() == {held[0]: 6, held[1]: 9}
-        assert account.synced_epoch == 1
 
 
 class TestAccount:
     def test_exact_zero_headroom_is_not_a_violation(self):
-        account = account_for([con({"x": 1}, "<=", 5)], {"x": 0}, window=1)
+        account = account_for([con({"x": 1}, "<=", 5)], {"x": 0})
         assert account.commit({"x": 5}) is None  # lands exactly on the bound
         assert list(account.headroom_map().values()) == [0]
         assert account.commit({"x": 1}) == [0]
 
     def test_rejection_reverts_state(self):
-        account = account_for([con({"x": 1}, "<=", 5)], {"x": 0}, window=1)
+        account = account_for([con({"x": 1}, "<=", 5)], {"x": 0})
         assert account.commit({"x": 9}) == [0]
         # The rejected deltas were backed out: headroom intact, and a
         # commit that fits is still admitted.
@@ -153,7 +141,7 @@ class TestAccount:
         assert account.commit({"x": 5}) is None
 
     def test_refill_restores_headroom(self):
-        account = account_for([con({"x": 1}, "<=", 5)], {"x": 0}, window=1)
+        account = account_for([con({"x": 1}, "<=", 5)], {"x": 0})
         assert account.commit({"x": 5}) is None
         assert account.commit({"x": 1}) == [0]
         assert account.commit({"x": -3}) is None
@@ -179,86 +167,82 @@ class TestAccount:
         assert down.commit({"x": 0}) is None
 
     def test_pin_only_treaty_never_fast_admits_a_pin_break(self):
-        # Regression: with no budget rows the window budget must not
-        # default to a value above PIN_DRAIN, or small pin-breaking
-        # deltas would be admitted without ever settling a counter.
+        # A pin has zero slack whenever it holds: however many commits
+        # leaving the pinned value unchanged were admitted before, a
+        # write that moves it in either direction is rejected.
         account = account_for([con({"x": 1}, "=", 5)], {"x": 5})
-        for delta in (1, 3, 8):
-            assert account.commit({"x": delta}) is not None, delta
-        assert account.stats()["violations"] == 3
+        for _ in range(20):
+            assert account.commit({"x": 0}) is None
+            for delta in (1, -1, 8):
+                verdict = account.commit({"x": delta})
+                assert verdict is not None, delta
+                assert account.violated_objects(verdict) == frozenset({"x"})
+        assert account.stats()["violations"] == 60
 
     def test_budget_excludes_pin_rows(self):
-        # A zero-slack pin next to a roomy <=-clause must not disable
-        # the fast path for commits that never touch the pin.
+        # A zero-slack pin next to a roomy <=-clause neither blocks the
+        # commits that never touch the pin nor lets them carry a pin
+        # break through.
         account = account_for(
             [con({"x": 1}, "<=", 100), con({"y": 1}, "=", 5)],
             {"x": 0, "y": 5},
         )
         for _ in range(20):
             assert account.commit({"x": 1}) is None
-        stats = account.stats()
-        assert stats["fast_commits"] == 20
-        assert stats["settlements"] == 0
+            verdict = account.commit({"y": 1})
+            assert verdict is not None
+            assert account.violated_objects(verdict) == frozenset({"y"})
+        assert account.stats()["violations"] == 20
+        # The roomy clause's budget is spent only by the admitted commits.
+        assert account.commit({"x": 80}) is None
+        assert account.commit({"x": 1}) is not None
 
-    def test_window_cap_forces_settlement(self):
-        account = account_for([con({"x": 1}, "<=", 1000)], {"x": 0}, window=4)
-        for _ in range(5):
-            assert account.commit({"x": 1}) is None
-        stats = account.stats()
-        assert stats["settlements"] == 1
-        assert stats["fast_commits"] == 4
-        assert stats["settled_commits"] == 1
+    def test_resync_reads_every_row_over_a_moved_object_from_the_store(self):
+        held = [
+            con({"x": 1}, "<=", 10),
+            con({"x": 1, "y": 2}, "<=", 20),
+            con({"z": 1}, "<=", 10),
+        ]
+        account = account_for(held, {"x": 0, "y": 0, "z": 0})
+        assert account.commit({"x": 4, "z": 2}) is None
+        # x and y were written outside a commit; the store already
+        # reflects the admitted commit, so nothing is charged twice.
+        store = {"x": 7, "y": 3, "z": 2}
+        reads = []
 
-    def test_resync_discards_pending_window(self):
-        account = account_for([con({"x": 1}, "<=", 10)], {"x": 0})
-        assert account.commit({"x": 4}) is None
-        # A non-transactional write moved the store; resync must
-        # recompute from it and drop the pending (already durable)
-        # deltas rather than double-charging them.
-        store = {"x": 7}
-        account.resync(lambda n: store.get(n, 0), epoch=3)
-        assert list(account.headroom_map().values()) == [3]
-        assert account.synced_epoch == 3
+        def getobj(name):
+            reads.append(name)
+            return store[name]
+
+        account.resync(getobj, ["x", "y"])
+        assert set(reads) == {"x", "y"}
+        assert account.headroom_map() == {held[0]: 3, held[1]: 7, held[2]: 8}
+        assert account.stats()["resyncs"] == 1
         assert account.commit({"x": 4}) == [0]
         assert account.commit({"x": 3}) is None
 
-    def test_negative_pin_row_forces_exact_path(self):
-        # Off the H2 happy path: if a resync lands on a state that
-        # already breaks a pin, every commit must be judged on exact
-        # counters so the verdict matches the compiled oracle -- even
-        # a zero-delta write to the broken pin's object.
-        account = account_for([con({"x": 1}, "=", 5)], {"x": 5})
-        store = {"x": 6}
-        account.resync(lambda n: store.get(n, 0))
-        assert account.commit({"x": 0}) is not None
-
-
-def _scripted_deltas():
-    return [
-        {"x": 3},
-        {"x": 3, "y": 2},
-        {"y": -1},
-        {"x": 5},  # overruns
-        {"x": -2},
-        {"x": 1, "y": 1},
-        {"x": 100},  # violates
-        {"y": 3},
-    ]
-
-
-class TestBatchingEquivalence:
-    def test_batched_and_per_commit_verdicts_agree(self):
-        cons = [con({"x": 1, "y": 1}, "<=", 12), con({"x": 1}, "<=", 9)]
-        state = {"x": 0, "y": 0}
-        batched = account_for(cons, state, window=DEFAULT_WINDOW)
-        # window=0 settles on every commit: the pure per-commit mode.
-        per_commit = account_for(cons, state, window=0)
-        for deltas in _scripted_deltas():
-            assert batched.commit(dict(deltas)) == per_commit.commit(dict(deltas))
-        assert batched.headroom_map() == per_commit.headroom_map()
-        # The batched account actually used the fast path.
-        assert batched.stats()["fast_commits"] > 0
-        assert per_commit.stats()["fast_commits"] == 0
+    def test_every_verdict_equals_the_oracle_after_an_off_h2_resync(self):
+        # Off the H2 happy path: a resync lands on a state that already
+        # breaks a pin.  Every verdict still is the interpreted
+        # oracle's -- a zero-delta write to the broken pin's object
+        # included, and a write beside it not.
+        treaty = LocalTreaty(
+            site=0,
+            constraints=[con({"x": 1}, "=", 5), con({"x": 1, "y": 1}, "<=", 9)],
+        )
+        account = account_for(treaty.constraints, {"x": 5, "y": 0})
+        store = {"x": 6, "y": 0}
+        account.resync(store.__getitem__, ["x"])
+        for deltas in ({"x": 0}, {"y": 0}, {"y": 1}, {"x": -1}, {"x": 1}, {"y": 9}):
+            post = {n: v + deltas.get(n, 0) for n, v in store.items()}
+            oracle = treaty.violations_after_writes(post.__getitem__, set(deltas))
+            verdict = account.commit(deltas)
+            assert (
+                account.violated_objects(verdict) if verdict is not None else set()
+            ) == oracle, deltas
+            if verdict is None:
+                store = post
+        assert account.stats()["violations"] == 3
 
 
 # -- differential property test against the interpreted oracle ----------------
@@ -287,25 +271,20 @@ steps = st.lists(
 
 
 class TestDifferential:
-    @settings(max_examples=250, deadline=None)
-    @given(
-        cons=treaties,
-        state0=states,
-        script=steps,
-        window=st.sampled_from((1, 2, DEFAULT_WINDOW)),
-    )
-    def test_escrow_matches_interpreted_oracle(self, cons, state0, script, window):
+    @settings(max_examples=examples(250), deadline=None)
+    @given(cons=treaties, state0=states, script=steps)
+    def test_escrow_matches_interpreted_oracle(self, cons, state0, script):
         """Accept/reject verdict and violated-object set must match
         ``violations_after_writes`` on every commit, for arbitrary
         (including treaty-breaking) pre-states, zero-delta writes, and
         reinstalls mid-sequence (the rebalance path)."""
         state = dict(state0)
         treaty = LocalTreaty(site=0, constraints=list(cons))
-        account = account_for(cons, state, window=window)
+        account = account_for(cons, state)
         for kind, payload in script:
             if kind == "install":
                 treaty = LocalTreaty(site=0, constraints=list(payload))
-                account = account_for(payload, state, window=window)
+                account = account_for(payload, state)
                 continue
             written = set(payload)
             post = dict(state)
@@ -321,10 +300,33 @@ class TestDifferential:
             else:
                 assert verdict is None, (deltas, state, verdict)
                 state = post
-        # Settled counters end exactly at the final state's slack.
-        account.settle()
+        # The counters end exactly at the final state's slack.
         getobj = lambda n: state.get(n, 0)  # noqa: E731
         assert account.headroom == [row.slack(getobj) for row in account.program.rows]
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(cons=treaties, state0=states, script=steps)
+    def test_counters_are_exact_after_every_commit(self, cons, state0, script):
+        """After every commit, admitted or rejected, and every patched
+        install, each live counter is its row's slack on the store --
+        with nothing run between commits to bring it there."""
+        state = dict(state0)
+        getobj = lambda n: state.get(n, 0)  # noqa: E731
+        held = [lower_clause(c) for c in cons]
+        account = EscrowAccount(lower_to_escrow(()), ())
+        account.install((), held, (), getobj)
+        for kind, payload in script:
+            if kind == "install":
+                entering = [lower_clause(c) for c in payload]
+                account.install(held, entering, (), getobj)
+                held = entering
+            else:
+                post = {**state, **payload}
+                if account.commit({n: post[n] - getobj(n) for n in payload}) is None:
+                    state = post
+            for slot, row in enumerate(account.program.rows):
+                if row is not None:
+                    assert account.headroom[slot] == row.slack(getobj), (kind, payload)
 
 
 class TestSiteIntegration:
@@ -372,9 +374,7 @@ def test_validate_mode_raises_on_seeded_divergence():
     assert server.escrow is not None
     # Steal every counter's headroom: the escrow path now rejects
     # commits the interpreted oracle accepts.
-    server.escrow.settle()
     server.escrow.headroom[:] = [-1] * len(server.escrow.headroom)
-    server.escrow._install_hot_path()
     rng = random.Random(0)
     with pytest.raises(EscrowDivergence):
         for _ in range(50):

@@ -10,6 +10,7 @@ materialized, every state x clause x site evaluated.
 import random
 
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -290,7 +291,7 @@ def test_soft_bounds_and_validity_over_generated_runs(db, runs, shapes, slacks):
     assert stats.sampled_states == sum(len(steps) for steps in runs)
 
 
-@settings(max_examples=10, deadline=None)  # Fu-Malik takes ~0.3 s an instance
+@settings(max_examples=examples(10), deadline=None)  # Fu-Malik takes ~0.3 s an instance
 @given(
     db=databases,
     steps=step_lists,

@@ -8,6 +8,7 @@ whenever the treaty held before the writes -- is property-tested here.
 
 import random
 
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,7 +95,7 @@ class TestLocalTreaty:
         # trusts the induction hypothesis for clauses not written.
         assert not treaty.violations_after_writes(lambda n: 99, written={"z"})
 
-    @settings(max_examples=80)
+    @settings(max_examples=examples(80))
     @given(seed=st.integers(0, 100_000))
     def test_fast_path_equivalence_property(self, seed):
         """PROPERTY: starting from a state where the treaty holds, after

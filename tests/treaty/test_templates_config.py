@@ -1,6 +1,7 @@
 """Tests for treaty templates and configurations (Section 4.2)."""
 
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,7 +176,7 @@ class TestConfigurations:
                     assert vx + vy >= 20  # the global treaty
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(
     vx=st.integers(0, 60),
     vy=st.integers(0, 60),
