@@ -8,7 +8,8 @@ The package implements the paper's full pipeline from scratch:
 - :mod:`repro.logic` -- the formula substrate (terms, formulas,
   linear normal forms, the Appendix C.1 preprocessing);
 - :mod:`repro.analysis` -- symbolic tables (Figure 6), joint tables,
-  independence factorization, residual optimization, LR-slices;
+  grounding, residual optimization, per-path check selection,
+  LR-slices;
 - :mod:`repro.solver` -- exact rational simplex, branch-and-bound
   ILP, Fu-Malik MaxSAT and the specialized budget solver (the paper
   used Z3; this reproduction is self-contained);
@@ -76,15 +77,9 @@ from repro.workloads.weather import WeatherWorkload
 __version__ = "1.0.0"
 
 
-def analyze(transaction, simplify: bool = True) -> SymbolicTable:
-    """Compute the symbolic table of a transaction (Section 2.3)."""
-    return build_symbolic_table(transaction, simplify=simplify)
-
-
 __all__ = [
     # analysis pipeline
     "SymbolicTable",
-    "analyze",
     "build_joint_table",
     "build_symbolic_table",
     "build_templates",

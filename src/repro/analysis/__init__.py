@@ -4,15 +4,15 @@
   via the backward construction of Figure 6.
 - :mod:`repro.analysis.joint` -- joint tables for transaction sets
   (the K+1-ary relation of Section 2.2).
-- :mod:`repro.analysis.factorize` -- SDD-1-style independence
-  factorization keeping joint tables small (Section 5.1).
 - :mod:`repro.analysis.slices` -- local-remote partitions, LR-slices
   and observational equivalence (Definitions 3.2-3.7).
 - :mod:`repro.analysis.pathsplit` -- per-path write summaries and
-  treaty-check selection (the dispatch-time static tier).
-- :mod:`repro.analysis.classify` -- the coordination-freedom
-  classifier: FREE / PATH_SENSITIVE / TREATY / SYNC verdicts with
-  machine-checkable witnesses.
+  treaty-check selection: a path that writes no base a treaty clause
+  mentions is ``free`` (coordination-free by disjointness), every
+  other path takes the ``full`` check.
+- :mod:`repro.analysis.ground` -- grounding of parameterized
+  transactions into per-instance tables, which treaty generation
+  looks up one at a time (Section 5.1).
 """
 
 from repro.analysis.symbolic import (
@@ -22,13 +22,6 @@ from repro.analysis.symbolic import (
     build_symbolic_table,
 )
 from repro.analysis.joint import JointRow, JointSymbolicTable, build_joint_table
-from repro.analysis.factorize import FactorizedJointTable, factorize_workload
-from repro.analysis.classify import (
-    Classification,
-    ClassificationError,
-    PathClassification,
-    classify_catalog,
-)
 from repro.analysis.pathsplit import PathCheck, WriteSummary, build_path_checks
 from repro.analysis.slices import (
     LocalRemotePartition,
@@ -39,22 +32,16 @@ from repro.analysis.slices import (
 
 __all__ = [
     "AnalysisError",
-    "Classification",
-    "ClassificationError",
-    "FactorizedJointTable",
     "JointRow",
     "JointSymbolicTable",
     "LocalRemotePartition",
     "PathCheck",
-    "PathClassification",
     "Row",
     "SymbolicTable",
     "WriteSummary",
     "build_joint_table",
     "build_path_checks",
     "build_symbolic_table",
-    "classify_catalog",
-    "factorize_workload",
     "is_lr_slice",
     "is_valid_global_treaty",
     "observationally_equivalent",

@@ -4,10 +4,20 @@ Treaty generation needs a parameter-free joint table: a global treaty
 is a predicate over database states only (Definition 3.6), so the
 per-parameter behaviour of a transaction family such as
 ``NewOrder(item)`` must be captured by instantiating the family over
-the item domain.  Thanks to independence factorization
-(:mod:`repro.analysis.factorize`) the ground instances touching
-different objects land in different factors, so grounding costs the
-*sum* of instance table sizes, not their product.
+the item domain.
+
+Section 5.1 factorizes the joint table so that grounding costs the
+*sum* of the instance table sizes, not their product.  Here no joint
+table over the instances is ever built: the joint row matching a
+database is the conjunction of the rows each instance's table
+matches, so a dependency partition of the instances could never
+change a treaty, only how many joint rows get materialized -- and
+treaty generation materializes none.
+:class:`~repro.protocol.homeostasis.TreatyGenerator` looks each
+instance up on its own, ``instances_touching`` names the instances
+whose piece depends on a changed object, and
+:class:`~repro.treaty.assembly.TreatyAssembly` re-derives only the
+clauses those pieces contribute to.
 """
 
 from __future__ import annotations

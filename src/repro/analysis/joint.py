@@ -17,7 +17,7 @@ executed per-transaction with that transaction's own arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.analysis.symbolic import SymbolicTable
 from repro.lang.ast import Com, Transaction
@@ -62,9 +62,6 @@ class JointSymbolicTable:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __iter__(self) -> Iterator[JointRow]:
-        return iter(self.rows)
 
     def lookup(
         self,

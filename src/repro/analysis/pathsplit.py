@@ -50,13 +50,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, AbstractSet, Any, Iterable, Mapping
 
-from repro.lang.ast import ArrayRef, Com, GroundRef, Write, ref_to_term, walk_commands
-from repro.logic.linear import (
-    LinearConstraint,
-    LinearizationError,
-    linear_of_term,
-)
-from repro.logic.terms import ObjT, Term, parse_ground_name
+from repro.lang.ast import ArrayRef, Com, GroundRef, Write, walk_commands
+from repro.logic.linear import LinearConstraint
+from repro.logic.terms import ObjT, parse_ground_name
 
 if TYPE_CHECKING:
     from repro.protocol.catalog import StoredProcedureCatalog
@@ -71,6 +67,13 @@ CHECK_KINDS = ("free", "full")
 _FULL_REASON = "parameterized-writes"
 
 
+class PathCheckDivergence(AssertionError):
+    """The static tier's bypass and the full treaty check disagreed on
+    one commit's verdict -- a soundness bug in the classifier,
+    surfaced loudly by validate mode instead of silently weakening the
+    treaty."""
+
+
 def base_of_name(name: str) -> str:
     """Array base of a ground object name (scalars are their own base)."""
     parsed = parse_ground_name(name)
@@ -82,13 +85,6 @@ def _base_of_var(var: object) -> str:
         return base_of_name(var.name)
     # parameterized template var; be conservative
     return str(getattr(var, "base", var))
-
-
-def clause_bases(constraints: Iterable[LinearConstraint]) -> frozenset[str]:
-    """Every array base mentioned by any clause of a treaty."""
-    return frozenset(
-        _base_of_var(var) for con in constraints for var in con.variables()
-    )
 
 
 @dataclass
@@ -128,36 +124,19 @@ class ClauseSummary:
 
 @dataclass(frozen=True)
 class WriteSummary:
-    """Static summary of one execution path's write set.
-
-    ``bases`` is always exact (every write's array base).
-    ``const_deltas`` maps each written reference (pretty-printed term)
-    to its constant delta when every write has the form ``x = read(x)
-    + c``, else ``None`` -- what the classifier's ``SYNC`` verdict
-    reads.
-    """
+    """Static summary of one execution path's write set: the array base
+    of every write (a scalar is its own base)."""
 
     bases: frozenset[str]
-    const_deltas: tuple[tuple[str, int], ...] | None
 
     @property
     def read_only(self) -> bool:
         return not self.bases
 
-    def delta_by_base(self) -> dict[str, list[int]]:
-        """Constant deltas grouped by written base (empty if unknown)."""
-        out: dict[str, list[int]] = {}
-        if self.const_deltas is None:
-            return out
-        for name, delta in self.const_deltas:
-            out.setdefault(base_of_name(name), []).append(delta)
-        return out
-
 
 def summarize_writes(residual: Com) -> WriteSummary:
     """Summarize the writes of one straight-line residual."""
     bases: set[str] = set()
-    deltas: list[tuple[str, int]] | None = []
     for node in walk_commands(residual):
         if not isinstance(node, Write):
             continue
@@ -167,31 +146,7 @@ def summarize_writes(residual: Com) -> WriteSummary:
         else:
             assert isinstance(ref, ArrayRef)
             bases.add(ref.base)
-        if deltas is not None:
-            target = ref_to_term(ref)
-            delta = _const_delta(target, node)
-            if delta is None:
-                deltas = None
-            else:
-                deltas.append((target.pretty(), delta))
-    return WriteSummary(
-        bases=frozenset(bases),
-        const_deltas=tuple(deltas) if deltas is not None else None,
-    )
-
-
-def _const_delta(target: Term, write: Write) -> int | None:
-    """The constant ``c`` when the write is ``target = read(target) + c``."""
-    from repro.lang.ast import aexp_to_term
-
-    try:
-        linear = linear_of_term(aexp_to_term(write.expr))
-    except LinearizationError:
-        return None
-    coeffs = dict(linear.coeffs)
-    if coeffs.pop(target, None) != 1 or coeffs:
-        return None
-    return linear.const
+    return WriteSummary(bases=frozenset(bases))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.lang.ast import (
     Assign,
@@ -91,9 +91,6 @@ class SymbolicTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows)
-
     def lookup(
         self,
         getobj: Callable[[str], int],
@@ -114,9 +111,6 @@ class SymbolicTable:
                 f"found {len(matches)}"
             )
         return matches[0]
-
-    def guards(self) -> list[Formula]:
-        return [row.guard for row in self.rows]
 
     def pretty(self) -> str:
         header = f"symbolic table for {self.transaction.name} ({len(self.rows)} rows)"

@@ -44,7 +44,7 @@ from repro.lang.ast import (
 from repro.lang.interp import EvalResult, evaluate
 from repro.lang.lexer import LexError, tokenize
 from repro.lang.parser import ParseError, parse_program, parse_transaction
-from repro.lang.pretty import pretty_com, pretty_transaction
+from repro.lang.pretty import pretty_transaction
 
 __all__ = [
     "ABin",
@@ -77,7 +77,6 @@ __all__ = [
     "evaluate",
     "parse_program",
     "parse_transaction",
-    "pretty_com",
     "pretty_transaction",
     "tokenize",
 ]

@@ -455,52 +455,3 @@ def walk_commands(com: Com) -> Iterator[Com]:
             stack.append(node.then_branch)
         elif isinstance(node, ForEach):
             stack.append(node.body)
-
-
-def aexp_reads(expr: AExp) -> set[ObjRef]:
-    """All object references read by an arithmetic expression."""
-    out: set[ObjRef] = set()
-    if isinstance(expr, ARead):
-        out.add(expr.ref)
-        for ix in getattr(expr.ref, "index", ()):
-            out |= aexp_reads(ix)
-    elif isinstance(expr, ABin):
-        out |= aexp_reads(expr.left) | aexp_reads(expr.right)
-    elif isinstance(expr, ANeg):
-        out |= aexp_reads(expr.operand)
-    return out
-
-
-def bexp_reads(expr: BExp) -> set[ObjRef]:
-    """All object references read by a boolean expression."""
-    if isinstance(expr, BCmp):
-        return aexp_reads(expr.left) | aexp_reads(expr.right)
-    if isinstance(expr, (BAnd, BOr)):
-        return bexp_reads(expr.left) | bexp_reads(expr.right)
-    if isinstance(expr, BNot):
-        return bexp_reads(expr.operand)
-    return set()
-
-
-def transaction_reads(tx: Transaction) -> set[ObjRef]:
-    """Every object reference read anywhere in the transaction."""
-    out: set[ObjRef] = set()
-    for node in walk_commands(tx.body):
-        if isinstance(node, Assign):
-            out |= aexp_reads(node.expr)
-        elif isinstance(node, Write):
-            out |= aexp_reads(node.expr)
-            for ix in getattr(node.ref, "index", ()):
-                out |= aexp_reads(ix)
-        elif isinstance(node, Print):
-            out |= aexp_reads(node.expr)
-        elif isinstance(node, If):
-            out |= bexp_reads(node.cond)
-    return out
-
-
-def transaction_writes(tx: Transaction) -> set[ObjRef]:
-    """Every object reference written anywhere in the transaction."""
-    return {
-        node.ref for node in walk_commands(tx.body) if isinstance(node, Write)
-    }

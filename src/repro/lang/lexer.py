@@ -58,9 +58,6 @@ class Token:
     line: int
     col: int
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
-
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize source text; comments run from ``#`` or ``//`` to EOL."""

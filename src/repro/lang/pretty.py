@@ -8,12 +8,7 @@ property is tested on parser output, which is already desugared).
 
 from __future__ import annotations
 
-from repro.lang.ast import Com, Transaction
-
-
-def pretty_com(com: Com, indent: int = 0) -> str:
-    """Render a command as source text."""
-    return com.pretty(indent)
+from repro.lang.ast import Transaction
 
 
 def pretty_transaction(tx: Transaction) -> str:

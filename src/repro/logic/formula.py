@@ -98,17 +98,6 @@ class Formula:
             out |= atom.left.temps() | atom.right.temps()
         return out
 
-    # -- logical operators ------------------------------------------------------
-
-    def __and__(self, other: "Formula") -> "Formula":
-        return conj([self, other])
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return disj([self, other])
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
-
     # -- core operations -------------------------------------------------------
 
     def substitute(self, mapping: Mapping[Term, Term]) -> "Formula":

@@ -69,23 +69,12 @@ class Term:
     def __add__(self, other: "Term | int") -> "Term":
         return Add(self, _coerce(other))
 
-    def __radd__(self, other: "Term | int") -> "Term":
-        return Add(_coerce(other), self)
-
     def __sub__(self, other: "Term | int") -> "Term":
         return Add(self, Neg(_coerce(other)))
-
-    def __rsub__(self, other: "Term | int") -> "Term":
-        return Add(_coerce(other), Neg(self))
 
     def __mul__(self, other: "Term | int") -> "Term":
         return Mul(self, _coerce(other))
 
-    def __rmul__(self, other: "Term | int") -> "Term":
-        return Mul(_coerce(other), self)
-
-    def __neg__(self) -> "Term":
-        return Neg(self)
 
     # -- traversal ----------------------------------------------------------
 

@@ -77,9 +77,6 @@ class StoredProcedureCatalog:
             for i, row in enumerate(table.rows)
         ]
 
-    def names(self) -> list[str]:
-        return sorted(self.procedures)
-
     def dispatch(
         self,
         tx_name: str,

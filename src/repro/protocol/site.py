@@ -70,11 +70,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from repro.analysis.classify import PathCheckDivergence
 from repro.analysis.pathsplit import (
     CHECK_KINDS,
     ClauseSummary,
     PathCheck,
+    PathCheckDivergence,
     build_path_checks,
     patch_path_checks,
 )

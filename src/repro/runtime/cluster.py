@@ -151,12 +151,6 @@ class AsyncClusterHost:
     def precompile_checks(self) -> int:
         return self._run(self.cluster.precompile_checks)
 
-    def fairness_stats(self) -> dict:
-        """Arbitration-fairness counters from the kernel's credit
-        ledger (policy, contested elections, per-site streaks and
-        wait percentiles)."""
-        return self._run(self.cluster.fairness_stats)
-
     @property
     def stats(self):
         return self.cluster.stats

@@ -50,9 +50,6 @@ class KVStore:
     def items(self) -> Iterator[tuple[str, int]]:
         return iter(self.data.items())
 
-    def __len__(self) -> int:
-        return len(self.data)
-
     def __contains__(self, name: str) -> bool:
         return name in self.data
 

@@ -204,9 +204,6 @@ class TreatyWAL:
             raise WALCorruption("delta records with no snapshot before them")
         return None
 
-    def clear(self) -> None:
-        self._buf.clear()
-
 
 #: one record, one line, byte for byte the same for the same record
 _encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode

@@ -40,9 +40,6 @@ class Configuration:
     def value(self, var: ConfigVar) -> int:
         return self.values[var]
 
-    def __getitem__(self, var: ConfigVar) -> int:
-        return self.values[var]
-
 
 def default_configuration(
     templates: TreatyTemplates, getobj: Callable[[str], int]

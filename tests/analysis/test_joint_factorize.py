@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.analysis.factorize import factorize_workload, transactions_may_conflict
+from repro.analysis.ground import ground_instances
 from repro.analysis.joint import JointTableError, build_joint_table
 from repro.analysis.symbolic import build_symbolic_table
 from repro.lang.parser import parse_transaction
+from repro.logic.formula import conj
+from repro.protocol.homeostasis import TreatyGenerator
 
 T1_SRC = """
 transaction T1() {
@@ -77,81 +79,77 @@ class TestJointTable:
             build_joint_table([])
 
 
-class TestConflictDetection:
-    def test_shared_write_read(self):
-        a = parse_transaction("transaction A() { write(x = 1) }")
-        b = parse_transaction("transaction B() { t := read(x); write(y = t) }")
-        assert transactions_may_conflict(a, b)
+A_SRC = (
+    "transaction A() { t := read(x); "
+    "if t < 5 then { write(x = t + 1) } else { write(x = 0) } }"
+)
+B_SRC = (
+    "transaction B() { t := read(y); "
+    "if t < 7 then { write(y = t + 1) } else { write(y = 0) } }"
+)
 
-    def test_read_read_is_independent(self):
-        a = parse_transaction("transaction A() { t := read(x); write(u = t) }")
-        b = parse_transaction("transaction B() { t := read(x); write(v = t) }")
-        assert not transactions_may_conflict(a, b)
 
-    def test_distinct_ground_slots_independent(self):
-        a = parse_transaction("transaction A() { write(q(1) = 1) }")
-        b = parse_transaction("transaction B() { t := read(q(2)); write(z = t) }")
-        assert not transactions_may_conflict(a, b)
-
-    def test_parameterized_conflicts_with_base(self):
-        a = parse_transaction("transaction A(i) { write(q(@i) = 1) }")
-        b = parse_transaction("transaction B() { t := read(q(2)); write(z = t) }")
-        assert transactions_may_conflict(a, b)
+def _generator(tables):
+    """A one-site treaty generator over ground tables (Section 5.1's
+    live path: one lookup per instance, no joint table)."""
+    return TreatyGenerator(
+        ground_tables=[(table, 0) for table in tables],
+        locate=lambda _name: 0,
+        sites=(0,),
+    )
 
 
 class TestFactorization:
+    """Section 5.1 without a factorized table: the joint row matching a
+    database is the conjunction of the rows each table matches, so the
+    generator looks every instance up on its own and a changed object
+    re-derives only the instances depending on it."""
+
     def test_independent_split(self):
-        tables = _tables(
-            "transaction A() { t := read(x); write(x = t + 1) }",
-            "transaction B() { t := read(y); write(y = t + 1) }",
-        )
-        factored = factorize_workload(tables)
-        assert len(factored.factors) == 2
-        assert factored.materialized_rows() == 2
-        assert factored.implied_rows() == 1
+        generator = _generator(_tables(A_SRC, B_SRC))
+        assert generator.instances_touching({"x"}) == {0}
+        assert generator.instances_touching({"y"}) == {1}
 
     def test_dependent_merge(self):
-        factored = factorize_workload(_tables(T1_SRC, T2_SRC))
-        assert len(factored.factors) == 1
+        generator = _generator(_tables(T1_SRC, T2_SRC))
+        assert generator.instances_touching({"x"}) == {0, 1}
+        assert generator.instances_touching({"y"}) == {0, 1}
 
     def test_lookup_assembles_across_factors(self):
-        tables = _tables(
-            "transaction A() { t := read(x); if t < 5 then { write(x = t + 1) } else { write(x = 0) } }",
-            "transaction B() { t := read(y); if t < 7 then { write(y = t + 1) } else { write(y = 0) } }",
-        )
-        factored = factorize_workload(tables)
+        generator = _generator(_tables(A_SRC, B_SRC))
         db = {"x": 2, "y": 9}
-        row = factored.lookup(lambda n: db.get(n, 0))
-        assert len(row.residuals) == 2
-        assert row.guard.evaluate(lambda n: db.get(n, 0))
+        table = generator.generate(lambda n: db.get(n, 0), dict(db), 1)
+        objects = {
+            obj.name
+            for con in table.global_treaty.constraints
+            for obj in con.variables()
+        }
+        assert objects == {"x", "y"}
+        assert generator.instances_recomputed == 2
+        db["x"] = 3
+        generator.generate(lambda n: db.get(n, 0), dict(db), 2, dirty={"x"})
+        assert generator.instances_recomputed == 3
 
     def test_factorized_matches_full_joint(self):
-        """Semantic equivalence: the factorized lookup agrees with the
-        monolithic joint table on every database."""
-        sources = (
-            "transaction A() { t := read(x); if t < 5 then { write(x = t + 1) } else { write(x = 0) } }",
-            "transaction B() { t := read(y); if t < 7 then { write(y = t + 1) } else { write(y = 0) } }",
-            T1_SRC,
-        )
-        tables = _tables(*sources)
-        factored = factorize_workload(tables)
+        """The conjunction of the per-table lookups is the monolithic
+        joint table's lookup on every database."""
+        tables = _tables(A_SRC, B_SRC, T1_SRC)
         full = build_joint_table(tables)
         for vx in range(-1, 12, 3):
             for vy in range(-1, 12, 4):
                 db = {"x": vx, "y": vy}
                 lookup = lambda n: db.get(n, 0)  # noqa: E731
-                a = factored.lookup(lookup)
-                b = full.lookup(lookup)
-                # Same residuals modulo transaction order normalization.
-                assert {r.pretty() for r in a.residuals} == {
-                    r.pretty() for r in b.residuals
-                }
+                rows = [table.lookup(lookup) for table in tables]
+                joint = full.lookup(lookup)
+                assert conj([row.guard for row in rows]).evaluate(lookup)
+                assert [r.pretty() for r in joint.residuals] == [
+                    row.residual.pretty() for row in rows
+                ]
 
     def test_scale_many_items(self):
-        """Grounding a parameterized family over n items factorizes
-        into n independent groups (what makes TPC-C tractable)."""
-        from repro.analysis.ground import ground_instances
-
+        """Grounding a parameterized family over n items yields n
+        instances, each depending on its own object only (what makes
+        TPC-C tractable)."""
         family = parse_transaction(
             "transaction Buy(i) { q := read(qty(@i)); "
             "if q > 1 then { write(qty(@i) = q - 1) } else { write(qty(@i) = 9) } }"
@@ -160,5 +158,6 @@ class TestFactorization:
             build_symbolic_table(gi.transaction)
             for gi in ground_instances(family, {"i": range(30)})
         ]
-        factored = factorize_workload(tables)
-        assert len(factored.factors) == 30
+        generator = _generator(tables)
+        for i in range(30):
+            assert generator.instances_touching({f"qty[{i}]"}) == {i}

@@ -3,17 +3,19 @@
 Several cases keep the name they had when the tier had two finer kinds
 (``free-absorb``, ``partition``): the input is what the name describes,
 the assertion is what such a path gets today -- the ``full`` check.
+The write-summary cases named for a constant delta likewise name their
+input; a summary records write bases only.
 """
 
 import pytest
 
 from repro.analysis.pathsplit import (
     CHECK_KINDS,
+    ClauseSummary,
     PathCheck,
     base_of_name,
     build_path_checks,
     classify_path,
-    clause_bases,
     decode_path_check,
     decode_path_checks,
     encode_path_checks,
@@ -22,7 +24,7 @@ from repro.analysis.pathsplit import (
 from repro.analysis.symbolic import build_symbolic_table
 from repro.lang.parser import parse_transaction
 from repro.logic.linear import LinearConstraint, LinearExpr
-from repro.logic.terms import ObjT, parse_ground_name
+from repro.logic.terms import ObjT
 from repro.protocol.catalog import StoredProcedureCatalog
 from repro.treaty.table import LocalTreaty
 
@@ -86,41 +88,34 @@ class TestSummarizeWrites:
         summary = _only_summary(READ_ONLY_SRC)
         assert summary.read_only
         assert summary.bases == frozenset()
-        assert summary.const_deltas == ()
 
     def test_scalar_const_delta(self):
         summary = _only_summary(DRAIN_SRC)
         assert summary.bases == frozenset({"x"})
-        assert summary.const_deltas == (("x", -1),)
-        assert summary.delta_by_base() == {"x": [-1]}
 
     def test_non_constant_delta(self):
         summary = _only_summary(DOUBLE_SRC)
         assert summary.bases == frozenset({"x"})
-        assert summary.const_deltas is None
-        assert summary.delta_by_base() == {}
 
     def test_parameterized_target_is_not_ground(self):
         summary = _only_summary(PARAM_SRC)
         assert summary.bases == frozenset({"qty"})
-        ((target, delta),) = summary.const_deltas
-        assert parse_ground_name(target) is None and delta == -1
 
     def test_ground_array_cell(self):
         summary = _only_summary(GROUND_CELL_SRC)
         assert summary.bases == frozenset({"qty"})
-        ((name, delta),) = summary.const_deltas
-        assert parse_ground_name(name) == ("qty", (0,)) and delta == -1
 
 
 class TestClausebases:
     def test_scalars_and_cells(self):
         cons = (_le({"x": 1}, 10), _le({"qty[3]": 1, "qty[4]": -1}, 0))
-        assert clause_bases(cons) == frozenset({"x", "qty"})
+        assert ClauseSummary.of(cons).mentions == {"x": 1, "qty": 2}
 
 
 def _classify(summary, constraints, tx_name):
-    return classify_path(summary, clause_bases(constraints), tx_name, 0)
+    return classify_path(
+        summary, ClauseSummary.of(constraints).mentions.keys(), tx_name, 0
+    )
 
 
 class TestClassifyPath:

@@ -439,6 +439,21 @@ class Test2PCBlocks:
         assert cluster.transport.aborted_rounds()
 
 
+class TestLocalRecovery:
+    def test_recovery_keeps_the_replicas_own_commits(self):
+        # LOCAL replicas diverge by design: the 2PC recovery inherited
+        # from the shared base (copy a live peer's snapshot) would
+        # overwrite the write s1 committed before crashing.
+        workload = MicroWorkload(num_items=10, refill=8, num_sites=3)
+        cluster = workload.build_local()
+        cluster.submit("Buy@s1", {"item": 2})
+        committed = cluster.replica_state(1)
+        assert committed != cluster.replica_state(0)
+        cluster.crash_site(1)
+        assert cluster.recover_site(1) == (1,)
+        assert cluster.replica_state(1) == committed
+
+
 class TestConcurrentFaults:
     def test_window_degrades_per_group(self):
         workload, cluster = _micro_cluster(validate=False)

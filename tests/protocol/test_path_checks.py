@@ -19,7 +19,7 @@ from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.classify import PathCheckDivergence  # noqa: F401 (oracle)
+from repro.analysis.pathsplit import PathCheckDivergence  # noqa: F401 (oracle)
 from repro.analysis.symbolic import build_symbolic_table
 from repro.lang.parser import parse_transaction
 from repro.logic.linear import LinearConstraint, LinearExpr

@@ -30,7 +30,6 @@ class TestFacade:
             "TpccWorkload",
             "run_simulation",
             "run_experiment",
-            "analyze",
             "parse_transaction",
         ):
             assert name in repro.__all__, name

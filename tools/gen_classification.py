@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Generate (or verify) the golden classification table.
 
-``docs/CLASSIFICATION.md`` records what the coordination-freedom
-classifier proves about every bundled workload: per transaction and
-site, the procedure-level verdict (FREE / PATH_SENSITIVE / TREATY /
-SYNC) and the per-path check kinds the path-sensitive tier selects at
-dispatch time.  The table is *generated from the live classifier* over
-deterministically built clusters, so it doubles as a regression
-surface: a change that silently downgrades Payment from FREE to
-TREATY shows up as a diff here before it shows up as a benchmark
-regression.
+``docs/CLASSIFICATION.md`` records what the static check tier
+(``repro.analysis.pathsplit``) decides about every bundled workload:
+per transaction and site, the per-path check kinds each site holds
+after its install (``SiteServer.path_checks``) and the verdict they
+roll up to (FREE / PATH_SENSITIVE / TREATY).  The table is *generated
+from the live sites* of deterministically built clusters, so it
+doubles as a regression surface: a change that silently downgrades
+Payment from FREE to TREATY shows up as a diff here before it shows
+up as a benchmark regression.
 
 Usage::
 
@@ -27,8 +27,6 @@ REPO = Path(__file__).resolve().parent.parent
 if __package__ in (None, ""):  # script mode: make src/ importable
     sys.path.insert(0, str(REPO / "src"))
 
-from repro.analysis.classify import classify_catalog  # noqa: E402
-
 DOC_PATH = REPO / "docs" / "CLASSIFICATION.md"
 
 HEADER = """\
@@ -37,18 +35,15 @@ HEADER = """\
 <!-- Generated by tools/gen_classification.py; do not edit by hand.
      Regenerate with: python tools/gen_classification.py -->
 
-What the coordination-freedom classifier (`repro.analysis.classify`)
-proves about each bundled workload's stored procedures, per site,
-under the treaties the deterministic seed installs.  Verdicts:
+What the static check tier (`repro.analysis.pathsplit`) decides about
+each bundled workload's stored procedures, per site, under the
+treaties the deterministic seed installs.  Verdicts:
 
-- **FREE** -- every path bypasses the treaty check entirely (machine-
-  checked witness: the path writes no array base any treaty clause
-  mentions).
+- **FREE** -- every path bypasses the treaty check entirely: it
+  writes no array base any treaty clause mentions.
 - **PATH_SENSITIVE** -- some paths are FREE, the rest need a check;
   the dispatch-time path split prices each path separately.
 - **TREATY** -- every path needs the treaty check.
-- **SYNC** -- some path provably breaks a pinned value every time it
-  runs; no treaty can license it locally.
 
 `paths` lists the per-path check kind the path-sensitive tier selects
 (`free` / `full`), in symbolic-table row order.
@@ -73,6 +68,15 @@ def _tpcc_cluster():
     return workload.build_homeostasis(strategy="equal-split", seed=0)
 
 
+def verdict(kinds: list[str]) -> str:
+    """The procedure-level verdict its paths' check kinds roll up to."""
+    if all(kind == "free" for kind in kinds):
+        return "FREE"
+    if "free" in kinds:
+        return "PATH_SENSITIVE"
+    return "TREATY"
+
+
 WORKLOADS = {
     "micro (Listing 1 + Audit probes)": _micro_cluster,
     "tpcc (Section 6.2 subset)": _tpcc_cluster,
@@ -88,17 +92,13 @@ def render() -> str:
         sections.append("| --- | --- | --- | --- |")
         for sid in sorted(cluster.sites):
             server = cluster.sites[sid]
-            treaty = server.local_treaty
-            if treaty is None:
+            if server.local_treaty is None:
                 continue
-            verdicts = classify_catalog(server.catalog, treaty)
-            for tx_name in sorted(verdicts):
-                classification = verdicts[tx_name]
-                checks = server.path_checks.get(tx_name, ())
-                paths = ", ".join(c.kind for c in checks) or "-"
+            for tx_name, checks in sorted(server.path_checks.items()):
+                kinds = [check.kind for check in checks]
                 sections.append(
                     f"| s{sid} | `{tx_name}` | "
-                    f"{classification.verdict} | {paths} |"
+                    f"{verdict(kinds)} | {', '.join(kinds)} |"
                 )
     sections.append("")
     return "\n".join(sections)
@@ -109,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="verify the committed doc matches the live classifier",
+        help="verify the committed doc matches the live sites",
     )
     args = parser.parse_args(argv)
     content = render()
