@@ -1,20 +1,28 @@
-"""Guard compilation and escrow lowering: the two local-check lowerings.
+"""The clean commit's lowerings: dispatch, residuals and the escrow check.
 
-The whole point of the homeostasis protocol is that a *local* treaty
-check replaces a coordinated round (Section 5.1), so the check sits on
-the hot path of every single commit: stored-procedure dispatch
-evaluates a row guard, and the pre-commit check enforces the site's
-local treaty clauses.  This module lowers both ahead of time:
+The whole point of the homeostasis protocol is that a *local* commit
+replaces a coordinated round (Section 5.1): a site picks the symbolic
+table row whose guard holds, runs that row's partially evaluated
+transaction, and checks its local treaty -- on every single commit.
+This module lowers all three ahead of time, once per registration or
+install, so the commit itself never walks an AST:
 
-- :func:`compile_formula` turns a :class:`Formula` (ideally after
-  :func:`repro.logic.simplify.simplify`) into a single Python code
-  object built with :func:`compile`, a closure with the same
-  ``(getobj, params, temps)`` signature and semantics as
-  :meth:`~repro.logic.formula.Formula.evaluate` -- including raising
-  :class:`KeyError` on unbound parameters or temporaries.  Compilation
-  is memoized on the (hashable, immutable) AST, so recurring guards
-  compile once while cached (the memo is bounded and cleared wholesale
-  when it outgrows ``_CACHE_LIMIT``).
+- :func:`compile_decider` turns one transaction's row guards into a
+  single Python function (a *decider*) that returns the unique row
+  whose guard holds, or ``None`` unless exactly one does.  It is a
+  decision tree: each branch point tests one guard atom, an atom and
+  its negation (``X > 1`` / ``X <= 1``) are one test, and no path tests
+  an atom twice.  Atoms are tested in the order the interpreted
+  guards (:meth:`~repro.logic.formula.Formula.evaluate`, row by row,
+  short-circuiting) would first need them, so the decider raises
+  :class:`KeyError` on an unbound parameter exactly when they would.
+- :func:`compile_residual` turns a row's residual command into a
+  closure ``run(getobj, setobj, emit, params, arrays)`` with the
+  effects of :func:`repro.lang.interp.execute`: the same writes in the
+  same order, the same log, and :class:`~repro.lang.interp.InterpError`
+  on an unbound parameter after the same earlier writes.  Parameters
+  load into locals and every ground name whose indices are constants
+  or parameters is built once per call.
 - :func:`lower_to_escrow` lowers a local treaty for the **escrow
   account** (:mod:`repro.treaty.escrow`), the one commit-time treaty
   check: each clause, a linear ``<=``-bound or equality pin over ground
@@ -28,6 +36,13 @@ local treaty clauses.  This module lowers both ahead of time:
   that does not lower is a caller's bug and raises
   :class:`CompilationError`.
 
+The first two build Python source and :func:`compile` it.  An AST too
+deep for CPython's parser or recursion limit (e.g. a ``foreach``
+unrolled over hundreds of array slots), or a decision tree over too
+many leaves, keeps the interpreter: the decider then evaluates every
+guard with ``Formula.evaluate`` and the residual runs through
+``execute``, so equivalence never depends on the lowering succeeding.
+
 Escrow lowering is not memoized: consecutive treaties almost never
 repeat as a whole (under 7 % of installs on every benchmark workload),
 so a site instead keeps one :class:`EscrowProgram` and patches it with
@@ -38,10 +53,38 @@ slots and its index entries.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    TypeVar,
+    cast,
+)
 
-from repro.logic.formula import And, BoolConst, Cmp, Formula, Not, Or
+from repro.lang.ast import (
+    Assign,
+    BAnd,
+    BCmp,
+    BConst,
+    BExp,
+    BNot,
+    BOr,
+    Com,
+    If,
+    Print,
+    Seq,
+    Skip,
+    Write,
+    aexp_to_term,
+    ref_to_term,
+)
+from repro.lang.interp import ExecContext, execute
+from repro.logic.formula import NEGATED_OP, And, BoolConst, Cmp, Formula, Not, Or
 from repro.logic.linear import LinearConstraint
 from repro.logic.terms import (
     Add,
@@ -56,8 +99,22 @@ from repro.logic.terms import (
     ground_name,
 )
 
-#: signature of a compiled formula check (mirrors ``Formula.evaluate``)
-FormulaCheck = Callable[..., bool]
+T = TypeVar("T")
+
+#: ``decide(getobj, params)``: the one row whose guard holds, else None
+Decider = Callable[[Callable[[str], int], Mapping[str, int]], Optional[T]]
+
+#: ``run(getobj, setobj, emit, params, arrays)``: a residual's effects
+Residual = Callable[
+    [
+        Callable[[str], int],
+        Callable[[str, int], None],
+        Callable[[int], None],
+        Mapping[str, int],
+        Mapping[str, tuple[int, ...]],
+    ],
+    None,
+]
 
 
 class CompilationError(Exception):
@@ -68,16 +125,18 @@ class CompilationError(Exception):
 #: comparison operator -> python source operator
 _PY_OP = {"<": "<", "<=": "<=", "=": "==", "!=": "!=", ">": ">", ">=": ">="}
 
-#: shared empty mapping for absent params/temps: lookups raise the
-#: same ``KeyError`` the interpreter raises on unbound names
+#: a decider tests ``<``, ``<=`` and ``=`` atoms; the other three are
+#: their negations
+_ATOM_OPS = frozenset(("<", "<=", "="))
+
+#: a decision tree with more leaves than this keeps the interpreted
+#: guards (a symbolic table's guards partition the state space, so a
+#: tree has about as many leaves as its table has rows)
+_DECIDER_LEAVES = 1024
+
+#: shared empty mapping: a guard's temporaries are never bound, and
+#: reading one raises the same ``KeyError`` the interpreter raises
 _EMPTY: Mapping[str, int] = {}
-
-#: memo bound: when the table outgrows this limit it is simply cleared
-#: (recompilation is cheap and correctness-free), which keeps
-#: long-lived processes from accumulating dead code objects
-_CACHE_LIMIT = 4096
-
-_formula_cache: dict[Formula, FormulaCheck] = {}
 
 
 # -- escrow lowering (the counter check's static shape) --------------------
@@ -223,95 +282,305 @@ def lower_to_escrow(constraints: Iterable[LinearConstraint]) -> EscrowProgram:
     return program
 
 
-# -- codegen ---------------------------------------------------------------
+# -- the clean path: guard decider and residual closures -------------------
 
 
-def _term_source(term: Term) -> str:
-    """Python expression source for a term over ``(g, p, t)``."""
-    if isinstance(term, Const):
-        return f"({term.value})"
-    if isinstance(term, ObjT):
-        return f"g({term.name!r})"
-    if isinstance(term, ParamT):
-        return f"p[{term.name!r}]"
-    if isinstance(term, TempT):
-        return f"t[{term.name!r}]"
-    if isinstance(term, IndexedObjT):
-        indices = ", ".join(_term_source(ix) for ix in term.index)
-        if len(term.index) == 1:
-            indices += ","
-        return f"g(_gn({term.base!r}, ({indices})))"
+class _NotLowered(Exception):
+    """This AST keeps the interpreter (see the module docstring)."""
+
+
+def _static(term: Term) -> bool:
+    """Built from constants and parameters only: fixed for one call."""
+    if isinstance(term, (Const, ParamT)):
+        return True
     if isinstance(term, Neg):
-        return f"(-{_term_source(term.operand)})"
-    if isinstance(term, Add):
-        return f"({_term_source(term.left)} + {_term_source(term.right)})"
-    if isinstance(term, Mul):
-        return f"({_term_source(term.left)} * {_term_source(term.right)})"
-    raise CompilationError(f"unknown term node {term!r}")
+        return _static(term.operand)
+    if isinstance(term, (Add, Mul)):
+        return _static(term.left) and _static(term.right)
+    return False
 
 
-def _formula_source(formula: Formula) -> str:
-    """Python expression source for a formula over ``(g, p, t)``."""
+class _Locals:
+    """The locals of one generated function: every parameter it reads
+    and every ground name over constants and parameters it uses, each
+    loaded once -- appended to ``out`` at indent ``pad`` -- before its
+    first use.
+
+    ``temps`` names a residual's temporaries and ``assigned`` is the
+    set definitely assigned at the current statement; a guard has no
+    temporaries (``temps is None``), and reading one raises
+    ``KeyError`` like :meth:`~repro.logic.terms.TempT.evaluate`."""
+
+    def __init__(
+        self, out: list[str], pad: str, temps: dict[str, str] | None = None
+    ) -> None:
+        self.out, self.pad = out, pad
+        self.held: dict[Term, str] = {}
+        self.temps = temps
+        self.assigned: set[str] = set()
+
+    def fork(self, out: list[str], pad: str) -> _Locals:
+        """The same locals, for a branch that loads more into ``out``."""
+        fork = _Locals(out, pad, self.temps)
+        fork.held = dict(self.held)
+        return fork
+
+    def load(self, term: Term, source: str) -> str:
+        """The local holding ``source``, the value of ``term``."""
+        local = self.held.get(term)
+        if local is None:
+            local = self.held[term] = f"v{len(self.held)}"
+            self.out.append(f"{self.pad}{local} = {source}")
+        return local
+
+    def name(self, term: ObjT | IndexedObjT) -> str:
+        """Source of the ground name a reference denotes."""
+        if isinstance(term, ObjT):
+            return repr(term.name)
+        grounded = term.try_ground()
+        if grounded is not None:
+            return repr(grounded.name)
+        if term in self.held:
+            return self.held[term]
+        indices = [self.source(ix) for ix in term.index]
+        if not all(_static(ix) for ix in term.index):
+            return f"_gn({term.base!r}, ({''.join(ix + ', ' for ix in indices)}))"
+        base = term.base.replace("{", "{{").replace("}", "}}")
+        parts = ",".join("{" + ix + "}" for ix in indices)
+        return self.load(term, "f" + repr(f"{base}[{parts}]"))
+
+    def source(self, term: Term) -> str:
+        """Python expression source for ``term``."""
+        if isinstance(term, Const):
+            return f"({term.value})"
+        if isinstance(term, ParamT):
+            return self.load(term, f"p[{term.name!r}]")
+        if isinstance(term, TempT):
+            if self.temps is None:
+                return f"_t[{term.name!r}]"
+            if term.name not in self.assigned:
+                raise _NotLowered(f"temporary {term.name} may be unbound")
+            return self.temps[term.name]
+        if isinstance(term, (ObjT, IndexedObjT)):
+            return f"g({self.name(term)})"
+        if isinstance(term, Neg):
+            return f"(-{self.source(term.operand)})"
+        if isinstance(term, Add):
+            return f"({self.source(term.left)} + {self.source(term.right)})"
+        if isinstance(term, Mul):
+            return f"({self.source(term.left)} * {self.source(term.right)})"
+        raise _NotLowered(f"unknown term node {term!r}")
+
+    def cmp(self, atom: Cmp) -> str:
+        return f"{self.source(atom.left)} {_PY_OP[atom.op]} {self.source(atom.right)}"
+
+
+def _build(source: str, name: str, namespace: dict[str, object]) -> object:
+    """Compile generated ``source`` and return the function ``name``."""
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+# -- the decider --
+
+
+def _atom(cmp: Cmp) -> tuple[Cmp, bool]:
+    """The test that decides ``cmp``, and the outcome that makes it
+    true: ``X > 1`` is decided by ``X <= 1`` being false."""
+    if cmp.op in _ATOM_OPS:
+        return cmp, True
+    return Cmp(NEGATED_OP[cmp.op], cmp.left, cmp.right), False
+
+
+def _partial(formula: Formula, known: Mapping[Cmp, bool]) -> bool | Cmp:
+    """``formula``'s value given the tested atoms, or else the untested
+    atom ``Formula.evaluate`` would need next (operands left to right,
+    short-circuiting)."""
     if isinstance(formula, BoolConst):
-        return "True" if formula.value else "False"
+        return formula.value
     if isinstance(formula, Cmp):
-        lhs = _term_source(formula.left)
-        rhs = _term_source(formula.right)
-        return f"({lhs} {_PY_OP[formula.op]} {rhs})"
-    if isinstance(formula, And):
-        if not formula.operands:
-            return "True"
-        return "(" + " and ".join(_formula_source(f) for f in formula.operands) + ")"
-    if isinstance(formula, Or):
-        if not formula.operands:
-            return "False"
-        return "(" + " or ".join(_formula_source(f) for f in formula.operands) + ")"
+        atom, holds = _atom(formula)
+        value = known.get(atom)
+        return atom if value is None else value == holds
     if isinstance(formula, Not):
-        return f"(not {_formula_source(formula.operand)})"
-    raise CompilationError(f"unknown formula node {formula!r}")
+        inner = _partial(formula.operand, known)
+        return inner if isinstance(inner, Cmp) else not inner
+    if isinstance(formula, (And, Or)):
+        stop = isinstance(formula, Or)  # the operand value that decides
+        for operand in formula.operands:
+            value = _partial(operand, known)
+            if isinstance(value, Cmp) or value == stop:
+                return value
+        return not stop
+    raise _NotLowered(f"unknown formula node {formula!r}")
 
 
-# -- public API ------------------------------------------------------------
+def _next_atom(guards: Sequence[Formula], known: Mapping[Cmp, bool]) -> Cmp | None:
+    """The atom the interpreted guards would test next, in row order;
+    ``None`` once every guard is decided."""
+    for guard in guards:
+        value = _partial(guard, known)
+        if isinstance(value, Cmp):
+            return value
+    return None
 
 
-def compile_formula(formula: Formula) -> FormulaCheck:
-    """Compile a formula into a check equivalent to ``formula.evaluate``.
+def _decider_source(guards: Sequence[Formula]) -> str:
+    """One decision tree over ``guards``: branch on the next atom the
+    interpreted guards would test until every guard is decided; a leaf
+    returns the one row that holds, or ``None``."""
+    out = ["def decide(g, p):"]
+    leaves = itertools.count(1)
 
-    The returned closure has the signature
-    ``check(getobj, params=None, temps=None) -> bool`` and agrees with
-    the interpreter on every environment, including raising
-    ``KeyError`` for unbound parameters and temporaries.
+    def node(known: dict[Cmp, bool], held: _Locals, pad: str) -> None:
+        atom = _next_atom(guards, known)
+        if atom is None:
+            if next(leaves) > _DECIDER_LEAVES:
+                raise _NotLowered("decision tree too large")
+            rows = [at for at, guard in enumerate(guards) if _partial(guard, known)]
+            leaf = f"return _o[{rows[0]}]" if len(rows) == 1 else "return None"
+            out.append(pad + leaf)
+            return
+        held = held.fork(out, pad)
+        out.append(f"{pad}if {held.cmp(atom)}:")
+        node({**known, atom: True}, held, pad + "    ")
+        out.append(f"{pad}else:")
+        node({**known, atom: False}, held, pad + "    ")
+
+    node({}, _Locals(out, "    "), "    ")
+    return "\n".join(out) + "\n"
+
+
+def _interpreted_decider(
+    guards: Sequence[Formula], outcomes: Sequence[T]
+) -> Decider[T]:
+    def decide(getobj: Callable[[str], int], params: Mapping[str, int]) -> T | None:
+        hits = [
+            outcome
+            for guard, outcome in zip(guards, outcomes)
+            if guard.evaluate(getobj, params)
+        ]
+        return hits[0] if len(hits) == 1 else None
+
+    return decide
+
+
+def compile_decider(guards: Sequence[Formula], outcomes: Sequence[T]) -> Decider[T]:
+    """Lower one transaction's row guards to its decider.
+
+    ``decide(getobj, params)`` returns ``outcomes[i]`` when guard ``i``
+    is the only one that holds and ``None`` otherwise -- overlap and
+    gap alike, on every call -- and raises ``KeyError`` on an unbound
+    parameter exactly when evaluating every guard in row order with
+    :meth:`~repro.logic.formula.Formula.evaluate` would.
     """
-    cached = _formula_cache.get(formula)
-    if cached is not None:
-        return cached
-    raw: Callable[..., bool] | None
     try:
-        source = f"lambda g, p, t: {_formula_source(formula)}"
-        raw = eval(compile(source, "<guard-check>", "eval"), {"_gn": ground_name})
-    except (SyntaxError, RecursionError, MemoryError):
-        # Pathologically deep ASTs (e.g. a foreach unrolled over
-        # hundreds of array slots) can exceed CPython's nested-paren
-        # or recursion limits; the equivalence contract wins over the
-        # speedup, so fall back to the interpreter itself.
-        raw = None
+        source = _decider_source(guards)
+        namespace: dict[str, object] = {
+            "_o": tuple(outcomes),
+            "_gn": ground_name,
+            "_t": _EMPTY,
+        }
+        return cast("Decider[T]", _build(source, "decide", namespace))
+    except (_NotLowered, SyntaxError, RecursionError, MemoryError):
+        return _interpreted_decider(guards, outcomes)
 
-    if raw is None:
-        check: FormulaCheck = formula.evaluate
-    else:
 
-        def check(
-            getobj: Callable[[str], int],
-            params: Mapping[str, int] | None = None,
-            temps: Mapping[str, int] | None = None,
-        ) -> bool:
-            return raw(
-                getobj,
-                _EMPTY if params is None else params,
-                _EMPTY if temps is None else temps,
-            )
+# -- residual closures --
 
-    if len(_formula_cache) >= _CACHE_LIMIT:
-        _formula_cache.clear()
-    _formula_cache[formula] = check
-    return check
+
+def _sequence(com: Com) -> Iterator[Com]:
+    """The commands of a ``Seq`` chain in order, without recursing."""
+    stack = [com]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Seq):
+            stack.append(node.second)
+            stack.append(node.first)
+        elif not isinstance(node, Skip):
+            yield node
+
+
+def _bexp(expr: BExp, held: _Locals) -> str:
+    if isinstance(expr, BConst):
+        return "True" if expr.value else "False"
+    if isinstance(expr, BCmp):
+        left, right = aexp_to_term(expr.left), aexp_to_term(expr.right)
+        return f"({held.cmp(Cmp(expr.op, left, right))})"
+    if isinstance(expr, (BAnd, BOr)):
+        join = " and " if isinstance(expr, BAnd) else " or "
+        return f"({_bexp(expr.left, held)}{join}{_bexp(expr.right, held)})"
+    if isinstance(expr, BNot):
+        return f"(not {_bexp(expr.operand, held)})"
+    raise _NotLowered(f"unknown boolean node {expr!r}")
+
+
+def _block(com: Com, held: _Locals, out: list[str], pad: str) -> None:
+    """Emit ``com``'s statements; on return ``held.assigned`` is the
+    set of temporaries definitely assigned after it."""
+    assert held.temps is not None
+    start = len(out)
+    for node in _sequence(com):
+        if isinstance(node, Assign):
+            source = held.source(aexp_to_term(node.expr))
+            local = held.temps.setdefault(node.temp, f"t{len(held.temps)}")
+            out.append(f"{pad}{local} = {source}")
+            held.assigned.add(node.temp)
+        elif isinstance(node, Write):
+            target = ref_to_term(node.ref)
+            assert isinstance(target, (ObjT, IndexedObjT))
+            value = held.source(aexp_to_term(node.expr))
+            out.append(f"{pad}s({held.name(target)}, {value})")
+        elif isinstance(node, Print):
+            out.append(f"{pad}e({held.source(aexp_to_term(node.expr))})")
+        elif isinstance(node, If):
+            out.append(f"{pad}if {_bexp(node.cond, held)}:")
+            before = set(held.assigned)
+            _block(node.then_branch, held, out, pad + "    ")
+            after_then, held.assigned = held.assigned, before
+            out.append(f"{pad}else:")
+            _block(node.else_branch, held, out, pad + "    ")
+            held.assigned &= after_then
+    if len(out) == start:
+        out.append(f"{pad}pass")
+
+
+def _residual_source(com: Com) -> str:
+    """``run``: load every parameter and build every name over
+    constants and parameters up front, then the statements.  A missing
+    parameter hands the whole call to the interpreter before anything
+    ran, so its ``InterpError`` comes after the same writes."""
+    prologue: list[str] = []
+    body: list[str] = []
+    _block(com, _Locals(prologue, "        ", temps={}), body, "    ")
+    out = ["def run(g, s, e, p, arrays):"]
+    if prologue:
+        out += ["    try:", *prologue, "    except KeyError:"]
+        out.append("        return _interpret(g, s, e, p, arrays)")
+    return "\n".join(out + body) + "\n"
+
+
+def _interpreted_residual(com: Com) -> Residual:
+    def run(
+        getobj: Callable[[str], int],
+        setobj: Callable[[str, int], None],
+        emit: Callable[[int], None],
+        params: Mapping[str, int],
+        arrays: Mapping[str, tuple[int, ...]],
+    ) -> None:
+        execute(com, ExecContext(getobj, setobj, emit, params, arrays=arrays))
+
+    return run
+
+
+def compile_residual(com: Com) -> Residual:
+    """Lower a residual command to ``run(getobj, setobj, emit, params,
+    arrays)``, observationally :func:`repro.lang.interp.execute` on an
+    :class:`~repro.lang.interp.ExecContext` of the same callbacks."""
+    interpret = _interpreted_residual(com)
+    try:
+        source = _residual_source(com)
+        namespace: dict[str, object] = {"_gn": ground_name, "_interpret": interpret}
+        return cast(Residual, _build(source, "run", namespace))
+    except (_NotLowered, SyntaxError, RecursionError, MemoryError):
+        return interpret

@@ -350,9 +350,9 @@ class HomeostasisCluster:
         self.sites: dict[int, SiteServer] = {}
         for sid in self.site_ids:
             server = SiteServer(site_id=sid, locate=spec.locate, arrays=arrays)
-            # Validate mode runs the interpreted oracle next to every
-            # escrow check and asserts the verdicts agree.
-            server.validate_escrow = spec.validate
+            # Validate mode runs the interpreted oracles next to every
+            # execution, escrow check and install and asserts they agree.
+            server.validate = spec.validate
             for table in spec.tables:
                 server.catalog.register(table)
             server.engine.store.apply(spec.initial_db)

@@ -11,7 +11,12 @@ objects during normal execution (Assumption 3.1).
 ``execute`` implements the online path of Section 5.1: dispatch to
 the stored procedure whose guard matches, run it inside a storage
 transaction, check the local treaty before commit, and either commit
-(returning the log) or abort and report the treaty violation.
+(returning the log) or abort and report the treaty violation.  The
+dispatch and the procedure are compiled at registration
+(:mod:`repro.protocol.catalog`); ``validate`` mode re-derives the row
+and re-runs the residual through the interpreter beside them, raising
+:class:`~repro.protocol.catalog.ExecutionDivergence` on any
+difference in row, written values or log.
 
 The treaty check has two arms.  A **static tier** runs first: at
 install time the site classifies every stored procedure's execution
@@ -24,7 +29,7 @@ treaty lowers to headroom counters (``lower_to_escrow``; a clause that
 does not is refused at install with ``CompilationError`` and the site
 keeps the treaty it held), and the commit check is counter
 subtractions driven by the undo journal's write deltas, exact after
-every commit.  ``validate_escrow`` mode runs the interpreted clause
+every commit.  ``validate`` mode runs the interpreted clause
 check (:meth:`~repro.treaty.table.LocalTreaty.
 violations_after_writes`) beside both arms as their oracle, raising on
 any disagreement.
@@ -46,7 +51,7 @@ went through the account's ``commit`` -- and the writes that do not
 (``poke``, the cleanup run T') are named by ``LocalEngine.moved``, so
 an install reads the store for the new rows and the rows over a moved
 object, and copies every other grant from its counter.
-``validate_escrow`` holds the invariant to its definition: after every
+``validate`` holds the invariant to its definition: after every
 install it re-derives everything from scratch -- path checks, summary,
 every grant by ``LinearConstraint.slack``, the escrow rows,
 counters and index by ``lower_to_escrow`` -- replays the
@@ -87,7 +92,11 @@ from repro.logic.compile import (
     lower_to_escrow,
 )
 from repro.logic.linear import LinearConstraint
-from repro.protocol.catalog import StoredProcedureCatalog
+from repro.protocol.catalog import (
+    ExecutionDivergence,
+    StoredProcedure,
+    StoredProcedureCatalog,
+)
 from repro.protocol.messages import (
     CleanupRun,
     Complete,
@@ -101,7 +110,7 @@ from repro.protocol.messages import (
     Vote,
     VoteReply,
 )
-from repro.storage.engine import LocalEngine
+from repro.storage.engine import LocalEngine, StorageTxn
 from repro.storage.wal import (
     SNAPSHOT_EVERY,
     TreatyWAL,
@@ -208,9 +217,10 @@ class SiteServer:
     #: the site's escrow account, carried from install to install;
     #: None exactly when no treaty is installed
     escrow: EscrowAccount | None = None
-    #: run the interpreted oracle next to every commit check and raise
-    #: on disagreement (the cluster's validate mode turns this on)
-    validate_escrow: bool = False
+    #: run the interpreted oracles next to every execution, commit
+    #: check and install, and raise on disagreement (the cluster's
+    #: validate mode turns this on)
+    validate: bool = False
     #: stats folded out of dropped escrow accounts (crash-stop, a
     #: replay), so run-level counters survive them
     escrow_retired: dict[str, int] = field(default_factory=dict)
@@ -366,7 +376,7 @@ class SiteServer:
         self.treaty_round = round_number
         self.path_checks = paths
         self._installed = _Installed(treaty, rows, summary, grants, chain)
-        if self.validate_escrow:
+        if self.validate:
             self._assert_install_matches_scratch()
 
     def _delta_baseline(self) -> tuple[_Installed, dict[int, int]]:
@@ -459,7 +469,7 @@ class SiteServer:
         # Validate mode cross-checks the re-derivation against what was
         # recorded at install time.
         self.path_checks = build_path_checks(self.catalog, treaty)
-        if self.validate_escrow:
+        if self.validate:
             recorded = decode_recorded_paths(record)
             if recorded is not None and recorded != self.path_checks:
                 raise PathCheckDivergence(
@@ -589,15 +599,12 @@ class SiteServer:
         txn = self.engine.begin()
         getobj = txn.read
         try:
-            proc = self.catalog.dispatch(tx_name, getobj, params=params)
-            ctx = ExecContext(
-                getobj=getobj,
-                setobj=txn.write,
-                emit=txn.emit,
-                params=dict(params or {}),
-                arrays=self.arrays,
-            )
-            proc.run(ctx)
+            if params is None:
+                params = {}
+            proc = self.catalog.dispatch(tx_name, getobj, params)
+            proc.run(getobj, txn.write, txn.emit, params, self.arrays)
+            if self.validate:
+                self._assert_execution_matches_interpreter(tx_name, params, proc, txn)
             self._assert_writes_local(txn.written, tx_name)
             if self.local_treaty is not None:
                 treaty = self.local_treaty
@@ -617,7 +624,7 @@ class SiteServer:
                     # so the delta computation is skipped along with
                     # the check.
                     violated: set[str] | frozenset[str] = frozenset()
-                    if self.validate_escrow:
+                    if self.validate:
                         oracle = treaty.violations_after_writes(
                             getobj, txn.written
                         )
@@ -661,7 +668,7 @@ class SiteServer:
                         if viol_idx is not None
                         else frozenset()
                     )
-                    if self.validate_escrow:
+                    if self.validate:
                         oracle = treaty.violations_after_writes(
                             getobj, txn.written
                         )
@@ -695,6 +702,34 @@ class SiteServer:
             if txn.active:
                 txn.abort()
             raise
+
+    def _assert_execution_matches_interpreter(
+        self,
+        tx_name: str,
+        params: Mapping[str, int],
+        proc: StoredProcedure,
+        txn: StorageTxn,
+    ) -> None:
+        """The validate-mode oracle of the compiled clean path: the
+        interpreted guards, evaluated on the pre-state, must select
+        exactly the row the decider picked, and the interpreter,
+        re-running that row's residual over a write overlay of the
+        pre-state, must write the same values and print the same log."""
+        before = {name: value for name, value, _existed in txn.undo.entries}
+        store_get = self.engine.store.get
+        rows, writes, log = self.catalog.replay(
+            tx_name,
+            lambda name: before[name] if name in before else store_get(name),
+            params,
+            self.arrays,
+        )
+        ran = {name: store_get(name) for name in txn.written}
+        if rows != [proc.row_index] or writes != ran or log != tuple(txn.log):
+            raise ExecutionDivergence(
+                f"site {self.site_id}, {tx_name}: compiled row "
+                f"{proc.row_index}, writes {ran}, log {txn.log}; interpreted "
+                f"rows {rows}, writes {writes}, log {list(log)}"
+            )
 
     def _assert_writes_local(self, written: set[str], tx_name: str) -> None:
         foreign = sorted(name for name in written if not self.owns(name))

@@ -239,14 +239,14 @@ def test_arbitrary_reinstalls_pass_the_install_oracle(seed):
     """Any sequence of local treaties -- clauses kept, dropped, added,
     reordered, listed twice, re-decoded into fresh objects, the same
     treaty object again -- installs to what a from-scratch install
-    derives (``validate_escrow`` raises ``InstallDivergence`` if not).
+    derives (``validate`` raises ``InstallDivergence`` if not).
     Commits run in between, so a carried clause's counter is no longer
     the grant it started from and has to be what the store says
     anyway.  Now and then a treaty carries a clause over a parameter:
     the install is refused and the site keeps the treaty it held, its
     account and its log as they were."""
     rng = random.Random(seed)
-    server = SiteServer(site_id=0, locate=lambda name: 0, validate_escrow=True)
+    server = SiteServer(site_id=0, locate=lambda name: 0, validate=True)
     for source in SOURCES:
         server.catalog.register(build_symbolic_table(parse_transaction(source)))
     clauses = [_clause(rng) for _ in range(4)]

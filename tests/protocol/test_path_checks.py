@@ -64,7 +64,7 @@ def _server(*sources, constraints=None, validate=True):
     for src in sources:
         server.catalog.register(build_symbolic_table(parse_transaction(src)))
     if constraints is not None:
-        server.validate_escrow = validate
+        server.validate = validate
         server.install_treaty(LocalTreaty(site=0, constraints=list(constraints)))
     return server
 
@@ -136,7 +136,7 @@ class TestPartitionAgainstOracle:
         """A validate-mode server whose full checks run on its escrow
         account, the interpreted oracle beside every verdict."""
         server = _server(DRAIN_SRC, constraints=constraints)
-        assert server.escrow is not None and server.validate_escrow
+        assert server.escrow is not None and server.validate
         return server
 
     def test_partition_detects_violation(self):
@@ -149,7 +149,7 @@ class TestPartitionAgainstOracle:
         assert result.violated_objects == frozenset({"x"})
 
     def test_partition_agrees_with_full_check_in_validate_mode(self):
-        # validate_escrow is on and the escrow arm runs: any
+        # validate is on and the escrow arm runs: any
         # disagreement with the interpreted oracle raises out of execute().
         server = _server(DRAIN_SRC, constraints=[_le({"x": -1}, -1), _le({"y": 1}, 5)])
         assert server.escrow is not None

@@ -2,11 +2,17 @@
 
 import pytest
 
-from repro.analysis.symbolic import build_symbolic_table
+from repro.analysis.symbolic import Row, SymbolicTable, build_symbolic_table
+from repro.lang.ast import AConst, GroundRef, Transaction, Write
 from repro.lang.parser import parse_transaction
+from repro.logic.formula import And, Cmp
 from repro.logic.linear import LinearConstraint, LinearExpr
-from repro.logic.terms import ObjT
-from repro.protocol.catalog import CatalogError, StoredProcedureCatalog
+from repro.logic.terms import Const, ObjT
+from repro.protocol.catalog import (
+    CatalogError,
+    ExecutionDivergence,
+    StoredProcedureCatalog,
+)
 from repro.protocol.messages import MessageStats, SyncBroadcast
 from repro.protocol.site import SiteServer
 from repro.treaty.table import LocalTreaty
@@ -50,6 +56,34 @@ class TestCatalog:
     def test_full_transaction_retrievable(self):
         catalog = _catalog()
         assert catalog.full_transaction("Incr").name == "Incr"
+
+    def test_exactly_one_row_checked_on_every_dispatch(self):
+        # Hand-built guards that are no partition: 0 <= x <= 5 and
+        # x >= 5 overlap at x = 5 and leave x < 0 uncovered.  Dispatch
+        # refuses both states with validate off, not only as an oracle.
+        x = ObjT("x")
+        low = And((Cmp(">=", x, Const(0)), Cmp("<=", x, Const(5))))
+        table = SymbolicTable(
+            Transaction("Bad", (), Write(GroundRef("y"), AConst(1))),
+            [
+                Row(low, Write(GroundRef("y"), AConst(1))),
+                Row(Cmp(">=", x, Const(5)), Write(GroundRef("y"), AConst(2))),
+            ],
+        )
+        server = SiteServer(site_id=0, locate=lambda name: 0)
+        server.catalog.register(table)
+        assert not server.validate
+        for value, found in ((5, 2), (-1, 0)):
+            server.engine.poke("x", value)
+            with pytest.raises(CatalogError, match=f"found {found}"):
+                server.catalog.dispatch("Bad", server.engine.peek)
+            with pytest.raises(CatalogError):
+                server.execute("Bad")
+        assert server.engine.peek("y") == 0
+        for value, y in ((2, 1), (9, 2)):
+            server.engine.poke("x", value)
+            assert server.execute("Bad").committed
+            assert server.engine.peek("y") == y
 
 
 def _local_treaty(site, upper):
@@ -107,6 +141,27 @@ class TestSiteServer:
         assert server.engine.peek("x") == 42
         assert server.engine.peek("remote") == 7
         assert server.dirty_owned_values() == {}
+
+    def test_validate_catches_a_corrupted_residual(self):
+        server = self._server(treaty_upper=100)
+        server.validate = True
+        proc = server.catalog.procedures["Incr"][0]  # the v < 10 row
+        corrupt = lambda g, s, e, p, arrays: s("x", g("x") + 2)
+        object.__setattr__(proc, "_run", corrupt)
+        with pytest.raises(ExecutionDivergence, match="compiled row 0"):
+            server.execute("Incr")
+        assert server.engine.peek("x") == 0  # rolled back
+        server.validate = False
+        assert server.execute("Incr").committed  # unchecked, it runs
+        assert server.engine.peek("x") == 2
+
+    def test_validate_catches_a_wrong_row(self):
+        server = self._server(treaty_upper=100)
+        server.validate = True
+        wrong = server.catalog.procedures["Incr"][1]  # the reset row
+        server.catalog.deciders["Incr"] = lambda getobj, params: wrong
+        with pytest.raises(ExecutionDivergence, match="interpreted rows \\[0\\]"):
+            server.execute("Incr")
 
     def test_cleanup_run_returns_log_and_writes(self):
         server = self._server()
