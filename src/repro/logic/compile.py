@@ -38,8 +38,10 @@ install, so the commit itself never walks an AST:
 
 The first two build Python source and :func:`compile` it.  An AST too
 deep for CPython's parser or recursion limit (e.g. a ``foreach``
-unrolled over hundreds of array slots), or a decision tree over too
-many leaves, keeps the interpreter: the decider then evaluates every
+unrolled over hundreds of array slots), a command still holding a
+``foreach`` (a symbolic table's residuals are unrolled; a family body
+Algorithm 1 replays need not be), or a decision tree over too many
+leaves, keeps the interpreter: the decider then evaluates every
 guard with ``Formula.evaluate`` and the residual runs through
 ``execute``, so equivalence never depends on the lowering succeeding.
 
@@ -541,6 +543,8 @@ def _block(com: Com, held: _Locals, out: list[str], pad: str) -> None:
             out.append(f"{pad}else:")
             _block(node.else_branch, held, out, pad + "    ")
             held.assigned &= after_then
+        else:  # an L++ foreach: unrolled by the interpreter, not here
+            raise _NotLowered(f"unknown command node {node!r}")
     if len(out) == start:
         out.append(f"{pad}pass")
 

@@ -31,7 +31,9 @@ but the pin values -- which conjuncts linearize, which are pinned and
 over what, the per-site split -- is kept per ``(instance, row)`` the
 first time the row matches (its *shape*) and re-bound afterwards, and
 the optimizer's value memo keeps the one thing that is not a function
-of the values, the split the sampled futures chose.  This is an
+of the values, the split the sampled futures chose; within a round,
+instances that carry the same clause configure it once, through the
+round's :class:`~repro.treaty.optimize.SampledFutures`.  This is an
 engineering optimization -- validity (H1/H2) is untouched -- that turns
 per-round cost from O(database) into O(touched factors), assembly
 included: the recomputed pieces are handed to a
@@ -64,10 +66,13 @@ from repro.treaty.config import (
     equal_split_configuration,
 )
 from repro.treaty.optimize import (
+    Family,
+    SampledFutures,
     SampledRun,
     WorkloadModel,
     configure_from_samples,
     demand_configuration,
+    lower_families,
     sample_executions,
 )
 from repro.treaty.table import InstallDivergence, TreatyTable
@@ -75,6 +80,10 @@ from repro.treaty.templates import TreatyTemplates, build_templates
 
 #: Recognized treaty strategies.
 TreatyStrategy = str  # 'default' | 'equal-split' | 'optimized' | 'demand'
+
+#: one generate(): the database as read and as a snapshot, and the
+#: pieces it recomputed
+_Round = tuple[Callable[[str], int], Mapping[str, int], dict[int, TreatyPiece]]
 
 
 class ProtocolError(Exception):
@@ -260,12 +269,16 @@ class TreatyGenerator:
         default_factory=dict
     )
     _instance_keys: list[tuple[str, ...]] | None = None
-    #: workload samples shared by all instances within one generate()
-    _sampled_runs: list[SampledRun] | None = None
+    #: :attr:`families` lowered for replay, the first time a round samples
+    _lowered: dict[str, Family] | None = None
+    #: workload samples shared by all instances within one generate(),
+    #: with the clause work they share
+    _futures: SampledFutures | None = None
+    #: instances configured against :attr:`_futures` this round (not
+    #: taken from :attr:`_memo`)
+    _configured: set[int] = field(init=False, default_factory=set)
     #: the last generate()'s database and pieces, for the validate oracle
-    _last_round: tuple[Callable[[str], int], dict[int, TreatyPiece]] | None = field(
-        init=False, default=None
-    )
+    _last_round: _Round | None = field(init=False, default=None)
     #: lazy reverse index: object name -> instances depending on it
     _object_to_instances: dict[str, list[int]] | None = None
 
@@ -405,6 +418,7 @@ class TreatyGenerator:
             split = self._memo.get(memo_key)
         if split is None:
             self.instances_recomputed += 1
+            self._configured.add(idx)
             config = self._configure(templates, getobj, db_snapshot)
             split = tuple(
                 config.values[clause.config_var(site)]
@@ -448,10 +462,12 @@ class TreatyGenerator:
         if self.strategy == "optimized":
             if self.optimizer is None:
                 raise ProtocolError("strategy 'optimized' requires OptimizerSettings")
-            if self._sampled_runs is None:
-                self._sampled_runs = sample_executions(
+            if self._futures is None:
+                if self._lowered is None:
+                    self._lowered = lower_families(self.families)
+                self._futures = sample_executions(
                     db_snapshot,
-                    self.families,
+                    self._lowered,
                     self.optimizer.model,
                     self.optimizer.lookahead,
                     self.optimizer.cost_factor,
@@ -459,7 +475,7 @@ class TreatyGenerator:
                     self.arrays,
                 )
             config, _stats = configure_from_samples(
-                templates, getobj, self._sampled_runs, engine=self.optimizer.engine
+                templates, getobj, self._futures, engine=self.optimizer.engine
             )
             return config
         raise ProtocolError(f"unknown treaty strategy {self.strategy!r}")
@@ -482,14 +498,15 @@ class TreatyGenerator:
         nested guards ``stock >= 11 .. stock >= 15``; only the tightest
         needs enforcing, and it implies the rest).
         """
-        self._sampled_runs = None  # fresh samples per generation
+        self._futures = None  # fresh samples per generation
+        self._configured = set()
         pieces = self._assembly.pieces
         if dirty is None or len(pieces) < len(self.ground_tables):
             stale: Iterable[int] = range(len(self.ground_tables))
         else:
             stale = sorted(self.instances_touching(dirty))
         changed = {idx: self._piece(idx, getobj, db_snapshot) for idx in stale}
-        self._last_round = (getobj, changed)
+        self._last_round = (getobj, db_snapshot, changed)
         try:
             return self._assembly.update(changed, round_number)
         except ContradictoryPins as exc:
@@ -499,9 +516,16 @@ class TreatyGenerator:
         """The validate-mode oracle of incremental generation: the
         pieces :meth:`generate` just bound from cached shapes must equal
         what deriving them afresh gives, and the table it returned what
-        its pieces assemble to with nothing carried over."""
+        its pieces assemble to with nothing carried over.  Under
+        ``optimized`` the round's shared work is re-done unshared: every
+        sampled run replayed through :mod:`repro.lang.interp` must write
+        what its compiled replay wrote, and every piece configured this
+        round must get the same split configured on its own."""
         assert self._last_round is not None
-        getobj, changed = self._last_round
+        getobj, db_snapshot, changed = self._last_round
+        futures = self._futures
+        if futures is not None:
+            self._assert_replays_match(futures, db_snapshot, table.round_number)
         for idx, piece in changed.items():
             row = self.ground_tables[idx][0].lookup(getobj)
             lin, templates = self._derive(idx, row, getobj)
@@ -516,7 +540,44 @@ class TreatyGenerator:
                     f"round {table.round_number}: instance {idx}'s piece bound "
                     f"from its row shape differs from scratch: {have} vs {expect}"
                 )
+            if futures is not None and idx in self._configured:
+                assert self.optimizer is not None
+                config, _stats = configure_from_samples(
+                    templates,
+                    getobj,
+                    SampledFutures(futures.runs),
+                    engine=self.optimizer.engine,
+                )
+                values = config.values
+                alone = [
+                    {site: values[clause.config_var(site)] for site in self.sites}
+                    for clause in templates.clauses
+                ]
+                if piece.per_clause_config != alone:
+                    raise InstallDivergence(
+                        f"round {table.round_number}: instance {idx}'s shared "
+                        f"configuration differs from its own: "
+                        f"{piece.per_clause_config} vs {alone}"
+                    )
         self._assembly.assert_matches_scratch(table)
+
+    def _assert_replays_match(
+        self, futures: SampledFutures, db_snapshot: Mapping[str, int], round_number: int
+    ) -> None:
+        """Every compiled replay of ``futures`` wrote what the
+        interpreter writes for its sampled sequence."""
+        assert self._lowered is not None
+        for at, run in enumerate(futures.runs):
+            reference = SampledRun(dict(db_snapshot))
+            for name, params in run.sampled:
+                reference.replay_interpreted(self._lowered[name], params, self.arrays)
+            have = (run.steps, run.writes, run.state)
+            expect = (reference.steps, reference.writes, reference.state)
+            if have != expect:
+                raise InstallDivergence(
+                    f"round {round_number}: sampled run {at}'s compiled replay "
+                    f"differs from the interpreter's: {have} vs {expect}"
+                )
 
 
 @dataclass

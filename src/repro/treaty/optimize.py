@@ -9,7 +9,10 @@ parameters -- the lookahead interval ``L`` and the cost factor ``f``
    clause);
 2. samples ``f`` future executions of ``L`` transactions each from
    the workload model and replays each once on a scratch copy of the
-   current database, keeping per written object the steps that wrote
+   current database -- through each family's
+   :func:`~repro.logic.compile.compile_residual` closure, lowered once
+   (:func:`lower_families`; :mod:`repro.lang.interp` stays the
+   reference) -- keeping per written object the steps that wrote
    it (:class:`SampledRun`); the soft constraint "the local treaties
    hold on state ``D_t``" is, plugging the state's local sums into the
    templates, an upper bound on each clause's configuration variables,
@@ -21,7 +24,9 @@ parameters -- the lookahead interval ``L`` and the cost factor ``f``
 3. hands hard + soft constraints to a MaxSAT engine: either the
    faithful Fu-Malik procedure over our LIA solver, or the exact
    specialized budget solver (default -- orders of magnitude faster,
-   same optima; see ``benchmarks/bench_ablation_maxsat.py``).
+   same optima; see ``benchmarks/bench_ablation_maxsat.py``), which
+   solves each distinct clause once per set of sampled futures
+   (:class:`SampledFutures`).
 
 Equality clauses admit no optimization freedom under the per-clause
 split (their configuration variables are pinned by the H1 equality),
@@ -36,6 +41,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 from repro.lang.ast import Transaction
 from repro.lang.interp import ExecContext, InterpError, execute
+from repro.logic.compile import Residual, compile_residual
 from repro.logic.linear import LinearConstraint, LinearExpr
 from repro.solver.fastmaxsat import BudgetInstance, solve_budget_allocation
 from repro.solver.maxsat import fu_malik_maxsat
@@ -51,7 +57,9 @@ class WorkloadModel(Protocol):
     other ways"); the optimizer only needs :meth:`sample`.
     """
 
-    def sample(self, rng: random.Random, length: int) -> list[tuple[str, dict[str, int]]]:
+    def sample(
+        self, rng: random.Random, length: int
+    ) -> list[tuple[str, dict[str, int]]]:
         """Return a sequence of (transaction name, parameter values)."""
         ...
 
@@ -69,7 +77,9 @@ class SequenceWorkloadModel:
         lambda rng, name: {}
     )
 
-    def sample(self, rng: random.Random, length: int) -> list[tuple[str, dict[str, int]]]:
+    def sample(
+        self, rng: random.Random, length: int
+    ) -> list[tuple[str, dict[str, int]]]:
         names = list(self.mix)
         weights = [self.mix[n] for n in names]
         out = []
@@ -87,6 +97,25 @@ class OptimizerStats:
     soft_constraints: int = 0
     satisfied: int = 0
     engine: str = "fast"
+
+
+@dataclass(frozen=True)
+class Family:
+    """A family transaction lowered once for replay: ``run`` is its
+    body's :func:`~repro.logic.compile.compile_residual` closure."""
+
+    #: the name the workload model samples it by
+    name: str
+    tx: Transaction
+    run: Residual
+
+
+def lower_families(transactions: Mapping[str, Transaction]) -> dict[str, Family]:
+    """Every family transaction, lowered for :meth:`SampledRun.replay`."""
+    return {
+        name: Family(name, tx, compile_residual(tx.body))
+        for name, tx in transactions.items()
+    }
 
 
 @dataclass
@@ -109,19 +138,33 @@ class SampledRun:
     #: object -> ``(0, D_0 value)`` then ``(step, value written)`` per
     #: writing step, ascending
     writes: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
+    #: the ``(family name, parameters)`` replayed, in order
+    sampled: list[tuple[str, Mapping[str, int]]] = field(default_factory=list)
 
     def replay(
         self,
-        tx: Transaction,
+        family: Family,
         params: Mapping[str, int],
         arrays: Mapping[str, tuple[int, ...]] | None = None,
     ) -> None:
         """Advance the scratch state by one transaction, as
-        :func:`~repro.lang.interp.evaluate` would."""
-        missing = set(tx.params) - set(params)
-        if missing:
-            raise InterpError(f"missing parameters for {tx.name}: {sorted(missing)}")
-        self.steps += 1
+        :func:`~repro.lang.interp.evaluate` would, through its compiled
+        closure."""
+        self._step(family, params)
+        state = self.state
+        family.run(
+            lambda name: state.get(name, 0), self.write, _discard, params, arrays or {}
+        )
+
+    def replay_interpreted(
+        self,
+        family: Family,
+        params: Mapping[str, int],
+        arrays: Mapping[str, tuple[int, ...]] | None = None,
+    ) -> None:
+        """:meth:`replay` through :func:`~repro.lang.interp.execute`:
+        the reference the validate-mode oracle holds it to."""
+        self._step(family, params)
         state = self.state
         ctx = ExecContext(
             getobj=lambda name: state.get(name, 0),
@@ -130,7 +173,16 @@ class SampledRun:
             params=params,
             arrays=arrays or {},
         )
-        execute(tx.body, ctx)
+        execute(family.tx.body, ctx)
+
+    def _step(self, family: Family, params: Mapping[str, int]) -> None:
+        missing = set(family.tx.params) - set(params)
+        if missing:
+            raise InterpError(
+                f"missing parameters for {family.tx.name}: {sorted(missing)}"
+            )
+        self.steps += 1
+        self.sampled.append((family.name, params))
 
     def write(self, name: str, value: int) -> None:
         """The replay's ``setobj``: the current step leaves ``value``."""
@@ -181,116 +233,196 @@ def _discard(_value: int) -> None:
     """A sampled future's prints go nowhere."""
 
 
+#: what configuring one clause depends on besides the round: its
+#: operator, bound, sites and per-site expressions (``None`` where a
+#: site has none) -- everything but the clause index, which only
+#: labels its configuration variables
+ClauseContent = tuple[str, int, tuple[int, ...], tuple[LinearExpr | None, ...]]
+
+
+class SampledFutures:
+    """One round's sampled executions and the clause work that is a
+    function of them and the round's database alone.
+
+    Each ground instance of a transaction family contributes its own
+    copy of the same clause: every NewOrder instance over one item
+    carries that item's stock clause, and only its bound (the quantity)
+    and the pins beside it (district, origin) differ.  Once the runs
+    and the database are fixed, a clause's H2 caps, soft bounds and
+    split are a function of its :data:`ClauseContent`, and a site
+    expression's peaks of the expression alone; both are computed once
+    here and shared by every instance that configures against these
+    futures.  Nothing outlives them: a fresh round samples afresh.
+    """
+
+    def __init__(self, runs: Sequence[SampledRun]) -> None:
+        self.runs = list(runs)
+        #: the runs Algorithm 1 line 8 samples a state of
+        self.sampled = [run for run in self.runs if run.steps]
+        #: site expression -> its peak in each of :attr:`sampled`
+        self._peaks: dict[LinearExpr | None, list[int]] = {}
+        #: clause content -> (its per-site split, soft bounds satisfied)
+        self.splits: dict[ClauseContent, tuple[tuple[int, ...], int]] = {}
+        #: the database :attr:`splits` was computed on
+        self._getobj: Callable[[str], int] | None = None
+
+    def peaks(self, expr: LinearExpr | None) -> list[int]:
+        """``run.peak(expr)`` for every run of :attr:`sampled`."""
+        peaks = self._peaks.get(expr)
+        if peaks is None:
+            peaks = self._peaks[expr] = [run.peak(expr) for run in self.sampled]
+        return peaks
+
+    def splits_on(
+        self, getobj: Callable[[str], int]
+    ) -> dict[ClauseContent, tuple[tuple[int, ...], int]]:
+        """The split memo for the database ``getobj`` reads.  A clause's
+        caps follow the database, so configuring through another
+        ``getobj`` starts the memo afresh; a round reads one database
+        through one ``getobj``, unchanged while it configures."""
+        if getobj is not self._getobj:
+            self._getobj, self.splits = getobj, {}
+        return self.splits
+
+
 def sample_executions(
     db_snapshot: Mapping[str, int],
-    transactions: Mapping[str, Transaction],
+    families: Mapping[str, Family],
     model: WorkloadModel,
     lookahead: int,
     cost_factor: int,
     rng: random.Random,
     arrays: Mapping[str, tuple[int, ...]] | None = None,
-) -> list[SampledRun]:
+) -> SampledFutures:
     """Lines 6-8 of Algorithm 1: f sampled executions of length L,
     each replayed once on its own scratch copy of the database."""
     runs: list[SampledRun] = []
     for _ in range(cost_factor):
         run = SampledRun(dict(db_snapshot))
         for name, params in model.sample(rng, lookahead):
-            run.replay(transactions[name], params, arrays)
+            run.replay(families[name], params, arrays)
         runs.append(run)
-    return runs
+    return SampledFutures(runs)
 
 
 def _soft_bounds(
-    clauses: Sequence[ClauseTemplate], runs: Sequence[SampledRun]
+    clauses: Sequence[ClauseTemplate], futures: SampledFutures
 ) -> dict[ConfigVar, list[int]]:
     """Per configuration variable, one entry per sampled execution:
     the tightest bound ``n - local_sum(D_t)`` over that execution's
     states (the worked example of Appendix C.2 simplifies the same
     way)."""
-    sampled = [run for run in runs if run.steps]
     return {
         clause.config_var(site): [
-            clause.bound - run.peak(clause.site_exprs.get(site)) for run in sampled
+            clause.bound - peak for peak in futures.peaks(clause.site_exprs.get(site))
         ]
         for clause in clauses
         for site in clause.sites
     }
 
 
+def _content(clause: ClauseTemplate) -> ClauseContent:
+    return (
+        clause.op,
+        clause.bound,
+        clause.sites,
+        tuple(clause.site_exprs.get(site) for site in clause.sites),
+    )
+
+
+def _split(
+    clause: ClauseTemplate, getobj: Callable[[str], int], futures: SampledFutures
+) -> tuple[tuple[int, ...], int]:
+    """One clause's per-site configuration values and the soft bounds
+    they satisfy: the Theorem 4.3 default for an ``=``-clause, the
+    budget solve for a ``<=``-clause."""
+    exprs = [clause.site_exprs.get(site) for site in clause.sites]
+    local_sums = [0 if expr is None else expr.value_on(getobj) for expr in exprs]
+    if clause.op == "=":
+        total = sum(local_sums)
+        return tuple(total - local for local in local_sums), 0
+    # The Theorem 4.3 frozen defaults of a <=-clause are exactly its H2
+    # caps n - local_sum(D).  Sampled demand (cap minus tightest sampled
+    # bound) steers the distribution of leftover slack.
+    sites = list(range(len(exprs)))
+    caps = [clause.bound - local for local in local_sums]
+    bounds = [[clause.bound - peak for peak in futures.peaks(expr)] for expr in exprs]
+    demand = [max(cap - min(b), 0) if b else 0 for cap, b in zip(caps, bounds)]
+    # Laplace-style smoothing: finite samples of a uniform workload
+    # should not produce a lopsided split.
+    smoothing = max(1, sum(demand) // (2 * len(sites)))
+    instance = BudgetInstance(
+        sites=sites,
+        required_total=(len(sites) - 1) * clause.bound,
+        soft_upper=dict(zip(sites, bounds)),
+        hard_upper=dict(zip(sites, caps)),
+        slack_weights={site: d + smoothing for site, d in zip(sites, demand)},
+    )
+    solution = solve_budget_allocation(instance)
+    return tuple(solution.assignment[site] for site in sites), solution.satisfied
+
+
 def configure_from_samples(
     templates: TreatyTemplates,
     getobj: Callable[[str], int],
-    runs: Sequence[SampledRun],
+    futures: SampledFutures,
     engine: str = "fast",
 ) -> tuple[Configuration, OptimizerStats]:
     """Lines 9-13 of Algorithm 1 given pre-sampled executions.
 
     Split out from :func:`optimize_configuration` so an incremental
     treaty generator can sample the workload once and configure many
-    template groups against the same futures.
+    template groups against the same futures.  The ``fast`` engine
+    configures each distinct clause once per ``futures`` and database
+    (:class:`SampledFutures`); ``fumalik``, the ablation reference,
+    solves every template group on its own.
     """
     stats = OptimizerStats(engine=engine)
-    base = default_configuration(templates, getobj)
-
     opt_clauses = [cl for cl in templates.clauses if cl.op == "<="]
-    if not opt_clauses or not runs:
-        return base, stats
+    if not opt_clauses or not futures.runs:
+        return default_configuration(templates, getobj), stats
 
-    stats.sampled_states = sum(run.steps for run in runs)
-    soft_bounds = _soft_bounds(opt_clauses, runs)
-    stats.soft_constraints = sum(len(v) for v in soft_bounds.values())
-    values = dict(base.values)
+    stats.sampled_states = sum(run.steps for run in futures.runs)
+    variables = sum(len(cl.sites) for cl in opt_clauses)
+    stats.soft_constraints = variables * len(futures.sampled)
 
     if engine == "fast":
-        for clause in opt_clauses:
-            variables = [clause.config_var(s) for s in clause.sites]
-            # base.values holds the Theorem 4.3 frozen defaults, which
-            # for <=-clauses are exactly the H2 caps n - local_sum(D).
-            # Sampled demand (cap minus tightest sampled bound) steers
-            # the distribution of leftover slack.
-            caps = [base.values[var] for var in variables]
-            bounds = [soft_bounds[var] for var in variables]
-            demand = [max(cap - min(b), 0) if b else 0 for cap, b in zip(caps, bounds)]
-            # Laplace-style smoothing: finite samples of a uniform
-            # workload should not produce a lopsided split.
-            smoothing = max(1, sum(demand) // (2 * len(variables)))
-            instance = BudgetInstance(
-                sites=variables,
-                required_total=(len(variables) - 1) * clause.bound,
-                soft_upper=dict(zip(variables, bounds)),
-                hard_upper=dict(zip(variables, caps)),
-                slack_weights={v: d + smoothing for v, d in zip(variables, demand)},
-            )
-            solution = solve_budget_allocation(instance)
-            values.update(solution.assignment)
-            stats.satisfied += solution.satisfied
-    elif engine == "fumalik":
-        hard = [cl.hard_constraint() for cl in opt_clauses]
-        # H2 caps as hard constraints.
-        for clause in opt_clauses:
-            for site in clause.sites:
-                var = clause.config_var(site)
-                hard.append(
-                    LinearConstraint.make(
-                        LinearExpr.variable(var), "<=", base.values[var]
-                    )
-                )
-        soft: list[LinearConstraint] = []
-        for var, bounds in sorted(soft_bounds.items(), key=lambda kv: repr(kv[0])):
-            for b in bounds:
-                soft.append(LinearConstraint.make(LinearExpr.variable(var), "<=", b))
-        result = fu_malik_maxsat(hard, soft)
-        for clause in opt_clauses:
-            for site in clause.sites:
-                var = clause.config_var(site)
-                if var in result.assignment:
-                    values[var] = result.assignment[var]
-        stats.satisfied = result.num_satisfied
-    else:
+        values: dict[ConfigVar, int] = {}
+        splits = futures.splits_on(getobj)
+        for clause in templates.clauses:
+            content = _content(clause)
+            split = splits.get(content)
+            if split is None:
+                split = splits[content] = _split(clause, getobj, futures)
+            values.update(zip(map(clause.config_var, clause.sites), split[0]))
+            stats.satisfied += split[1]
+        return Configuration(values=values, strategy="optimized-fast"), stats
+    if engine != "fumalik":
         raise ValueError(f"unknown MaxSAT engine {engine!r}")
 
-    return Configuration(values=values, strategy=f"optimized-{engine}"), stats
+    base = default_configuration(templates, getobj)
+    soft_bounds = _soft_bounds(opt_clauses, futures)
+    values = dict(base.values)
+    hard = [cl.hard_constraint() for cl in opt_clauses]
+    # H2 caps as hard constraints.
+    for clause in opt_clauses:
+        for site in clause.sites:
+            var = clause.config_var(site)
+            hard.append(
+                LinearConstraint.make(LinearExpr.variable(var), "<=", base.values[var])
+            )
+    soft: list[LinearConstraint] = []
+    for var, bounds in sorted(soft_bounds.items(), key=lambda kv: repr(kv[0])):
+        for b in bounds:
+            soft.append(LinearConstraint.make(LinearExpr.variable(var), "<=", b))
+    result = fu_malik_maxsat(hard, soft)
+    for clause in opt_clauses:
+        for site in clause.sites:
+            var = clause.config_var(site)
+            if var in result.assignment:
+                values[var] = result.assignment[var]
+    stats.satisfied = result.num_satisfied
+    return Configuration(values=values, strategy="optimized-fumalik"), stats
 
 
 def demand_split(slack: int, weights: Sequence[float], floor: int) -> list[int]:
@@ -430,7 +562,13 @@ def optimize_configuration(
     rng = rng or random.Random(0)
     if lookahead <= 0 or cost_factor <= 0:
         return default_configuration(templates, getobj), OptimizerStats(engine=engine)
-    runs = sample_executions(
-        db_snapshot, transactions, model, lookahead, cost_factor, rng, arrays
+    futures = sample_executions(
+        db_snapshot,
+        lower_families(transactions),
+        model,
+        lookahead,
+        cost_factor,
+        rng,
+        arrays,
     )
-    return configure_from_samples(templates, getobj, runs, engine=engine)
+    return configure_from_samples(templates, getobj, futures, engine=engine)

@@ -23,16 +23,18 @@ bound K times.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.logic.linear import LinearConstraint, LinearExpr
 from repro.logic.linearize import LinearizedTreaty
 from repro.logic.terms import ObjT
 
 
-@dataclass(frozen=True)
-class ConfigVar:
-    """The fresh configuration variable ``c_{site}`` of one clause."""
+class ConfigVar(NamedTuple):
+    """The fresh configuration variable ``c_{site}`` of one clause.
+
+    A named tuple: a treaty round builds one per clause and site
+    several times over, and a tuple is built and hashed in C."""
 
     site: int
     clause: int
@@ -53,7 +55,7 @@ class ClauseTemplate:
     sites: tuple[int, ...]
 
     def config_var(self, site: int) -> ConfigVar:
-        return ConfigVar(site=site, clause=self.index)
+        return ConfigVar(site, self.index)
 
     def local_constraint(self, site: int, config_value: int) -> LinearConstraint:
         """The site's local clause with the configuration folded in:

@@ -10,17 +10,27 @@ templates built is the same whether the treaty covers 50 items or 400
 -- and so, at the sites that install the round's treaty, is the number
 of clauses read from the store, lowered to escrow rows and encoded into
 the WAL, and the size of the record each site appends.
+
+Under ``optimized`` the same holds of Algorithm 1's share: a round
+solves one budget instance per distinct clause it configures, however
+many ground instances carry that clause, and replays its sampled
+futures without walking an AST.
 """
 
 import json
 
+import repro.lang.interp as interp_module
+import repro.logic.compile as compile_module
+import repro.protocol.homeostasis as homeostasis_module
 import repro.protocol.site as site_module
 import repro.storage.wal as wal_module
+import repro.treaty.optimize as optimize_module
 from repro.logic.linear import LinearConstraint, LinearExpr
 from repro.logic.linearize import LinearizedTreaty
 from repro.logic.terms import parse_ground_name
 from repro.treaty.templates import ClauseTemplate
 from repro.workloads.micro import MicroWorkload
+from repro.workloads.tpcc import TpccWorkload
 
 
 class _Calls:
@@ -135,3 +145,53 @@ def test_single_item_negotiation_costs_the_same_at_any_treaty_size(monkeypatch):
             for r in (record, twin)
         )
         assert 0 <= large_size - small_size <= 2 * entries
+
+
+def test_optimized_new_order_round_solves_each_distinct_clause_once(monkeypatch):
+    """One ``optimized`` TPC-C negotiation a New Order triggers: the
+    recomputed instances of the item carry a handful of distinct stock
+    clauses (one per quantity), each solved once, and sampling never
+    enters the interpreter."""
+    workload = TpccWorkload(
+        num_warehouses=1,
+        num_districts=2,
+        items_per_district=4,
+        num_customers=4,
+        num_sites=2,
+        hotness=30,
+        initial_stock=14,
+    )
+    cluster = workload.build_homeostasis(strategy="optimized")
+    generator = cluster.generator
+    solves = _Calls(optimize_module.solve_budget_allocation)
+    interpreted = _Calls(interp_module.execute)
+    monkeypatch.setattr(optimize_module, "solve_budget_allocation", solves)
+    monkeypatch.setattr(interp_module, "execute", interpreted)
+    monkeypatch.setattr(compile_module, "execute", interpreted)
+    monkeypatch.setattr(optimize_module, "execute", interpreted)
+    configured = []
+    configure = homeostasis_module.configure_from_samples
+
+    def spy(templates, getobj, futures, engine="fast"):
+        configured.append(templates)
+        return configure(templates, getobj, futures, engine)
+
+    monkeypatch.setattr(homeostasis_module, "configure_from_samples", spy)
+    for _ in range(100):
+        result = cluster.submit("NewOrder@s0", {"w": 0, "d": 0, "item": 1, "qty": 3})
+        if result.synced:
+            break
+    else:
+        raise AssertionError("the item never exhausted its stock budget")
+    assert cluster.stats.negotiations == 1 and generator._futures is not None
+    distinct = {
+        optimize_module._content(clause)
+        for templates in configured
+        for clause in templates.clauses
+        if clause.op == "<="
+    }
+    # Not vacuous: the item's instances share clauses (2 districts x
+    # 2 origins x 5 quantities over one stock expression).
+    assert 0 < len(distinct) < len(configured)
+    assert solves.count == len(distinct)
+    assert generator._futures.sampled and interpreted.count == 0

@@ -9,12 +9,21 @@ The generator's contract (engineering optimization over Section 4):
   the *values* of the objects it depends on, so refill cycles that
   revisit a stock level keep the optimum they got without
   recomputation (the deterministic strategies recompute theirs: it is
-  cheaper than the key).
+  cheaper than the key);
+- within one round, the sampled futures are replayed through compiled
+  closures and each distinct clause is configured once; under
+  ``validate`` both are re-done unshared, and a difference raises.
 """
 
+import dataclasses
 import random
 
+import pytest
+
+import repro.protocol.homeostasis as homeostasis_module
+from repro.treaty.table import InstallDivergence
 from repro.workloads.micro import MicroWorkload
+from repro.workloads.tpcc import TpccWorkload
 
 
 def _generator_env(num_items=4, refill=10, num_sites=2, strategy="equal-split"):
@@ -106,3 +115,67 @@ class TestValueMemo:
         no_memo_bound = 2 * (rounds - 1) + 4
         assert gen.instances_recomputed < no_memo_bound
         assert gen.instances_recomputed < 4 * rounds / 2
+
+
+class TestValidateOracle:
+    """``validate`` re-does a round's shared work on its own: a
+    compiled replay or a shared split that differs raises."""
+
+    def _drive(self, cluster, workload, requests=300):
+        rng = random.Random(5)
+        for _ in range(requests):
+            request = workload.next_request(rng)
+            cluster.submit(request.tx_name, request.params)
+
+    def _cluster(self):
+        workload = TpccWorkload(
+            num_warehouses=2,
+            num_districts=2,
+            items_per_district=6,
+            num_customers=4,
+            num_sites=2,
+            hotness=30,
+            initial_stock=12,
+        )
+        return workload, workload.build_homeostasis(strategy="optimized", validate=True)
+
+    def test_uncorrupted_rounds_pass(self):
+        workload, cluster = self._cluster()
+        self._drive(cluster, workload, requests=150)
+        assert cluster.stats.negotiations > 10
+
+    def test_corrupted_family_closure_raises(self):
+        workload, cluster = self._cluster()
+        lowered = cluster.generator._lowered
+        assert lowered is not None  # the bootstrap round sampled
+        name = next(name for name in lowered if name.startswith("NewOrder"))
+        # A closure that loses its writes: the replay moves no state.
+        lowered[name] = dataclasses.replace(
+            lowered[name], run=lambda g, s, e, p, arrays: None
+        )
+        with pytest.raises(InstallDivergence, match="compiled replay"):
+            self._drive(cluster, workload)
+
+    def test_corrupted_memo_entry_raises(self, monkeypatch):
+        workload, cluster = self._cluster()
+        generator = cluster.generator
+        configure = homeostasis_module.configure_from_samples
+        corrupted = []
+
+        def corrupting(templates, getobj, futures, engine="fast"):
+            result = configure(templates, getobj, futures, engine)
+            if futures is generator._futures and not corrupted:
+                for content, (split, satisfied) in futures.splits.items():
+                    if content[0] == "<=":
+                        # Lower every site's value: H2 still holds, only
+                        # the instances that share the entry see it.
+                        lowered = tuple(value - 1 for value in split)
+                        futures.splits[content] = (lowered, satisfied)
+                        corrupted.append(content)
+                        break
+            return result
+
+        monkeypatch.setattr(homeostasis_module, "configure_from_samples", corrupting)
+        with pytest.raises(InstallDivergence, match="shared configuration"):
+            self._drive(cluster, workload)
+        assert corrupted

@@ -1,10 +1,14 @@
 """Algorithm 1 (Appendix C.2): sampled runs, soft bounds, both engines.
 
-:mod:`repro.treaty.optimize` replays each sampled execution once and
-keeps what it wrote; a configuration variable's soft bound per run is
-read from the states that can have moved its site's local sum.  The
-reference it is held to lives here: every post-transaction state
-materialized, every state x clause x site evaluated.
+:mod:`repro.treaty.optimize` replays each sampled execution once,
+through the family's compiled closure, and keeps what it wrote; a
+configuration variable's soft bound per run is read from the states
+that can have moved its site's local sum, and a clause is configured
+once per distinct content among everything configured against the same
+futures.  The references it is held to live here: every
+post-transaction state materialized, every state x clause x site
+evaluated; the interpreter's replay; every template group configured
+on its own.
 """
 
 import random
@@ -25,14 +29,20 @@ from repro import (
     optimize_configuration,
     parse_transaction,
 )
+from repro.fuzz.generators import FuzzWorkload
+from repro.fuzz.strategies import fuzz_specs
+from repro.lang.ast import AConst, ARead, BCmp, GroundRef, If, Print, Transaction, Write
+from repro.lang.interp import InterpError
 from repro.logic.linear import LinearExpr
 from repro.logic.terms import ObjT
 from repro.treaty import optimize
 from repro.treaty.config import check_h1_algebraic, check_h2
 from repro.treaty.optimize import (
     OptimizerStats,
+    SampledFutures,
     SampledRun,
     configure_from_samples,
+    lower_families,
     sample_executions,
 )
 from repro.treaty.templates import ClauseTemplate, ConfigVar, TreatyTemplates
@@ -83,7 +93,7 @@ def soft_bounds(clauses, runs):
     no entry in the reference and an empty one here."""
     return {
         var: bounds
-        for var, bounds in optimize._soft_bounds(clauses, runs).items()
+        for var, bounds in optimize._soft_bounds(clauses, SampledFutures(runs)).items()
         if bounds
     }
 
@@ -175,7 +185,9 @@ class TestWorkedExample:
 
     def test_replay_matches_the_interpreter(self):
         """The write index holds exactly the states ``evaluate`` yields."""
-        runs = sample_executions(DB, FAMILIES, MODEL, 5, 4, random.Random(7))
+        runs = sample_executions(
+            DB, lower_families(FAMILIES), MODEL, 5, 4, random.Random(7)
+        ).runs
         rng = random.Random(7)
         state_runs = []
         for _ in range(4):
@@ -190,17 +202,30 @@ class TestWorkedExample:
         assert soft_bounds(clauses, runs) == naive_soft_bounds(clauses, state_runs)
 
     def test_both_engines_read_the_same_soft_bounds(self, monkeypatch):
-        seen = []
-        real = optimize._soft_bounds
+        """The fast engine's budget instance holds, per site, the soft
+        bounds Fu-Malik is handed per configuration variable."""
+        solved, seen = [], []
+        real_solve = optimize.solve_budget_allocation
+        real_bounds = optimize._soft_bounds
 
-        def spy(clauses, runs):
-            seen.append(real(clauses, runs))
+        def solve(instance):
+            solved.append(instance)
+            return real_solve(instance)
+
+        def bounds(clauses, futures):
+            seen.append(real_bounds(clauses, futures))
             return seen[-1]
 
-        monkeypatch.setattr(optimize, "_soft_bounds", spy)
+        monkeypatch.setattr(optimize, "solve_budget_allocation", solve)
+        monkeypatch.setattr(optimize, "_soft_bounds", bounds)
         _config, fast = worked_example("fast")
         _config, fumalik = worked_example("fumalik")
-        assert len(seen) == 2 and seen[0] == seen[1]
+        assert len(solved) == 1 and len(seen) == 1
+        (instance,) = solved
+        sites = (1, 2)
+        assert {
+            ConfigVar(site, 0): instance.soft_upper[at] for at, site in enumerate(sites)
+        } == seen[0]
         assert seen[0] == {
             ConfigVar(1, 0): [-13, -11, -12],
             ConfigVar(2, 0): [-7, -9, -8],
@@ -285,7 +310,7 @@ def test_soft_bounds_and_validity_over_generated_runs(db, runs, shapes, slacks):
         clauses, [naive_states(db, steps) for steps in runs]
     )
     templates = TreatyTemplates(clauses=clauses, sites=SITES)
-    config, stats = configure_from_samples(templates, lookup, indexed)
+    config, stats = configure_from_samples(templates, lookup, SampledFutures(indexed))
     assert check_h1_algebraic(templates, config)
     assert check_h2(templates, config, lookup)
     assert stats.sampled_states == sum(len(steps) for steps in runs)
@@ -303,10 +328,159 @@ def test_fumalik_configurations_are_valid(db, steps, coeffs, slack):
     held = sum(coeff * lookup(name) for name, coeff in coeffs.items())
     templates = TreatyTemplates([clause_over(0, coeffs, held + slack)], SITES)
     config, _stats = configure_from_samples(
-        templates, lookup, [indexed_run(db, steps)], engine="fumalik"
+        templates, lookup, SampledFutures([indexed_run(db, steps)]), engine="fumalik"
     )
     assert check_h1_algebraic(templates, config)
     assert check_h2(templates, config, lookup)
+
+
+# -- compiled replays against the interpreter --------------------------------------
+
+
+def replayed(families, db, sampled, arrays=None, interpreted=False):
+    """``sampled`` replayed on a copy of ``db``, through the compiled
+    closures or the interpreter."""
+    run = SampledRun(dict(db))
+    step = run.replay_interpreted if interpreted else run.replay
+    for name, params in sampled:
+        step(families[name], params, arrays)
+    return run
+
+
+def observed(run):
+    return run.steps, run.writes, run.state, run.sampled
+
+
+@settings(max_examples=examples(40), deadline=None)
+@given(spec=fuzz_specs(), seed=st.integers(0, 2**16), length=st.integers(0, 12))
+def test_compiled_replay_matches_the_interpreter(spec, seed, length):
+    """Generated families over parameter-indexed arrays: the compiled
+    replay writes what the interpreter writes, step by step."""
+    workload = FuzzWorkload(fuzz=spec)
+    families = lower_families(workload.variants)
+    sampled = workload.workload_model().sample(random.Random(seed), length)
+    db = workload.initial_db
+    run = replayed(families, db, sampled)
+    assert observed(run) == observed(replayed(families, db, sampled, interpreted=True))
+    state = dict(db)
+    for name, params in sampled:
+        state = evaluate(families[name].tx, state, params).db
+    assert run.state == state
+
+
+def test_missing_parameter_raises_as_the_interpreter_does():
+    """Both replays refuse a call missing a parameter before it runs,
+    with ``evaluate``'s error, and leave the run as it was."""
+    tx = parse_transaction("transaction P(a, b) { write(x = read(x) + @a + @b) }")
+    families = lower_families({"P": tx})
+    with pytest.raises(InterpError) as expected:
+        evaluate(tx, DB, {"a": 1})
+    for interpreted in (False, True):
+        run = replayed(families, DB, [("P", {"a": 1, "b": 2})], None, interpreted)
+        step = run.replay_interpreted if interpreted else run.replay
+        with pytest.raises(InterpError) as raised:
+            step(families["P"], {"a": 1})
+        assert str(raised.value) == str(expected.value)
+        assert observed(run) == (
+            1,
+            {"x": [(0, 10), (1, 13)]},
+            {**DB, "x": 13},
+            [("P", {"a": 1, "b": 2})],
+        )
+
+
+def _deep_body():
+    """300 nested ifs: past CPython's indentation limit."""
+    com = Print(AConst(0))
+    for i in range(300):
+        cond = BCmp("<", ARead(GroundRef("x")), AConst(i))
+        com = If(cond, Write(GroundRef("y"), AConst(i)), com)
+    return com
+
+
+KEPT_BY_THE_INTERPRETER = {
+    "deep": (Transaction("Deep", (), _deep_body()), None),
+    "foreach": (
+        parse_transaction(
+            "transaction Restock(n) "
+            "{ foreach i in arr { write(arr(i) = read(arr(i)) + @n) } }"
+        ),
+        {"arr": (3,)},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "tx, arrays", KEPT_BY_THE_INTERPRETER.values(), ids=KEPT_BY_THE_INTERPRETER
+)
+def test_bodies_that_do_not_compile_replay_through_the_interpreter(tx, arrays):
+    family = lower_families({"F": tx})["F"]
+    assert "interpreted" in family.run.__qualname__
+    params = {name: 2 for name in tx.params}
+    sampled = [("F", params)] * 3
+    for db in ({"x": 150, "arr[1]": 4}, {"x": -1}):
+        run = replayed({"F": family}, db, sampled, arrays)
+        reference = replayed({"F": family}, db, sampled, arrays, interpreted=True)
+        assert observed(run) == observed(reference)
+        state = dict(db)
+        for _ in sampled:
+            state = evaluate(tx, state, params, arrays).db
+        assert run.state == state and run.writes
+
+
+# -- one configuration per distinct clause ------------------------------------------
+
+
+@given(
+    db=databases,
+    runs=st.lists(step_lists, min_size=1, max_size=3),
+    shapes=st.lists(coefficients, min_size=1, max_size=2),
+    groups=st.lists(
+        st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 4), st.booleans()),
+            min_size=1,
+            max_size=3,
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+)
+def test_shared_configuration_matches_per_instance(db, runs, shapes, groups):
+    """Template groups configured against one :class:`SampledFutures`
+    get what each gets configured alone: duplicate clauses, nested
+    bounds over one expression, sites with no expression (site 2 has
+    only ``e``), equality pins and runs that replayed nothing."""
+    lookup = lambda name: db.get(name, 0)  # noqa: E731
+    indexed = [indexed_run(db, steps) for steps in runs]
+    shared = SampledFutures(indexed)
+    clauses_seen = 0
+    for group in groups:
+        clauses = []
+        for index, (shape, slack, pin) in enumerate(group):
+            coeffs = shapes[shape % len(shapes)]
+            held = sum(coeff * lookup(name) for name, coeff in coeffs.items())
+            clause = clause_over(index, coeffs, held + slack)
+            if pin:
+                clause = ClauseTemplate(
+                    index, "=", held, clause.site_exprs, clause.sites
+                )
+            clauses.append(clause)
+        templates = TreatyTemplates(clauses=clauses, sites=SITES)
+        alone = configure_from_samples(templates, lookup, SampledFutures(indexed))
+        assert configure_from_samples(templates, lookup, shared) == alone
+        clauses_seen += len(clauses)
+    assert len(shared.splits) <= clauses_seen
+
+
+def test_split_memo_follows_the_database():
+    """The same futures configured on another database re-derive the
+    caps: a split is shared within one database only."""
+    templates = TreatyTemplates([clause_over(0, {"a": 1, "c": 1}, 20)], SITES)
+    futures = SampledFutures([indexed_run({}, [[("a", 3)], [("c", 4)]])])
+    for db in ({"a": 1, "c": 2}, {"a": 5, "c": 9}, {"a": 1, "c": 2}):
+        lookup = lambda name, db=db: db.get(name, 0)  # noqa: E731
+        alone = configure_from_samples(templates, lookup, SampledFutures(futures.runs))
+        assert configure_from_samples(templates, lookup, futures) == alone
 
 
 # -- the cost guard -------------------------------------------------------------------
