@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Mapping
 
-from repro.analysis.ground import ground_instances
-from repro.analysis.symbolic import SymbolicTable, build_symbolic_table
+from repro.analysis.symbolic import SymbolicTable
 from repro.lang.ast import Transaction
 from repro.lang.parser import parse_transaction
 from repro.protocol.remote_writes import (
@@ -51,6 +51,7 @@ from repro.protocol.remote_writes import (
 )
 from repro.treaty.optimize import SequenceWorkloadModel
 from repro.workloads.common import (
+    Grounding,
     ReplicatedWorkloadBase,
     WorkloadSpecError,
     require_nonempty,
@@ -265,8 +266,8 @@ class FuzzWorkload(ReplicatedWorkloadBase):
             return {"item": items, "amount": list(range(1, family.delta + 1))}
         return {"item": items}
 
-    def ground_tables(self) -> list[tuple[SymbolicTable, int]]:
-        out: list[tuple[SymbolicTable, int]] = []
+    def ground_families(self, tables: Mapping[str, SymbolicTable]) -> list[Grounding]:
+        out: list[Grounding] = []
         for name, tx in self.variants.items():
             base = name.rsplit("@s", 1)[0]
             family = self._by_name[base]
@@ -278,12 +279,8 @@ class FuzzWorkload(ReplicatedWorkloadBase):
                 # the row stays in: its print pins the slot and the
                 # oracle demands strictly serial logs.
                 continue
-            site = self.tx_home[name]
             domains = self._domains(family)
-            for gi in ground_instances(
-                tx, {p: domains[p] for p in tx.params}
-            ):
-                out.append((build_symbolic_table(gi.transaction), site))
+            out.append((tx, {p: domains[p] for p in tx.params}, self.tx_home[name]))
         return out
 
     def workload_model(self) -> SequenceWorkloadModel:

@@ -54,10 +54,16 @@ class LinearizedTreaty:
     #: the equalities ``x = D(x)``: position in ``constraints``, and ``x``
     pins: list[tuple[int, ObjT]] = field(default_factory=list)
 
-    def rebound(self, getobj: Callable[[str], int]) -> "LinearizedTreaty":
+    def rebound(
+        self, getobj: Callable[[str], int], row_matched: bool = False
+    ) -> "LinearizedTreaty":
         """This outcome on another database: the preconditions checked
-        again, every pin re-read, each constraint at its position."""
-        for formula in self.preconditions:
+        again, every pin re-read, each constraint at its position.
+
+        ``row_matched`` says the caller has just evaluated the formula
+        itself to true on ``getobj`` (the row lookup does): it is not
+        evaluated again, the pinned subformulas still are."""
+        for formula in self.preconditions[1 if row_matched else 0 :]:
             _require_holds(formula, getobj)
         if not self.pins:
             return self

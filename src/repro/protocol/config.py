@@ -113,6 +113,7 @@ class ClusterSpec:
             optimizer=self.optimizer,
             families=dict(self.families),
             arrays=dict(self.arrays),
+            validate=self.validate,
         )
 
 

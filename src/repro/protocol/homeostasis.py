@@ -246,6 +246,9 @@ class TreatyGenerator:
     arrays: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
     #: cumulative count of instance recomputations (observability)
     instances_recomputed: int = 0
+    #: validate mode: a bound row shape re-checks the guard its lookup
+    #: just matched
+    validate: bool = False
 
     #: the merged treaty, holding every instance's current piece
     _assembly: TreatyAssembly = field(init=False)
@@ -396,7 +399,7 @@ class TreatyGenerator:
         if shape is None:
             shape = self._shapes[idx, id(row)] = self._derive(idx, row, getobj)
             return shape
-        lin = shape[0].rebound(getobj)
+        lin = shape[0].rebound(getobj, row_matched=not self.validate)
         if lin is shape[0]:
             return shape
         return lin, shape[1].rebound(lin.constraints)

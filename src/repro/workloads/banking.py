@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Mapping
 
-from repro.analysis.ground import ground_instances
-from repro.analysis.symbolic import SymbolicTable, build_symbolic_table
+from repro.analysis.symbolic import SymbolicTable
 from repro.lang.ast import Transaction
 from repro.lang.parser import parse_transaction
 from repro.protocol.remote_writes import (
@@ -45,6 +45,7 @@ from repro.protocol.remote_writes import (
 )
 from repro.treaty.optimize import SequenceWorkloadModel
 from repro.workloads.common import (
+    Grounding,
     ReplicatedWorkloadBase,
     WorkloadRequest,
     WorkloadSpecError,
@@ -147,26 +148,22 @@ class BankingWorkload(ReplicatedWorkloadBase):
 
     # -- analysis products ---------------------------------------------------
 
-    def ground_tables(self) -> list[tuple[SymbolicTable, int]]:
+    def ground_families(self, tables: Mapping[str, SymbolicTable]) -> list[Grounding]:
         domains = {
             "src": list(range(self.num_accounts)),
             "dst": list(range(self.num_accounts)),
             "acct": list(range(self.num_accounts)),
             "amount": list(AMOUNTS),
         }
-        out: list[tuple[SymbolicTable, int]] = []
-        for name, tx in self.variants.items():
-            if name.startswith("Audit@"):
-                # Read-only probe: print pins every balance slot, which
-                # is exactly the coordination the classifier proves it
-                # does not need.  Same exclusion as micro's Audit.
-                continue
-            site = self.tx_home[name]
-            for gi in ground_instances(
-                tx, {p: domains[p] for p in tx.params}
-            ):
-                out.append((build_symbolic_table(gi.transaction), site))
-        return out
+        # Audit is left out: a read-only probe whose print pins every
+        # balance slot, which is exactly the coordination the
+        # classifier proves it does not need.  Same exclusion as
+        # micro's Audit.
+        return [
+            (tx, {p: domains[p] for p in tx.params}, self.tx_home[name])
+            for name, tx in self.variants.items()
+            if not name.startswith("Audit@")
+        ]
 
     def workload_model(self) -> SequenceWorkloadModel:
         def sample_params(rng: random.Random, name: str) -> dict[str, int]:

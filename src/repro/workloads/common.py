@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
+from repro.analysis.ground import assert_same_grounding, ground_family, ground_instances
 from repro.analysis.symbolic import SymbolicTable, build_symbolic_table
 from repro.lang.ast import Transaction
 from repro.protocol.baselines import LocalCluster, TwoPhaseCommitCluster
@@ -85,6 +86,11 @@ class WorkloadRequest:
     lock_keys: tuple
 
 
+#: one family treaty generation grounds: the transaction, its parameter
+#: domains, and the home site of every instance
+Grounding = tuple[Transaction, Mapping[str, Sequence[int]], int]
+
+
 class ReplicatedWorkloadBase:
     """Builder spine shared by every replicated workload.
 
@@ -98,7 +104,7 @@ class ReplicatedWorkloadBase:
     - ``initial_values`` -- the un-replicated logical values;
     - ``default_strategy`` -- the treaty strategy builders default to;
 
-    and implement :meth:`ground_tables` plus :meth:`workload_model`
+    and implement :meth:`ground_families` plus :meth:`workload_model`
     (only needed for ``strategy="optimized"``) and the two baseline
     hooks: :meth:`baseline_transactions` (untransformed variants) and,
     when ``initial_values`` is not the whole un-replicated store,
@@ -118,11 +124,29 @@ class ReplicatedWorkloadBase:
     def locate(self, name: str) -> int:
         return self.spec.locate(name, fallback=0)
 
-    def runtime_tables(self) -> list[SymbolicTable]:
-        return [build_symbolic_table(tx) for tx in self.variants.values()]
+    def variant_tables(self) -> dict[str, SymbolicTable]:
+        """The symbolic table of every variant, by name: the site
+        catalog's tables and the families' tables grounding starts from."""
+        return {name: build_symbolic_table(tx) for name, tx in self.variants.items()}
 
-    def ground_tables(self) -> list[tuple[SymbolicTable, int]]:
+    def ground_families(self, tables: Mapping[str, SymbolicTable]) -> list[Grounding]:
+        """The families treaty generation grounds (``tables`` holds the
+        variants' tables, for workloads that select by them)."""
         raise NotImplementedError
+
+    def ground_tables(
+        self, tables: Mapping[str, SymbolicTable] | None = None
+    ) -> list[tuple[SymbolicTable, int]]:
+        """Per-instance symbolic tables with home sites, the treaty
+        generator's input: each family analysed once and grounded by
+        substitution (a family that is not a variant is analysed here)."""
+        if tables is None:
+            tables = self.variant_tables()
+        return [
+            (instance, site)
+            for tx, domains, site in self.ground_families(tables)
+            for instance in ground_family(tx, domains, tables.get(tx.name))
+        ]
 
     def workload_model(self) -> SequenceWorkloadModel:
         raise NotImplementedError
@@ -151,13 +175,23 @@ class ReplicatedWorkloadBase:
                 cost_factor=cost_factor,
                 rng=random.Random(seed),
             )
+        tables = self.variant_tables()
+        ground = self.ground_tables(tables)
+        if validate:
+            # The oracle: every instance analysed on its own.
+            reference = [
+                (build_symbolic_table(gi.transaction), site)
+                for tx, domains, site in self.ground_families(tables)
+                for gi in ground_instances(tx, domains)
+            ]
+            assert_same_grounding(ground, reference)
         return ClusterSpec(
             sites=self.sites,
             locate=self.locate,
             initial_db=self.initial_db,
-            tables=tuple(self.runtime_tables()),
+            tables=tuple(tables.values()),
             tx_home=self.tx_home,
-            ground_tables=tuple(self.ground_tables()),
+            ground_tables=tuple(ground),
             families=dict(self.variants),
             strategy=strategy,
             optimizer=optimizer,

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Mapping
 
-from repro.analysis.ground import ground_instances
-from repro.analysis.symbolic import SymbolicTable, build_symbolic_table
+from repro.analysis.symbolic import SymbolicTable
 from repro.lang.ast import Transaction
 from repro.lang.parser import parse_transaction
 from repro.protocol.remote_writes import (
@@ -37,6 +37,7 @@ from repro.protocol.remote_writes import (
 )
 from repro.treaty.optimize import SequenceWorkloadModel
 from repro.workloads.common import (
+    Grounding,
     ReplicatedWorkloadBase,
     WorkloadRequest,
     WorkloadSpecError,
@@ -132,14 +133,9 @@ class GeoMicroWorkload(ReplicatedWorkloadBase):
 
     # -- analysis products ----------------------------------------------------
 
-    def ground_tables(self) -> list[tuple[SymbolicTable, int]]:
+    def ground_families(self, tables: Mapping[str, SymbolicTable]) -> list[Grounding]:
         domains = {"item": list(range(self.items_per_group))}
-        out: list[tuple[SymbolicTable, int]] = []
-        for name, tx in self.variants.items():
-            site = self.tx_home[name]
-            for gi in ground_instances(tx, domains):
-                out.append((build_symbolic_table(gi.transaction), site))
-        return out
+        return [(tx, domains, self.tx_home[name]) for name, tx in self.variants.items()]
 
     # -- cluster builder ------------------------------------------------------
 

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Mapping
 
-from repro.analysis.ground import ground_instances
-from repro.analysis.symbolic import SymbolicTable, build_symbolic_table
+from repro.analysis.symbolic import SymbolicTable
 from repro.lang.ast import Transaction
 from repro.lang.parser import parse_transaction
 from repro.protocol.remote_writes import (
@@ -35,6 +35,7 @@ from repro.protocol.remote_writes import (
 )
 from repro.treaty.optimize import SequenceWorkloadModel
 from repro.workloads.common import (
+    Grounding,
     ReplicatedWorkloadBase,
     WorkloadRequest,
     WorkloadSpecError,
@@ -159,9 +160,8 @@ class MicroWorkload(ReplicatedWorkloadBase):
 
     # -- analysis products ----------------------------------------------------
 
-    def ground_tables(self) -> list[tuple[SymbolicTable, int]]:
-        """Per-instance symbolic tables with home sites, for treaty
-        generation.
+    def ground_families(self, tables: Mapping[str, SymbolicTable]) -> list[Grounding]:
+        """The Buy family of every site, over the item domain.
 
         For the multi-item variant the ground basis is the *per-item
         projection*: a ``MultiBuy(i1..im)`` instance with distinct
@@ -182,18 +182,15 @@ class MicroWorkload(ReplicatedWorkloadBase):
             else replicate_workload([basis_family], self.sites, self.spec)
         )
         domains = {"item": list(range(self.num_items))}
-        out: list[tuple[SymbolicTable, int]] = []
-        for name, tx in basis_variants.items():
-            if name.startswith("Audit@"):
-                # Read-only probe: its single true-guard row would only
-                # contribute Appendix C.3 print pins on every quantity
-                # -- exactly the coordination the classifier proves it
-                # does not need.
-                continue
-            site = int(name.rsplit("@s", 1)[1])
-            for gi in ground_instances(tx, domains):
-                out.append((build_symbolic_table(gi.transaction), site))
-        return out
+        # Audit is left out: its single true-guard row would only
+        # contribute Appendix C.3 print pins on every quantity --
+        # exactly the coordination the classifier proves it does not
+        # need.
+        return [
+            (tx, domains, int(name.rsplit("@s", 1)[1]))
+            for name, tx in basis_variants.items()
+            if not name.startswith("Audit@")
+        ]
 
     # -- cluster builders ---------------------------------------------------------
 

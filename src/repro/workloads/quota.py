@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Mapping
 
-from repro.analysis.ground import ground_instances
-from repro.analysis.symbolic import SymbolicTable, build_symbolic_table
+from repro.analysis.symbolic import SymbolicTable
 from repro.lang.ast import Transaction
 from repro.lang.parser import parse_transaction
 from repro.protocol.remote_writes import (
@@ -42,6 +42,7 @@ from repro.protocol.remote_writes import (
 )
 from repro.treaty.optimize import SequenceWorkloadModel
 from repro.workloads.common import (
+    Grounding,
     ReplicatedWorkloadBase,
     WorkloadRequest,
     WorkloadSpecError,
@@ -125,21 +126,16 @@ class QuotaWorkload(ReplicatedWorkloadBase):
 
     # -- analysis products ---------------------------------------------------
 
-    def ground_tables(self) -> list[tuple[SymbolicTable, int]]:
+    def ground_families(self, tables: Mapping[str, SymbolicTable]) -> list[Grounding]:
         domains = {"tenant": list(range(self.num_tenants))}
-        out: list[tuple[SymbolicTable, int]] = []
-        for name, tx in self.variants.items():
-            if name.startswith("Usage@"):
-                # Read-only probe: excluded from treaty generation so
-                # its print pins never force coordination the
-                # classifier proves unnecessary.
-                continue
-            site = self.tx_home[name]
-            for gi in ground_instances(
-                tx, {p: domains[p] for p in tx.params}
-            ):
-                out.append((build_symbolic_table(gi.transaction), site))
-        return out
+        # Usage is left out: a read-only probe excluded from treaty
+        # generation so its print pins never force coordination the
+        # classifier proves unnecessary.
+        return [
+            (tx, {p: domains[p] for p in tx.params}, self.tx_home[name])
+            for name, tx in self.variants.items()
+            if not name.startswith("Usage@")
+        ]
 
     def workload_model(self) -> SequenceWorkloadModel:
         def sample_params(rng: random.Random, name: str) -> dict[str, int]:

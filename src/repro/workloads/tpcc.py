@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Mapping
 
-from repro.analysis.ground import ground_instances
-from repro.analysis.symbolic import SymbolicTable, build_symbolic_table
+from repro.analysis.symbolic import SymbolicTable
 from repro.lang.ast import Transaction
 from repro.lang.parser import parse_transaction
 from repro.logic.formula import BoolConst
@@ -50,6 +50,7 @@ from repro.protocol.remote_writes import (
 )
 from repro.treaty.optimize import SequenceWorkloadModel
 from repro.workloads.common import (
+    Grounding,
     ReplicatedWorkloadBase,
     WorkloadRequest,
     WorkloadSpecError,
@@ -217,21 +218,20 @@ class TpccWorkload(ReplicatedWorkloadBase):
                 return True
         return False
 
-    def ground_tables(self) -> list[tuple[SymbolicTable, int]]:
-        """Ground instances that participate in treaty generation.
+    def ground_families(self, tables: Mapping[str, SymbolicTable]) -> list[Grounding]:
+        """Families that participate in treaty generation.
 
-        Payment instances are excluded by the treaty-relevance check
-        (single true-guard row, purely local residual), which keeps
-        grounding cost independent of the customer count.
+        Payment is excluded by the treaty-relevance check (single
+        true-guard row, purely local residual), which keeps grounding
+        cost independent of the customer count.
         """
-        out: list[tuple[SymbolicTable, int]] = []
+        out: list[Grounding] = []
         warehouses = list(range(self.num_warehouses))
         districts = list(range(self.num_districts))
         items = list(range(self.num_items))
         for name, tx in self.variants.items():
             site = self.tx_home[name]
-            family_table = build_symbolic_table(tx)
-            if not self._treaty_relevant(family_table, site):
+            if not self._treaty_relevant(tables[name], site):
                 continue
             if name.startswith("NewOrder"):
                 domains = {
@@ -244,8 +244,7 @@ class TpccWorkload(ReplicatedWorkloadBase):
                 domains = {"w": warehouses, "d": districts}
             else:
                 domains = {p: [0] for p in tx.params}
-            for gi in ground_instances(tx, domains):
-                out.append((build_symbolic_table(gi.transaction), site))
+            out.append((tx, domains, site))
         return out
 
     # -- request generation ------------------------------------------------------------

@@ -119,3 +119,15 @@ class TestRebinding:
         first = linearize_for_treaty(f, getobj_from({"x": 3, "y": 9}))
         with pytest.raises(ValueError):
             first.rebound(getobj_from({"x": 3, "y": 2}))
+
+    def test_a_matched_row_skips_the_formula_not_its_pinned_parts(self):
+        """``row_matched``: the caller has just evaluated the formula
+        (the table lookup did), so only the pinned subformulas are
+        checked again."""
+        first = linearize_for_treaty(self.MIXED, getobj_from({"x": 10, "y": 3}))
+        formula_false = getobj_from({"x": 60, "y": 1})  # x <= 50 fails
+        with pytest.raises(ValueError):
+            first.rebound(formula_false)
+        first.rebound(formula_false, row_matched=True)
+        with pytest.raises(ValueError):
+            first.rebound(getobj_from({"x": 4, "y": 0}), row_matched=True)

@@ -25,6 +25,7 @@ import repro.protocol.homeostasis as homeostasis_module
 import repro.protocol.site as site_module
 import repro.storage.wal as wal_module
 import repro.treaty.optimize as optimize_module
+from repro.logic.formula import Cmp
 from repro.logic.linear import LinearConstraint, LinearExpr
 from repro.logic.linearize import LinearizedTreaty
 from repro.logic.terms import parse_ground_name
@@ -195,3 +196,28 @@ def test_optimized_new_order_round_solves_each_distinct_clause_once(monkeypatch)
     assert 0 < len(distinct) < len(configured)
     assert solves.count == len(distinct)
     assert generator._futures.sampled and interpreted.count == 0
+
+
+def test_binding_a_row_shape_evaluates_its_guard_once(monkeypatch):
+    """Re-binding a cached row shape on a 2-row table: the lookup
+    evaluates both guards, and the rebound re-checks only the pinned
+    subformulas (none here), not the guard the lookup just matched --
+    2 evaluations, not 3.  Validate mode keeps the full re-check."""
+    evaluations = {}
+    for validate in (False, True):
+        workload = MicroWorkload(num_items=1, refill=40, num_sites=2)
+        cluster = workload.build_homeostasis(strategy="equal-split", validate=validate)
+        generator = cluster.generator
+        table = generator.ground_tables[0][0]
+        assert len(table) == 2 and len(generator._shapes) == 2
+        db = dict(workload.initial_db)
+
+        def getobj(name):
+            return db.get(name, 0)
+
+        guard = _Calls(Cmp.evaluate)
+        with monkeypatch.context() as patch:
+            patch.setattr(Cmp, "evaluate", lambda self, *a, **kw: guard(self, *a, **kw))
+            generator._bind(0, getobj)
+        evaluations[validate] = guard.count
+    assert evaluations == {False: 2, True: 3}
