@@ -41,7 +41,6 @@ from repro.protocol.messages import (
     RebalanceRequest,
     Rejoin,
     SyncBroadcast,
-    TreatyInstall,
     Vote,
     VoteReply,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "SyncRound",
     "Transport",
     "TransportError",
-    "TreatyInstall",
     "TreatyStrategy",
     "TwoPhaseCommitCluster",
     "Unavailable",

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.lang.ast import Transaction
-from repro.lang.interp import ExecContext, execute
+from repro.logic.compile import Residual, compile_residual
 from repro.protocol.homeostasis import (
     ClusterResult,
     ClusterStats,
@@ -42,9 +42,8 @@ from repro.protocol.homeostasis import (
     Unavailable,
 )
 from repro.protocol.messages import Decision, Message, Prepare
-from repro.protocol.site import run_transaction
 from repro.protocol.transport import Transport, UnreachableError
-from repro.storage.engine import LocalEngine
+from repro.storage.engine import LocalEngine, StorageTxn
 
 
 @dataclass
@@ -76,7 +75,9 @@ class _Replica:
 
 class _ReplicatedBase:
     """Shared plumbing: one full copy per replica, transactions run as
-    complete programs at their home replica."""
+    complete programs at their home replica, each body lowered once to
+    a closure (:func:`~repro.logic.compile.compile_residual`) like the
+    homeostasis sites' stored procedures."""
 
     def __init__(
         self,
@@ -87,7 +88,9 @@ class _ReplicatedBase:
         arrays: Mapping[str, tuple[int, ...]] | None = None,
     ) -> None:
         self.site_ids = tuple(site_ids)
-        self.transactions = dict(transactions)
+        self.procedures: dict[str, Residual] = {
+            name: compile_residual(tx.body) for name, tx in transactions.items()
+        }
         self.tx_home = dict(tx_home)
         self.arrays = dict(arrays or {})
         self.transport = Transport()
@@ -99,9 +102,20 @@ class _ReplicatedBase:
             self.replicas[sid] = replica
             self.transport.register(sid, replica)
 
-    def _run_at(self, sid: int, tx_name: str, params: Mapping[str, int] | None):
-        tx = self.transactions[tx_name]
-        return run_transaction(self.replicas[sid].engine, tx.body, params, self.arrays)
+    def _execute(
+        self, sid: int, tx_name: str, params: Mapping[str, int] | None
+    ) -> StorageTxn:
+        """Run ``tx_name`` in a storage transaction opened at replica
+        ``sid`` and hand it back open, for the caller to commit.  Any
+        exception aborts it and propagates."""
+        run = self.procedures[tx_name]
+        txn = self.replicas[sid].engine.begin()
+        try:
+            run(txn.read, txn.write, txn.emit, params or {}, self.arrays)
+        except BaseException:
+            txn.abort()
+            raise
+        return txn
 
     def _origin(self, tx_name: str) -> int:
         if tx_name not in self.tx_home:
@@ -146,7 +160,9 @@ class LocalCluster(_ReplicatedBase):
             raise Unavailable(
                 f"origin replica {origin} is down", sites=frozenset({origin})
             )
-        log, _written = self._run_at(origin, tx_name, params)
+        txn = self._execute(origin, tx_name, params)
+        log = tuple(txn.log)
+        txn.commit()
         self.stats.committed_local += 1
         return ClusterResult(log=log, site=origin, synced=False)
 
@@ -192,22 +208,8 @@ class TwoPhaseCommitCluster(_ReplicatedBase):
                 f"2PC blocked: replica(s) {sorted(known_down)} are down",
                 sites=known_down,
             )
-        tx = self.transactions[tx_name]
         engine = self.replicas[origin].engine
-        txn = engine.begin()
-        try:
-            ctx = ExecContext(
-                getobj=txn.read,
-                setobj=txn.write,
-                emit=txn.emit,
-                params=dict(params or {}),
-                arrays=self.arrays,
-            )
-            execute(tx.body, ctx)
-        except BaseException:
-            if txn.active:
-                txn.abort()
-            raise
+        txn = self._execute(origin, tx_name, params)
         # Writes are applied in place (undo-journaled), so the store
         # already holds the post-transaction values the cohort must
         # replicate; rollback restores the before-images if any cohort

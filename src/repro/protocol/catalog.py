@@ -13,10 +13,10 @@ residual, lowered to a Python closure; the
 procedures plus one compiled *decider* that picks the unique row
 whose guard holds on the current local state
 (:func:`repro.logic.compile.compile_decider`).  Both lowerings happen
-once, at :meth:`~StoredProcedureCatalog.register`; the clean commit
-runs no AST.  :func:`repro.lang.interp.execute` and
-``Formula.evaluate`` stay the reference they are held to
-(:meth:`StoredProcedureCatalog.replay`).
+once, at :meth:`~StoredProcedureCatalog.register`; neither the
+clean commit nor the cleanup run T' walks an AST.
+:func:`repro.lang.interp.execute` and ``Formula.evaluate`` stay the
+reference they are held to (:meth:`StoredProcedureCatalog.replay`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Callable, Mapping
 
 from repro.analysis.pathsplit import WriteSummary, summarize_writes
 from repro.analysis.symbolic import Row, SymbolicTable
-from repro.lang.ast import Transaction
 from repro.lang.interp import ExecContext, execute
 from repro.logic.compile import Decider, Residual, compile_decider, compile_residual
 
@@ -83,7 +82,6 @@ class StoredProcedureCatalog:
 
     procedures: dict[str, list[StoredProcedure]] = field(default_factory=dict)
     tables: dict[str, SymbolicTable] = field(default_factory=dict)
-    transactions: dict[str, Transaction] = field(default_factory=dict)
     #: transaction name -> its compiled row decider
     deciders: dict[str, Decider[StoredProcedure]] = field(
         default_factory=dict, repr=False
@@ -94,7 +92,6 @@ class StoredProcedureCatalog:
         if name in self.procedures:
             raise CatalogError(f"transaction {name!r} already registered")
         self.tables[name] = table
-        self.transactions[name] = table.transaction
         procs = self.procedures[name] = [
             StoredProcedure(tx_name=name, row_index=i, row=row)
             for i, row in enumerate(table.rows)
@@ -156,8 +153,3 @@ class StoredProcedureCatalog:
             )
             execute(self.tables[tx_name].rows[rows[0]].residual, ctx)
         return rows, writes, tuple(log)
-
-    def full_transaction(self, tx_name: str) -> Transaction:
-        if tx_name not in self.transactions:
-            raise CatalogError(f"unknown transaction {tx_name!r}")
-        return self.transactions[tx_name]

@@ -92,11 +92,6 @@ class ClusterSpec:
     #: run the validation oracles (H1/H2, sync agreement, escrow
     #: cross-checks) next to every protocol step
     validate: bool = False
-    #: deterministic treaty solver: participants regenerate treaties
-    #: locally, eliding the install round (Section 5.1)
-    deterministic_solver: bool = True
-    #: hooks invoked after every synchronization round
-    post_sync_hooks: tuple[Callable[[HomeostasisCluster], None], ...] = ()
 
     def make_generator(self) -> TreatyGenerator:
         """A fresh treaty generator for one cluster instance.

@@ -203,8 +203,6 @@ class AdaptiveSettings:
 
     watermark: float = 0.25
     min_headroom: int = 4
-    #: estimator memory, in observations (see :class:`DemandEstimator`)
-    halflife: int = 512
 
 
 @dataclass
@@ -214,7 +212,6 @@ class OptimizerSettings:
     model: WorkloadModel
     lookahead: int = 20
     cost_factor: int = 3
-    engine: str = "fast"
     rng: random.Random = field(default_factory=lambda: random.Random(0))
 
 
@@ -477,9 +474,7 @@ class TreatyGenerator:
                     self.optimizer.rng,
                     self.arrays,
                 )
-            config, _stats = configure_from_samples(
-                templates, getobj, self._futures, engine=self.optimizer.engine
-            )
+            config, _stats = configure_from_samples(templates, getobj, self._futures)
             return config
         raise ProtocolError(f"unknown treaty strategy {self.strategy!r}")
 
@@ -521,9 +516,11 @@ class TreatyGenerator:
         what deriving them afresh gives, and the table it returned what
         its pieces assemble to with nothing carried over.  Under
         ``optimized`` the round's shared work is re-done unshared: every
-        sampled run replayed through :mod:`repro.lang.interp` must write
-        what its compiled replay wrote, and every piece configured this
-        round must get the same split configured on its own."""
+        sampled run replayed through the interpreter
+        (:meth:`~repro.treaty.optimize.SampledRun.replay_interpreted`)
+        must write what its compiled replay wrote, and every piece
+        configured this round must get the same split configured on its
+        own."""
         assert self._last_round is not None
         getobj, db_snapshot, changed = self._last_round
         futures = self._futures
@@ -546,10 +543,7 @@ class TreatyGenerator:
             if futures is not None and idx in self._configured:
                 assert self.optimizer is not None
                 config, _stats = configure_from_samples(
-                    templates,
-                    getobj,
-                    SampledFutures(futures.runs),
-                    engine=self.optimizer.engine,
+                    templates, getobj, SampledFutures(futures.runs)
                 )
                 values = config.values
                 alone = [

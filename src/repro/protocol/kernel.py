@@ -129,7 +129,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.protocol.homeostasis import (
     ClusterResult,
@@ -145,7 +145,6 @@ from repro.protocol.messages import (
     RebalanceRequest,
     Rejoin,
     SyncBroadcast,
-    TreatyInstall,
     Vote,
     VoteReply,
 )
@@ -320,13 +319,7 @@ class HomeostasisCluster:
         # Only the 'demand' strategy reads the estimator (at negotiation
         # time), so only a 'demand' cluster observes its commit trace;
         # the watermark refresh path is gated on ``adaptive``.
-        self.demand: DemandEstimator | None = None
-        if spec.strategy == "demand":
-            self.demand = (
-                DemandEstimator(halflife=spec.adaptive.halflife)
-                if spec.adaptive
-                else DemandEstimator()
-            )
+        self.demand = DemandEstimator() if spec.strategy == "demand" else None
         self.generator.demand = self.demand
         self.transport = transport if transport is not None else Transport()
         self.stats = ClusterStats(transport=self.transport)
@@ -341,9 +334,9 @@ class HomeostasisCluster:
         self._missed_runs: dict[int, tuple[str, dict[str, int]]] = {}
         #: arbitration tiebreak: every contender draws the next value
         self._txn_seq = itertools.count()
-        self.post_sync_hooks = list(spec.post_sync_hooks)
+        #: observers called after every synchronization round
+        self.post_sync_hooks: list[Callable[[HomeostasisCluster], None]] = []
         self.validate = spec.validate
-        self.deterministic_solver = spec.deterministic_solver
         self.last_sync: SyncRound | None = None
         arrays = dict(spec.arrays)
 
@@ -435,26 +428,14 @@ class HomeostasisCluster:
         self.stats.rounds += 1
         table = self.generator.generate(getobj, snapshot, self.stats.rounds, dirty=dirty)
         self.treaty_table = table
+        # The solver is deterministic, so every participant regenerates
+        # the identical treaty from the synchronized state and installs
+        # it locally: the second communication round is elided
+        # (Section 5.1).
         for sid in sorted(participants):
-            treaty = table.local_for(sid)
-            if self.deterministic_solver or sid == origin:
-                # A deterministic solver lets every participant
-                # regenerate the identical treaty from the synchronized
-                # state, eliding the second communication round
-                # (Section 5.1); otherwise the coordinator ships it.
-                self.sites[sid].install_treaty(
-                    treaty,
-                    round_number=table.round_number,
-                )
-            else:
-                self.transport.send(
-                    TreatyInstall(
-                        src=origin,
-                        dst=sid,
-                        round_number=table.round_number,
-                        treaty=treaty,
-                    )
-                )
+            self.sites[sid].install_treaty(
+                table.local_for(sid), round_number=table.round_number
+            )
         if self.validate:
             self.generator.assert_matches_scratch(table)
             # The global treaty is never weakened: every install --

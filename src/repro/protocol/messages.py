@@ -7,10 +7,9 @@ simulator prices the recorded trace with per-edge network latencies.
 The message complexity of one treaty negotiation matches Section 5.1:
 "every treaty negotiation requires two rounds of global communication
 -- one for synchronizing database state across nodes and one for
-communicating the new treaties" (the second round is elided when the
-solver is deterministic, because every participant recomputes the
-identical treaty locally; with a nondeterministic solver the
-coordinator ships :class:`TreatyInstall` messages instead).
+communicating the new treaties".  The second round is elided: the
+solver is deterministic, so every participant recomputes the
+identical treaty locally.
 
 With participant-scoped synchronization the "global" in the quote
 shrinks to the participant set of the violation: a cleanup round over
@@ -53,10 +52,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.treaty.table import LocalTreaty
+from typing import Iterable
 
 
 class Outcome(enum.Enum):
@@ -113,24 +109,6 @@ class SyncBroadcast(Message):
     """
 
     updates: tuple[tuple[str, int], ...] = ()
-
-
-@dataclass(frozen=True)
-class TreatyInstall(Message):
-    """New local treaty shipped to a participant.
-
-    **Sender**: the round's origin (coordinator).  **Receiver**: each
-    other participant of the negotiation.  **When**: the install phase
-    of a negotiation, and only when the treaty solver is
-    nondeterministic -- a deterministic solver lets every participant
-    regenerate the identical treaty locally, eliding this round
-    (Section 5.1).  The receiving site **logs the install to its
-    write-ahead log before acknowledging**, so a crash between the
-    ack and the next checkpoint cannot lose the treaty.
-    """
-
-    round_number: int = 0
-    treaty: "LocalTreaty | None" = None
 
 
 @dataclass(frozen=True)
@@ -342,7 +320,6 @@ class MessageStats:
     """
 
     sync_broadcasts: int = 0  # state-synchronization messages
-    treaty_updates: int = 0  # new-treaty propagation messages
     vote_messages: int = 0  # violation-winner election messages
     vote_replies: int = 0  # arbitration concessions from losing contenders
     rebalance_requests: int = 0  # proactive treaty-refresh announcements
@@ -357,7 +334,6 @@ class MessageStats:
 
     _COUNTER_FOR = {
         SyncBroadcast: "sync_broadcasts",
-        TreatyInstall: "treaty_updates",
         Vote: "vote_messages",
         VoteReply: "vote_replies",
         RebalanceRequest: "rebalance_requests",
@@ -373,7 +349,6 @@ class MessageStats:
     def total(self) -> int:
         return (
             self.sync_broadcasts
-            + self.treaty_updates
             + self.vote_messages
             + self.vote_replies
             + self.rebalance_requests

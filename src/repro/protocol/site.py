@@ -12,10 +12,12 @@ objects during normal execution (Assumption 3.1).
 the stored procedure whose guard matches, run it inside a storage
 transaction, check the local treaty before commit, and either commit
 (returning the log) or abort and report the treaty violation.  The
-dispatch and the procedure are compiled at registration
+cleanup run T' (``run_cleanup_transaction``) is the same dispatch and
+procedure on the synchronized state, committed without the check.
+The dispatch and the procedure are compiled at registration
 (:mod:`repro.protocol.catalog`); ``validate`` mode re-derives the row
-and re-runs the residual through the interpreter beside them, raising
-:class:`~repro.protocol.catalog.ExecutionDivergence` on any
+and re-runs the residual through the interpreter beside both paths,
+raising :class:`~repro.protocol.catalog.ExecutionDivergence` on any
 difference in row, written values or log.
 
 The treaty check has two arms.  A **static tier** runs first: at
@@ -83,8 +85,6 @@ from repro.analysis.pathsplit import (
     build_path_checks,
     patch_path_checks,
 )
-from repro.lang.ast import Com
-from repro.lang.interp import ExecContext, execute
 from repro.logic.compile import (
     ClauseRows,
     EscrowProgram,
@@ -106,7 +106,6 @@ from repro.protocol.messages import (
     RebalanceRequest,
     Rejoin,
     SyncBroadcast,
-    TreatyInstall,
     Vote,
     VoteReply,
 )
@@ -121,6 +120,7 @@ from repro.storage.wal import (
 )
 from repro.treaty.escrow import EscrowAccount, EscrowDivergence
 from repro.treaty.table import InstallDivergence, LocalTreaty
+
 
 def _fresh_check_stats() -> dict[str, int]:
     return dict.fromkeys((*CHECK_KINDS, "checked", "clauses_in_scope"), 0)
@@ -145,35 +145,6 @@ def _grant_map(
     clauses: list[LinearConstraint], grants: list[int | None]
 ) -> dict[LinearConstraint, int]:
     return {con: grant for con, grant in zip(clauses, grants) if grant is not None}
-
-
-def run_transaction(
-    engine: LocalEngine,
-    body: Com,
-    params: Mapping[str, int] | None,
-    arrays: Mapping[str, tuple[int, ...]],
-) -> tuple[tuple[int, ...], set[str]]:
-    """Run ``body`` to completion in one storage transaction of
-    ``engine`` and commit it; returns its log and the objects it
-    wrote.  Any exception aborts the transaction and propagates."""
-    txn = engine.begin()
-    try:
-        ctx = ExecContext(
-            getobj=txn.read,
-            setobj=txn.write,
-            emit=txn.emit,
-            params=dict(params or {}),
-            arrays=arrays,
-        )
-        execute(body, ctx)
-        log = tuple(txn.log)
-        written = set(txn.written)
-        txn.commit()
-        return log, written
-    except BaseException:
-        if txn.active:
-            txn.abort()
-        raise
 
 
 @dataclass
@@ -710,11 +681,12 @@ class SiteServer:
         proc: StoredProcedure,
         txn: StorageTxn,
     ) -> None:
-        """The validate-mode oracle of the compiled clean path: the
-        interpreted guards, evaluated on the pre-state, must select
-        exactly the row the decider picked, and the interpreter,
-        re-running that row's residual over a write overlay of the
-        pre-state, must write the same values and print the same log."""
+        """The validate-mode oracle of a compiled execution, a clean
+        commit or a cleanup run: the interpreted guards, evaluated on
+        the pre-state, must select exactly the row the decider picked,
+        and the interpreter, re-running that row's residual over a
+        write overlay of the pre-state, must write the same values and
+        print the same log."""
         before = {name: value for name, value, _existed in txn.undo.entries}
         store_get = self.engine.store.get
         rows, writes, log = self.catalog.replay(
@@ -763,8 +735,6 @@ class SiteServer:
         - ``SyncBroadcast`` installs the sender's share of the round's
           update set into this site's store (snapshots for remote
           objects, no-ops for owned ones);
-        - ``TreatyInstall`` installs the shipped local treaty (logged
-          to the WAL before the ack returns);
         - ``Vote`` acknowledges a contender's priority claim in the
           violation-winner election;
         - ``VoteReply`` records a losing contender's concession;
@@ -787,10 +757,6 @@ class SiteServer:
         if isinstance(msg, SyncBroadcast):
             for name, value in msg.updates:
                 self.engine.poke(name, value)
-            return None
-        if isinstance(msg, TreatyInstall):
-            assert msg.treaty is not None
-            self.install_treaty(msg.treaty, round_number=msg.round_number)
             return None
         if isinstance(msg, Vote):
             return True
@@ -835,22 +801,34 @@ class SiteServer:
     def run_cleanup_transaction(
         self, tx_name: str, params: Mapping[str, int] | None = None
     ) -> tuple[tuple[int, ...], set[str]]:
-        """Execute the violating transaction T' in full after sync.
+        """Execute the violating transaction T' after sync.
 
-        T' runs as the *complete* transaction (not a residual): the
-        synchronized state may match a different symbolic row than the
-        one that detected the violation.  T' is exempt from Assumption
-        3.1 (see the remark after Theorem 3.8), so writes may touch
-        any object; non-owned writes update this site's snapshots with
-        values every other site computes identically (T' is
-        deterministic).
+        T' is dispatched afresh on the synchronized state, which may
+        match a different symbolic row than the one that detected the
+        violation, and that row's stored procedure runs in one storage
+        transaction -- with no treaty check, since the new treaty is
+        installed right after.  T' is exempt from Assumption 3.1 (see
+        the remark after Theorem 3.8), so writes may touch any object;
+        non-owned writes update this site's snapshots with values
+        every other site computes identically (T' is deterministic).
         """
-        tx = self.catalog.full_transaction(tx_name)
-        log, written = run_transaction(self.engine, tx.body, params, self.arrays)
-        # T' commits without a treaty check (the new treaty is
-        # installed right after), so the escrow counters never saw
-        # these writes: invalidate them like any non-transactional
-        # mutation.
+        if params is None:
+            params = {}
+        txn = self.engine.begin()
+        getobj = txn.read
+        try:
+            proc = self.catalog.dispatch(tx_name, getobj, params)
+            proc.run(getobj, txn.write, txn.emit, params, self.arrays)
+            if self.validate:
+                self._assert_execution_matches_interpreter(tx_name, params, proc, txn)
+            log, written = tuple(txn.log), set(txn.written)
+            txn.commit()
+        except BaseException:
+            if txn.active:
+                txn.abort()
+            raise
+        # The escrow counters never saw these writes: invalidate them
+        # like any non-transactional mutation.
         self.engine.wrote_outside_commit(written)
         return log, written
 

@@ -80,9 +80,8 @@ class AsyncClusterHost:
         )
         self._closed = False
         try:
-            # Construction runs on the kernel thread too: with a
-            # nondeterministic solver the initial install already
-            # ships TreatyInstall frames through the loop.
+            # Construction runs on the kernel thread too, so the
+            # kernel is only ever touched from that one thread.
             self.cluster: HomeostasisCluster = self._run(
                 HomeostasisCluster, spec, transport
             )

@@ -25,11 +25,6 @@ round-trip tests pin down.  Two payload families share the framing:
   value codec (:func:`value_to_wire` / :func:`value_from_wire`), and
   the serve layer's client dicts ride :func:`encode_payload` /
   :func:`decode_payload` directly.
-
-A :class:`~repro.treaty.table.LocalTreaty` inside a ``TreatyInstall``
-reuses the WAL record codec (:func:`repro.storage.wal.
-encode_local_treaty`) -- the wire and the log agree on what a treaty
-looks like serialized.
 """
 
 from __future__ import annotations
@@ -49,11 +44,9 @@ from repro.protocol.messages import (
     RebalanceRequest,
     Rejoin,
     SyncBroadcast,
-    TreatyInstall,
     Vote,
     VoteReply,
 )
-from repro.storage.wal import decode_local_treaty, encode_local_treaty
 
 #: Current wire protocol version (the byte after the length prefix).
 WIRE_VERSION = 1
@@ -87,7 +80,6 @@ _MESSAGE_TYPES: dict[str, type[Message]] = {
     cls.__name__: cls
     for cls in (
         SyncBroadcast,
-        TreatyInstall,
         Vote,
         VoteReply,
         RebalanceRequest,
@@ -173,9 +165,7 @@ def message_to_wire(msg: Message) -> dict[str, Any]:
     payload: dict[str, Any] = {"t": name, "src": msg.src, "dst": msg.dst}
     for field_name in _message_fields(type(msg)):
         value = getattr(msg, field_name)
-        if isinstance(msg, TreatyInstall) and field_name == "treaty":
-            value = None if value is None else encode_local_treaty(value)
-        elif field_name in _PAIR_TUPLE_FIELDS:
+        if field_name in _PAIR_TUPLE_FIELDS:
             value = [[k, v] for k, v in value]
         elif field_name in _FLAT_TUPLE_FIELDS:
             value = list(value)
@@ -198,9 +188,7 @@ def message_from_wire(payload: Mapping[str, Any]) -> Message:
         kwargs["dst"] = int(payload["dst"])
         for field_name in _message_fields(cls):
             value = payload[field_name]
-            if cls is TreatyInstall and field_name == "treaty":
-                value = None if value is None else decode_local_treaty(value)[0]
-            elif field_name in _PAIR_TUPLE_FIELDS:
+            if field_name in _PAIR_TUPLE_FIELDS:
                 value = tuple((str(k), int(v)) for k, v in value)
             elif field_name in _FLAT_TUPLE_FIELDS:
                 value = tuple(str(v) for v in value)

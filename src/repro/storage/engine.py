@@ -69,8 +69,7 @@ class StorageTxn:
         self._check_active()
         self.active = False
         self.undo.clear()
-        for name in self.written:
-            self.engine.dirty_counts[name] = self.engine.dirty_counts.get(name, 0) + 1
+        self.engine.dirty |= self.written
         self.engine._open = None
         self.engine.committed += 1
 
@@ -87,8 +86,8 @@ class LocalEngine:
     """One site's storage engine."""
 
     store: KVStore = field(default_factory=KVStore)
-    #: per-object committed-write counters since the last checkpoint
-    dirty_counts: dict[str, int] = field(default_factory=dict)
+    #: objects committed-to since the last checkpoint
+    dirty: set[str] = field(default_factory=set)
     #: the objects written outside the transactional commit path
     #: (``poke``, cleanup transactions) since the consumer holding an
     #: incremental view of the store -- the escrow headroom counters
@@ -126,8 +125,8 @@ class LocalEngine:
 
     def dirty_objects(self) -> set[str]:
         """Objects committed-to since the last checkpoint."""
-        return set(self.dirty_counts)
+        return set(self.dirty)
 
     def checkpoint(self) -> None:
         """Reset dirty tracking (called at round boundaries)."""
-        self.dirty_counts.clear()
+        self.dirty.clear()

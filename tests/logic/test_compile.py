@@ -340,12 +340,12 @@ def transactions(draw):
     parameters, and temporaries assigned before use."""
     reads = ["read(x)", "read(y)", "read(arr(@p))", "read(arr(@q + 1))"]
 
-    def expr():
+    def expr(temps=("t",)):
         kind = draw(st.integers(0, 4))
         if kind == 0:
             return str(draw(st.integers(-9, 9)))
         if kind == 1:
-            return draw(st.sampled_from(reads + ["@p", "@q", "t"]))
+            return draw(st.sampled_from(reads + ["@p", "@q", *temps]))
         op = draw(st.sampled_from(["+", "-", "*"]))
         return f"({draw(st.sampled_from(reads))} {op} {draw(st.integers(-3, 3))})"
 
@@ -364,7 +364,8 @@ def transactions(draw):
     def block(depth):
         return "; ".join(stmt(depth) for _ in range(draw(st.integers(1, 3))))
 
-    body = f"t := {expr()}; {block(draw(st.integers(1, 3)))}"
+    # The first assignment reads no temporary: ``t`` is unbound there.
+    body = f"t := {expr(temps=())}; {block(draw(st.integers(1, 3)))}"
     return parse_transaction(body, name="T", params=("p", "q"))
 
 

@@ -15,9 +15,18 @@ Under ``optimized`` the same holds of Algorithm 1's share: a round
 solves one budget instance per distinct clause it configures, however
 many ground instances carry that clause, and replays its sampled
 futures without walking an AST.
+
+No execution on the live path walks one either: the clean commit, the
+cleanup run T' and every LOCAL and 2PC transaction run compiled
+closures, and the interpreter is only the reference validate mode
+holds them to.
 """
 
 import json
+import random
+import sys
+
+import pytest
 
 import repro.lang.interp as interp_module
 import repro.logic.compile as compile_module
@@ -196,6 +205,57 @@ def test_optimized_new_order_round_solves_each_distinct_clause_once(monkeypatch)
     assert 0 < len(distinct) < len(configured)
     assert solves.count == len(distinct)
     assert generator._futures.sampled and interpreted.count == 0
+
+
+def _count_interpreted(monkeypatch):
+    """Route every call of the interpreter's ``execute`` -- through
+    whichever ``repro`` module imported it -- into one counter."""
+    execute = interp_module.execute
+    interpreted = _Calls(execute)
+    holders = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.startswith("repro.") and getattr(module, "execute", None) is execute
+    ]
+    assert interp_module in holders
+    for module in holders:
+        monkeypatch.setattr(module, "execute", interpreted)
+    return interpreted
+
+
+_WORKLOADS = {
+    "scarce-micro": lambda: MicroWorkload(
+        num_items=16, refill=12, initial_qty="refill"
+    ),
+    "tpcc": TpccWorkload,
+}
+
+
+@pytest.mark.parametrize("mode", ["equal-split", "optimized", "local", "2pc"])
+@pytest.mark.parametrize("name", sorted(_WORKLOADS))
+def test_no_execution_walks_the_interpreter(name, mode, monkeypatch):
+    """400 seeded requests run no interpreted ``execute``: not in a
+    clean commit, not in a cleanup run T' at any participant, not in a
+    sampled replay, not in a LOCAL or 2PC transaction."""
+    workload = _WORKLOADS[name]()
+    if mode == "local":
+        cluster = workload.build_local()
+    elif mode == "2pc":
+        cluster = workload.build_2pc()
+    else:
+        cluster = workload.build_homeostasis(strategy=mode)
+    interpreted = _count_interpreted(monkeypatch)
+    rng = random.Random(0)
+    for _ in range(400):
+        request = workload.next_request(rng)
+        cluster.submit(request.tx_name, request.params)
+    # Not vacuous: every baseline transaction ran, and homeostasis
+    # negotiated, so T' ran at every participant of those rounds.
+    if mode in ("local", "2pc"):
+        assert cluster.stats.submitted == 400
+    else:
+        assert cluster.stats.negotiations > 0
+    assert interpreted.count == 0
 
 
 def test_binding_a_row_shape_evaluates_its_guard_once(monkeypatch):

@@ -53,10 +53,6 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             catalog.dispatch("Nope", lambda n: 0)
 
-    def test_full_transaction_retrievable(self):
-        catalog = _catalog()
-        assert catalog.full_transaction("Incr").name == "Incr"
-
     def test_exactly_one_row_checked_on_every_dispatch(self):
         # Hand-built guards that are no partition: 0 <= x <= 5 and
         # x >= 5 overlap at x = 5 and leave x < 0 uncovered.  Dispatch
@@ -169,6 +165,31 @@ class TestSiteServer:
         assert written == {"x"}
         assert log == ()
 
+    def test_cleanup_run_dispatches_on_the_synchronized_state(self):
+        # T' re-runs after the sync broadcast moved x past the guard:
+        # it takes the reset row, not the row of the violating attempt,
+        # and its writes are named for the escrow counters to re-read.
+        server = self._server(treaty_upper=100)
+        server.handle(SyncBroadcast(src=1, dst=0, updates=(("x", 12),)))
+        server.engine.moved.clear()
+        server.run_cleanup_transaction("Incr")
+        assert server.engine.peek("x") == 0
+        assert server.engine.moved == {"x"}
+
+    def test_validate_catches_a_corrupted_cleanup_run(self):
+        server = self._server(treaty_upper=100)
+        server.validate = True
+        proc = server.catalog.procedures["Incr"][0]  # the v < 10 row
+        corrupt = lambda g, s, e, p, arrays: s("x", g("x") + 2)
+        object.__setattr__(proc, "_run", corrupt)
+        with pytest.raises(ExecutionDivergence, match="compiled row 0"):
+            server.run_cleanup_transaction("Incr")
+        assert server.engine.peek("x") == 0  # rolled back
+        assert server.engine.aborted == 1
+        server.validate = False
+        assert server.run_cleanup_transaction("Incr") == ((), {"x"})
+        assert server.engine.peek("x") == 2
+
 
 class TestMessageStats:
     """MessageStats is a pure derived view over a message trace."""
@@ -193,14 +214,12 @@ class TestMessageStats:
             CleanupRun,
             Decision,
             Prepare,
-            TreatyInstall,
             Vote,
         )
 
         trace = [
             Vote(src=0, dst=1),
             CleanupRun(src=0, dst=1, tx_name="T"),
-            TreatyInstall(src=0, dst=1, round_number=2),
             Prepare(src=0, dst=1),
             Prepare(src=0, dst=2),
             Decision(src=0, dst=1),
@@ -209,10 +228,9 @@ class TestMessageStats:
         stats = MessageStats.from_trace(trace)
         assert stats.vote_messages == 1
         assert stats.cleanup_messages == 1
-        assert stats.treaty_updates == 1
         assert stats.prepare_messages == 2
         assert stats.decision_messages == 2
-        assert stats.total() == 7
+        assert stats.total() == 6
 
     def test_unknown_message_rejected(self):
         from repro.protocol.messages import Message

@@ -22,7 +22,6 @@ from repro.protocol.messages import (
     MessageStats,
     Prepare,
     SyncBroadcast,
-    TreatyInstall,
     Vote,
 )
 from repro.protocol.transport import Transport, TransportError
@@ -229,32 +228,6 @@ class TestParticipantScoping:
                 assert out.participants == (0, 1, 2)
         stats = cluster.stats
         assert stats.messages.sync_broadcasts == stats.negotiations * 6
-
-    def test_nondeterministic_solver_ships_treaties(self):
-        import dataclasses
-
-        from repro.protocol.config import build_cluster
-
-        workload = MicroWorkload(num_items=3, refill=6, num_sites=2)
-        gen_cluster = workload.build_homeostasis(strategy="equal-split")
-        # Rebuild with the nondeterministic-solver accounting enabled.
-        spec = dataclasses.replace(
-            workload.cluster_spec(strategy="equal-split"),
-            deterministic_solver=False,
-        )
-        cluster = build_cluster(spec)
-        rng = random.Random(5)
-        for _ in range(60):
-            req = workload.next_request(rng)
-            cluster.submit(req.tx_name, req.params)
-        stats = cluster.stats
-        assert stats.negotiations > 0
-        # One TreatyInstall per non-coordinator participant per round
-        # (including the bootstrap install of round 1).
-        assert stats.messages.treaty_updates == stats.rounds
-        trace = cluster.transport.trace
-        assert any(isinstance(m, TreatyInstall) for m in trace)
-        assert gen_cluster.stats.messages.treaty_updates == 0
 
 
 class TestEdgePricing:

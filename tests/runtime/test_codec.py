@@ -3,8 +3,7 @@
 The acceptance bar for the asyncio runtime's wire format:
 
 - every message type round-trips *byte-identically* (encode ->
-  decode -> encode is the same frame), including a ``TreatyInstall``
-  carrying a real :class:`LocalTreaty`;
+  decode -> encode is the same frame);
 - unknown wire versions, truncated frames, trailing garbage, and
   unknown type tags raise the typed codec errors instead of
   misparsing;
@@ -19,8 +18,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.logic.linear import LinearConstraint, LinearExpr
-from repro.logic.terms import ObjT
 from repro.protocol.messages import (
     CleanupRun,
     Complete,
@@ -31,7 +28,6 @@ from repro.protocol.messages import (
     RebalanceRequest,
     Rejoin,
     SyncBroadcast,
-    TreatyInstall,
     Vote,
     VoteReply,
 )
@@ -49,30 +45,11 @@ from repro.runtime.codec import (
     value_from_wire,
     value_to_wire,
 )
-from repro.treaty.table import LocalTreaty
-
-
-def _clause(names_coeffs, op, bound):
-    expr = LinearExpr.make({ObjT(n): c for n, c in names_coeffs})
-    return LinearConstraint.make(expr, op, bound)
-
-
-def _sample_treaty():
-    return LocalTreaty(
-        site=1,
-        constraints=[
-            _clause([("qty_delta[0]@s1", 1)], "<=", 12),
-            _clause([("qty_delta[1]@s1", 2), ("qty_delta[2]@s1", -1)], "<=", 5),
-            _clause([("qty_base[0]", 1)], "=", 40),
-        ],
-    )
 
 
 SAMPLE_MESSAGES = [
     SyncBroadcast(src=0, dst=1, updates=(("stock[3]", 17), ("stock[9]", -2))),
     SyncBroadcast(src=2, dst=0),
-    TreatyInstall(src=1, dst=3, round_number=7, treaty=_sample_treaty()),
-    TreatyInstall(src=1, dst=3, round_number=0, treaty=None),
     Vote(src=0, dst=2, tx_name="Buy@s0", timestamp=14, txn_seq=3),
     VoteReply(src=2, dst=0, winner_site=0, winner_txn=3),
     RebalanceRequest(src=1, dst=2, objects=("stock[1]", "stock[5]")),
@@ -107,22 +84,7 @@ class TestMessageRoundTrip:
 
     def test_field_equality_round_trip(self):
         for msg in SAMPLE_MESSAGES:
-            decoded = decode_message(encode_message(msg))
-            if isinstance(msg, TreatyInstall):
-                want = (
-                    None
-                    if msg.treaty is None
-                    else [c.pretty() for c in msg.treaty.constraints]
-                )
-                got = (
-                    None
-                    if decoded.treaty is None
-                    else [c.pretty() for c in decoded.treaty.constraints]
-                )
-                assert got == want
-                assert decoded.round_number == msg.round_number
-            else:
-                assert decoded == msg
+            assert decode_message(encode_message(msg)) == msg
 
     def test_treaty_tuple_types_restored(self):
         msg = decode_message(encode_message(SAMPLE_MESSAGES[0]))

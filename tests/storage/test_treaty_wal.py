@@ -7,8 +7,8 @@ depends on:
 - a torn final record (crash mid-append) is dropped on replay and is
   safe to drop *because* installs are logged before the ack;
 - replay is idempotent (replaying twice converges);
-- crash mid-install -- the install was logged but the ack never left
-  the site -- still recovers the logged treaty;
+- crash mid-install -- the install was logged but never enforced, so
+  never acknowledged -- still recovers the logged treaty;
 - interior corruption (damage to an already-durable record) is loud;
 - an install is logged as a snapshot or as a delta against the install
   record before it: the chain folds back to the snapshot form, a torn
@@ -25,7 +25,6 @@ import pytest
 from repro.analysis.pathsplit import decode_path_checks
 from repro.logic.linear import LinearConstraint, LinearExpr
 from repro.logic.terms import ObjT
-from repro.protocol.faults import FaultPlan
 from repro.protocol.site import SiteServer
 from repro.storage import wal as wal_module
 from repro.storage.wal import (
@@ -173,14 +172,15 @@ class TestReplay:
         # Replays must not re-append to the log.
         assert site.wal.appended == appended_before
 
-    def test_crash_mid_install_recovers_logged_treaty(self):
-        """Install logged but ack never sent: the site crash-stops on
-        the TreatyInstall message itself (the coordinator-ships-it
-        path of a nondeterministic solver).  The coordinator observes
-        a timeout -- but log-before-ack means recovery still has the
-        treaty, so no peer's belief about this site is ever wrong."""
-        from repro.protocol.messages import TreatyInstall
-        from repro.protocol.transport import UnreachableError
+    def test_crash_mid_install_recovers_logged_treaty(self, monkeypatch):
+        """Install logged but never enforced: the site crash-stops right
+        after the append, while it still holds its old treaty -- so
+        before anything could have acknowledged the new one.
+        Log-before-enforce means recovery still has the treaty, so no
+        peer's belief about this site is ever wrong."""
+
+        class CrashStop(Exception):
+            pass
 
         workload = MicroWorkload(
             num_items=16, refill=12, num_sites=2, initial_qty="refill"
@@ -188,14 +188,19 @@ class TestReplay:
         cluster = workload.build_homeostasis(strategy="equal-split")
         site = cluster.sites[1]
         shipped = _sample_treaty()
+        enforced_at_append = []
+        append = site.wal.append
 
-        handled = cluster.transport._handled.get(1, 0)
-        cluster.transport.faults = FaultPlan(crash_after={1: handled + 1})
-        with pytest.raises(UnreachableError):
-            cluster.transport.send(
-                TreatyInstall(src=0, dst=1, round_number=99, treaty=shipped)
-            )
-        assert cluster.transport.is_down(1)
+        def append_then_crash(record):
+            append(record)
+            enforced_at_append.append(site.local_treaty is shipped)
+            raise CrashStop
+
+        monkeypatch.setattr(site.wal, "append", append_then_crash)
+        with pytest.raises(CrashStop):
+            site.install_treaty(shipped, round_number=99)
+        assert enforced_at_append == [False]
+        monkeypatch.undo()
 
         # Restart: volatile state gone, WAL survives.
         site.local_treaty = None
