@@ -25,18 +25,21 @@ objects did not change since the previous round keep their clauses
 and configuration verbatim (their per-factor treaty is a pure
 function of factor-local state, so regeneration would reproduce it;
 for the stochastic optimizer the cached configuration remains one of
-the valid optima).  A touched factor pays for what the database
-changed, not for what its row says: everything a matched row derives
-but the pin values -- which conjuncts linearize, which are pinned and
-over what, the per-site split -- is kept per ``(instance, row)`` the
-first time the row matches (its *shape*) and re-bound afterwards, and
-the optimizer's value memo keeps the one thing that is not a function
-of the values, the split the sampled futures chose; within a round,
-instances that carry the same clause configure it once, through the
-round's :class:`~repro.treaty.optimize.SampledFutures`.  This is an
-engineering optimization -- validity (H1/H2) is untouched -- that turns
-per-round cost from O(database) into O(touched factors), assembly
-included: the recomputed pieces are handed to a
+the valid optima).  Ground instances whose tables read the database
+alike -- the same row guards and pinned remote reads, as a New Order
+of one item and quantity has in every district and at every site --
+form one *piece class*, computed once.  A touched factor pays for what
+the database changed, not for what its row says: everything a matched
+row derives but the pin values -- which conjuncts linearize, which are
+pinned and over what, the per-site split -- is kept per ``(class,
+row)`` the first time the row matches (its *shape*) and re-bound
+afterwards, and the optimizer's value memo keeps the one thing that is
+not a function of the values, the split the sampled futures chose;
+within a round, classes that carry the same clause configure it once,
+through the round's :class:`~repro.treaty.optimize.SampledFutures`.
+This is an engineering optimization -- validity (H1/H2) is untouched
+-- that turns per-round cost from O(database) into O(touched
+factors), assembly included: the recomputed pieces are handed to a
 :class:`~repro.treaty.assembly.TreatyAssembly`, which re-derives only
 the clauses they contribute to (docs/ARCHITECTURE.md, "What a round
 costs").
@@ -228,6 +231,24 @@ class TreatyGenerator:
     per-instance without ever materializing the product (whose size
     is exponential for workloads like TPC-C where one transaction
     spans several otherwise-independent object groups).
+
+    Its unit is the *piece class*, not the instance (Section 5.1 keeps
+    the treaty table per transaction, not per parameter value).  A
+    class is the ground instances whose tables have the same row
+    guards, in row order, and per row the same residual reads that
+    :meth:`_derive` pins or rejects -- everything a piece reads, since
+    the lookup and linearization read the guards and the Appendix C.3
+    pins the remote reads.  So every member gets an equal piece under
+    every strategy, depends on the same objects and is stale whenever
+    the others are: each class is looked up, bound, configured and
+    memoized once, through its lowest-index member (its
+    *representative*), and the assembly holds one piece per class.
+    That assembles the same table as one piece per instance: a
+    clause's sort key is its lowest contributor, always a
+    representative, and a member's equal clause never supersedes its
+    representative's, which takes a strictly tighter bound.  A New
+    Order of one ``(w, item, qty)`` at either site and in any district
+    is one class.
     """
 
     ground_tables: list[tuple[SymbolicTable, int]]  # (table, home site)
@@ -241,104 +262,154 @@ class TreatyGenerator:
     #: family transactions, for optimizer workload simulation
     families: dict[str, Transaction] = field(default_factory=dict)
     arrays: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
-    #: cumulative count of instance recomputations (observability)
+    #: cumulative count of instance recomputations (observability): a
+    #: recomputed class counts each of its members
     instances_recomputed: int = 0
     #: validate mode: a bound row shape re-checks the guard its lookup
     #: just matched
     validate: bool = False
 
-    #: the merged treaty, holding every instance's current piece
+    #: the merged treaty, holding every class's current piece under its
+    #: representative
     _assembly: TreatyAssembly = field(init=False)
-    _instance_objects: list[set[str]] | None = None
-    #: per (instance, ``id`` of a row of its table): what the row
+    #: piece classes: representative -> its members, in index order
+    _classes: dict[int, tuple[int, ...]] | None = None
+    #: per representative: what its members share, a guard and the
+    #: pinned reads per row
+    _class_keys: dict[int, tuple] = field(init=False, default_factory=dict)
+    #: lazily, per representative: the objects its piece depends on,
+    #: sorted (the value memo's key order)
+    _class_objects: dict[int, tuple[str, ...]] | None = None
+    #: per (representative, ``id`` of a row of its table): what the row
     #: derived the first time it matched.  Everything in it but the pin
     #: values is a function of the row, so later matches re-bind it.
     _shapes: dict[tuple[int, int], tuple[LinearizedTreaty, TreatyTemplates]] = field(
         init=False, default_factory=dict
     )
-    #: the sampling optimizer's memo: the values of the objects an
-    #: instance depends on -> the configuration chosen the first time
-    #: they were seen, one integer per clause and site.  A piece is a
-    #: function of those values in everything *but* which optimum the
-    #: sampled futures picked, so that is all there is to remember; a
-    #: revisited value combination (stock levels recur across refill
-    #: cycles) keeps its optimum instead of re-sampling (H1/H2 validity
-    #: is a per-piece property).  Unbounded in entries: dropping one
-    #: would change which rounds sample, hence every later treaty.
+    #: the sampling optimizer's memo: a representative and the values of
+    #: the objects its class depends on -> the configuration chosen the
+    #: first time they were seen, one integer per clause and site.  A
+    #: piece is a function of those values in everything *but* which
+    #: optimum the sampled futures picked, so that is all there is to
+    #: remember; a revisited value combination (stock levels recur
+    #: across refill cycles) keeps its optimum instead of re-sampling
+    #: (H1/H2 validity is a per-piece property).  Unbounded in entries:
+    #: dropping one would change which rounds sample, hence every later
+    #: treaty.
     _memo: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = field(
         default_factory=dict
     )
-    _instance_keys: list[tuple[str, ...]] | None = None
     #: :attr:`families` lowered for replay, the first time a round samples
     _lowered: dict[str, Family] | None = None
-    #: workload samples shared by all instances within one generate(),
+    #: workload samples shared by all classes within one generate(),
     #: with the clause work they share
     _futures: SampledFutures | None = None
-    #: instances configured against :attr:`_futures` this round (not
-    #: taken from :attr:`_memo`)
+    #: representatives configured this round (not taken from :attr:`_memo`)
     _configured: set[int] = field(init=False, default_factory=set)
     #: the last generate()'s database and pieces, for the validate oracle
     _last_round: _Round | None = field(init=False, default=None)
-    #: lazy reverse index: object name -> instances depending on it
-    _object_to_instances: dict[str, list[int]] | None = None
+    #: lazy reverse index: object name -> representatives depending on it
+    _object_to_classes: dict[str, list[int]] | None = None
 
     def __post_init__(self) -> None:
         self._assembly = TreatyAssembly(self.locate, self.sites, self.strategy)
 
-    # -- instance/object indexing -------------------------------------------------
+    # -- classes and the object index ---------------------------------------------
 
-    def _objects_of_instance(self, idx: int) -> set[str]:
-        """Objects whose values the instance's treaty piece depends on.
+    def _piece_classes(self) -> dict[int, tuple[int, ...]]:
+        """Representative -> members of every piece class, computed
+        once."""
+        if self._classes is None:
+            reps: dict[tuple, int] = {}
+            members: dict[int, list[int]] = {}
+            for idx, (table, home) in enumerate(self.ground_tables):
+                key = tuple(
+                    (row.guard, self._pinned_reads(row, home)) for row in table.rows
+                )
+                rep = reps.setdefault(key, idx)
+                members.setdefault(rep, []).append(idx)
+            self._class_keys = {rep: key for key, rep in reps.items()}
+            self._classes = {rep: tuple(group) for rep, group in members.items()}
+        return self._classes
+
+    def _pinned_reads(self, row: Row, home: int) -> tuple[str | tuple, ...]:
+        """The reads of the row's residual that :meth:`_derive` pins
+        (remote ground reads) or rejects (parameterized ones), in its
+        order.  Sorted: the pins' order reaches the WAL bytes and the
+        treaty fingerprint, which must not follow the set's string
+        hashing (key=str because a parameterized read is a tuple)."""
+        return tuple(
+            sorted(
+                (
+                    read
+                    for read in residual_reads(row.residual)
+                    if not isinstance(read, str) or self.locate(read) != home
+                ),
+                key=str,
+            )
+        )
+
+    def _objects(self, rep: int) -> tuple[str, ...]:
+        """Objects whose values the class's treaty piece depends on.
 
         These are exactly (a) objects mentioned by any row guard --
         they select the row and parameterize clause bounds/configs --
         and (b) remote reads of any row residual -- they become
         Appendix C.3 equality pins at their current values.  Objects
-        the instance merely *writes* or reads locally do not influence
+        an instance merely *writes* or reads locally do not influence
         the generated piece, so changes to them must not trigger
         recomputation (e.g. a New Order bumps its district's
         unfulfilled-order count, but its stock treaty is untouched).
         """
-        if self._instance_objects is None:
-            self._instance_objects = []
-            for table, home in self.ground_tables:
+        if self._class_objects is None:
+            self._piece_classes()
+            self._class_objects = {}
+            for at, key in self._class_keys.items():
                 names: set[str] = set()
-                for row in table.rows:
-                    for obj in row.guard.objects():
+                for guard, pinned in key:
+                    for obj in guard.objects():
                         names.add(obj.name)
-                    for indexed in row.guard.indexed_objects():
+                    for indexed in guard.indexed_objects():
                         grounded = indexed.try_ground()
                         if grounded is None:
+                            table = self.ground_tables[at][0]
                             raise ProtocolError(
                                 f"ground instance {table.transaction.name} has a "
                                 "parameterized guard; ground the workload fully"
                             )
                         names.add(grounded.name)
-                    for read in residual_reads(row.residual):
-                        if isinstance(read, str) and self.locate(read) != home:
-                            names.add(read)
-                self._instance_objects.append(names)
-        return self._instance_objects[idx]
+                    names.update(read for read in pinned if isinstance(read, str))
+                self._class_objects[at] = tuple(sorted(names))
+        return self._class_objects[rep]
+
+    def _classes_touching(self, names) -> set[int]:
+        """Representatives of the classes whose piece depends on any of
+        the objects."""
+        if self._object_to_classes is None:
+            index: dict[str, list[int]] = {}
+            for rep in self._piece_classes():
+                for name in self._objects(rep):
+                    index.setdefault(name, []).append(rep)
+            self._object_to_classes = index
+        out: set[int] = set()
+        for name in names:
+            out.update(self._object_to_classes.get(name, ()))
+        return out
 
     def instances_touching(self, names) -> set[int]:
         """Instances whose treaty piece depends on any of the objects."""
-        if self._object_to_instances is None:
-            index: dict[str, list[int]] = {}
-            for idx in range(len(self.ground_tables)):
-                for name in self._objects_of_instance(idx):
-                    index.setdefault(name, []).append(idx)
-            self._object_to_instances = index
+        classes = self._piece_classes()
         out: set[int] = set()
-        for name in names:
-            out.update(self._object_to_instances.get(name, ()))
+        for rep in self._classes_touching(names):
+            out.update(classes[rep])
         return out
 
     def objects_touching(self, names) -> set[str]:
         """Union of the object sets of every instance touching ``names``
         (the state a negotiation over ``names`` must refresh)."""
         out: set[str] = set()
-        for idx in self.instances_touching(names):
-            out |= self._objects_of_instance(idx)
+        for rep in self._classes_touching(names):
+            out.update(self._objects(rep))
         return out
 
     def sites_touching(self, names) -> set[int]:
@@ -346,15 +417,18 @@ class TreatyGenerator:
         home site of every affected instance (its snapshots of the
         changed objects parameterize its piece) plus the owners of
         every object those instances depend on (their current values
-        feed the recomputation)."""
+        feed the recomputation).  A class's members may live at
+        different sites; each member's home joins."""
+        classes = self._piece_classes()
         sites: set[int] = set()
-        for idx in self.instances_touching(names):
-            sites.add(self.ground_tables[idx][1])
-            for name in self._objects_of_instance(idx):
+        for rep in self._classes_touching(names):
+            for idx in classes[rep]:
+                sites.add(self.ground_tables[idx][1])
+            for name in self._objects(rep):
                 sites.add(self.locate(name))
         return sites
 
-    # -- per-instance computation ---------------------------------------------------
+    # -- per-class computation ------------------------------------------------------
 
     def _derive(
         self, idx: int, row: Row, getobj: Callable[[str], int]
@@ -363,38 +437,34 @@ class TreatyGenerator:
         current database, from scratch: its guard linearized (Appendix
         C.1), its remote reads pinned (Appendix C.3), every clause
         split per site.  Runs the first time a row matches, and under
-        validate as the oracle for every piece bound from the result."""
+        validate as the oracle for every piece bound from the result
+        and for every member of the class it was bound for."""
         table, home = self.ground_tables[idx]
         lin = linearize_for_treaty(row.guard, getobj)
         # Appendix C.3: pin objects remote-read by the matched residual.
-        # Sorted: the pins' order reaches the WAL bytes and the treaty
-        # fingerprint, which must not follow the set's string hashing
-        # (key=str because a parameterized read is a tuple).
-        pinned_names: set[str] = set()
-        for read in sorted(residual_reads(row.residual), key=str):
+        for read in self._pinned_reads(row, home):
             if not isinstance(read, str):
                 raise ProtocolError(
                     f"ground instance {table.transaction.name} has "
                     f"parameterized residual read {read!r}"
                 )
-            if self.locate(read) != home and read not in pinned_names:
-                pinned_names.add(read)
-                lin.pins.append((len(lin.constraints), ObjT(read)))
-                lin.constraints.append(pin_constraint(ObjT(read), getobj))
-                lin.pinned.add(ObjT(read))
+            lin.pins.append((len(lin.constraints), ObjT(read)))
+            lin.constraints.append(pin_constraint(ObjT(read), getobj))
+            lin.pinned.add(ObjT(read))
         # No clause here is trivially true: linearization drops those,
         # and a pin has a coefficient.
         return lin, build_templates(lin, self.locate, self.sites)
 
     def _bind(
-        self, idx: int, getobj: Callable[[str], int]
+        self, rep: int, getobj: Callable[[str], int]
     ) -> tuple[LinearizedTreaty, TreatyTemplates]:
-        """:meth:`_derive`'s result, through the matched row's shape.
-        Pieces share their shape's lists; nothing mutates a piece."""
-        row = self.ground_tables[idx][0].lookup(getobj)
-        shape = self._shapes.get((idx, id(row)))
+        """:meth:`_derive`'s result for the class of ``rep``, through
+        its matched row's shape.  Pieces share their shape's lists;
+        nothing mutates a piece."""
+        row = self.ground_tables[rep][0].lookup(getobj)
+        shape = self._shapes.get((rep, id(row)))
         if shape is None:
-            shape = self._shapes[idx, id(row)] = self._derive(idx, row, getobj)
+            shape = self._shapes[rep, id(row)] = self._derive(rep, row, getobj)
             return shape
         lin = shape[0].rebound(getobj, row_matched=not self.validate)
         if lin is shape[0]:
@@ -403,22 +473,22 @@ class TreatyGenerator:
 
     def _piece(
         self,
-        idx: int,
+        rep: int,
         getobj: Callable[[str], int],
         db_snapshot: Mapping[str, int],
     ) -> TreatyPiece:
-        """The instance's piece: its bound shape plus a configuration."""
-        lin, templates = self._bind(idx, getobj)
+        """The class's piece: its bound shape plus a configuration."""
+        lin, templates = self._bind(rep, getobj)
         # The deterministic strategies configure every time: the split
         # is cheaper to compute than to key.  So does 'demand', whose
         # split follows the estimator, not the object values.
         memo_key = split = None
         if self.strategy == "optimized":
-            memo_key = self._memo_key(idx, getobj)
+            memo_key = rep, tuple(getobj(name) for name in self._objects(rep))
             split = self._memo.get(memo_key)
         if split is None:
-            self.instances_recomputed += 1
-            self._configured.add(idx)
+            self.instances_recomputed += len(self._piece_classes()[rep])
+            self._configured.add(rep)
             config = self._configure(templates, getobj, db_snapshot)
             split = tuple(
                 config.values[clause.config_var(site)]
@@ -437,16 +507,6 @@ class TreatyGenerator:
             site_exprs=[clause.site_exprs for clause in templates.clauses],
             pinned=lin.pinned,
         )
-
-    def _memo_key(
-        self, idx: int, getobj: Callable[[str], int]
-    ) -> tuple[int, tuple[int, ...]]:
-        if self._instance_keys is None:
-            self._instance_keys = [
-                tuple(sorted(self._objects_of_instance(i)))
-                for i in range(len(self.ground_tables))
-            ]
-        return idx, tuple(getobj(n) for n in self._instance_keys[idx])
 
     def _configure(
         self, templates: TreatyTemplates, getobj, db_snapshot
@@ -488,7 +548,8 @@ class TreatyGenerator:
         dirty: set[str] | None = None,
     ) -> TreatyTable:
         """Build the treaty table; with ``dirty`` given, reuse cached
-        instances whose objects are untouched.
+        classes whose objects are untouched.  The assembly gets one
+        piece per recomputed class, under its representative.
 
         Assembly dedups identical clauses and drops ``<=``-clauses
         dominated by a tighter clause over the same expression (e.g.
@@ -498,12 +559,11 @@ class TreatyGenerator:
         """
         self._futures = None  # fresh samples per generation
         self._configured = set()
-        pieces = self._assembly.pieces
-        if dirty is None or len(pieces) < len(self.ground_tables):
-            stale: Iterable[int] = range(len(self.ground_tables))
+        if dirty is None or not self._assembly.pieces:
+            stale: Iterable[int] = self._piece_classes()
         else:
-            stale = sorted(self.instances_touching(dirty))
-        changed = {idx: self._piece(idx, getobj, db_snapshot) for idx in stale}
+            stale = sorted(self._classes_touching(dirty))
+        changed = {rep: self._piece(rep, getobj, db_snapshot) for rep in stale}
         self._last_round = (getobj, db_snapshot, changed)
         try:
             return self._assembly.update(changed, round_number)
@@ -511,52 +571,63 @@ class TreatyGenerator:
             raise ProtocolError(str(exc)) from exc
 
     def assert_matches_scratch(self, table: TreatyTable) -> None:
-        """The validate-mode oracle of incremental generation: the
-        pieces :meth:`generate` just bound from cached shapes must equal
-        what deriving them afresh gives, and the table it returned what
-        its pieces assemble to with nothing carried over.  Under
-        ``optimized`` the round's shared work is re-done unshared: every
-        sampled run replayed through the interpreter
+        """The validate-mode oracle of incremental generation: every
+        member of every class :meth:`generate` just recomputed must get,
+        deriving its own piece from its own table afresh, what the class
+        got from its representative's cached shape, and the table it
+        returned must be what every instance's own piece assembles to
+        with nothing carried over.  Under ``optimized`` the round's
+        shared work is re-done unshared: every sampled run replayed
+        through the interpreter
         (:meth:`~repro.treaty.optimize.SampledRun.replay_interpreted`)
-        must write what its compiled replay wrote, and every piece
-        configured this round must get the same split configured on its
-        own."""
+        must write what its compiled replay wrote, and every member of
+        a class configured this round must get the class's split
+        configured on its own."""
         assert self._last_round is not None
         getobj, db_snapshot, changed = self._last_round
         futures = self._futures
         if futures is not None:
             self._assert_replays_match(futures, db_snapshot, table.round_number)
-        for idx, piece in changed.items():
-            row = self.ground_tables[idx][0].lookup(getobj)
-            lin, templates = self._derive(idx, row, getobj)
-            have = (piece.constraints, piece.site_exprs, piece.pinned)
-            expect = (
-                lin.constraints,
-                [clause.site_exprs for clause in templates.clauses],
-                lin.pinned,
-            )
-            if have != expect:
-                raise InstallDivergence(
-                    f"round {table.round_number}: instance {idx}'s piece bound "
-                    f"from its row shape differs from scratch: {have} vs {expect}"
-                )
-            if futures is not None and idx in self._configured:
-                assert self.optimizer is not None
-                config, _stats = configure_from_samples(
-                    templates, getobj, SampledFutures(futures.runs)
-                )
-                values = config.values
-                alone = [
-                    {site: values[clause.config_var(site)] for site in self.sites}
-                    for clause in templates.clauses
-                ]
-                if piece.per_clause_config != alone:
+        classes = self._piece_classes()
+        own: dict[int, TreatyPiece] = {}
+        for rep, piece in changed.items():
+            for idx in classes[rep]:
+                row = self.ground_tables[idx][0].lookup(getobj)
+                lin, templates = self._derive(idx, row, getobj)
+                site_exprs = [clause.site_exprs for clause in templates.clauses]
+                have = (piece.constraints, piece.site_exprs, piece.pinned)
+                expect = (lin.constraints, site_exprs, lin.pinned)
+                if have != expect:
                     raise InstallDivergence(
-                        f"round {table.round_number}: instance {idx}'s shared "
-                        f"configuration differs from its own: "
-                        f"{piece.per_clause_config} vs {alone}"
+                        f"round {table.round_number}: instance {idx}'s piece, bound "
+                        f"from its class's row shape, differs from its own from "
+                        f"scratch: {have} vs {expect}"
                     )
-        self._assembly.assert_matches_scratch(table)
+                config = piece.per_clause_config
+                if futures is not None and rep in self._configured:
+                    values = configure_from_samples(
+                        templates, getobj, SampledFutures(futures.runs)
+                    )[0].values
+                    config = [
+                        {site: values[clause.config_var(site)] for site in self.sites}
+                        for clause in templates.clauses
+                    ]
+                    if piece.per_clause_config != config:
+                        raise InstallDivergence(
+                            f"round {table.round_number}: instance {idx}'s shared "
+                            f"configuration differs from its own: "
+                            f"{piece.per_clause_config} vs {config}"
+                        )
+                own[idx] = TreatyPiece(lin.constraints, config, site_exprs, lin.pinned)
+        current = self._assembly.pieces
+        self._assembly.assert_matches_scratch(
+            table,
+            {
+                idx: own.get(idx, current[rep])
+                for rep, members in classes.items()
+                for idx in members
+            },
+        )
 
     def _assert_replays_match(
         self, futures: SampledFutures, db_snapshot: Mapping[str, int], round_number: int

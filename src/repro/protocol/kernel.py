@@ -426,7 +426,9 @@ class HomeostasisCluster:
         getobj = ref.engine.peek
         snapshot = ref.engine.store.data  # read-only use
         self.stats.rounds += 1
-        table = self.generator.generate(getobj, snapshot, self.stats.rounds, dirty=dirty)
+        table = self.generator.generate(
+            getobj, snapshot, self.stats.rounds, dirty=dirty
+        )
         self.treaty_table = table
         # The solver is deterministic, so every participant regenerates
         # the identical treaty from the synchronized state and installs
@@ -1453,7 +1455,9 @@ class HomeostasisCluster:
         self._refuse_if_down(participants, "global synchronization")
         with self.transport.negotiation("sync", origin):
             _updates, dirty = self._synchronize(participants, full=True)
-            self._install_new_treaty(dirty=dirty, participants=participants, origin=origin)
+            self._install_new_treaty(
+                dirty=dirty, participants=participants, origin=origin
+            )
 
     # -- crash-stop and recovery --------------------------------------------------
     #

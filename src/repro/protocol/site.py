@@ -564,7 +564,9 @@ class SiteServer:
 
     # -- the online execution path (Section 5.1) ---------------------------------
 
-    def execute(self, tx_name: str, params: Mapping[str, int] | None = None) -> SiteResult:
+    def execute(
+        self, tx_name: str, params: Mapping[str, int] | None = None
+    ) -> SiteResult:
         """Run a transaction disconnected; commit iff the local treaty
         still holds afterwards."""
         txn = self.engine.begin()

@@ -150,7 +150,9 @@ def decode_payload(data: bytes) -> dict[str, Any]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CodecError(f"frame payload is not canonical JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise CodecError(f"frame payload must be an object, got {type(payload).__name__}")
+        raise CodecError(
+            f"frame payload must be an object, got {type(payload).__name__}"
+        )
     return payload
 
 

@@ -5,7 +5,10 @@ instance (:class:`TreatyPiece`: the instance's linear clauses, their
 per-site split and configuration).  Assembly merges the pieces --
 identical coefficient vectors dedup, the tightest ``<=`` bound wins --
 and derives, per merged clause, the :class:`ClauseTemplate`, the
-configuration row and every site's local constraint.
+configuration row and every site's local constraint.  Instances with
+equal pieces merge to what the lowest-index one gives alone, so the
+treaty generator hands over one piece per piece class, under that
+member.
 
 A negotiation changes the pieces of the instances in its closure and
 nothing else, so :class:`TreatyAssembly` keeps the merged clause map
@@ -306,10 +309,13 @@ class TreatyAssembly:
 
     # -- the oracle --------------------------------------------------------------
 
-    def assert_matches_scratch(self, table: TreatyTable) -> None:
+    def assert_matches_scratch(
+        self, table: TreatyTable, pieces: Mapping[int, TreatyPiece] | None = None
+    ) -> None:
         """Validate mode, after every round: the table :meth:`update`
-        returned equals whole-treaty assembly of the same pieces."""
-        scratch = self.from_scratch(table.round_number)
+        returned equals whole-treaty assembly of the same pieces (or of
+        ``pieces``, which must assemble to the same table)."""
+        scratch = self.from_scratch(table.round_number, pieces)
         pairs = {
             "global treaty": (table.global_treaty, scratch.global_treaty),
             "templates": (table.templates, scratch.templates),
@@ -327,13 +333,17 @@ class TreatyAssembly:
                     f"{what} differ from scratch: {have} vs {expect}"
                 )
 
-    def from_scratch(self, round_number: int) -> TreatyTable:
-        """Whole-treaty assembly from the current pieces, sharing
-        nothing with :meth:`update`'s state."""
+    def from_scratch(
+        self, round_number: int, pieces: Mapping[int, TreatyPiece] | None = None
+    ) -> TreatyTable:
+        """Whole-treaty assembly from the current pieces (or from
+        ``pieces``), sharing nothing with :meth:`update`'s state."""
+        if pieces is None:
+            pieces = self.pieces
         chosen: dict[ClauseKey, tuple[LinearConstraint, dict[int, int]]] = {}
         pinned: set[ObjT] = set()
-        for idx in sorted(self.pieces):
-            piece = self.pieces[idx]
+        for idx in sorted(pieces):
+            piece = pieces[idx]
             pinned |= piece.pinned
             for con, cfg in zip(piece.constraints, piece.per_clause_config):
                 key = (con.expr.coeffs, con.op)

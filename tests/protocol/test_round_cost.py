@@ -14,7 +14,9 @@ the WAL, and the size of the record each site appends.
 Under ``optimized`` the same holds of Algorithm 1's share: a round
 solves one budget instance per distinct clause it configures, however
 many ground instances carry that clause, and replays its sampled
-futures without walking an AST.
+futures without walking an AST.  Ground instances that read the
+database alike are one piece class: a round computes one piece per
+stale class, and the bootstrap derives one row shape per class.
 
 No execution on the live path walks one either: the clean commit, the
 cleanup run T' and every LOCAL and 2PC transaction run compiled
@@ -157,12 +159,8 @@ def test_single_item_negotiation_costs_the_same_at_any_treaty_size(monkeypatch):
         assert 0 <= large_size - small_size <= 2 * entries
 
 
-def test_optimized_new_order_round_solves_each_distinct_clause_once(monkeypatch):
-    """One ``optimized`` TPC-C negotiation a New Order triggers: the
-    recomputed instances of the item carry a handful of distinct stock
-    clauses (one per quantity), each solved once, and sampling never
-    enters the interpreter."""
-    workload = TpccWorkload(
+def _small_tpcc():
+    return TpccWorkload(
         num_warehouses=1,
         num_districts=2,
         items_per_district=4,
@@ -171,6 +169,14 @@ def test_optimized_new_order_round_solves_each_distinct_clause_once(monkeypatch)
         hotness=30,
         initial_stock=14,
     )
+
+
+def test_optimized_new_order_round_solves_each_distinct_clause_once(monkeypatch):
+    """One ``optimized`` TPC-C negotiation a New Order triggers: the
+    recomputed instances of the item carry a handful of distinct stock
+    clauses (one per quantity), each solved once, and sampling never
+    enters the interpreter."""
+    workload = _small_tpcc()
     cluster = workload.build_homeostasis(strategy="optimized")
     generator = cluster.generator
     solves = _Calls(optimize_module.solve_budget_allocation)
@@ -205,6 +211,64 @@ def test_optimized_new_order_round_solves_each_distinct_clause_once(monkeypatch)
     assert 0 < len(distinct) < len(configured)
     assert solves.count == len(distinct)
     assert generator._futures.sampled and interpreted.count == 0
+
+
+def test_optimized_new_order_round_computes_one_piece_per_stale_class(monkeypatch):
+    """The same round computes one piece per stale piece class: the 22
+    instances its dirty objects touch -- 2 origins x 2 districts x 5
+    quantities of the item's New Order, and the district's Delivery at
+    each site -- fall into 7 classes (one per quantity, and each
+    Delivery alone), and it solves 6 budget instances, as many as when
+    every instance computed its own piece."""
+    cluster = _small_tpcc().build_homeostasis(strategy="optimized")
+    generator = cluster.generator
+    solves = _Calls(optimize_module.solve_budget_allocation)
+    monkeypatch.setattr(optimize_module, "solve_budget_allocation", solves)
+    generate, piece = generator.generate, generator._piece
+    dirty_sets, pieces = [], []
+
+    def generate_spy(getobj, snapshot, round_number, dirty=None):
+        dirty_sets.append(dirty)
+        return generate(getobj, snapshot, round_number, dirty)
+
+    def piece_spy(rep, getobj, snapshot):
+        pieces.append(rep)
+        return piece(rep, getobj, snapshot)
+
+    monkeypatch.setattr(generator, "generate", generate_spy)
+    monkeypatch.setattr(generator, "_piece", piece_spy)
+    recomputed = generator.instances_recomputed
+    for _ in range(100):
+        result = cluster.submit("NewOrder@s0", {"w": 0, "d": 0, "item": 1, "qty": 3})
+        if result.synced:
+            break
+    else:
+        raise AssertionError("the item never exhausted its stock budget")
+    (dirty,) = dirty_sets
+    stale = generator._classes_touching(dirty)
+    assert sorted(pieces) == sorted(stale) and len(stale) == 7
+    touched = generator.instances_touching(dirty)
+    assert len(touched) == generator.instances_recomputed - recomputed == 22
+    assert solves.count == 6
+
+
+def test_tpcc_bootstrap_derives_one_row_shape_per_piece_class(monkeypatch):
+    """The default TPC-C spec's 2,008 ground instances fall into 508
+    piece classes (a New Order of one warehouse, item and quantity is
+    one class in every district and at every site), and the bootstrap
+    round derives one row shape per class, not per instance."""
+    derive = _Calls(homeostasis_module.TreatyGenerator._derive)
+    monkeypatch.setattr(
+        homeostasis_module.TreatyGenerator,
+        "_derive",
+        lambda self, *a: derive(self, *a),
+    )
+    cluster = TpccWorkload().build_homeostasis(strategy="equal-split")
+    generator = cluster.generator
+    classes = generator._piece_classes()
+    assert (len(classes), len(generator.ground_tables)) == (508, 2008)
+    assert derive.count == len(generator._shapes) == 508
+    assert generator.instances_recomputed == 2008
 
 
 def _count_interpreted(monkeypatch):

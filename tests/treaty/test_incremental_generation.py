@@ -12,16 +12,34 @@ The generator's contract (engineering optimization over Section 4):
   cheaper than the key);
 - within one round, the sampled futures are replayed through compiled
   closures and each distinct clause is configured once; under
-  ``validate`` both are re-done unshared, and a difference raises.
+  ``validate`` both are re-done unshared, and a difference raises;
+- ground instances that read the database alike (the same row guards
+  and pinned remote reads) are one piece class, computed once: every
+  member gets an equal piece, and under ``validate`` every member
+  re-derives its own.
 """
 
 import dataclasses
 import random
 
 import pytest
+from conftest import examples
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.protocol.homeostasis as homeostasis_module
+from repro.analysis.symbolic import build_symbolic_table
+from repro.fuzz.generators import FuzzWorkload
+from repro.fuzz.strategies import fuzz_specs
+from repro.lang.parser import parse_transaction
+from repro.treaty.config import equal_split_configuration
 from repro.treaty.table import InstallDivergence
+from repro.workloads import (
+    BankingWorkload,
+    FlashSaleWorkload,
+    GeoMicroWorkload,
+    QuotaWorkload,
+)
 from repro.workloads.micro import MicroWorkload
 from repro.workloads.tpcc import TpccWorkload
 
@@ -179,3 +197,112 @@ class TestValidateOracle:
         with pytest.raises(InstallDivergence, match="shared configuration"):
             self._drive(cluster, workload)
         assert corrupted
+
+
+class TestPieceClasses:
+    """Ground instances whose tables have the same row guards and pin
+    the same remote reads share one piece: generation looks up, binds,
+    configures and memoizes each class once, through its lowest-index
+    member, and validate mode re-derives every member's own piece."""
+
+    @pytest.mark.parametrize(
+        ("name", "classes", "instances"),
+        [
+            ("banking", 19, 216),
+            ("flash-sale", 9, 80),
+            ("micro", 200, 200),
+            ("geo", 48, 48),
+            ("quota", 24, 24),
+        ],
+    )
+    def test_class_counts(self, name, classes, instances):
+        workload = {
+            "banking": BankingWorkload,
+            "flash-sale": FlashSaleWorkload,
+            "micro": MicroWorkload,
+            "geo": GeoMicroWorkload,
+            "quota": QuotaWorkload,
+        }[name]()
+        gen = workload.cluster_spec(strategy="equal-split").make_generator()
+        found = gen._piece_classes()
+        assert (len(found), len(gen.ground_tables)) == (classes, instances)
+        members = sorted(idx for group in found.values() for idx in group)
+        assert members == list(range(instances))
+        assert all(group[0] == rep for rep, group in found.items())
+
+    def test_a_class_joins_every_members_home(self):
+        """Two instances at different sites whose guards read one object
+        at site 0 are one class; a change to the object still drags both
+        homes into the negotiation."""
+        tables = [
+            build_symbolic_table(
+                parse_transaction(
+                    f"transaction Flag{n}() {{ t := read(x); if t > 3 then "
+                    "{ write(y = 1) } else { write(y = 2) } }"
+                )
+            )
+            for n in range(2)
+        ]
+        gen = homeostasis_module.TreatyGenerator(
+            ground_tables=[(tables[0], 0), (tables[1], 1)],
+            locate=lambda _name: 0,
+            sites=(0, 1),
+        )
+        assert gen._piece_classes() == {0: (0, 1)}
+        assert gen.instances_touching({"x"}) == {0, 1}
+        assert gen.sites_touching({"x"}) == {0, 1}
+
+    def test_merged_classes_with_different_guards_raise_under_validate(self):
+        """A class that held a qty=1 and a qty=5 New Order of one item
+        would give the qty=5 instances the qty=1 stock clause; the
+        oracle derives every member's own piece and refuses it."""
+        workload = TpccWorkload(
+            num_warehouses=1,
+            num_districts=2,
+            items_per_district=4,
+            num_customers=4,
+            num_sites=2,
+            hotness=30,
+            initial_stock=14,
+        )
+        spec = workload.cluster_spec(strategy="equal-split", validate=True)
+        gen = spec.make_generator()
+        classes = gen._piece_classes()
+        names = [table.transaction.name for table, _home in gen.ground_tables]
+        one, five = (
+            names.index(f"NewOrder@s0#d=0,item=1,qty={qty},w=0") for qty in (1, 5)
+        )
+        classes[one] = tuple(sorted(classes[one] + classes.pop(five)))
+        db = dict(spec.initial_db)
+        table = gen.generate(lambda name: db.get(name, 0), db, 1)
+        with pytest.raises(InstallDivergence, match=f"instance {five}'s piece"):
+            gen.assert_matches_scratch(table)
+
+    @settings(max_examples=examples(25), deadline=None)
+    @given(spec=fuzz_specs(), values=st.lists(st.integers(-3, 20), min_size=1))
+    def test_members_of_a_class_get_equal_pieces(self, spec, values):
+        """On any database, every member of a class derives the same
+        clauses, splits and pins from its own table, and the same
+        configuration from them."""
+        workload = FuzzWorkload(fuzz=spec)
+        gen = workload.cluster_spec(strategy="equal-split").make_generator()
+        names = sorted(workload.initial_db)
+        db = {name: values[at % len(values)] for at, name in enumerate(names)}
+
+        def getobj(name):
+            return db.get(name, 0)
+
+        for members in gen._piece_classes().values():
+            pieces = []
+            for idx in members:
+                row = gen.ground_tables[idx][0].lookup(getobj)
+                lin, templates = gen._derive(idx, row, getobj)
+                pieces.append(
+                    (
+                        lin.constraints,
+                        [clause.site_exprs for clause in templates.clauses],
+                        lin.pinned,
+                        equal_split_configuration(templates, getobj).values,
+                    )
+                )
+            assert all(piece == pieces[0] for piece in pieces)
