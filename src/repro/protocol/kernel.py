@@ -56,12 +56,16 @@ election real:
    treaties or contends again in the next wave (keeping its original
    timestamp, so seniority is preserved).
 
-:meth:`HomeostasisCluster.submit` runs one transaction at a time: it
-executes at the origin and returns -- the clean path never enters the
-engine -- and hands a violation (or a watermark breach, below) to the
-engine as a wave of one contender, whose election is the trivial
-broadcast.  Every step iterates in sorted deterministic order, so two
-runs over the same submissions produce identical traces and states.
+:meth:`HomeostasisCluster.submit` runs one transaction at a time, in
+two parts.  Its message-free *head* (:meth:`~HomeostasisCluster.
+submit_head`) executes at the origin and returns -- the clean path
+never enters the engine; its *round* (:meth:`~HomeostasisCluster.
+submit_round`) hands the head's violating attempt (or a watermark
+breach, below) to the engine as a wave of one contender, whose
+election is the trivial broadcast.  A host may run the two parts on
+different threads, one at a time (:mod:`repro.runtime.cluster`).
+Every step iterates in sorted deterministic order, so two runs over
+the same submissions produce identical traces and states.
 
 The kernel is synchronous -- it performs the real state changes and
 sends every message a distributed deployment would send through a
@@ -281,6 +285,19 @@ class _Contender:
         # sites.  With zero credit everywhere (the legacy policy) the
         # ordering is exactly the historical one.
         return (self.timestamp, -self.credit, self.origin, self.txn_seq)
+
+
+@dataclass(frozen=True)
+class PendingRound:
+    """A submission whose head executed and that needs a round: T'
+    aborted on a treaty violation, or its commit breached the adaptive
+    low-watermark.  :meth:`HomeostasisCluster.submit_round` negotiates
+    on ``attempt`` as it stands and never re-executes it."""
+
+    tx_name: str
+    params: Mapping[str, int] | None
+    origin: int
+    attempt: SiteResult
 
 
 @dataclass
@@ -1190,7 +1207,9 @@ class HomeostasisCluster:
     def submit(
         self, tx_name: str, params: Mapping[str, int] | None = None
     ) -> ClusterResult:
-        """Run one transaction to completion under the protocol.
+        """Run one transaction to completion under the protocol: its
+        head (:meth:`submit_head`), then its round
+        (:meth:`submit_round`) if the head left one to run.
 
         Raises :class:`Unavailable` -- without changing any state or
         treaty -- when the origin site is down, or when the
@@ -1200,6 +1219,22 @@ class HomeostasisCluster:
         surfaces as a timeout and aborts the round cleanly).  Every
         other submission proceeds exactly as in the fault-free kernel:
         a crash blocks only the closures that include it.
+        """
+        head = self.submit_head(tx_name, params)
+        if isinstance(head, PendingRound):
+            return self.submit_round(head)
+        return head
+
+    def submit_head(
+        self, tx_name: str, params: Mapping[str, int] | None = None
+    ) -> ClusterResult | PendingRound:
+        """The message-free part of :meth:`submit`: the origin check,
+        the optimistic execution at the origin and the watermark test.
+
+        Returns the finished result of a clean commit, or the executed
+        attempt that needs a round.  It sends nothing, so a host may run
+        it on a thread other than the one that drives rounds, as long
+        as one thread at a time touches the cluster.
         """
         if tx_name not in self.tx_home:
             raise ProtocolError(f"unknown transaction {tx_name!r}")
@@ -1220,7 +1255,11 @@ class HomeostasisCluster:
             return ClusterResult(
                 log=result.log, site=origin, synced=False, row_index=result.row_index
             )
+        return PendingRound(tx_name, params, origin, result)
 
+    def submit_round(self, pending: PendingRound) -> ClusterResult:
+        """The round of :meth:`submit`, on the attempt its head
+        executed (raises :class:`Unavailable` like :meth:`submit`)."""
         # T' was aborted (or its commit breached the adaptive
         # low-watermark): the already-executed attempt enters the
         # engine as a wave of one contender.  submit() is
@@ -1228,10 +1267,11 @@ class HomeostasisCluster:
         # is scoped to the participant closure -- untouched sites
         # neither hear about it nor change state, and their installed
         # treaties stay valid.
+        tx_name, origin, result = pending.tx_name, pending.origin, pending.attempt
         entry = _Contender(
             index=0,
             tx_name=tx_name,
-            params=params,
+            params=pending.params,
             origin=origin,
             timestamp=0,
             txn_seq=next(self._txn_seq),
@@ -1320,12 +1360,13 @@ class HomeostasisCluster:
         try:
             return self.submit(tx_name, params)
         except Unavailable as exc:
-            return ClusterResult(
-                log=(),
-                site=self.tx_home[tx_name],
-                synced=False,
-                status=exc.status,
-            )
+            return self.unavailable_result(tx_name, exc)
+
+    def unavailable_result(self, tx_name: str, exc: Unavailable) -> ClusterResult:
+        """The empty result :meth:`try_submit` reports for ``exc``."""
+        return ClusterResult(
+            log=(), site=self.tx_home[tx_name], synced=False, status=exc.status
+        )
 
     def precompile_checks(self) -> int:
         """Warm every site's per-object clause index (what the

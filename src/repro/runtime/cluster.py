@@ -6,18 +6,28 @@ points -- ``submit`` and ``submit_window``):
 
 - a dedicated **event-loop thread** runs every site's inbox task (one
   task per :class:`~repro.protocol.site.SiteServer`, single-writer
-  discipline -- see :mod:`repro.runtime.transport`);
-- a single-worker **kernel executor** runs the protocol driver: all
-  submissions funnel through it, so the kernel code stays exactly the
-  code the deterministic tests verify, while its every inter-site
-  message crosses the loop as a wire frame and its every timeout is
-  wall-clock real.  Concurrent clients (the serve layer) pipeline
-  through this executor: their transactions *queue* at the driver but
-  their sockets, parsing, and replies overlap on the loop;
+  discipline -- see :mod:`repro.runtime.transport`), the serve layer's
+  connections, and the host's **scheduler**;
+- the scheduler hands out *turns* at the kernel in arrival order, and
+  a turn runs where its work can: a submission's message-free head
+  (:meth:`~repro.protocol.kernel.HomeostasisCluster.submit_head`:
+  origin check, execution, watermark test) runs inline on the loop,
+  so a clean commit never leaves it; only a step that sends -- a
+  round (:meth:`~repro.protocol.kernel.HomeostasisCluster.
+  submit_round`, on the attempt the head already executed), a window,
+  recovery, ``force_synchronize``, construction -- goes to a
+  single-worker **kernel executor**, because a send blocks its thread
+  until the destination's inbox task (on the loop) replies.  A turn
+  ends when its round does, so one thread at a time touches kernel
+  state and a head never overtakes a submission queued before it;
 - the :class:`~repro.runtime.transport.AsyncTransport` bridges the
-  two worlds.
+  two threads.
 
-Because the kernel serializes submissions, a fault-free host is
+Loop-side callers (the serve layer) await :meth:`AsyncClusterHost.
+try_submit_async` and :meth:`~AsyncClusterHost.inline`; the blocking
+API for other threads posts the same turns onto the loop and waits.
+
+Because the scheduler serializes submissions, a fault-free host is
 *deterministic given the submission order*: feeding the same schedule
 to a host and to the in-process kernel must produce identical
 commits, treaty installs, and final stores.  That is not an accident
@@ -29,15 +39,25 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
 
-from repro.protocol.homeostasis import ClusterResult
-from repro.protocol.kernel import HomeostasisCluster, WindowResult
+from repro.protocol.homeostasis import ClusterResult, Unavailable
+from repro.protocol.kernel import HomeostasisCluster, PendingRound, WindowResult
 from repro.runtime.transport import AsyncTransport
 
 if TYPE_CHECKING:
     from repro.protocol.config import ClusterSpec
+
+
+class _KernelJob(NamedTuple):
+    """What a turn's loop-side step returns to finish on the kernel
+    thread: ``fn(*args)`` may send."""
+
+    fn: Callable[..., Any]
+    args: tuple[Any, ...]
 
 
 class AsyncClusterHost:
@@ -78,12 +98,16 @@ class AsyncClusterHost:
         self._kernel_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-kernel"
         )
+        #: turns waiting to run, in arrival order, and whether a kernel
+        #: job holds the current one (loop thread only)
+        self._turns: deque[tuple[Callable[[], Any], Any]] = deque()
+        self._kernel_busy = False
         self._closed = False
         try:
-            # Construction runs on the kernel thread too, so the
-            # kernel is only ever touched from that one thread.
-            self.cluster: HomeostasisCluster = self._run(
-                HomeostasisCluster, spec, transport
+            # Construction registers every site, a blocking hop onto
+            # the loop, so it is a kernel step.
+            self.cluster: HomeostasisCluster = self._call(
+                partial(_KernelJob, HomeostasisCluster, (spec, transport))
             )
         except BaseException:
             self._teardown_threads()
@@ -93,20 +117,95 @@ class AsyncClusterHost:
         asyncio.set_event_loop(self._loop)
         self._loop.run_forever()
 
-    # -- kernel-thread funnel ------------------------------------------------------
+    # -- the scheduler (loop thread only) ------------------------------------------
+    #
+    # A turn is a *step*: a callable run on the loop that returns its
+    # result, or a _KernelJob to finish on the kernel thread.  Turns run
+    # in arrival order; while a kernel job runs, later turns queue.
 
-    def _run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """Run ``fn`` on the kernel driver thread and wait for it."""
+    def _enqueue(self, step: Callable[[], Any], out: Any) -> None:
+        """Queue one turn whose result goes to ``out`` (an asyncio or a
+        concurrent future), and run it at once if the kernel is idle."""
+        self._turns.append((step, out))
+        if not self._kernel_busy:
+            self._run_turns()
+
+    def _run_turns(self) -> None:
+        while self._turns:
+            step, out = self._turns.popleft()
+            if out.cancelled():  # its awaiter gave up before its turn
+                continue
+            try:
+                value = step()
+                job = (
+                    self._kernel_pool.submit(value.fn, *value.args)
+                    if isinstance(value, _KernelJob)
+                    else None
+                )
+            except Exception as exc:
+                out.set_exception(exc)
+                continue
+            if job is None:
+                out.set_result(value)
+                continue
+            self._kernel_busy = True
+            job.add_done_callback(partial(self._post_kernel_done, out))
+            return
+
+    def _post_kernel_done(self, out: Any, job: "Future[Any]") -> None:
+        # Runs on the kernel thread as the job finishes.
+        if not self._loop.is_closed():
+            self._loop.call_soon_threadsafe(self._kernel_done, job, out)
+
+    def _kernel_done(self, job: "Future[Any]", out: Any) -> None:
+        self._kernel_busy = False
+        if not out.cancelled():
+            if job.exception() is not None:
+                out.set_exception(job.exception())
+            else:
+                out.set_result(job.result())
+        self._run_turns()
+
+    def _turn(self, step: Callable[[], Any]) -> "asyncio.Future[Any]":
+        out = self._loop.create_future()
+        self._enqueue(step, out)
+        return out
+
+    def _submit_step(
+        self, tx_name: str, params: Mapping[str, int] | None
+    ) -> ClusterResult | _KernelJob:
+        head = self.cluster.submit_head(tx_name, params)
+        if isinstance(head, PendingRound):
+            return _KernelJob(self.cluster.submit_round, (head,))
+        return head
+
+    async def inline(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """Run a message-free ``fn`` on the loop at its turn."""
+        return await self._turn(partial(fn, *args))
+
+    async def try_submit_async(
+        self, tx_name: str, params: Mapping[str, int] | None = None
+    ) -> ClusterResult:
+        """:meth:`try_submit` for loop-side callers: the head runs on the
+        loop, and only a round goes to the kernel thread."""
+        try:
+            return await self._turn(partial(self._submit_step, tx_name, params))
+        except Unavailable as exc:
+            return self.cluster.unavailable_result(tx_name, exc)
+
+    def _call(self, step: Callable[[], Any]) -> Any:
+        """Queue one turn from a thread other than the loop's and wait
+        for its result."""
         if self._closed:
             raise RuntimeError("AsyncClusterHost is closed")
-        return self._kernel_pool.submit(fn, *args, **kwargs).result()
-
-    async def run_on_kernel(
-        self, fn: Callable[..., Any], *args: Any
-    ) -> Any:
-        """Awaitable twin of :meth:`_run` for loop-side callers (the
-        serve layer submits client transactions through this)."""
-        return await asyncio.wrap_future(self._kernel_pool.submit(fn, *args))
+        if threading.current_thread() is self._loop_thread:
+            raise RuntimeError(
+                "blocking AsyncClusterHost call on its own event loop; "
+                "await the scheduler coroutine instead"
+            )
+        out: Future[Any] = Future()
+        self._loop.call_soon_threadsafe(self._enqueue, step, out)
+        return out.result()
 
     # -- client API ----------------------------------------------------------------
 
@@ -116,14 +215,17 @@ class AsyncClusterHost:
         """Run one transaction to completion (raises
         :class:`~repro.protocol.homeostasis.Unavailable` like the
         in-process kernel)."""
-        return self._run(self.cluster.submit, tx_name, params)
+        return self._call(partial(self._submit_step, tx_name, params))
 
     def try_submit(
         self, tx_name: str, params: Mapping[str, int] | None = None
     ) -> ClusterResult:
         """:meth:`submit` with unavailability mapped into
         ``result.status`` (see :class:`~repro.protocol.messages.Outcome`)."""
-        return self._run(self.cluster.try_submit, tx_name, params)
+        try:
+            return self.submit(tx_name, params)
+        except Unavailable as exc:
+            return self.cluster.unavailable_result(tx_name, exc)
 
     def submit_window(
         self,
@@ -131,24 +233,26 @@ class AsyncClusterHost:
         timestamps: Sequence[int] | None = None,
     ) -> WindowResult:
         """Run a window of interleaved transactions to completion."""
-        return self._run(self.cluster.submit_window, requests, timestamps)
+        return self._call(
+            partial(_KernelJob, self.cluster.submit_window, (requests, timestamps))
+        )
 
     # -- protocol passthroughs -----------------------------------------------------
 
     def crash_site(self, sid: int) -> None:
-        self._run(self.cluster.crash_site, sid)
+        self._call(partial(self.cluster.crash_site, sid))
 
     def recover_site(self, sid: int) -> tuple[int, ...]:
-        return self._run(self.cluster.recover_site, sid)
+        return self._call(partial(_KernelJob, self.cluster.recover_site, (sid,)))
 
     def force_synchronize(self) -> None:
-        self._run(self.cluster.force_synchronize)
+        self._call(partial(_KernelJob, self.cluster.force_synchronize, ()))
 
     def global_state(self) -> dict[str, int]:
-        return self._run(self.cluster.global_state)
+        return self._call(self.cluster.global_state)
 
     def precompile_checks(self) -> int:
-        return self._run(self.cluster.precompile_checks)
+        return self._call(self.cluster.precompile_checks)
 
     @property
     def stats(self):

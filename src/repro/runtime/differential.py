@@ -2,8 +2,9 @@
 
 The correctness argument for :class:`~repro.runtime.cluster.
 AsyncClusterHost` is behavioural, not structural: on a fault-free
-schedule the host serializes submissions through one driver thread, so
-it must be *observationally identical* to the in-process
+schedule the host's scheduler serializes submissions (one turn at the
+kernel at a time, in arrival order), so it must be *observationally
+identical* to the in-process
 :class:`~repro.protocol.kernel.HomeostasisCluster` fed the same
 schedule -- same per-transaction outcomes and logs, same treaty
 installs (round numbers and clause sets per site), same final stores,
@@ -28,6 +29,7 @@ from typing import Any, Callable, Sequence
 
 from repro.protocol.config import ClusterSpec
 from repro.protocol.kernel import HomeostasisCluster
+from repro.runtime.client import ServeClient
 from repro.runtime.cluster import AsyncClusterHost
 
 #: One schedule entry: (transaction name, bound parameters).
@@ -65,6 +67,7 @@ def run_differential(
     schedule: Sequence[Request],
     *,
     timeout_s: float = 5.0,
+    wire: bool = False,
 ) -> DifferentialReport:
     """Replay ``schedule`` on the async host and the deterministic
     kernel, and compare everything observable.
@@ -72,21 +75,40 @@ def run_differential(
     ``spec_factory`` is invoked once per kernel so mutable spec
     internals (optimizer RNGs, generator caches) are never shared.
     The schedule must be fault-free -- both kernels run with no fault
-    plan, so ``timeout_s`` is never actually paid.
+    plan, so ``timeout_s`` is never actually paid.  With ``wire`` the
+    host is driven the way clients drive it: :func:`~repro.runtime.
+    serve.serve` runs in-process on the host's loop, one
+    :class:`~repro.runtime.client.ServeClient` connection replays the
+    schedule, and the ``stats`` reply's global state is compared too.
     """
+    # Imported here: ``python -m repro.runtime.serve`` imports this
+    # package before it runs the module as __main__.
+    from repro.runtime.serve import result_reply, serving
+
     mismatches: list[str] = []
     oracle = HomeostasisCluster(spec_factory())
     with AsyncClusterHost(spec_factory(), timeout_s=timeout_s) as host:
-        for i, (tx_name, params) in enumerate(schedule):
-            want = oracle.try_submit(tx_name, params)
-            got = host.try_submit(tx_name, params)
+        if wire:
+            with serving(host) as address, ServeClient(*address) as client:
+                replies = [client.submit(tx, params) for tx, params in schedule]
+                wire_state = client.stats()["global_state"]
+        else:
+            replies = [
+                result_reply(host.try_submit(tx, params)) for tx, params in schedule
+            ]
+        for i, ((tx_name, params), got) in enumerate(zip(schedule, replies)):
+            want = result_reply(oracle.try_submit(tx_name, params))
             for field_name in ("status", "log", "synced", "site"):
-                w, g = getattr(want, field_name), getattr(got, field_name)
+                w, g = want[field_name], got[field_name]
                 if w != g:
                     mismatches.append(
                         f"txn {i} ({tx_name}): {field_name} "
                         f"oracle={w!r} async={g!r}"
                     )
+        if wire and wire_state != (want_state := oracle.global_state()):
+            mismatches.append(
+                f"stats global_state: oracle={want_state!r} wire={wire_state!r}"
+            )
         _compare_treaties(oracle, host.cluster, mismatches)
         _compare_stores(oracle, host.cluster, mismatches)
         _compare_stats(oracle, host.cluster, mismatches)

@@ -26,9 +26,12 @@ connection is closed (a framing error leaves no boundary to
 resynchronize on).  So does a request the kernel fails on: the
 traceback is logged, that one connection ends, the listener and every
 other connection keep serving.
-Each connection is one asyncio task; submissions from concurrent
-clients interleave at the kernel driver, which serializes them --
-clients contend for the protocol, not for locks.
+Each connection is one asyncio task on the host's event loop.
+Submissions and ``stats`` requests from concurrent clients take turns
+at the host's scheduler (:mod:`repro.runtime.cluster`), which
+serializes them: a clean commit runs inline on the loop, and only a
+negotiation round leaves it for the kernel thread -- clients contend
+for the protocol, not for locks.
 
 The listener prints ``repro-serve listening on HOST:PORT`` on stdout
 once bound (``--port 0`` picks an ephemeral port; harnesses scrape
@@ -39,11 +42,15 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import concurrent.futures
 import logging
 import sys
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
+from repro.protocol.homeostasis import ClusterResult
 from repro.protocol.messages import Outcome
+from repro.runtime.client import ServeClient
 from repro.runtime.cluster import AsyncClusterHost
 from repro.runtime.codec import (
     CodecError,
@@ -164,39 +171,25 @@ class _Server:
             self.shutdown.set()
             return {"t": "ok"}
         if kind == "stats":
-            return await self.host.run_on_kernel(self.snapshot_stats)
+            return await self.host.inline(self.snapshot_stats)
         if kind == "submit":
             tx_name = request.get("tx")
             if not isinstance(tx_name, str):
                 raise CodecError("submit needs 'tx' (str)")
             params = _int_params(request.get("params"))
-            return await self.host.run_on_kernel(self.run_submit, tx_name, params)
+            if tx_name not in self.host.cluster.tx_home:
+                # The serve layer's own rejection: never reached the
+                # protocol, so it is an abort, not an unavailability.
+                return result_reply(
+                    ClusterResult(
+                        log=(), site=-1, synced=False, status=Outcome.ABORTED
+                    )
+                )
+            return result_reply(await self.host.try_submit_async(tx_name, params))
         raise CodecError(f"unknown request type {kind!r}")
 
-    # -- kernel-thread bodies (run via run_on_kernel) ------------------------------
-
-    def run_submit(self, tx_name: str, params: dict[str, int]) -> dict[str, Any]:
-        cluster = self.host.cluster
-        if tx_name not in cluster.tx_home:
-            # The serve layer's own rejection: never reached the
-            # protocol, so it is an abort, not an unavailability.
-            return {
-                "t": "result",
-                "status": Outcome.ABORTED.value,
-                "site": -1,
-                "log": [],
-                "synced": False,
-            }
-        result = cluster.try_submit(tx_name, params)
-        return {
-            "t": "result",
-            "status": result.status.value,
-            "site": result.site,
-            "log": list(result.log),
-            "synced": result.synced,
-        }
-
     def snapshot_stats(self) -> dict[str, Any]:
+        """The ``stats`` reply (message-free: runs inline at its turn)."""
         stats = self.host.cluster.stats
         return {
             "t": "stats",
@@ -213,16 +206,35 @@ class _Server:
         }
 
 
+def result_reply(result: ClusterResult) -> dict[str, Any]:
+    """The ``result`` reply a client receives for ``result``."""
+    return {
+        "t": "result",
+        "status": result.status.value,
+        "site": result.site,
+        "log": list(result.log),
+        "synced": result.synced,
+    }
+
+
 async def serve(
-    host: AsyncClusterHost, bind_host: str, port: int
+    host: AsyncClusterHost,
+    bind_host: str,
+    port: int,
+    *,
+    on_listening: Callable[[tuple[str, int]], None] | None = None,
 ) -> None:
-    """Accept and serve connections until a client sends ``shutdown``."""
+    """Accept and serve connections until a client sends ``shutdown``
+    (``on_listening`` gets the bound address, for in-process callers
+    that pass ``port=0``)."""
     server_state = _Server(host)
     server = await asyncio.start_server(
         server_state.handle_connection, bind_host, port
     )
     addr = server.sockets[0].getsockname()
     print(f"repro-serve listening on {addr[0]}:{addr[1]}", flush=True)
+    if on_listening is not None:
+        on_listening((addr[0], addr[1]))
     async with server:
         await server_state.shutdown.wait()
     print(
@@ -230,6 +242,25 @@ async def serve(
         "connection(s)",
         flush=True,
     )
+
+
+@contextmanager
+def serving(host: AsyncClusterHost) -> Iterator[tuple[str, int]]:
+    """Serve ``host`` in-process on an ephemeral loopback port for the
+    duration; yields the address, and shuts the listener down at exit."""
+    listening: concurrent.futures.Future[tuple[str, int]] = (
+        concurrent.futures.Future()
+    )
+    served = asyncio.run_coroutine_threadsafe(
+        serve(host, "127.0.0.1", 0, on_listening=listening.set_result), host._loop
+    )
+    address = listening.result(timeout=30.0)
+    try:
+        yield address
+    finally:
+        with ServeClient(*address) as client:
+            client.shutdown()
+        served.result(timeout=30.0)
 
 
 def main(argv: list[str] | None = None) -> int:

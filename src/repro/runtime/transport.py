@@ -3,8 +3,10 @@
 :class:`AsyncTransport` implements the :class:`~repro.protocol.
 transport.Transport` contract (trace, negotiation contexts, scope
 isolation, fault surface) against a running asyncio event loop.  The
-synchronous kernel keeps calling :meth:`AsyncTransport.send` from its
-single driver thread; what changes is what a send *is*:
+synchronous kernel calls :meth:`AsyncTransport.send` from the host's
+kernel thread (:mod:`repro.runtime.cluster`), never from the loop,
+which must stay free to run the destination; what changes is what a
+send *is*:
 
 - the message is lowered to a wire frame (:mod:`repro.runtime.codec`)
   and posted onto the destination site's **inbox queue**;
@@ -14,7 +16,8 @@ single driver thread; what changes is what a send *is*:
   Because every message for a site is handled inside its one inbox
   task, site state keeps the single-writer discipline without locks
   (the kernel thread's own accesses to site state never overlap a
-  handle: it is blocked on the reply future while the task runs);
+  handle: it is blocked on the reply future while the task runs, and
+  the host runs no loop-side head during a round);
 - the sender blocks on the reply future with a real wall-clock
   timeout.  Fault injection is physical: a dropped or partition-
   severed frame is simply never delivered and the sender raises
@@ -162,8 +165,17 @@ class AsyncTransport(Transport):
         discovery of silent loss (drops, partitions, over-delays)
         costs real wall-clock time: the sender waits out
         ``timeout_s`` before giving up, like any failure detector
-        without an oracle.
+        without an oracle.  A send from the loop's own thread raises
+        :class:`TransportError` at once, before anything is counted.
         """
+        if self._loop is not None and asyncio._get_running_loop() is self._loop:
+            # The reply needs this very loop to run the destination's
+            # inbox task: waiting here would stall it for timeout_s and
+            # then blame a live site.
+            raise TransportError(
+                f"send from site {msg.src} to site {msg.dst} on the "
+                "transport's own event loop; only the kernel thread sends"
+            )
         delay, lost = self._attempt(msg)
         if lost is not None:
             # Silent loss: the frame never reaches the destination,

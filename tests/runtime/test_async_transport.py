@@ -115,6 +115,29 @@ class TestDelivery:
         assert len(transport.trace) == 1  # delivered: state may have changed
         transport.close()
 
+    def test_send_on_the_loop_thread_refuses_at_once(self, loop_thread):
+        # The reply needs the loop the caller is blocking: refuse
+        # instead of waiting out the timer and blaming a live site.
+        transport, recs = _make(loop_thread, timeout_s=5.0)
+
+        def send_on_loop():
+            start = time.monotonic()
+            try:
+                transport.send(Vote(src=0, dst=1))
+            except TransportError as exc:
+                return exc, time.monotonic() - start
+            return None, time.monotonic() - start
+
+        error, elapsed = asyncio.run_coroutine_threadsafe(
+            _call(send_on_loop), loop_thread
+        ).result(timeout=10)
+        assert isinstance(error, TransportError)
+        assert "event loop" in str(error)
+        assert elapsed < 0.5
+        assert recs[1].received == [] and transport.undelivered == []
+        assert transport.send(Vote(src=0, dst=1)) is True  # off the loop
+        transport.close()
+
     def test_wire_accounting(self, loop_thread):
         transport, _ = _make(loop_thread)
         transport.send(Vote(src=0, dst=1))
@@ -173,3 +196,8 @@ class TestFaults:
         transport.send(Vote(src=0, dst=1))
         transport.close()
         transport.close()
+
+
+async def _call(fn):
+    """Run ``fn`` synchronously on the running loop's thread."""
+    return fn()

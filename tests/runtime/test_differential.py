@@ -82,3 +82,18 @@ class TestHypothesisSchedules:
         ]
         report = run_differential(factory, requests)
         assert report.ok, report.mismatches
+
+
+class TestWireDifferential:
+    """The same gate driven the way clients drive the host: ``serve``
+    in-process on the host's loop, one connection replaying the
+    schedule, so heads run inline on the loop and rounds on the kernel
+    thread."""
+
+    @pytest.mark.parametrize("case", [micro_case, geo_case], ids=["micro", "geo"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_wire_agrees(self, case, seed):
+        factory, schedule = case(seed, txns=30)
+        report = run_differential(factory, schedule, wire=True)
+        assert report.ok, report.mismatches
+        assert report.negotiations > 0, "schedule never violated"

@@ -53,7 +53,9 @@ def server():
                 c.shutdown()
         except OSError:
             proc.kill()
-    proc.wait(timeout=10)
+    # Drain and close both pipes; a clean shutdown exits 0.
+    _stdout, stderr = proc.communicate(timeout=10)
+    assert proc.returncode == 0, stderr
 
 
 class TestServe:
